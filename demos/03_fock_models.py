@@ -3,8 +3,8 @@
 
 States are words with matrix coefficients between symbols; creation
 prepends or appends a symbol, annihilation feeds a coefficient through the
-covariance map of the matching index.  Applying an operator word of length
-n to the vacuum never needs depth beyond n, so all moments are exact.
+covariance map of the matching index.  The moment of an operator word of
+length n never needs depth beyond n/2, so all moments are exact.
 """
 
 import numpy as np

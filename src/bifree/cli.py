@@ -98,7 +98,11 @@ def _load_model(path: str | None, cfg: RunConfig) -> BisemicircularModel:
 
 
 def _read_table(path: str):
-    data = json.load(sys.stdin if path == "-" else open(path))
+    if path == "-":
+        data = json.load(sys.stdin)
+    else:
+        with open(path) as fh:
+            data = json.load(fh)
     chi = ChiWord.from_string(data["chi"])
     table = {}
     for entry in data["entries"]:
@@ -260,7 +264,11 @@ def _add_config_options(p: argparse.ArgumentParser, default: bool = False) -> No
     p.add_argument("--seed", type=int, default=d(0))
     p.add_argument("--d", type=int, default=d(1), help="coefficient dimension")
     p.add_argument("--max-order", type=int, default=d(4))
-    p.add_argument("--truncation", type=int, default=d(None))
+    p.add_argument(
+        "--truncation", type=int, default=d(None),
+        help="Fock depth cap; an expectation fails only if a component that "
+        "could still return to depth 0 would exceed it",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,6 +372,9 @@ def main(argv=None) -> int:
             seed=args.seed,
             output_format=args.output_format,
         )
+    except ValueError as exc:
+        parser.error(str(exc))  # usage error: exits 2
+    try:
         return args.func(args, cfg)
     except BrokenPipeError:  # pragma: no cover
         return 1

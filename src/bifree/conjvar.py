@@ -66,8 +66,9 @@ class VectorCandidate:
     def initial_state(self):
         return self.vector
 
-    def extend(self, factor, state):
-        return self.model.apply_symbol(factor, state)
+    def extend(self, factor, state, keep_depth: int | None = None):
+        """Apply a factor, keeping components up to ``keep_depth`` only."""
+        return self.model.apply_symbol(factor, state, keep_depth)
 
     def tau(self, state) -> complex:
         return complex(np.trace(state.depth0())) / self.model.dim
@@ -95,7 +96,7 @@ class WordCandidate:
     def initial_state(self):
         return self.word
 
-    def extend(self, factor, state):
+    def extend(self, factor, state, keep_depth: int | None = None):
         return factor * state
 
     def tau(self, state) -> complex:
@@ -106,8 +107,25 @@ class WordCandidate:
         return float(abs(self.scale) ** 2 * raw)
 
 
-def _factor_side(f) -> str:
-    return f.side
+def _conjugate_rhs(word: tuple, target: GeneratorSymbol, eta: CPMap,
+                   F: MomentFunctional) -> complex:
+    """Right-hand side of the conjugate relation tested against ``word``.
+
+    Sum over the occurrences of ``target``: remove it, average the same-side
+    tail after it through ``eta`` and splice that back in as a coefficient.
+    """
+    coeff = Lb if target.side == LEFT else Rb
+    total = 0.0 + 0.0j
+    n = len(word)
+    for k in range(n):
+        if word[k] is not target:
+            continue
+        tail = [m for m in range(k + 1, n) if word[m].side == target.side]
+        tail_set = set(tail)
+        inner = eta(F.expect(Monomial([word[m] for m in tail])))
+        rest = [word[m] for m in range(n) if m != k and m not in tail_set]
+        total += F.tau(Monomial(rest) * coeff(inner))
+    return total
 
 
 def conj_residual(
@@ -123,7 +141,8 @@ def conj_residual(
     Test words run over the target, the presence generators and, when the
     coefficient algebra is nontrivial, left/right insertions of its matrix
     unit basis.  Words are grown from the right so each candidate state is
-    reused across all extensions.
+    reused across all extensions; a state only keeps the components that
+    the longest extension can still bring back to depth 0.
     """
     if max_n > 8:
         raise ValueError("max_n capped at 8")
@@ -133,31 +152,16 @@ def conj_residual(
         for e in matrix_units(F.dim):
             alphabet.append(Lb(e))
             alphabet.append(Rb(e))
-    coeff = Lb if xi.side == LEFT else Rb
-    tail_side = xi.side
     worst = 0.0
-
-    def rhs(word: tuple) -> complex:
-        total = 0.0 + 0.0j
-        n = len(word)
-        for k in range(n):
-            if word[k] is not target:
-                continue
-            tail = [m for m in range(k + 1, n) if _factor_side(word[m]) == tail_side]
-            tail_set = set(tail)
-            inner = eta(F.expect(Monomial([word[m] for m in tail])))
-            rest = [word[m] for m in range(n) if m != k and m not in tail_set]
-            total += F.tau(Monomial(rest) * coeff(inner))
-        return total
 
     def walk(word: tuple, state, depth: int):
         nonlocal worst
         lhs = xi.tau(state)
-        worst = max(worst, abs(lhs - rhs(word)))
+        worst = max(worst, abs(lhs - _conjugate_rhs(word, target, eta, F)))
         if depth == max_n:
             return
         for f in alphabet:
-            walk((f,) + word, xi.extend(f, state), depth + 1)
+            walk((f,) + word, xi.extend(f, state, max_n - depth - 1), depth + 1)
 
     walk((), xi.initial_state(), 0)
     return worst
@@ -201,26 +205,15 @@ def solve_conjugate(
         frontier = [(f,) + w for w in frontier for f in alphabet]
         test_words.extend(frontier)
 
-    coeff = Lb if target.side == LEFT else Rb
-    rows, rhs_vec = [], []
-    for w in test_words:
-        rows.append(
-            [
-                complex(np.trace(model.apply_word(Monomial(w), v).depth0()))
-                / model.dim
-                for v in basis
-            ]
-        )
-        total = 0.0 + 0.0j
-        n = len(w)
-        for k in range(n):
-            if w[k] is not target:
-                continue
-            tail = [m for m in range(k + 1, n) if _factor_side(w[m]) == target.side]
-            inner = eta(F.expect(Monomial([w[m] for m in tail])))
-            rest = [w[m] for m in range(n) if m != k and m not in set(tail)]
-            total += F.tau(Monomial(rest) * coeff(inner))
-        rhs_vec.append(total)
+    rows = [
+        [
+            complex(np.trace(model.apply_word(Monomial(w), v, keep_depth=0).depth0()))
+            / model.dim
+            for v in basis
+        ]
+        for w in test_words
+    ]
+    rhs_vec = [_conjugate_rhs(w, target, eta, F) for w in test_words]
     sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs_vec), rcond=None)
     vec = FockVector(model.dim)
     for c, v in zip(sol, basis):
@@ -293,7 +286,7 @@ class MatrixLift:
         out = np.zeros((self.d, self.d), dtype=complex)
         if n == 0:
             return np.eye(self.d, dtype=complex)
-        chi = ChiWord([_factor_side(f) for f in word.factors])
+        chi = ChiWord([f.side for f in word.factors])
         order = s_chi(chi)  # order[t-1] = position with chi-rank t
         factors = word.factors
 

@@ -6,13 +6,20 @@ single tensor with 2(m+1) axes (two per coefficient slot), so linear
 combinations over the coefficient algebra come for free.  Left/right
 creation prepends/appends a symbol; annihilation feeds the adjacent
 coefficient through the covariance map of the matching index and merges it
-into its neighbour.  Applying a word of length n to the vacuum never needs
-depth beyond n, so expectations are exact up to float roundoff.
+into its neighbour.
+
+Word actions carry a depth budget: a caller that reads only components up
+to some depth at the end passes that depth, and each step then keeps only
+components that the remaining factors can still bring back within it.
+Components beyond the remaining budget are never built, so an expectation of
+a word of length n never builds depth beyond floor(n/2) and is exact, up to
+float roundoff, for any truncation at or above floor(n/2).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,7 +30,9 @@ from .words import BCoeff, GeneratorSymbol, MomentFunctional, as_monomial
 
 
 class TruncationError(RuntimeError):
-    """A creation operator tried to exceed the configured depth."""
+    """A creation operator tried to build a component beyond the configured
+    depth that could still be brought back within the caller's depth budget
+    (for an expectation: back to depth 0)."""
 
 
 # --- tensor actions ---------------------------------------------------------
@@ -245,25 +254,28 @@ class FockModel:
 
     # -- elementary actions --------------------------------------------------
 
-    def apply_factor(self, factor: tuple, vec: FockVector) -> FockVector:
+    def apply_factor(
+        self, factor: tuple, vec: FockVector, keep_depth: int | None = None
+    ) -> FockVector:
         """Apply one elementary factor ``(kind, payload)`` to a state.
 
         Kinds: ``("l", k)``, ``("l*", k)``, ``("r", k)``, ``("r*", k)``,
-        ``("Lb", b)``, ``("Rb", b)``.
+        ``("Lb", b)``, ``("Rb", b)``.  Output components deeper than
+        ``keep_depth`` are not built.
         """
         kind, payload = factor
         d = self.dim
+        keep = math.inf if keep_depth is None else keep_depth
         out = FockVector(d)
         if d == 1:
-            return self._apply_factor_scalar(kind, payload, vec, out)
+            return self._apply_factor_scalar(kind, payload, vec, out, keep)
         if kind in ("l", "r"):
             self._check_index(payload)
             eye = identity(d)
             for ks, t in vec.terms.items():
-                if self.max_depth is not None and len(ks) + 1 > self.max_depth:
-                    raise TruncationError(
-                        f"creation would exceed max depth {self.max_depth}"
-                    )
+                if len(ks) + 1 > keep:
+                    continue
+                self._check_creation(len(ks) + 1)
                 if kind == "l":
                     out._accumulate((payload,) + ks, np.multiply.outer(eye, t))
                 else:
@@ -271,8 +283,9 @@ class FockModel:
         elif kind in ("l*", "r*"):
             self._check_index(payload)
             for ks, t in vec.terms.items():
-                if not ks:
-                    continue  # annihilation kills the depth-0 summand
+                # annihilation kills the depth-0 summand
+                if not ks or len(ks) - 1 > keep:
+                    continue
                 if kind == "l*":
                     eta = self.covariances.get((payload, ks[0]))
                     if eta is None:
@@ -286,30 +299,36 @@ class FockModel:
         elif kind == "Lb":
             b = as_belement(payload, d)
             for ks, t in vec.terms.items():
-                out._accumulate(ks, _mul_left_slot0(b, t))
+                if len(ks) <= keep:
+                    out._accumulate(ks, _mul_left_slot0(b, t))
         elif kind == "Rb":
             b = as_belement(payload, d)
             for ks, t in vec.terms.items():
-                out._accumulate(ks, _mul_right_last(t, b))
+                if len(ks) <= keep:
+                    out._accumulate(ks, _mul_right_last(t, b))
         else:
             raise ValueError(f"unknown factor kind {kind!r}")
         return out.prune()
 
-    def _apply_factor_scalar(self, kind, payload, vec: FockVector, out: FockVector) -> FockVector:
+    def _check_creation(self, depth: int) -> None:
+        if self.max_depth is not None and depth > self.max_depth:
+            raise TruncationError(f"creation would exceed max depth {self.max_depth}")
+
+    def _apply_factor_scalar(self, kind, payload, vec: FockVector, out: FockVector,
+                             keep) -> FockVector:
         terms = out.terms
         if kind in ("l", "r"):
             self._check_index(payload)
             for ks, v in vec.terms.items():
-                if self.max_depth is not None and len(ks) + 1 > self.max_depth:
-                    raise TruncationError(
-                        f"creation would exceed max depth {self.max_depth}"
-                    )
+                if len(ks) + 1 > keep:
+                    continue
+                self._check_creation(len(ks) + 1)
                 nk = (payload,) + ks if kind == "l" else ks + (payload,)
                 terms[nk] = terms.get(nk, 0.0) + v
         elif kind in ("l*", "r*"):
             self._check_index(payload)
             for ks, v in vec.terms.items():
-                if not ks:
+                if not ks or len(ks) - 1 > keep:
                     continue
                 if kind == "l*":
                     c = self._cov_scalar.get((payload, ks[0]))
@@ -323,35 +342,45 @@ class FockModel:
         elif kind in ("Lb", "Rb"):
             b = complex(np.asarray(payload).reshape(-1)[0])
             for ks, v in vec.terms.items():
-                terms[ks] = terms.get(ks, 0.0) + b * v
+                if len(ks) <= keep:
+                    terms[ks] = terms.get(ks, 0.0) + b * v
         else:
             raise ValueError(f"unknown factor kind {kind!r}")
         return out.prune()
 
-    def apply_symbol(self, f, vec: FockVector) -> FockVector:
+    def apply_symbol(self, f, vec: FockVector, keep_depth: int | None = None) -> FockVector:
         if isinstance(f, BCoeff):
             kind = "Lb" if f.side == LEFT else "Rb"
-            return self.apply_factor((kind, f.matrix), vec)
+            return self.apply_factor((kind, f.matrix), vec, keep_depth)
         if isinstance(f, GeneratorSymbol):
             action = self.symbol_actions.get(f)
             if action is None:
                 raise KeyError(f"symbol {f!r} not registered with this model")
             out = FockVector(self.dim)
+            terms = out.terms
             for c, elem in action:
-                out = out + self.apply_factor(elem, vec).scaled(c)
+                for ks, t in self.apply_factor(elem, vec, keep_depth).terms.items():
+                    cur = terms.get(ks)
+                    terms[ks] = c * t if cur is None else cur + c * t
             return out.prune()
         raise TypeError(f"cannot apply {f!r}")
 
-    def apply_word(self, word, vec: FockVector) -> FockVector:
-        """Apply a monomial (leftmost factor acts last)."""
-        word = as_monomial(word)
-        for f in reversed(word.factors):
-            vec = self.apply_symbol(f, vec)
+    def apply_word(self, word, vec: FockVector, keep_depth: int | None = None) -> FockVector:
+        """Apply a monomial (leftmost factor acts last).
+
+        With ``keep_depth`` the result is exact up to that depth only: each
+        step drops the components that the factors still to apply can no
+        longer bring back within it.
+        """
+        factors = as_monomial(word).factors
+        for j in range(len(factors) - 1, -1, -1):
+            budget = None if keep_depth is None else keep_depth + j
+            vec = self.apply_symbol(factors[j], vec, budget)
         return vec
 
     def expectation(self, word) -> np.ndarray:
         """E(word) = depth-0 part of (word applied to the vacuum)."""
-        return self.apply_word(word, FockVector.vacuum(self.dim)).depth0()
+        return self.apply_word(word, FockVector.vacuum(self.dim), keep_depth=0).depth0()
 
     def functional(self) -> MomentFunctional:
         return MomentFunctional(

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import io
 import json
 
 import numpy as np
@@ -151,6 +152,31 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--d", "9"), ("--max-order", "9"), ("--tolerance", "-1")]
+)
+def test_invalid_config_is_usage_error(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag, value, "bnc", "enum", "--chi", "lr"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_mc_reads_table_from_stdin(capsys, monkeypatch):
+    code, out = run_cli(capsys, "bnc", "enum", "--chi", "lr")
+    table = {
+        "chi": "lr",
+        "entries": [
+            {"partition": p["blocks"], "value": belement_to_json(np.eye(1))}
+            for p in json.loads(out)["partitions"]
+        ],
+    }
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(table)))
+    code, out = run_cli(capsys, "mc", "to-cumulants", "--table", "-")
+    assert code == 0
+    assert len(json.loads(out)["entries"]) == 2
 
 
 def test_byte_stable_output(capsys):

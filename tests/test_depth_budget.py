@@ -1,0 +1,157 @@
+"""Depth-budget pruning of Fock word actions against the unpruned path.
+
+The oracle applies every symbol with no budget, so it builds every component
+the word creates; the pruned path must agree with it exactly (``==``), not
+just within a tolerance, because a dropped component never feeds a kept one.
+"""
+
+import numpy as np
+import pytest
+
+from bifree.balgebra import CPMap, matrix_units, random_belement
+from bifree.bnc import LEFT
+from bifree.conjvar import (
+    PresenceContext,
+    VectorCandidate,
+    _circular_contexts,
+    circular_fisher_candidates,
+    conj_residual,
+)
+from bifree.fock import (
+    CircularPairModel,
+    FockVector,
+    TruncationError,
+    make_bisemicircular,
+)
+from bifree.words import Lb, Monomial, Rb
+
+
+def _unpruned(model, word, vec=None):
+    vec = FockVector.vacuum(model.dim) if vec is None else vec
+    for f in reversed(word.factors):
+        vec = model.apply_symbol(f, vec, keep_depth=None)
+    return vec
+
+
+def _random_words(rng, alphabet, max_len, per_len):
+    """Seeded words of every length up to ``max_len``, and words ``w* w``
+    of the same lengths, whose expectations are squared norms, not zero."""
+    def draw(n):
+        return Monomial([alphabet[i] for i in rng.integers(len(alphabet), size=n)])
+
+    for n in range(1, max_len + 1):
+        for _ in range(per_len):
+            yield draw(n)
+            if n % 2 == 0:
+                w = draw(n // 2)
+                yield w.adjoint() * w
+
+
+def _matrix_model(seed):
+    rng = np.random.default_rng(seed)
+
+    def cp():
+        return CPMap([random_belement(2, rng) / 4.0 for _ in range(2)])
+
+    model = make_bisemicircular([cp()], [cp()])
+    coeffs = [Lb(random_belement(2, rng)), Rb(random_belement(2, rng))]
+    return model, coeffs
+
+
+def test_scalar_expectation_matches_unpruned_depth0():
+    cp = CircularPairModel(n_pairs=2)
+    rng = np.random.default_rng(20)
+    alphabet = list(cp.symbols) + [Lb(np.array([[0.5 - 0.25j]]))]
+    for word in _random_words(rng, alphabet, 8, 12):
+        got = cp.model.expectation(word)
+        assert np.array_equal(got, _unpruned(cp.model, word).depth0()), word
+
+
+def test_matrix_expectation_matches_unpruned_depth0():
+    model, coeffs = _matrix_model(21)
+    rng = np.random.default_rng(22)
+    alphabet = list(model.symbols) + coeffs
+    for word in _random_words(rng, alphabet, 8, 2):
+        got = model.model.expectation(word)
+        assert np.array_equal(got, _unpruned(model.model, word).depth0()), word
+
+
+@pytest.mark.parametrize("keep", [0, 1, 2, 3])
+def test_apply_word_keeps_every_component_within_budget(keep):
+    cp = CircularPairModel()
+    rng = np.random.default_rng(23)
+    start = cp.model.vector_of(Monomial([cp.c_l, cp.c_r_star]))
+    for word in _random_words(rng, list(cp.symbols), 6, 6):
+        full = _unpruned(cp.model, word, start)
+        pruned = cp.model.apply_word(word, start, keep_depth=keep)
+        want = {ks: t for ks, t in full.terms.items() if len(ks) <= keep}
+        assert pruned.terms == want
+
+
+def _unpruned_residual(xi, eta, ctx, F, max_n):
+    # Copy of the conjugate-residual walk with no depth budget.
+    target = xi.target
+    alphabet = [target] + list(ctx.generators())
+    if F.dim > 1:
+        for e in matrix_units(F.dim):
+            alphabet += [Lb(e), Rb(e)]
+    coeff = Lb if target.side == LEFT else Rb
+
+    def rhs(word):
+        total = 0.0 + 0.0j
+        n = len(word)
+        for k in range(n):
+            if word[k] is not target:
+                continue
+            tail = [m for m in range(k + 1, n) if word[m].side == target.side]
+            inner = eta(F.expect(Monomial([word[m] for m in tail])))
+            rest = [word[m] for m in range(n) if m != k and m not in tail]
+            total += F.tau(Monomial(rest) * coeff(inner))
+        return total
+
+    worst = 0.0
+
+    def walk(word, state, depth):
+        nonlocal worst
+        worst = max(worst, abs(xi.tau(state) - rhs(word)))
+        if depth == max_n:
+            return
+        for f in alphabet:
+            walk((f,) + word, xi.model.apply_symbol(f, state), depth + 1)
+
+    walk((), xi.vector, 0)
+    return worst
+
+
+def test_circular_residuals_match_unpruned_walk():
+    cp = CircularPairModel()
+    F = cp.functional
+    eta = CPMap.identity(1)
+    for cand, ctx in zip(circular_fisher_candidates(cp), _circular_contexts(cp)):
+        # The true candidates leave only roundoff; the rescaled ones do not.
+        off = VectorCandidate(cand.target, cand.vector.scaled(1.5), cand.model)
+        for xi in (cand, off):
+            got = conj_residual(xi, eta, ctx, F, 4)
+            assert got == _unpruned_residual(xi, eta, ctx, F, 4)
+
+
+def test_matrix_residual_matches_unpruned_walk():
+    # d=2: the alphabet carries the matrix-unit insertions (Lb/Rb factors).
+    model, _ = _matrix_model(24)
+    s, d1 = model.symbol("S1"), model.symbol("D1")
+    eta = model.model.covariances[("S1", "S1")]
+    ctx = PresenceContext((), (d1,))
+    vec = model.model.vector_of(Monomial([s]))
+    for scale in (1.0, 1.5):
+        xi = VectorCandidate(s, vec.scaled(scale), model.model)
+        got = conj_residual(xi, eta, ctx, model.functional, 3)
+        assert got == _unpruned_residual(xi, eta, ctx, model.functional, 3)
+
+
+def test_truncation_raised_only_for_reachable_components():
+    tight = make_bisemicircular([CPMap.identity(1)], [], max_depth=2)
+    s = tight.symbol("S1")
+    # S1^4 needs depth 2 only: the depth-3 components cannot return to 0.
+    assert tight.model.expectation(Monomial([s] * 4))[0, 0] == 2.0
+    with pytest.raises(TruncationError):
+        tight.model.expectation(Monomial([s] * 6))
