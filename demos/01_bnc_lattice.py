@@ -18,6 +18,7 @@ from bifree import (
     s_chi,
     zero_partition,
 )
+from bifree.bnc import MAX_ENUM_N
 
 # The classic six-point example: lefts at 1,2,3,6 and rights at 4,5.
 chi = ChiWord("lllrrl")
@@ -45,6 +46,6 @@ print("\njoin of", list(map(list, a.blocks)), "and", list(map(list, b.blocks)),
       "->", list(map(list, lattice_join(a, b).blocks)))
 
 print("\nMoebius values mu(0, 1) alternate in sign and grow like Catalan:")
-for n in range(1, 7):
+for n in range(1, MAX_ENUM_N + 1):
     word = ChiWord("l" * n)
     print(f"  n={n}: {mobius_bnc(zero_partition(word), one_partition(word))}")

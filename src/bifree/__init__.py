@@ -13,7 +13,6 @@ from .bnc import (
     BncPartition,
     ChiWord,
     catalan,
-    chi_less,
     enumerate_bnc,
     is_bnc,
     lattice_join,

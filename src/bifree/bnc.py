@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 LEFT = "l"
@@ -47,10 +48,6 @@ class ChiWord:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ChiWord is immutable")
-
-    @classmethod
-    def from_string(cls, s: str) -> "ChiWord":
-        return cls(s)
 
     @property
     def n(self) -> int:
@@ -102,14 +99,6 @@ def s_chi_inverse(chi: ChiWord) -> tuple[int, ...]:
     for rank, pos in enumerate(s, start=1):
         inv[pos - 1] = rank
     return tuple(inv)
-
-
-def chi_less(i: int, j: int, chi: ChiWord) -> bool:
-    """Total order induced by ``chi``: i precedes j iff its visiting rank is lower."""
-    if i == j:
-        raise ValueError("chi-order comparison requires distinct positions")
-    inv = s_chi_inverse(chi)
-    return inv[i - 1] < inv[j - 1]
 
 
 def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
@@ -221,7 +210,7 @@ class BncPartition:
     def from_json(cls, obj: dict | str) -> "BncPartition":
         if isinstance(obj, str):
             obj = json.loads(obj)
-        chi = ChiWord.from_string(obj["chi"])
+        chi = ChiWord(obj["chi"])
         return cls(obj["blocks"], chi)
 
 
@@ -373,63 +362,79 @@ def lattice_join(sigma: BncPartition, pi: BncPartition) -> BncPartition:
 
 # --- Moebius function -------------------------------------------------------
 
-_NC_INDEX_CACHE: dict[int, dict[Blocks, int]] = {}
+def _kreweras_sizes(sigma: Blocks, pi: Blocks) -> list[int]:
+    """Block sizes of the Kreweras complements of ``sigma`` inside ``pi >= sigma``.
+
+    With each block read as the cycle of its elements in increasing order,
+    they are the cycle lengths of sigma^-1 pi: on a block of pi, pi is the
+    long cycle gamma, and sigma^-1 gamma is the usual complement.
+    """
+    pred = {x: b[i - 1] for b in sigma for i, x in enumerate(b)}
+    perm = {x: pred[b[(i + 1) % len(b)]] for b in pi for i, x in enumerate(b)}
+    sizes = []
+    while perm:
+        x, k = next(iter(perm)), 0
+        while x in perm:
+            x = perm.pop(x)
+            k += 1
+        sizes.append(k)
+    return sizes
 
 
-def _nc_index(n: int) -> dict[Blocks, int]:
-    idx = _NC_INDEX_CACHE.get(n)
-    if idx is None:
-        idx = {p: i for i, p in enumerate(_nc_all(n))}
-        _NC_INDEX_CACHE[n] = idx
-    return idx
-
-
-@lru_cache(maxsize=None)
-def _nc_leq_matrix(n: int) -> tuple[tuple[bool, ...], ...]:
-    ps = _nc_all(n)
-    return tuple(
-        tuple(_blocks_leq(a, b) for b in ps) for a in ps
-    )
-
-
-@lru_cache(maxsize=None)
-def _mobius_nc_idx(i: int, j: int, n: int) -> int:
-    # mu(sigma_i, pi_j) on NC(n) via the defining recursion
-    # sum_{sigma <= tau <= pi} mu(tau, pi) = [sigma == pi].
-    if i == j:
-        return 1
-    leq = _nc_leq_matrix(n)
-    if not leq[i][j]:
+def _mobius_nc(sigma: Blocks, pi: Blocks) -> int:
+    """``mobius_nc`` for canonical non-crossing blocks, unchecked."""
+    if not _blocks_leq(sigma, pi):
         return 0
-    total = 0
-    for t in range(len(leq)):
-        if t != i and leq[i][t] and leq[t][j]:
-            total += _mobius_nc_idx(t, j, n)
-    return -total
+    mu = 1
+    for k in _kreweras_sizes(sigma, pi):
+        mu *= (-1) ** (k - 1) * catalan(k - 1)
+    return mu
 
 
 def mobius_nc(sigma: Blocks, pi: Blocks, n: int) -> int:
     """Moebius function of the non-crossing partition lattice (exact integer)."""
-    idx = _nc_index(n)
     a = _canonical_blocks(sigma)
     b = _canonical_blocks(pi)
-    if a not in idx or b not in idx:
-        raise ValueError("argument is not a non-crossing partition")
-    return _mobius_nc_idx(idx[a], idx[b], n)
+    for p in (a, b):
+        _check_partition(p, n)
+        if not _is_noncrossing(p, n):
+            raise ValueError("argument is not a non-crossing partition")
+    return _mobius_nc(a, b)
 
 
 def mobius_bnc(sigma: BncPartition, pi: BncPartition) -> int:
-    """Moebius function of BNC(chi).
+    """Moebius function of BNC(chi), an exact integer.
 
-    Values are shared across chi words of equal length through the relabelled
-    non-crossing picture, and are exact integers.  The memo behind it is an
-    interpreter-lock-guarded cache: concurrent reads are safe, misses are
-    serialized.
+    Relabelling by ``s_chi`` is a lattice isomorphism onto NC(n).  There,
+    for sigma <= pi, mu(sigma, pi) is the product of (-1)^(k-1) Cat(k-1) over
+    the blocks, of size k, of the Kreweras complements of sigma restricted to
+    each block of pi (Nica-Speicher, Lectures 9-10); otherwise it is 0.
     """
     _require_same_chi(sigma, pi)
-    if not lattice_leq(sigma, pi):
-        return 0
-    return mobius_nc(sigma.relabel_nc(), pi.relabel_nc(), sigma.n)
+    return _mobius_nc(sigma.relabel_nc(), pi.relabel_nc())
+
+
+@lru_cache(maxsize=MAX_ENUM_N)
+def _mu_top_nc(n: int) -> tuple[int, ...]:
+    top = (tuple(range(1, n + 1)),)
+    return tuple(_mobius_nc(sigma, top) for sigma in _nc_all(n))
+
+
+def mobius_top_table(chi: ChiWord) -> tuple[tuple[Blocks, int], ...]:
+    """``(sigma.blocks, mobius_bnc(sigma, one_partition(chi)))`` for each sigma
+    of ``enumerate_bnc(chi)``, in that order, without building the partitions.
+
+    The values are computed once per length in NC coordinates.
+    """
+    if chi.n > MAX_ENUM_N:
+        raise ValueError(f"n={chi.n} exceeds enumeration bound {MAX_ENUM_N}")
+    s = s_chi(chi)
+    nc = _nc_all(chi.n)
+    # Relabel each distinct block once; disjoint blocks sort by first element.
+    rel = {b: tuple(sorted(s[x - 1] for x in b)) for b in set(chain.from_iterable(nc))}
+    return tuple(
+        (tuple(sorted(rel[b] for b in sigma)), mu) for sigma, mu in zip(nc, _mu_top_nc(chi.n))
+    )
 
 
 def catalan(n: int) -> int:

@@ -103,7 +103,7 @@ def _read_table(path: str):
     else:
         with open(path) as fh:
             data = json.load(fh)
-    chi = ChiWord.from_string(data["chi"])
+    chi = ChiWord(data["chi"])
     table = {}
     for entry in data["entries"]:
         p = BncPartition(entry["partition"], chi)
@@ -128,7 +128,7 @@ def _table_report(chi: ChiWord, table: dict) -> dict:
 # --- subcommand handlers -----------------------------------------------------
 
 def _cmd_bnc_enum(args, cfg: RunConfig) -> int:
-    chi = ChiWord.from_string(args.chi)
+    chi = ChiWord(args.chi)
     parts = enumerate_bnc(chi)
     rows = [(p.n, str(chi), json.dumps([list(b) for b in p.blocks])) for p in parts]
     _emit(
@@ -141,7 +141,7 @@ def _cmd_bnc_enum(args, cfg: RunConfig) -> int:
 
 
 def _cmd_bnc_mobius(args, cfg: RunConfig) -> int:
-    chi = ChiWord.from_string(args.chi)
+    chi = ChiWord(args.chi)
     sigma = BncPartition(json.loads(args.sigma), chi)
     pi = BncPartition(json.loads(args.pi), chi)
     _emit({"chi": str(chi), "value": mobius_bnc(sigma, pi)}, cfg)

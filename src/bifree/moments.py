@@ -30,6 +30,7 @@ from .bnc import (
     lattice_join,
     lattice_leq,
     mobius_bnc,
+    mobius_top_table,
     one_partition,
     s_chi,
     zero_partition,
@@ -442,20 +443,6 @@ def _words_of_length(syms, n):
             yield rest + (s,)
 
 
-_MU_TOP_CACHE: dict[ChiWord, tuple] = {}
-
-
-def _mu_top_table(chi: ChiWord):
-    tab = _MU_TOP_CACHE.get(chi)
-    if tab is None:
-        top = one_partition(chi)
-        tab = tuple(
-            (sigma.blocks, mobius_bnc(sigma, top)) for sigma in enumerate_bnc(chi)
-        )
-        _MU_TOP_CACHE[chi] = tab
-    return tab
-
-
 def _scalar_top_cumulant(F: MomentFunctional, word, chi: ChiWord) -> complex:
     """Top cumulant of a word of generators over scalar coefficients.
 
@@ -472,7 +459,7 @@ def _scalar_top_cumulant(F: MomentFunctional, word, chi: ChiWord) -> complex:
         return v
 
     total = 0.0 + 0.0j
-    for blocks, mu in _mu_top_table(chi):
+    for blocks, mu in mobius_top_table(chi):
         term = mu
         for b in blocks:
             term *= phi(b)

@@ -1,5 +1,6 @@
 """Lattice-level tests with independent combinatorial oracles."""
 
+import itertools
 import json
 
 import numpy as np
@@ -7,16 +8,18 @@ import pytest
 from oracles import all_set_partitions, has_crossing, zeta_inverse_mobius
 
 from bifree.bnc import (
+    MAX_ENUM_N,
     BncPartition,
     ChiWord,
     catalan,
-    chi_less,
     enumerate_bnc,
     is_bnc,
     lattice_join,
     lattice_leq,
     lattice_meet,
     mobius_bnc,
+    mobius_nc,
+    mobius_top_table,
     one_partition,
     s_chi,
     s_chi_inverse,
@@ -44,11 +47,10 @@ def test_s_chi_inverse_consistent():
 
 
 def test_chi_less():
-    assert chi_less(1, 2, ChiWord("lr"))
-    assert chi_less(2, 1, ChiWord("rr"))
-    assert chi_less(6, 5, ChiWord("lllrrl"))
-    with pytest.raises(ValueError):
-        chi_less(1, 1, ChiWord("lr"))
+    # i precedes j in the chi-order iff its visiting rank is lower
+    for i, j, labels in ((1, 2, "lr"), (2, 1, "rr"), (6, 5, "lllrrl")):
+        inv = s_chi_inverse(ChiWord(labels))
+        assert inv[i - 1] < inv[j - 1]
 
 
 # --- membership ----------------------------------------------------------------
@@ -197,7 +199,7 @@ def test_mobius_zero_when_not_leq():
 
 
 def test_mobius_extreme_values():
-    for n in range(1, 8):
+    for n in range(1, MAX_ENUM_N + 1):
         chi = ChiWord("lr" * (n // 2) + "l" * (n % 2))
         assert mobius_bnc(zero_partition(chi), one_partition(chi)) == (-1) ** (
             n - 1
@@ -211,12 +213,29 @@ def test_mobius_against_zeta_inverse():
         labels = "".join("l" if rng.integers(2) else "r" for _ in range(n))
         chi = ChiWord(labels)
         bparts = enumerate_bnc(chi)
-        for _ in range(40):
-            a = bparts[rng.integers(len(bparts))]
-            b = bparts[rng.integers(len(bparts))]
-            got = mobius_bnc(a, b)
-            want = mu[idx[a.relabel_nc()], idx[b.relabel_nc()]]
-            assert abs(got - round(want)) == 0 and abs(want - round(want)) < 1e-6
+        for a in bparts:
+            for b in bparts:
+                got = mobius_bnc(a, b)
+                want = mu[idx[a.relabel_nc()], idx[b.relabel_nc()]]
+                assert abs(got - round(want)) == 0 and abs(want - round(want)) < 1e-6
+
+
+def test_mobius_nc_rejects_crossing():
+    crossing, one = [[1, 3], [2, 4]], [[1, 2, 3, 4]]
+    with pytest.raises(ValueError):
+        mobius_nc(crossing, one, 4)
+    with pytest.raises(ValueError):
+        mobius_nc(one, crossing, 4)
+
+
+def test_mobius_top_table():
+    # same entries in the same order: the scalar cumulant scan sums in it
+    for n in range(1, 7):
+        for labels in itertools.product("lr", repeat=n):
+            chi = ChiWord(labels)
+            one = one_partition(chi)
+            want = [(s.blocks, mobius_bnc(s, one)) for s in enumerate_bnc(chi)]
+            assert list(mobius_top_table(chi)) == want
 
 
 def test_mobius_defining_recursion_small():

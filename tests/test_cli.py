@@ -54,6 +54,17 @@ def test_bnc_mobius(capsys):
     assert json.loads(out)["value"] == -1
 
 
+def test_bnc_mobius_at_enumeration_bound(capsys):
+    n = 12
+    code, out = run_cli(
+        capsys, "bnc", "mobius", "--chi", "lr" * (n // 2),
+        "--sigma", json.dumps([[k] for k in range(1, n + 1)]),
+        "--pi", json.dumps([list(range(1, n + 1))]),
+    )
+    assert code == 0
+    assert '"value": -58786' in out
+
+
 def test_mc_round_trip(tmp_path, capsys):
     m = make_standard_semicircular()
     s = m.symbol("S1")
