@@ -8,7 +8,7 @@ Fisher information and entropy, and the minimization/maximization
 experiments for circular pairs and their self-adjoint matrix lifts.
 """
 
-from .balgebra import CPMap, apply_cp, diag_expectation, trace_d
+from .balgebra import CPMap, diag_expectation, trace_d
 from .bnc import (
     BncPartition,
     ChiWord,
@@ -56,7 +56,6 @@ from .moments import (
     cumulant_chi,
     cumulant_pi,
     cumulants_from_moments,
-    eval_moment_full,
     eval_moment_pi,
     hat_embed,
     moments_from_cumulants,

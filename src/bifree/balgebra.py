@@ -155,11 +155,6 @@ class CPMap:
         return f"CPMap(dim={self.dim}, kraus={len(self.kraus)})"
 
 
-def apply_cp(eta: CPMap, b) -> np.ndarray:
-    """Action of a CP map on a coefficient."""
-    return eta(b)
-
-
 def belement_to_json(b) -> dict:
     a = as_belement(b)
     return {

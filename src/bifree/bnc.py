@@ -5,8 +5,8 @@ A word ``chi`` over the side tags ``l``/``r`` assigns each of the positions
 left positions top-down and then the right positions bottom-up gives a
 permutation of ``1..n``; a partition is bi-non-crossing when it becomes an
 ordinary non-crossing partition after that relabelling.  This module holds
-the word type, the partition type, enumeration, the refinement lattice and
-its integer Moebius function.
+the word type, the partition type, enumeration, the refinement lattice, its
+lower intervals and its integer Moebius function.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 LEFT = "l"
@@ -435,6 +436,36 @@ def mobius_top_table(chi: ChiWord) -> tuple[tuple[Blocks, int], ...]:
     return tuple(
         (tuple(sorted(rel[b] for b in sigma)), mu) for sigma, mu in zip(nc, _mu_top_nc(chi.n))
     )
+
+
+@lru_cache(maxsize=MAX_ENUM_N)
+def _nc_index(n: int) -> dict[Blocks, int]:
+    return {sigma: i for i, sigma in enumerate(_nc_all(n))}
+
+
+def lower_interval(pi: BncPartition) -> tuple[tuple[BncPartition, int], ...]:
+    """``(sigma, mobius_bnc(sigma, pi))`` for every sigma <= pi, in
+    ``enumerate_bnc(pi.chi)`` order.
+
+    In the NC picture the interval [0, pi] is the product, over the blocks V
+    of pi, of NC(|V|) relabelled onto V, and mu(sigma, pi) is the product of
+    the factors' mu(sigma|V, 1_V) (Nica-Speicher, Lectures 9-10).  The
+    interval is built from those factors, not found by scanning BNC(chi).
+    """
+    parts = enumerate_bnc(pi.chi)
+    factors = []
+    for V in pi.relabel_nc():
+        k = len(V)
+        relabelled = (tuple(tuple(V[x - 1] for x in b) for b in sigma) for sigma in _nc_all(k))
+        factors.append(tuple(zip(relabelled, _mu_top_nc(k))))
+    index = _nc_index(pi.n)
+    found = []
+    for combo in product(*factors):
+        blocks, mus = zip(*combo)
+        # Disjoint sorted blocks sort by first element: the canonical order.
+        found.append((index[tuple(sorted(chain.from_iterable(blocks)))], prod(mus)))
+    found.sort()
+    return tuple((parts[i], mu) for i, mu in found)
 
 
 def catalan(n: int) -> int:

@@ -29,6 +29,7 @@ from .bnc import (
     enumerate_bnc,
     lattice_join,
     lattice_leq,
+    lower_interval,
     mobius_bnc,
     mobius_top_table,
     one_partition,
@@ -36,11 +37,6 @@ from .bnc import (
     zero_partition,
 )
 from .words import Lb, Monomial, MomentFunctional, Rb, as_monomial
-
-
-def eval_moment_full(F: MomentFunctional, word) -> np.ndarray:
-    """Expectation of a plain product (the value at the one-block partition)."""
-    return F.expect(word)
 
 
 def _product(ops: Sequence[Monomial]) -> Monomial:
@@ -246,31 +242,36 @@ def cumulant_chi(F: MomentFunctional, chi: ChiWord, operands: Sequence) -> np.nd
 def moments_from_cumulants(
     kappa_table: Mapping[BncPartition, np.ndarray], pi: BncPartition
 ) -> np.ndarray:
-    """Moment value from a complete cumulant table on the interval below pi."""
+    """Moment value from a complete cumulant table on the interval below pi.
+
+    Sums the table over ``lower_interval(pi)``, walked in enumeration order.
+    """
     total = None
-    for sigma in enumerate_bnc(pi.chi):
-        if lattice_leq(sigma, pi):
-            try:
-                v = kappa_table[sigma]
-            except KeyError:
-                raise ValueError(f"cumulant table missing entry for {sigma!r}")
-            total = np.asarray(v, dtype=complex) if total is None else total + v
+    for sigma, _ in lower_interval(pi):
+        try:
+            v = kappa_table[sigma]
+        except KeyError:
+            raise ValueError(f"cumulant table missing entry for {sigma!r}")
+        total = np.asarray(v, dtype=complex) if total is None else total + v
     return total
 
 
 def cumulants_from_moments(
     moment_table: Mapping[BncPartition, np.ndarray], pi: BncPartition
 ) -> np.ndarray:
-    """Cumulant value from a complete moment table on the interval below pi."""
+    """Cumulant value from a complete moment table on the interval below pi.
+
+    Moebius convolution over ``lower_interval(pi)``, walked in enumeration
+    order.
+    """
     total = None
-    for sigma in enumerate_bnc(pi.chi):
-        if lattice_leq(sigma, pi):
-            try:
-                v = moment_table[sigma]
-            except KeyError:
-                raise ValueError(f"moment table missing entry for {sigma!r}")
-            term = mobius_bnc(sigma, pi) * np.asarray(v, dtype=complex)
-            total = term if total is None else total + term
+    for sigma, mu in lower_interval(pi):
+        try:
+            v = moment_table[sigma]
+        except KeyError:
+            raise ValueError(f"moment table missing entry for {sigma!r}")
+        term = mu * np.asarray(v, dtype=complex)
+        total = term if total is None else total + term
     return total
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from bifree.balgebra import (
     CPMap,
-    apply_cp,
     belement_from_json,
     belement_to_json,
     diag_expectation,
@@ -20,7 +19,7 @@ from bifree.balgebra import (
 def test_apply_cp_identity():
     eye = CPMap.identity(3)
     b = np.arange(9, dtype=complex).reshape(3, 3)
-    assert np.allclose(apply_cp(eye, b), b)
+    assert np.allclose(eye(b), b)
 
 
 def test_apply_cp_flip_display():

@@ -17,6 +17,7 @@ from bifree.bnc import (
     lattice_join,
     lattice_leq,
     lattice_meet,
+    lower_interval,
     mobius_bnc,
     mobius_nc,
     mobius_top_table,
@@ -236,6 +237,35 @@ def test_mobius_top_table():
             one = one_partition(chi)
             want = [(s.blocks, mobius_bnc(s, one)) for s in enumerate_bnc(chi)]
             assert list(mobius_top_table(chi)) == want
+
+
+def _interval_by_scan(pi):
+    parts = enumerate_bnc(pi.chi)
+    return tuple((s, mobius_bnc(s, pi)) for s in parts if lattice_leq(s, pi))
+
+
+def test_lower_interval_matches_scan():
+    # same entries in the same order: the table transforms sum in it
+    for n in range(1, 7):
+        for labels in itertools.product("lr", repeat=n):
+            for pi in enumerate_bnc(ChiWord(labels)):
+                assert lower_interval(pi) == _interval_by_scan(pi)
+
+
+def test_lower_interval_matches_scan_sampled():
+    rng = np.random.default_rng(11)
+    for n in (7, 8):
+        for _ in range(3):
+            parts = enumerate_bnc(ChiWord(rng.choice(["l", "r"], size=n)))
+            for i in rng.choice(len(parts), size=8, replace=False):
+                assert lower_interval(parts[i]) == _interval_by_scan(parts[i])
+
+
+def test_lower_interval_sizes():
+    # sum over pi in NC(n) of |[0, pi]|: the number of 2-multichains
+    for n, want in enumerate((1, 3, 12, 55, 273, 1428, 7752), start=1):
+        chi = ChiWord(("lrr" * n)[:n])
+        assert sum(len(lower_interval(p)) for p in enumerate_bnc(chi)) == want
 
 
 def test_mobius_defining_recursion_small():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from bifree.balgebra import belement_to_json
+from bifree.balgebra import belement_from_json, belement_to_json
 from bifree.bnc import ChiWord, enumerate_bnc
 from bifree.cli import RunConfig, main
 from bifree.fock import make_standard_semicircular
@@ -89,6 +89,30 @@ def test_mc_round_trip(tmp_path, capsys):
     rt = {json.dumps(e["partition"]): e["value"]["re"] for e in back["entries"]}
     for k in orig:
         assert np.allclose(orig[k], rt[k])
+
+
+def test_mc_round_trip_n8(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    chi = ChiWord("lrrlrllr")
+    entries = [
+        {"partition": [list(b) for b in p.blocks],
+         "value": belement_to_json([[complex(*rng.standard_normal(2))]])}
+        for p in enumerate_bnc(chi)
+    ]
+    assert len(entries) == 1430
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps({"chi": str(chi), "entries": entries}))
+    code, out = run_cli(capsys, "mc", "to-cumulants", "--table", str(path))
+    assert code == 0
+    path2 = tmp_path / "cumulants.json"
+    path2.write_text(out)
+    code, out = run_cli(capsys, "mc", "to-moments", "--table", str(path2))
+    assert code == 0
+    back = {json.dumps(e["partition"]): e["value"] for e in json.loads(out)["entries"]}
+    assert len(back) == len(entries)
+    for e in entries:
+        got = belement_from_json(back[json.dumps(e["partition"])])
+        assert np.max(np.abs(got - belement_from_json(e["value"]))) < 1e-10
 
 
 def test_bifree_test_subcommand(capsys):

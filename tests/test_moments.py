@@ -9,6 +9,8 @@ from bifree.bnc import (
     BncPartition,
     ChiWord,
     enumerate_bnc,
+    lattice_leq,
+    mobius_bnc,
     one_partition,
     zero_partition,
 )
@@ -19,7 +21,6 @@ from bifree.moments import (
     cumulant_chi,
     cumulant_pi,
     cumulants_from_moments,
-    eval_moment_full,
     eval_moment_pi,
     hat_embed,
     moments_from_cumulants,
@@ -42,19 +43,19 @@ def flip_model():
 # --- full moments ----------------------------------------------------------------
 
 def test_empty_word_is_unit(scalar_model, flip_model):
-    assert eval_moment_full(scalar_model.functional, Monomial.unit())[0, 0] == 1
-    assert np.allclose(eval_moment_full(flip_model.functional, Monomial.unit()), np.eye(2))
+    assert scalar_model.functional.expect(Monomial.unit())[0, 0] == 1
+    assert np.allclose(flip_model.functional.expect(Monomial.unit()), np.eye(2))
 
 
 def test_scalar_semicircular_square(scalar_model):
     s = scalar_model.symbol("S1")
-    assert abs(eval_moment_full(scalar_model.functional, Monomial([s, s]))[0, 0] - 1) < 1e-12
+    assert abs(scalar_model.functional.expect(Monomial([s, s]))[0, 0] - 1) < 1e-12
 
 
 def test_coefficients_multiply_out(flip_model):
     rng = np.random.default_rng(0)
     b1, b2 = random_belement(2, rng), random_belement(2, rng)
-    got = eval_moment_full(flip_model.functional, Monomial([Lb(b1), Rb(b2)]))
+    got = flip_model.functional.expect(Monomial([Lb(b1), Rb(b2)]))
     assert maxabs(got - b1 @ b2) < 1e-12
 
 
@@ -65,7 +66,7 @@ def test_one_block_is_plain_product(flip_model):
     chi = ChiWord("lrlr")
     ops = [Monomial([s]), Monomial([d]), Monomial([s]), Monomial([d])]
     got = eval_moment_pi(flip_model.functional, one_partition(chi), ops)
-    want = eval_moment_full(flip_model.functional, Monomial([s, d, s, d]))
+    want = flip_model.functional.expect(Monomial([s, d, s, d]))
     assert maxabs(got - want) < 1e-12
 
 
@@ -256,6 +257,44 @@ def test_incomplete_table_rejected():
     table = {zero_partition(chi): np.eye(1)}
     with pytest.raises(ValueError):
         moments_from_cumulants(table, one_partition(chi))
+
+
+def test_incomplete_moment_table_rejected():
+    chi = ChiWord("ll")
+    table = {zero_partition(chi): np.eye(1)}
+    with pytest.raises(ValueError):
+        cumulants_from_moments(table, one_partition(chi))
+
+
+def test_interval_table_suffices():
+    rng = np.random.default_rng(5)
+    chi = ChiWord("lrrlr")
+    parts = enumerate_bnc(chi)
+    full = {p: random_belement(2, rng) for p in parts}
+    for blocks in ([[1, 4], [2, 5], [3]], [[1, 5], [2, 3], [4]]):
+        pi = BncPartition(blocks, chi)
+        below = {s: v for s, v in full.items() if lattice_leq(s, pi)}
+        assert len(below) < len(parts)
+        for transform in (moments_from_cumulants, cumulants_from_moments):
+            assert np.array_equal(transform(below, pi), transform(full, pi))
+
+
+def test_transforms_match_lattice_scan():
+    # the hand-written scan both transforms replaced; same summation order
+    rng = np.random.default_rng(6)
+    chi = ChiWord("rllrl")
+    parts = enumerate_bnc(chi)
+    table = {p: random_belement(2, rng) for p in parts}
+    for pi in parts:
+        moment, cumulant = None, None
+        for sigma in parts:
+            if lattice_leq(sigma, pi):
+                v = table[sigma]
+                term = mobius_bnc(sigma, pi) * v
+                moment = v if moment is None else moment + v
+                cumulant = term if cumulant is None else cumulant + term
+        assert np.array_equal(moments_from_cumulants(table, pi), moment)
+        assert np.array_equal(cumulants_from_moments(table, pi), cumulant)
 
 
 # --- hat embedding and product expansion ----------------------------------------------
