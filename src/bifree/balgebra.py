@@ -97,12 +97,6 @@ class CPMap:
         return cls([identity(d)])
 
     @classmethod
-    def scaled_identity(cls, d: int, c: float) -> "CPMap":
-        if c < 0:
-            raise ValueError("scale must be nonnegative for complete positivity")
-        return cls([np.sqrt(c) * identity(d)])
-
-    @classmethod
     def from_choi(cls, choi, tol: float = DEFAULT_TOL) -> "CPMap":
         """Kraus decomposition of a Choi matrix, dropping eigenvalues below tol.
 

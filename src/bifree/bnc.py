@@ -4,9 +4,10 @@ A word ``chi`` over the side tags ``l``/``r`` assigns each of the positions
 ``1..n`` to the left or the right line of a two-line diagram.  Reading the
 left positions top-down and then the right positions bottom-up gives a
 permutation of ``1..n``; a partition is bi-non-crossing when it becomes an
-ordinary non-crossing partition after that relabelling.  This module holds
-the word type, the partition type, enumeration, the refinement lattice, its
-lower intervals and its integer Moebius function.
+ordinary non-crossing partition after that relabelling.  Each partition
+carries that NC picture, computed once, and the lattice operations run on
+it.  This module holds the word type, the partition type, enumeration, the
+refinement lattice, its lower intervals and its integer Moebius function.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ MAX_ENUM_N = 12
 
 Block = tuple[int, ...]
 Blocks = tuple[Block, ...]
-
-
-class LatticeConsistencyError(RuntimeError):
-    """A lattice operation produced a result outside the expected sublattice."""
 
 
 class ChiWord:
@@ -122,51 +119,89 @@ def _check_partition(blocks: Blocks, n: int) -> None:
         raise ValueError(f"blocks cover {len(seen)} of {n} elements")
 
 
-def _is_noncrossing(blocks: Blocks, n: int) -> bool:
-    # Linear scan with a stack of open blocks; a block may only be continued
-    # while it sits on top of the stack.
-    block_of = {}
-    last = {}
-    for bi, b in enumerate(blocks):
-        for x in b:
-            block_of[x] = bi
-            last[bi] = max(b)
+def _nc_closure(blocks: Iterable[Block], n: int) -> Blocks:
+    """Finest non-crossing partition of ``1..n`` in which each given block
+    lies inside one block (canonical).  Blocks may overlap: two partitions'
+    blocks together give their join in NC(n)."""
+    root = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for b in blocks:
+        for x in b[1:]:
+            root[find(x)] = find(b[0])
+    last = {find(x): x for x in range(1, n + 1)}
+    # Scan with a stack of open blocks.  A block met again below the top of
+    # the stack crosses every block opened above it (each has an element
+    # before x and one after it), so those merge into it.  A block closed
+    # unmerged holds no element of any block still open, so one pass ends
+    # non-crossing.
     stack: list[int] = []
-    on_stack: set[int] = set()
     for x in range(1, n + 1):
-        bi = block_of[x]
-        if bi in on_stack:
-            if stack[-1] != bi:
-                return False
+        r = find(x)
+        if r in stack:
+            while stack[-1] != r:
+                top = stack.pop()
+                root[top] = r
+                last[r] = max(last[r], last[top])
         else:
-            stack.append(bi)
-            on_stack.add(bi)
-        if x == last[bi]:
+            stack.append(r)
+        if x == last[r]:
             stack.pop()
-            on_stack.discard(bi)
-    return True
+    groups: dict[int, list[int]] = {}
+    for x in range(1, n + 1):
+        groups.setdefault(find(x), []).append(x)
+    return tuple(map(tuple, groups.values()))
+
+
+def _is_noncrossing(blocks: Blocks, n: int) -> bool:
+    """True iff the canonical blocks of a partition of ``1..n`` do not cross."""
+    return _nc_closure(blocks, n) == blocks
+
+
+def _nc_picture(blocks: Iterable[Iterable[int]], chi: ChiWord) -> tuple[Blocks, Blocks]:
+    """Canonical blocks of a partition of ``1..n`` and their relabelling by
+    ``s_chi`` (also canonical); raises ``ValueError`` for a non-partition."""
+    canon = _canonical_blocks(blocks)
+    _check_partition(canon, chi.n)
+    inv = s_chi_inverse(chi)
+    return canon, _canonical_blocks(tuple(inv[x - 1] for x in b) for b in canon)
 
 
 def is_bnc(blocks: Iterable[Iterable[int]], chi: ChiWord) -> bool:
     """True iff the raw partition is bi-non-crossing with respect to ``chi``."""
-    canon = _canonical_blocks(blocks)
-    _check_partition(canon, chi.n)
-    inv = s_chi_inverse(chi)
-    relabeled = _canonical_blocks(tuple(inv[x - 1] for x in b) for b in canon)
-    return _is_noncrossing(relabeled, chi.n)
+    return _is_noncrossing(_nc_picture(blocks, chi)[1], chi.n)
 
 
 class BncPartition:
-    """A partition of ``{1..n}`` that is bi-non-crossing for its chi word."""
+    """A partition of ``{1..n}`` that is bi-non-crossing for its chi word.
 
-    __slots__ = ("chi", "blocks")
+    ``blocks`` are the canonical blocks; ``nc`` is the same partition in the
+    chi-ordered picture, a canonical non-crossing partition of ``1..n``.
+    """
+
+    __slots__ = ("chi", "blocks", "nc")
 
     def __init__(self, blocks: Iterable[Iterable[int]], chi: ChiWord):
-        canon = _canonical_blocks(blocks)
-        _check_partition(canon, chi.n)
-        if not is_bnc(canon, chi):
+        canon, nc = _nc_picture(blocks, chi)
+        if not _is_noncrossing(nc, chi.n):
             raise ValueError(f"partition {canon} is not bi-non-crossing for chi={chi}")
-        object.__setattr__(self, "blocks", canon)
+        self._set(canon, nc, chi)
+
+    @classmethod
+    def _trusted(cls, blocks: Blocks, nc: Blocks, chi: ChiWord) -> "BncPartition":
+        """Build from canonical blocks and their NC picture without checks."""
+        self = object.__new__(cls)
+        self._set(blocks, nc, chi)
+        return self
+
+    def _set(self, blocks: Blocks, nc: Blocks, chi: ChiWord) -> None:
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "nc", nc)
         object.__setattr__(self, "chi", chi)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -175,17 +210,6 @@ class BncPartition:
     @property
     def n(self) -> int:
         return self.chi.n
-
-    def block_of(self, k: int) -> Block:
-        for b in self.blocks:
-            if k in b:
-                return b
-        raise KeyError(k)
-
-    def relabel_nc(self) -> Blocks:
-        """The partition in the chi-ordered picture (an NC partition of 1..n)."""
-        inv = s_chi_inverse(self.chi)
-        return _canonical_blocks(tuple(inv[x - 1] for x in b) for b in self.blocks)
 
     def __eq__(self, other):
         return (
@@ -272,14 +296,23 @@ def enumerate_nc(n: int) -> tuple[Blocks, ...]:
     return _nc_all(n)
 
 
+def _bnc_blocks(chi: ChiWord) -> list[Blocks]:
+    """Canonical blocks of each partition of ``_nc_all(n)`` relabelled by
+    ``s_chi``, in that order."""
+    s = s_chi(chi)
+    nc = _nc_all(chi.n)
+    # Relabel each distinct block once; disjoint blocks sort by first element.
+    rel = {b: tuple(sorted(s[x - 1] for x in b)) for b in set(chain.from_iterable(nc))}
+    return [tuple(sorted(rel[b] for b in sigma)) for sigma in nc]
+
+
 @lru_cache(maxsize=256)
 def _bnc_all(chi: ChiWord) -> tuple[BncPartition, ...]:
-    s = s_chi(chi)
-    out = []
-    for sigma in _nc_all(chi.n):
-        blocks = tuple(tuple(s[x - 1] for x in b) for b in sigma)
-        out.append(BncPartition(blocks, chi))
-    return tuple(out)
+    # Relabelled NC partitions are BNC by definition: no re-check needed.
+    return tuple(
+        BncPartition._trusted(blocks, sigma, chi)
+        for blocks, sigma in zip(_bnc_blocks(chi), _nc_all(chi.n))
+    )
 
 
 def enumerate_bnc(chi: ChiWord) -> tuple[BncPartition, ...]:
@@ -327,38 +360,16 @@ def lattice_meet(sigma: BncPartition, pi: BncPartition) -> BncPartition:
 
 
 def lattice_join(sigma: BncPartition, pi: BncPartition) -> BncPartition:
-    """Join computed in the full partition lattice, then verified to be BNC.
+    """Least upper bound in BNC(chi).
 
-    BNC(chi) is a lattice, so joining two of its members in P(n) cannot leave
-    it; if that verification ever fails we raise instead of coarsening.
+    In the NC picture it is the join in P(n) closed under merging crossing
+    blocks (the P(n) join alone can cross); the result is mapped back by
+    ``s_chi`` and validated.
     """
     _require_same_chi(sigma, pi)
-    parent = list(range(sigma.n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for b in list(sigma.blocks) + list(pi.blocks):
-        for x in b[1:]:
-            union(b[0], x)
-    groups: dict[int, list[int]] = {}
-    for x in range(1, sigma.n + 1):
-        groups.setdefault(find(x), []).append(x)
-    blocks = [tuple(sorted(g)) for g in groups.values()]
-    try:
-        return BncPartition(blocks, sigma.chi)
-    except ValueError as exc:  # pragma: no cover - would indicate a real bug
-        raise LatticeConsistencyError(
-            f"join of BNC partitions left BNC(chi): {blocks}"
-        ) from exc
+    s = s_chi(sigma.chi)
+    joined = _nc_closure(sigma.nc + pi.nc, sigma.n)
+    return BncPartition([[s[x - 1] for x in b] for b in joined], sigma.chi)
 
 
 # --- Moebius function -------------------------------------------------------
@@ -412,7 +423,7 @@ def mobius_bnc(sigma: BncPartition, pi: BncPartition) -> int:
     each block of pi (Nica-Speicher, Lectures 9-10); otherwise it is 0.
     """
     _require_same_chi(sigma, pi)
-    return _mobius_nc(sigma.relabel_nc(), pi.relabel_nc())
+    return _mobius_nc(sigma.nc, pi.nc)
 
 
 @lru_cache(maxsize=MAX_ENUM_N)
@@ -429,13 +440,7 @@ def mobius_top_table(chi: ChiWord) -> tuple[tuple[Blocks, int], ...]:
     """
     if chi.n > MAX_ENUM_N:
         raise ValueError(f"n={chi.n} exceeds enumeration bound {MAX_ENUM_N}")
-    s = s_chi(chi)
-    nc = _nc_all(chi.n)
-    # Relabel each distinct block once; disjoint blocks sort by first element.
-    rel = {b: tuple(sorted(s[x - 1] for x in b)) for b in set(chain.from_iterable(nc))}
-    return tuple(
-        (tuple(sorted(rel[b] for b in sigma)), mu) for sigma, mu in zip(nc, _mu_top_nc(chi.n))
-    )
+    return tuple(zip(_bnc_blocks(chi), _mu_top_nc(chi.n)))
 
 
 @lru_cache(maxsize=MAX_ENUM_N)
@@ -454,7 +459,7 @@ def lower_interval(pi: BncPartition) -> tuple[tuple[BncPartition, int], ...]:
     """
     parts = enumerate_bnc(pi.chi)
     factors = []
-    for V in pi.relabel_nc():
+    for V in pi.nc:
         k = len(V)
         relabelled = (tuple(tuple(V[x - 1] for x in b) for b in sigma) for sigma in _nc_all(k))
         factors.append(tuple(zip(relabelled, _mu_top_nc(k))))

@@ -134,7 +134,6 @@ def conj_residual(
     ctx: PresenceContext,
     F: MomentFunctional,
     max_n: int,
-    include_coefficient_basis: bool = True,
 ) -> float:
     """Worst violation of the conjugate-variable moment relations.
 
@@ -148,7 +147,7 @@ def conj_residual(
         raise ValueError("max_n capped at 8")
     target = xi.target
     alphabet: list = [target] + list(ctx.generators())
-    if F.dim > 1 and include_coefficient_basis:
+    if F.dim > 1:
         for e in matrix_units(F.dim):
             alphabet.append(Lb(e))
             alphabet.append(Rb(e))

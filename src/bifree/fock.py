@@ -107,11 +107,6 @@ class FockVector:
     def vacuum(cls, dim: int) -> "FockVector":
         return cls(dim, {(): identity(dim)})
 
-    @classmethod
-    def from_depth0(cls, b) -> "FockVector":
-        b = as_belement(b)
-        return cls(b.shape[0], {(): b})
-
     def copy(self) -> "FockVector":
         v = FockVector(self.dim)
         if self.dim == 1:

@@ -71,12 +71,12 @@ def _is_union_of_blocks(blocks, subset: set[int]) -> bool:
     return all(set(b) <= subset or not (set(b) & subset) for b in blocks)
 
 
-def _eval_pi(F: MomentFunctional, labels, blocks, ops, shortcut: bool = True) -> np.ndarray:
+def _eval_pi(F: MomentFunctional, labels, blocks, ops) -> np.ndarray:
     """Deterministic reduction (innermost chi-interval first)."""
     n = len(labels)
     if len(blocks) == 1:
         return F.expect(_product(ops))
-    if shortcut and F.dim == 1:
+    if F.dim == 1:
         # Over scalar coefficients the value factors completely over blocks.
         out = np.eye(1, dtype=complex)
         for b in blocks:
@@ -92,7 +92,7 @@ def _eval_pi(F: MomentFunctional, labels, blocks, ops, shortcut: bool = True) ->
         rq = min(r for r in ranks_V if r > rp)
         rm = max(r for r in ranks_V if r < rp)
         W = [order[r - 1] for r in range(rp, rq)]
-        sub = _eval_pi(F, *_restrict(labels, blocks, ops, W), shortcut=shortcut)
+        sub = _eval_pi(F, *_restrict(labels, blocks, ops, W))
         ops2 = list(ops)
         p = order[rp - 1]
         if labels[p - 1] == LEFT:
@@ -102,16 +102,16 @@ def _eval_pi(F: MomentFunctional, labels, blocks, ops, shortcut: bool = True) ->
             tgt = order[rq - 1]
             ops2[tgt - 1] = ops2[tgt - 1] * Rb(sub)
         comp = [x for x in range(1, n + 1) if x not in set(W)]
-        return _eval_pi(F, *_restrict(labels, blocks, ops2, comp), shortcut=shortcut)
+        return _eval_pi(F, *_restrict(labels, blocks, ops2, comp))
     # Otherwise reduce the chi-interval hull of that block first and feed the
     # value to the last surviving operand.
     hull = [order[r - 1] for r in range(ranks_V[0], ranks_V[-1] + 1)]
-    sub = _eval_pi(F, *_restrict(labels, blocks, ops, hull), shortcut=shortcut)
+    sub = _eval_pi(F, *_restrict(labels, blocks, ops, hull))
     comp = [x for x in range(1, n + 1) if x not in set(hull)]
     q = max(comp)
     ops2 = list(ops)
     ops2[q - 1] = ops2[q - 1] * (Lb(sub) if labels[q - 1] == LEFT else Rb(sub))
-    return _eval_pi(F, *_restrict(labels, blocks, ops2, comp), shortcut=shortcut)
+    return _eval_pi(F, *_restrict(labels, blocks, ops2, comp))
 
 
 def _components(labels, blocks) -> list[list[int]]:
@@ -204,13 +204,12 @@ def eval_moment_pi(
     pi: BncPartition,
     operands: Sequence,
     rng: np.random.Generator | None = None,
-    force_full: bool = False,
 ) -> np.ndarray:
     """Moment function at a bi-non-crossing partition.
 
-    With ``rng`` given, admissible reductions are taken in random order; the
-    value must agree with the deterministic one.  ``force_full`` disables the
-    scalar product shortcut (used to test it).
+    With ``rng`` given, admissible reductions are taken in random order,
+    without the scalar product shortcut; the value must agree with the
+    deterministic one.
     """
     ops = [as_monomial(z) for z in operands]
     if len(ops) != pi.n:
@@ -219,7 +218,7 @@ def eval_moment_pi(
     labels = pi.chi.labels
     if rng is not None:
         return _eval_pi_random(F, labels, pi.blocks, ops, rng)
-    return _eval_pi(F, labels, pi.blocks, ops, shortcut=not force_full)
+    return _eval_pi(F, labels, pi.blocks, ops)
 
 
 def cumulant_pi(F: MomentFunctional, pi: BncPartition, operands: Sequence) -> np.ndarray:

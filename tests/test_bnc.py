@@ -10,6 +10,7 @@ from oracles import all_set_partitions, has_crossing, zeta_inverse_mobius
 from bifree.bnc import (
     MAX_ENUM_N,
     BncPartition,
+    _nc_all,
     ChiWord,
     catalan,
     enumerate_bnc,
@@ -132,6 +133,21 @@ def test_enumeration_golden_order():
     assert got == [[[1], [2]], [[1, 2]]]
 
 
+def test_enumeration_is_trusted_relabelling():
+    # enumerated partitions skip validation: they must equal validated ones
+    # and share the NC(n) tuples as their NC picture
+    rng = np.random.default_rng(5)
+    words = [w for n in range(1, 7) for w in itertools.product("lr", repeat=n)]
+    words += [rng.choice(["l", "r"], size=n) for n in (7, 8) for _ in range(3)]
+    for labels in words:
+        chi = ChiWord(labels)
+        nc = _nc_all(chi.n)
+        for i, p in enumerate(enumerate_bnc(chi)):
+            q = BncPartition(p.blocks, chi)
+            assert q == p and q.nc == p.nc
+            assert p.nc is nc[i]
+
+
 # --- lattice operations ----------------------------------------------------------
 
 def test_join_meet_identities():
@@ -152,16 +168,23 @@ def test_join_example_and_brute_force():
     a = BncPartition([[1], [2], [3]], chi)
     b = BncPartition([[1, 3], [2]], chi)
     assert lattice_join(a, b) == b
-    # join is the minimal common coarsening inside the lattice
-    parts = enumerate_bnc(ChiWord("lrlr"))
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        x = parts[rng.integers(len(parts))]
-        y = parts[rng.integers(len(parts))]
-        j = lattice_join(x, y)
-        uppers = [p for p in parts if lattice_leq(x, p) and lattice_leq(y, p)]
-        assert all(lattice_leq(j, u) for u in uppers)
-        assert j in uppers
+    # the join in P(n), [[1, 3], [2, 4]], crosses: the least upper bound is 1
+    chi = ChiWord("llll")
+    a = BncPartition([[1, 3], [2], [4]], chi)
+    b = BncPartition([[1], [2, 4], [3]], chi)
+    assert lattice_join(a, b) == one_partition(chi)
+    # join is the least common coarsening inside the lattice, for every pair
+    # (one word of length 6: some faults of the closure first show there)
+    words = [*itertools.product("lr", repeat=4), "lllll", "lrlrl", "rrllr", "lrrlrl"]
+    for labels in words:
+        parts = enumerate_bnc(ChiWord(labels))
+        above = {x: [p for p in parts if lattice_leq(x, p)] for x in parts}
+        for x in parts:
+            for y in parts:
+                j = lattice_join(x, y)
+                uppers = [p for p in above[x] if lattice_leq(y, p)]
+                assert j in uppers
+                assert all(lattice_leq(j, u) for u in uppers)
 
 
 def test_meet_is_common_refinement():
@@ -217,7 +240,7 @@ def test_mobius_against_zeta_inverse():
         for a in bparts:
             for b in bparts:
                 got = mobius_bnc(a, b)
-                want = mu[idx[a.relabel_nc()], idx[b.relabel_nc()]]
+                want = mu[idx[a.nc], idx[b.nc]]
                 assert abs(got - round(want)) == 0 and abs(want - round(want)) < 1e-6
 
 
