@@ -55,7 +55,7 @@ rep = bifree_test(family.functional, family.symbols, max_order=4)
 print(f"  tested {rep['tested']} words, max residual {rep['max_residual']:.2e} -> pass={rep['pass']}")
 
 print("\ntwo generators sharing one direction are flagged at order two:")
-fm = FockModel(1, ("k",), (), {("k", "k"): one})
+fm = FockModel(1, ("k",), (), {"k": one})
 A = fm.register_symbol(GeneratorSymbol("A", "l", family="a"), [(1.0, ("l", "k")), (1.0, ("l*", "k"))])
 B = fm.register_symbol(GeneratorSymbol("B", "l", family="b"), [(1.0, ("l", "k")), (1.0, ("l*", "k"))])
 rep = bifree_test(fm.functional(), [A, B], max_order=3)

@@ -239,7 +239,7 @@ def criterion_6_bifree_detector(seed: int = 0) -> CriterionResult:
     detail = f"bi-free family max mixed cumulant {rep['max_residual']:.2e} over {rep['tested']} words"
     # A planted correlation: two left generators on the same direction.
     cov = 1.0
-    fm = FockModel(1, ("k", "k2"), (), {("k", "k"): one, ("k2", "k2"): one})
+    fm = FockModel(1, ("k", "k2"), (), {"k": one, "k2": one})
     A = fm.register_symbol(
         GeneratorSymbol("A", "l", family="a"), [(1.0, ("l", "k")), (1.0, ("l*", "k"))]
     )

@@ -55,10 +55,6 @@ def diag_expectation(b) -> np.ndarray:
     return np.diag(np.diag(a))
 
 
-def allclose(a, b, tol: float = DEFAULT_TOL) -> bool:
-    return bool(np.max(np.abs(np.asarray(a) - np.asarray(b))) <= tol)
-
-
 def maxabs(a) -> float:
     arr = np.asarray(a)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
@@ -167,11 +163,6 @@ def belement_from_json(obj: dict | str) -> np.ndarray:
 
 def random_belement(d: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-
-
-def random_psd(d: int, rng: np.random.Generator) -> np.ndarray:
-    a = random_belement(d, rng)
-    return a @ a.conj().T
 
 
 def random_cpmap(d: int, rng: np.random.Generator, n_kraus: int = 2) -> CPMap:

@@ -326,31 +326,23 @@ class MatrixLift:
         expand(0, 1.0 + 0.0j, ())
         out[chain[0] - 1, chain[-1] - 1] += total
 
-    def functional(self) -> MomentFunctional:
-        return MomentFunctional(self.expect, self.d, backing="matrix-lift")
-
     def scalar_functional(self) -> MomentFunctional:
         def oracle(word):
             return np.array([[trace_d(self.expect(word))]], dtype=complex)
 
-        return MomentFunctional(oracle, 1, backing="matrix-lift")
+        return MomentFunctional(oracle, 1)
 
 
 @dataclass
 class LiftedPair:
-    """The self-adjoint matrix carriers of a non-self-adjoint pair."""
+    """The self-adjoint matrix carriers of a non-self-adjoint pair, with the
+    trace functional of their lift (built once, so its moment cache is
+    shared by every reader)."""
 
     lift: MatrixLift
     X: GeneratorSymbol
     Y: GeneratorSymbol
-
-    @property
-    def functional(self) -> MomentFunctional:
-        return self.lift.functional()
-
-    @property
-    def scalar_functional(self) -> MomentFunctional:
-        return self.lift.scalar_functional()
+    scalar_functional: MomentFunctional
 
 
 def matrix_lift(
@@ -374,7 +366,7 @@ def matrix_lift(
         GeneratorSymbol("Y", RIGHT, family="Y"),
         {(1, 2): [(1.0, (y,))], (2, 1): [(1.0, (ys,))]},
     )
-    return LiftedPair(lift, X, Y)
+    return LiftedPair(lift, X, Y, lift.scalar_functional())
 
 
 def eta_flip() -> CPMap:

@@ -1,12 +1,21 @@
 """Exact finite-depth full Fock space over a matrix algebra.
 
 States are formal sums of words  b0 Z_{k1} b1 ... Z_{km} bm  with matrix
-coefficients; a depth-m component with a fixed index sequence is stored as a
-single tensor with 2(m+1) axes (two per coefficient slot), so linear
-combinations over the coefficient algebra come for free.  Left/right
-creation prepends/appends a symbol; annihilation feeds the adjacent
-coefficient through the covariance map of the matching index and merges it
-into its neighbour.
+coefficients; a depth-m component with a fixed index sequence is stored as
+a single tensor with 2(m+1) axes (two per coefficient slot), so linear
+combinations over the coefficient algebra come for free.  Every index k
+carries one covariance map eta_k.  Left/right creation prepends/appends a
+symbol; annihilation of index k acts only on words whose adjacent symbol
+has index k, feeds the adjacent coefficient through eta_k and merges it into
+its neighbour.  Components with different index sequences are therefore
+orthogonal.
+
+The index, depth and covariance bookkeeping is written once for every
+coefficient dimension.  The per-component arithmetic (create, contract
+through a covariance, multiply by a coefficient, zero test, depth-0 matrix,
+pairing) is chosen once per dimension: plain Python complex numbers at
+d = 1, where every tensor has a single entry, and numpy tensors at d > 1.
+Components are never changed in place, so states may share them.
 
 Word actions carry a depth budget: a caller that reads only components up
 to some depth at the end passes that depth, and each step then keeps only
@@ -18,6 +27,7 @@ float roundoff, for any truncation at or above floor(n/2).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Iterable, Sequence
@@ -35,73 +45,142 @@ class TruncationError(RuntimeError):
     (for an expectation: back to depth 0)."""
 
 
-# --- tensor actions ---------------------------------------------------------
+# --- per-dimension arithmetic ----------------------------------------------
 
-def _mul_left_slot0(b: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return np.einsum("ia,aj...->ij...", b, t)
+class _Scalars:
+    """d = 1: a component or a coefficient is its single entry, a complex
+    number, and a covariance is the number eta(1)."""
+
+    def covariance(self, eta: CPMap) -> complex:
+        return complex(eta(np.eye(1))[0, 0])
+
+    def entry(self, a: np.ndarray) -> complex:
+        return a.item()
+
+    def create(self, t, left: bool):
+        return t
+
+    def contract(self, t, cov, left: bool):
+        return cov * t
+
+    def multiply(self, t, b, left: bool):
+        return b * t
+
+    def nonzero(self, t, tol: float) -> bool:
+        return abs(t) > tol
+
+    def matrix(self, t) -> np.ndarray:
+        return np.array([[t]], dtype=complex)
+
+    def pair(self, covs, tu, sv):
+        val = sv.conjugate() * tu
+        for c in covs:
+            val *= c
+        return val
 
 
-def _mul_right_last(t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...ia,aj->...ij", t, b)
+class _Tensors:
+    """d > 1: a depth-m component is a tensor with 2(m+1) axes of length d;
+    a covariance is its Kraus list with its pairing kernel."""
+
+    def __init__(self, d: int):
+        self.eye = identity(d)
+
+    def covariance(self, eta: CPMap):
+        d = eta.dim
+        ker = np.zeros((d, d, d, d), dtype=complex)
+        for v in eta.kraus:
+            ker += np.einsum("pa,qb->pqab", v, v.conj())
+        return eta.kraus, ker
+
+    def entry(self, a: np.ndarray) -> np.ndarray:
+        return a
+
+    def create(self, t, left: bool):
+        return np.multiply.outer(self.eye, t) if left else np.multiply.outer(t, self.eye)
+
+    def contract(self, t, cov, left: bool):
+        # b0 Z b1 ... -> eta(b0) b1 ...  (mirrored on the right)
+        out = np.zeros_like(t)
+        if left:
+            for v in cov[0]:
+                out += np.einsum("ia,ab...,jb->ij...", v, t, v.conj())
+            return np.einsum("iccj...->ij...", out)
+        for v in cov[0]:
+            out += np.einsum("ia,...ac,jc->...ij", v, t, v.conj())
+        return np.einsum("...iccj->...ij", out)
+
+    def multiply(self, t, b, left: bool):
+        if left:
+            return np.einsum("ia,aj...->ij...", b, t)
+        return np.einsum("...ia,aj->...ij", t, b)
+
+    def nonzero(self, t, tol: float) -> bool:
+        return np.max(np.abs(t)) > tol
+
+    def matrix(self, t) -> np.ndarray:
+        return t.copy()
+
+    def pair(self, covs, tu, sv) -> np.ndarray:
+        m = len(covs)
+        if m == 0:
+            return sv.conj().T @ tu
+        # One big contraction.  Labels: shared first left-slot index c; for
+        # each depth t >= 1 a covariance kernel K_t couples (v_t i, u_t i,
+        # v_{t-1} j, u_{t-1} j); the output axes are (v_m j, u_m j).
+        nxt = iter(range(4 * m + 3))
+        c = next(nxt)
+        uj = [next(nxt) for _ in range(m + 1)]
+        vj = [next(nxt) for _ in range(m + 1)]
+        ui = [None] + [next(nxt) for _ in range(m)]
+        vi = [None] + [next(nxt) for _ in range(m)]
+        sub_u = [c, uj[0]]
+        sub_v = [c, vj[0]]
+        for t in range(1, m + 1):
+            sub_u += [ui[t], uj[t]]
+            sub_v += [vi[t], vj[t]]
+        operands = [tu, sub_u, sv.conj(), sub_v]
+        for t in range(1, m + 1):
+            operands += [covs[t - 1][1], [vi[t], ui[t], vj[t - 1], uj[t - 1]]]
+        operands.append([vj[m], uj[m]])
+        return np.einsum(*operands, optimize=True)
 
 
-def _eta_slot0(t: np.ndarray, eta: CPMap) -> np.ndarray:
-    out = np.zeros_like(t)
-    for v in eta.kraus:
-        out += np.einsum("ia,ab...,jb->ij...", v, t, v.conj())
-    return out
-
-
-def _eta_last(t: np.ndarray, eta: CPMap) -> np.ndarray:
-    out = np.zeros_like(t)
-    for v in eta.kraus:
-        out += np.einsum("ia,...ac,jc->...ij", v, t, v.conj())
-    return out
-
-
-def _merge_first_two(t: np.ndarray) -> np.ndarray:
-    # (b0 (x) b1 (x) rest) -> (b0 @ b1) (x) rest
-    return np.einsum("iccj...->ij...", t)
-
-
-def _merge_last_two(t: np.ndarray) -> np.ndarray:
-    return np.einsum("...iccj->...ij", t)
+@functools.lru_cache(maxsize=None)
+def _arithmetic(dim: int):
+    return _Scalars() if dim == 1 else _Tensors(dim)
 
 
 class FockVector:
     """Finite formal sum of basis words, grouped by index sequence.
 
     The depth-m component for a fixed index sequence is one tensor with
-    2(m+1) axes; for scalar coefficients (dim 1) the tensor degenerates to a
-    single complex number and is stored as such.
+    2(m+1) axes of length ``dim``; at ``dim`` 1 it is kept as a complex
+    number.  Components are never changed in place: sums and scalings build
+    new ones, so copies share them.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "terms", "_ar")
 
     def __init__(self, dim: int, terms: dict | None = None):
         self.dim = dim
+        self._ar = _arithmetic(dim)
         self.terms: dict[tuple, np.ndarray | complex] = {}
         if terms:
             for ks, t in terms.items():
-                self._accumulate(tuple(ks), self._coerce(ks, t))
+                ks = tuple(ks)
+                self._accumulate(ks, self._coerce(ks, t))
 
-    def _coerce(self, ks, t):
-        if self.dim == 1:
-            return complex(np.asarray(t).reshape(-1)[0]) if not isinstance(t, (int, float, complex)) else complex(t)
-        t = np.asarray(t, dtype=complex)
+    def _coerce(self, ks: tuple, t):
+        a = np.array(t, dtype=complex)
         expected = (self.dim,) * (2 * (len(ks) + 1))
-        if t.shape != expected:
-            raise ValueError(f"tensor shape {t.shape} != {expected} for indices {ks}")
-        return t
+        if a.shape != expected:
+            raise ValueError(f"tensor shape {a.shape} != {expected} for indices {ks}")
+        return self._ar.entry(a)
 
     def _accumulate(self, ks: tuple, t) -> None:
         cur = self.terms.get(ks)
-        if cur is None:
-            self.terms[ks] = t if self.dim == 1 else t.copy()
-        elif self.dim == 1:
-            self.terms[ks] = cur + t
-        else:
-            cur += t
+        self.terms[ks] = t if cur is None else cur + t
 
     @classmethod
     def vacuum(cls, dim: int) -> "FockVector":
@@ -109,10 +188,7 @@ class FockVector:
 
     def copy(self) -> "FockVector":
         v = FockVector(self.dim)
-        if self.dim == 1:
-            v.terms = dict(self.terms)
-        else:
-            v.terms = {ks: t.copy() for ks, t in self.terms.items()}
+        v.terms = dict(self.terms)
         return v
 
     def depth(self) -> int:
@@ -123,9 +199,7 @@ class FockVector:
         t = self.terms.get(())
         if t is None:
             return np.zeros((self.dim, self.dim), dtype=complex)
-        if self.dim == 1:
-            return np.array([[t]], dtype=complex)
-        return t.copy()
+        return self._ar.matrix(t)
 
     def scaled(self, c: complex) -> "FockVector":
         v = FockVector(self.dim)
@@ -144,25 +218,25 @@ class FockVector:
         return self + other.scaled(-1.0)
 
     def prune(self, tol: float = 0.0) -> "FockVector":
-        if self.dim == 1:
-            self.terms = {ks: t for ks, t in self.terms.items() if abs(t) > tol}
-        else:
-            self.terms = {
-                ks: t for ks, t in self.terms.items() if np.max(np.abs(t)) > tol
-            }
+        nonzero = self._ar.nonzero
+        self.terms = {ks: t for ks, t in self.terms.items() if nonzero(t, tol)}
         return self
 
     def __repr__(self):
         return f"FockVector(d={self.dim}, terms={len(self.terms)}, depth={self.depth()})"
 
 
-class FockModel:
-    """Word operators over a full Fock space with per-index covariance maps.
+_CREATORS = ("l", "r")
+_ANNIHILATORS = ("l*", "r*")
+_COEFFICIENTS = ("Lb", "Rb")
 
-    ``covariances`` maps an index pair ``(k1, k2)`` to the CP map applied
-    when an annihilator of index k1 meets a creator of index k2.  The
-    off-diagonal slots exist in the data model, but the constructors in this
-    module only ever populate the diagonal.
+
+class FockModel:
+    """Word operators over a full Fock space, one covariance map per index.
+
+    ``covariances`` maps every index k to the CP map eta_k applied when an
+    annihilator of index k meets a creator of index k; an annihilator never
+    meets a creator of another index.
     """
 
     def __init__(
@@ -178,16 +252,14 @@ class FockModel:
         self.right_indices = tuple(right_indices)
         if set(self.left_indices) & set(self.right_indices):
             raise ValueError("left and right index sets must be disjoint")
-        self.covariances: dict[tuple, CPMap] = {}
-        for pair, eta in covariances.items():
+        self.covariances: dict = dict(covariances)
+        if set(self.covariances) != set(self.indices):
+            raise ValueError("need exactly one covariance map per index")
+        for eta in self.covariances.values():
             if eta.dim != dim:
                 raise ValueError("covariance dimension mismatch")
-            self.covariances[tuple(pair)] = eta
-        # Scalar coefficients: a CP map on C is multiplication by a number.
-        self._cov_scalar: dict[tuple, complex] = {}
-        if dim == 1:
-            for pair, eta in self.covariances.items():
-                self._cov_scalar[pair] = complex(eta(np.eye(1))[0, 0])
+        self._ar = _arithmetic(dim)
+        self._cov = {k: self._ar.covariance(eta) for k, eta in self.covariances.items()}
         self.max_depth = max_depth
         self.symbol_actions: dict[GeneratorSymbol, tuple[tuple[complex, tuple], ...]] = {}
 
@@ -196,7 +268,7 @@ class FockModel:
         return self.left_indices + self.right_indices
 
     def _check_index(self, k) -> None:
-        if k not in self.left_indices and k not in self.right_indices:
+        if k not in self._cov:
             raise KeyError(f"unknown index {k!r}")
 
     def register_symbol(
@@ -212,7 +284,7 @@ class FockModel:
         """
         terms = tuple((complex(c), (str(op), k)) for c, (op, k) in action)
         for _, (op, k) in terms:
-            if op not in ("l", "l*", "r", "r*"):
+            if op not in _CREATORS + _ANNIHILATORS:
                 raise ValueError(f"unknown factor kind {op!r}")
             self._check_index(k)
         self.symbol_actions[sym] = terms
@@ -259,91 +331,58 @@ class FockModel:
         ``keep_depth`` are not built.
         """
         kind, payload = factor
-        d = self.dim
+        if kind in _COEFFICIENTS:
+            payload = self._ar.entry(as_belement(payload, self.dim))
+        elif kind in _CREATORS + _ANNIHILATORS:
+            self._check_index(payload)
+        else:
+            raise ValueError(f"unknown factor kind {kind!r}")
+        return self._act(((None, (kind, payload)),), vec, keep_depth)
+
+    def _act(self, action, vec: FockVector, keep_depth: int | None) -> FockVector:
+        """Sum of ``c * factor(vec)`` over the ``(c, factor)`` terms, in one pass.
+
+        ``c`` is None for a bare factor; coefficient payloads are already in
+        the arithmetic's form.  With one covariance per index a factor sends
+        distinct components to distinct components, so each output component
+        is the sum of the products ``c * x`` in action order.  The depth
+        budget and the truncation check live here and nowhere else.
+        """
         keep = math.inf if keep_depth is None else keep_depth
-        out = FockVector(d)
-        if d == 1:
-            return self._apply_factor_scalar(kind, payload, vec, out, keep)
-        if kind in ("l", "r"):
-            self._check_index(payload)
-            eye = identity(d)
+        ar, cov = self._ar, self._cov
+        out: dict = {}
+        for c, (kind, arg) in action:
+            left = kind in ("l", "l*", "Lb")
+            creates, annihilates = kind in _CREATORS, kind in _ANNIHILATORS
             for ks, t in vec.terms.items():
-                if len(ks) + 1 > keep:
-                    continue
-                self._check_creation(len(ks) + 1)
-                if kind == "l":
-                    out._accumulate((payload,) + ks, np.multiply.outer(eye, t))
-                else:
-                    out._accumulate(ks + (payload,), np.multiply.outer(t, eye))
-        elif kind in ("l*", "r*"):
-            self._check_index(payload)
-            for ks, t in vec.terms.items():
-                # annihilation kills the depth-0 summand
-                if not ks or len(ks) - 1 > keep:
-                    continue
-                if kind == "l*":
-                    eta = self.covariances.get((payload, ks[0]))
-                    if eta is None:
+                m = len(ks)
+                if creates:
+                    if m + 1 > keep:
                         continue
-                    out._accumulate(ks[1:], _merge_first_two(_eta_slot0(t, eta)))
-                else:
-                    eta = self.covariances.get((ks[-1], payload))
-                    if eta is None:
+                    if self.max_depth is not None and m + 1 > self.max_depth:
+                        raise TruncationError(f"creation would exceed max depth {self.max_depth}")
+                    nk = (arg,) + ks if left else ks + (arg,)
+                    x = ar.create(t, left)
+                elif annihilates:
+                    # annihilation kills the depth-0 summand
+                    if not ks or m - 1 > keep or (ks[0] if left else ks[-1]) != arg:
                         continue
-                    out._accumulate(ks[:-1], _merge_last_two(_eta_last(t, eta)))
-        elif kind == "Lb":
-            b = as_belement(payload, d)
-            for ks, t in vec.terms.items():
-                if len(ks) <= keep:
-                    out._accumulate(ks, _mul_left_slot0(b, t))
-        elif kind == "Rb":
-            b = as_belement(payload, d)
-            for ks, t in vec.terms.items():
-                if len(ks) <= keep:
-                    out._accumulate(ks, _mul_right_last(t, b))
-        else:
-            raise ValueError(f"unknown factor kind {kind!r}")
-        return out.prune()
-
-    def _check_creation(self, depth: int) -> None:
-        if self.max_depth is not None and depth > self.max_depth:
-            raise TruncationError(f"creation would exceed max depth {self.max_depth}")
-
-    def _apply_factor_scalar(self, kind, payload, vec: FockVector, out: FockVector,
-                             keep) -> FockVector:
-        terms = out.terms
-        if kind in ("l", "r"):
-            self._check_index(payload)
-            for ks, v in vec.terms.items():
-                if len(ks) + 1 > keep:
-                    continue
-                self._check_creation(len(ks) + 1)
-                nk = (payload,) + ks if kind == "l" else ks + (payload,)
-                terms[nk] = terms.get(nk, 0.0) + v
-        elif kind in ("l*", "r*"):
-            self._check_index(payload)
-            for ks, v in vec.terms.items():
-                if not ks or len(ks) - 1 > keep:
-                    continue
-                if kind == "l*":
-                    c = self._cov_scalar.get((payload, ks[0]))
-                    nk = ks[1:]
+                    nk = ks[1:] if left else ks[:-1]
+                    x = ar.contract(t, cov[arg], left)
                 else:
-                    c = self._cov_scalar.get((ks[-1], payload))
-                    nk = ks[:-1]
-                if c is None:
-                    continue
-                terms[nk] = terms.get(nk, 0.0) + c * v
-        elif kind in ("Lb", "Rb"):
-            b = complex(np.asarray(payload).reshape(-1)[0])
-            for ks, v in vec.terms.items():
-                if len(ks) <= keep:
-                    terms[ks] = terms.get(ks, 0.0) + b * v
-        else:
-            raise ValueError(f"unknown factor kind {kind!r}")
-        return out.prune()
+                    if m > keep:
+                        continue
+                    nk, x = ks, ar.multiply(t, arg, left)
+                if c is not None:
+                    x = c * x
+                cur = out.get(nk)
+                out[nk] = x if cur is None else cur + x
+        res = FockVector(self.dim)
+        res.terms = out
+        return res.prune()
 
     def apply_symbol(self, f, vec: FockVector, keep_depth: int | None = None) -> FockVector:
+        """Apply a coefficient factor or a registered symbol's whole action."""
         if isinstance(f, BCoeff):
             kind = "Lb" if f.side == LEFT else "Rb"
             return self.apply_factor((kind, f.matrix), vec, keep_depth)
@@ -351,13 +390,7 @@ class FockModel:
             action = self.symbol_actions.get(f)
             if action is None:
                 raise KeyError(f"symbol {f!r} not registered with this model")
-            out = FockVector(self.dim)
-            terms = out.terms
-            for c, elem in action:
-                for ks, t in self.apply_factor(elem, vec, keep_depth).terms.items():
-                    cur = terms.get(ks)
-                    terms[ks] = c * t if cur is None else cur + c * t
-            return out.prune()
+            return self._act(action, vec, keep_depth)
         raise TypeError(f"cannot apply {f!r}")
 
     def apply_word(self, word, vec: FockVector, keep_depth: int | None = None) -> FockVector:
@@ -378,72 +411,29 @@ class FockModel:
         return self.apply_word(word, FockVector.vacuum(self.dim), keep_depth=0).depth0()
 
     def functional(self) -> MomentFunctional:
-        return MomentFunctional(
-            self.expectation, self.dim, backing="fock-model", model=self
-        )
+        return MomentFunctional(self.expectation, self.dim)
 
     # -- geometry -------------------------------------------------------------
-
-    def _eta_kernel(self, k) -> np.ndarray:
-        eta = self.covariances.get((k, k))
-        if eta is None:
-            raise KeyError(f"no diagonal covariance for index {k!r}")
-        d = self.dim
-        ker = np.zeros((d, d, d, d), dtype=complex)
-        for v in eta.kraus:
-            ker += np.einsum("pa,qb->pqab", v, v.conj())
-        return ker
 
     def inner_B(self, u: FockVector, v: FockVector) -> np.ndarray:
         """Matrix-valued pairing <u, v>_B, built from iterated covariances.
 
-        Only diagonal covariance tables are supported: components with
-        different index sequences are orthogonal.  The pairing contracts
-        from the left, which is the GNS geometry for states generated by
-        left operators (creation and annihilation of a common index are
-        mutually adjoint) and for every state over scalar coefficients.
-        For right-generated states with a matrix covariance the GNS inner
-        product instead goes through the trace of operator words; see
-        ``word_norm_sq``.
+        Components with different index sequences are orthogonal; a common
+        sequence k1..km is paired through eta_{k1}, ..., eta_{km}.  The
+        pairing contracts from the left, which is the GNS geometry for states
+        generated by left operators (creation and annihilation of a common
+        index are mutually adjoint) and for every state over scalar
+        coefficients.  For right-generated states with a matrix covariance
+        the GNS inner product instead goes through the trace of operator
+        words; see ``word_norm_sq``.
         """
-        d = self.dim
-        out = np.zeros((d, d), dtype=complex)
-        for ks, tu in u.terms.items():
-            sv = v.terms.get(ks)
-            if sv is None:
-                continue
-            if d == 1:
-                val = sv.conjugate() * tu
-                for k in ks:
-                    val *= self._cov_scalar[(k, k)]
-                out[0, 0] += val
-            else:
-                out += self._pair_tensors(ks, tu, sv)
-        return out
-
-    def _pair_tensors(self, ks: tuple, tu: np.ndarray, sv: np.ndarray) -> np.ndarray:
-        m = len(ks)
-        if m == 0:
-            return sv.conj().T @ tu
-        # One big contraction.  Labels: shared first left-slot index c; for
-        # each depth t >= 1 a covariance kernel K_t couples (v_t i, u_t i,
-        # v_{t-1} j, u_{t-1} j); the output axes are (v_m j, u_m j).
-        nxt = iter(range(4 * m + 3))
-        c = next(nxt)
-        uj = [next(nxt) for _ in range(m + 1)]
-        vj = [next(nxt) for _ in range(m + 1)]
-        ui = [None] + [next(nxt) for _ in range(m)]
-        vi = [None] + [next(nxt) for _ in range(m)]
-        sub_u = [c, uj[0]]
-        sub_v = [c, vj[0]]
-        for t in range(1, m + 1):
-            sub_u += [ui[t], uj[t]]
-            sub_v += [vi[t], vj[t]]
-        operands = [tu, sub_u, sv.conj(), sub_v]
-        for t in range(1, m + 1):
-            operands += [self._eta_kernel(ks[t - 1]), [vi[t], ui[t], vj[t - 1], uj[t - 1]]]
-        operands.append([vj[m], uj[m]])
-        return np.einsum(*operands, optimize=True)
+        terms = v.terms
+        total = sum(
+            self._ar.pair([self._cov[k] for k in ks], tu, terms[ks])
+            for ks, tu in u.terms.items()
+            if ks in terms
+        )
+        return np.zeros((self.dim, self.dim), dtype=complex) + total
 
     def inner(self, u: FockVector, v: FockVector) -> complex:
         return complex(np.trace(self.inner_B(u, v))) / self.dim
@@ -486,7 +476,7 @@ class BisemicircularModel:
                 raise ValueError("covariance maps must share one dimension")
         lidx = tuple(f"S{i+1}" for i in range(len(eta_left)))
         ridx = tuple(f"D{j+1}" for j in range(len(eta_right)))
-        cov = {(k, k): eta for k, eta in zip(lidx + ridx, etas)}
+        cov = dict(zip(lidx + ridx, etas))
         self.model = FockModel(d, lidx, ridx, cov, max_depth=max_depth)
         self.dim = d
         self.left_symbols = tuple(
@@ -528,7 +518,7 @@ class BisemicircularModel:
     def to_json(self) -> dict:
         n = len(self.left_symbols)
         keys = self.model.left_indices + self.model.right_indices
-        etas = [self.model.covariances[(k, k)].to_json() for k in keys]
+        etas = [self.model.covariances[k].to_json() for k in keys]
         return {"d": self.dim, "left": etas[:n], "right": etas[n:]}
 
 
@@ -557,7 +547,7 @@ class CircularPairModel:
         one = CPMap.identity(1)
         lidx = tuple(f"e{4 * p + q}" for p in range(n_pairs) for q in (1, 2))
         ridx = tuple(f"e{4 * p + q}" for p in range(n_pairs) for q in (3, 4))
-        cov = {(k, k): one for k in lidx + ridx}
+        cov = {k: one for k in lidx + ridx}
         self.model = FockModel(1, lidx, ridx, cov)
         self.dim = 1
         isq = 1.0 / np.sqrt(2.0)
@@ -565,30 +555,18 @@ class CircularPairModel:
         self.pairs: list[tuple[GeneratorSymbol, ...]] = []
         for p in range(n_pairs):
             tag = "" if p == 0 else str(p + 1)
-            fam = f"c{p + 1}"
-            e1, e2 = f"e{4 * p + 1}", f"e{4 * p + 2}"
-            e3, e4 = f"e{4 * p + 3}", f"e{4 * p + 4}"
-            cl = reg(
-                GeneratorSymbol(f"cl{tag}", LEFT, family=fam),
-                [(isq, ("l", e1)), (isq, ("l*", e1)),
-                 (1j * isq, ("l", e2)), (1j * isq, ("l*", e2))],
-            )
-            cls = reg(
-                GeneratorSymbol(f"cl{tag}", LEFT, adjoint=True, family=fam),
-                [(isq, ("l", e1)), (isq, ("l*", e1)),
-                 (-1j * isq, ("l", e2)), (-1j * isq, ("l*", e2))],
-            )
-            cr = reg(
-                GeneratorSymbol(f"cr{tag}", RIGHT, family=fam),
-                [(isq, ("r", e3)), (isq, ("r*", e3)),
-                 (1j * isq, ("r", e4)), (1j * isq, ("r*", e4))],
-            )
-            crs = reg(
-                GeneratorSymbol(f"cr{tag}", RIGHT, adjoint=True, family=fam),
-                [(isq, ("r", e3)), (isq, ("r*", e3)),
-                 (-1j * isq, ("r", e4)), (-1j * isq, ("r*", e4))],
-            )
-            self.pairs.append((cl, cls, cr, crs))
+            pair = []
+            for name, side, cre, ann, (ea, eb) in (
+                (f"cl{tag}", LEFT, "l", "l*", (f"e{4 * p + 1}", f"e{4 * p + 2}")),
+                (f"cr{tag}", RIGHT, "r", "r*", (f"e{4 * p + 3}", f"e{4 * p + 4}")),
+            ):
+                for adjoint, phase in ((False, 1j), (True, -1j)):
+                    pair.append(reg(
+                        GeneratorSymbol(name, side, adjoint=adjoint, family=f"c{p + 1}"),
+                        [(isq, (cre, ea)), (isq, (ann, ea)),
+                         (phase * isq, (cre, eb)), (phase * isq, (ann, eb))],
+                    ))
+            self.pairs.append(tuple(pair))
         self.c_l, self.c_l_star, self.c_r, self.c_r_star = self.pairs[0]
         self.functional = self.model.functional()
 

@@ -6,8 +6,7 @@ positions that is contiguous in the chi-order and a union of blocks, reduce
 it to a single coefficient, and splice that coefficient into a neighbouring
 operand through the left or right copy of the coefficient algebra.  The
 result does not depend on the order in which admissible runs are stripped;
-``eval_moment_pi`` accepts an optional random generator that exercises the
-alternative orders, which the test-suite uses as a consistency check.
+the test-suite checks that against a reduction taking them in random order.
 
 Cumulants are Moebius convolutions of the moment function over the lattice,
 and the product-entry expansion relates a cumulant of grouped products to a
@@ -67,10 +66,6 @@ def _chi_ranks(labels) -> tuple[list[int], dict[int, int]]:
     return order, rank
 
 
-def _is_union_of_blocks(blocks, subset: set[int]) -> bool:
-    return all(set(b) <= subset or not (set(b) & subset) for b in blocks)
-
-
 def _eval_pi(F: MomentFunctional, labels, blocks, ops) -> np.ndarray:
     """Deterministic reduction (innermost chi-interval first)."""
     n = len(labels)
@@ -114,81 +109,6 @@ def _eval_pi(F: MomentFunctional, labels, blocks, ops) -> np.ndarray:
     return _eval_pi(F, *_restrict(labels, blocks, ops2, comp))
 
 
-def _components(labels, blocks) -> list[list[int]]:
-    """Finest splitting into chi-interval unions of blocks, in chi-order."""
-    n = len(labels)
-    order, rank = _chi_ranks(labels)
-    comps, cur, open_blocks = [], [], set()
-    last = {id(b): max(rank[x] for x in b) for b in blocks}
-    for r, pos in enumerate(order, start=1):
-        cur.append(pos)
-        b = next(bb for bb in blocks if pos in bb)
-        open_blocks.add(id(b))
-        if r == last[id(b)]:
-            open_blocks.discard(id(b))
-        if not open_blocks:
-            comps.append(cur)
-            cur = []
-    return comps
-
-
-def _eval_pi_random(F, labels, blocks, ops, rng: np.random.Generator) -> np.ndarray:
-    """Reduction taking admissible strips in random order (for consistency tests)."""
-    n = len(labels)
-    if len(blocks) == 1:
-        return F.expect(_product(ops))
-    order, rank = _chi_ranks(labels)
-    moves: list[tuple] = []
-    comps = _components(labels, blocks)
-    if len(comps) > 1:
-        moves.append(("split",))
-    for a in range(2, n + 1):
-        for b in range(a, n):
-            V = [order[r - 1] for r in range(a, b + 1)]
-            sV = set(V)
-            if n in sV or not _is_union_of_blocks(blocks, sV):
-                continue
-            moves.append(("strip", a, b, "p"))
-            moves.append(("strip", a, b, "q"))
-    Vn = next(bb for bb in blocks if n in bb)
-    ranks_V = sorted(rank[x] for x in Vn)
-    if ranks_V[-1] - ranks_V[0] + 1 < n:
-        moves.append(("hull",))
-    move = moves[rng.integers(len(moves))]
-    if move[0] == "split":
-        out = np.eye(F.dim, dtype=complex)
-        for comp in comps:
-            out = out @ _eval_pi_random(F, *_restrict(labels, blocks, ops, comp), rng)
-        return out
-    if move[0] == "strip":
-        _, a, b, side = move
-        V = [order[r - 1] for r in range(a, b + 1)]
-        sub = _eval_pi_random(F, *_restrict(labels, blocks, ops, V), rng)
-        ops2 = list(ops)
-        if side == "p":
-            p = order[a - 2]
-            if labels[p - 1] == LEFT:
-                ops2[p - 1] = ops2[p - 1] * Lb(sub)
-            else:
-                ops2[p - 1] = Rb(sub) * ops2[p - 1]
-        else:
-            q = order[b]
-            if labels[q - 1] == LEFT:
-                ops2[q - 1] = Lb(sub) * ops2[q - 1]
-            else:
-                ops2[q - 1] = ops2[q - 1] * Rb(sub)
-        comp = [x for x in range(1, n + 1) if x not in set(V)]
-        return _eval_pi_random(F, *_restrict(labels, blocks, ops2, comp), rng)
-    # hull
-    hull = [order[r - 1] for r in range(ranks_V[0], ranks_V[-1] + 1)]
-    sub = _eval_pi_random(F, *_restrict(labels, blocks, ops, hull), rng)
-    comp = [x for x in range(1, n + 1) if x not in set(hull)]
-    q = max(comp)
-    ops2 = list(ops)
-    ops2[q - 1] = ops2[q - 1] * (Lb(sub) if labels[q - 1] == LEFT else Rb(sub))
-    return _eval_pi_random(F, *_restrict(labels, blocks, ops2, comp), rng)
-
-
 def _check_sides(chi: ChiWord, ops: Sequence[Monomial]) -> None:
     # The final slot is exempt: it plays the role of the mixed last entry.
     for k in range(1, chi.n):
@@ -199,26 +119,13 @@ def _check_sides(chi: ChiWord, ops: Sequence[Monomial]) -> None:
             )
 
 
-def eval_moment_pi(
-    F: MomentFunctional,
-    pi: BncPartition,
-    operands: Sequence,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Moment function at a bi-non-crossing partition.
-
-    With ``rng`` given, admissible reductions are taken in random order,
-    without the scalar product shortcut; the value must agree with the
-    deterministic one.
-    """
+def eval_moment_pi(F: MomentFunctional, pi: BncPartition, operands: Sequence) -> np.ndarray:
+    """Moment function at a bi-non-crossing partition."""
     ops = [as_monomial(z) for z in operands]
     if len(ops) != pi.n:
         raise ValueError(f"expected {pi.n} operands, got {len(ops)}")
     _check_sides(pi.chi, ops)
-    labels = pi.chi.labels
-    if rng is not None:
-        return _eval_pi_random(F, labels, pi.blocks, ops, rng)
-    return _eval_pi(F, labels, pi.blocks, ops)
+    return _eval_pi(F, pi.chi.labels, pi.blocks, ops)
 
 
 def cumulant_pi(F: MomentFunctional, pi: BncPartition, operands: Sequence) -> np.ndarray:

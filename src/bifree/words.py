@@ -104,10 +104,6 @@ class Monomial:
     def unit(cls) -> "Monomial":
         return cls(())
 
-    @classmethod
-    def of(cls, *factors: Factor) -> "Monomial":
-        return cls(factors)
-
     def __mul__(self, other) -> "Monomial":
         if isinstance(other, Monomial):
             return Monomial(self.factors + other.factors)
@@ -170,17 +166,9 @@ class MomentFunctional:
     the interpreter lock.
     """
 
-    def __init__(
-        self,
-        oracle: Callable[[Monomial], np.ndarray],
-        dim: int,
-        backing: str = "explicit-table",
-        model=None,
-    ):
+    def __init__(self, oracle: Callable[[Monomial], np.ndarray], dim: int):
         self._oracle = oracle
         self.dim = dim
-        self.backing = backing
-        self.model = model
         self._cache: dict = {}
 
     def expect(self, word) -> np.ndarray:

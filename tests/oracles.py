@@ -1,14 +1,21 @@
 """Independent brute-force oracles shared by the test modules.
 
-Everything here is deliberately written without the package's lattice
+The lattice oracles are deliberately written without the package's lattice
 machinery: set partitions come from restricted growth strings, crossings
 from a quartic scan, and the Moebius function from inverting the order
-matrix numerically.
+matrix numerically.  The moment oracle strips admissible runs in random
+order, and the Fock oracle applies a symbol one elementary factor at a
+time, with its own copy of the scalar and tensor arithmetic.
 """
+
+import math
 
 import numpy as np
 
-from bifree.bnc import enumerate_nc
+from bifree.bnc import LEFT, enumerate_nc
+from bifree.fock import FockVector
+from bifree.moments import _chi_ranks, _product, _restrict
+from bifree.words import BCoeff, Lb, Rb, as_monomial
 
 
 def all_set_partitions(n):
@@ -91,3 +98,155 @@ def free_cumulant_from_moments(moments, n):
             term *= moments[len(b)]
         total += term
     return total
+
+
+# --- moment reduction in random order ---------------------------------------
+
+def _is_union_of_blocks(blocks, subset):
+    return all(set(b) <= subset or not (set(b) & subset) for b in blocks)
+
+
+def _components(labels, blocks):
+    """Finest splitting into chi-interval unions of blocks, in chi-order."""
+    order, rank = _chi_ranks(labels)
+    comps, cur, open_blocks = [], [], set()
+    last = {id(b): max(rank[x] for x in b) for b in blocks}
+    for r, pos in enumerate(order, start=1):
+        cur.append(pos)
+        b = next(bb for bb in blocks if pos in bb)
+        open_blocks.add(id(b))
+        if r == last[id(b)]:
+            open_blocks.discard(id(b))
+        if not open_blocks:
+            comps.append(cur)
+            cur = []
+    return comps
+
+
+def _eval_pi_random(F, labels, blocks, ops, rng):
+    n = len(labels)
+    if len(blocks) == 1:
+        return F.expect(_product(ops))
+    order, rank = _chi_ranks(labels)
+    moves = []
+    comps = _components(labels, blocks)
+    if len(comps) > 1:
+        moves.append(("split",))
+    for a in range(2, n + 1):
+        for b in range(a, n):
+            V = [order[r - 1] for r in range(a, b + 1)]
+            sV = set(V)
+            if n in sV or not _is_union_of_blocks(blocks, sV):
+                continue
+            moves.append(("strip", a, b, "p"))
+            moves.append(("strip", a, b, "q"))
+    Vn = next(bb for bb in blocks if n in bb)
+    ranks_V = sorted(rank[x] for x in Vn)
+    if ranks_V[-1] - ranks_V[0] + 1 < n:
+        moves.append(("hull",))
+    move = moves[rng.integers(len(moves))]
+    if move[0] == "split":
+        out = np.eye(F.dim, dtype=complex)
+        for comp in comps:
+            out = out @ _eval_pi_random(F, *_restrict(labels, blocks, ops, comp), rng)
+        return out
+    if move[0] == "strip":
+        _, a, b, side = move
+        V = [order[r - 1] for r in range(a, b + 1)]
+        sub = _eval_pi_random(F, *_restrict(labels, blocks, ops, V), rng)
+        ops2 = list(ops)
+        if side == "p":
+            p = order[a - 2]
+            if labels[p - 1] == LEFT:
+                ops2[p - 1] = ops2[p - 1] * Lb(sub)
+            else:
+                ops2[p - 1] = Rb(sub) * ops2[p - 1]
+        else:
+            q = order[b]
+            if labels[q - 1] == LEFT:
+                ops2[q - 1] = Lb(sub) * ops2[q - 1]
+            else:
+                ops2[q - 1] = ops2[q - 1] * Rb(sub)
+        comp = [x for x in range(1, n + 1) if x not in set(V)]
+        return _eval_pi_random(F, *_restrict(labels, blocks, ops2, comp), rng)
+    # hull
+    hull = [order[r - 1] for r in range(ranks_V[0], ranks_V[-1] + 1)]
+    sub = _eval_pi_random(F, *_restrict(labels, blocks, ops, hull), rng)
+    comp = [x for x in range(1, n + 1) if x not in set(hull)]
+    q = max(comp)
+    ops2 = list(ops)
+    ops2[q - 1] = ops2[q - 1] * (Lb(sub) if labels[q - 1] == LEFT else Rb(sub))
+    return _eval_pi_random(F, *_restrict(labels, blocks, ops2, comp), rng)
+
+
+def eval_moment_pi_random(F, pi, operands, rng):
+    """Moment function at ``pi``, stripping admissible runs in random order.
+
+    It never takes the scalar product shortcut of ``eval_moment_pi``; the
+    value must agree with the deterministic reduction.
+    """
+    ops = [as_monomial(z) for z in operands]
+    return _eval_pi_random(F, pi.chi.labels, pi.blocks, ops, rng)
+
+
+# --- Fock action, one elementary factor at a time ----------------------------
+
+def _apply_factor(model, kind, arg, vec, keep):
+    d = model.dim
+    eye = np.eye(d, dtype=complex)
+    out = {}
+    for ks, t in vec.terms.items():
+        m = len(ks)
+        if kind in ("l", "r"):
+            if m + 1 > keep:
+                continue
+            nk = (arg,) + ks if kind == "l" else ks + (arg,)
+            if d == 1:
+                x = t
+            else:
+                x = np.multiply.outer(eye, t) if kind == "l" else np.multiply.outer(t, eye)
+        elif kind in ("l*", "r*"):
+            if not ks or m - 1 > keep or (ks[0] if kind == "l*" else ks[-1]) != arg:
+                continue
+            nk = ks[1:] if kind == "l*" else ks[:-1]
+            eta = model.covariances[arg]
+            if d == 1:
+                x = complex(eta(np.eye(1))[0, 0]) * t
+            elif kind == "l*":
+                x = sum(np.einsum("ia,ab...,jb->ij...", v, t, v.conj()) for v in eta.kraus)
+                x = np.einsum("iccj...->ij...", x)
+            else:
+                x = sum(np.einsum("ia,...ac,jc->...ij", v, t, v.conj()) for v in eta.kraus)
+                x = np.einsum("...iccj->...ij", x)
+        else:
+            if m > keep:
+                continue
+            nk = ks
+            if d == 1:
+                x = complex(arg[0, 0]) * t
+            elif kind == "Lb":
+                x = np.einsum("ia,aj...->ij...", arg, t)
+            else:
+                x = np.einsum("...ia,aj->...ij", t, arg)
+        out[nk] = x
+    return {ks: x for ks, x in out.items() if np.max(np.abs(x)) > 0}
+
+
+def apply_symbol_by_factors(model, f, vec, keep_depth=None):
+    """A factor's action on ``vec``: for a symbol, the sum over its action
+    terms (c, factor) of c times the factor applied on its own, summed
+    factor by factor; zero components are dropped after every factor."""
+    keep = math.inf if keep_depth is None else keep_depth
+    if isinstance(f, BCoeff):
+        action = [(None, ("Lb" if f.side == LEFT else "Rb", f.matrix))]
+    else:
+        action = model.symbol_actions[f]
+    terms = {}
+    for c, (kind, arg) in action:
+        for ks, x in _apply_factor(model, kind, arg, vec, keep).items():
+            y = x if c is None else c * x
+            cur = terms.get(ks)
+            terms[ks] = y if cur is None else cur + y
+    out = FockVector(model.dim)
+    out.terms = {ks: x for ks, x in terms.items() if np.max(np.abs(x)) > 0}
+    return out

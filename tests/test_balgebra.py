@@ -11,9 +11,13 @@ from bifree.balgebra import (
     matrix_unit,
     random_belement,
     random_cpmap,
-    random_psd,
     trace_d,
 )
+
+
+def random_psd(d, rng):
+    a = random_belement(d, rng)
+    return a @ a.conj().T
 
 
 def test_apply_cp_identity():

@@ -178,6 +178,15 @@ class TensorOracle:
         return total / d
 
 
+def test_lifted_pair_keeps_one_scalar_functional():
+    cp = make_circular_pair()
+    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r, cp.c_l_star, cp.c_r_star)
+    tau2 = pair.scalar_functional
+    assert pair.scalar_functional is tau2
+    tau2.tau(Monomial([pair.X, pair.X]))
+    assert pair.scalar_functional._cache
+
+
 def test_lift_parity_and_half_sum_formula():
     cp = make_circular_pair()
     pair = matrix_lift(cp.functional, cp.c_l, cp.c_r, cp.c_l_star, cp.c_r_star)

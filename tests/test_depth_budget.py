@@ -139,7 +139,7 @@ def test_matrix_residual_matches_unpruned_walk():
     # d=2: the alphabet carries the matrix-unit insertions (Lb/Rb factors).
     model, _ = _matrix_model(24)
     s, d1 = model.symbol("S1"), model.symbol("D1")
-    eta = model.model.covariances[("S1", "S1")]
+    eta = model.model.covariances["S1"]
     ctx = PresenceContext((), (d1,))
     vec = model.model.vector_of(Monomial([s]))
     for scale in (1.0, 1.5):

@@ -1,7 +1,10 @@
 """Fock-space models: exact word actions, expectations, pairings."""
 
+import math
+
 import numpy as np
 import pytest
+from oracles import apply_symbol_by_factors
 
 from bifree.balgebra import CPMap, matrix_unit, maxabs, random_belement
 from bifree.bnc import ChiWord, enumerate_bnc, lattice_leq, one_partition
@@ -210,8 +213,118 @@ def test_model_json_round_trip():
 
 
 def test_registered_symbol_validation():
-    fm = FockModel(1, ("a",), (), {("a", "a"): CPMap.identity(1)})
+    fm = FockModel(1, ("a",), (), {"a": CPMap.identity(1)})
     with pytest.raises(ValueError):
         fm.register_symbol(GeneratorSymbol("bad", "l"), [(1.0, ("nope", "a"))])
     with pytest.raises(KeyError):
         fm.register_symbol(GeneratorSymbol("bad", "l"), [(1.0, ("l", "zz"))])
+
+
+# --- one action path for both arithmetics -----------------------------------
+
+def test_wrong_size_coefficient_rejected_at_every_dimension():
+    m1 = make_standard_semicircular()
+    s = m1.symbol("S1")
+    with pytest.raises(ValueError):
+        m1.functional.expect(Monomial([s, Lb([[3, 1], [1, 5]]), s]))
+    m2 = make_bisemicircular([CPMap.identity(2)], [])
+    s2 = m2.symbol("S1")
+    with pytest.raises(ValueError):
+        m2.functional.expect(Monomial([s2, Lb(np.eye(3)), s2]))
+    with pytest.raises(ValueError):
+        m2.functional.expect(Monomial([s2, Rb([[3]]), s2]))
+
+
+def test_wrong_shape_component_rejected_at_every_dimension():
+    with pytest.raises(ValueError):
+        FockVector(1, {(): [[3, 1], [1, 5]]})
+    with pytest.raises(ValueError):
+        FockVector(1, {("k",): [[1]]})
+    with pytest.raises(ValueError):
+        FockVector(2, {(): np.eye(3)})
+    assert FockVector(1, {(): [[3]]}).terms == {(): 3 + 0j}
+
+
+def test_one_covariance_per_index_required():
+    one = CPMap.identity(1)
+    with pytest.raises(ValueError):
+        FockModel(1, ("a", "b"), (), {"a": one})
+    with pytest.raises(ValueError):
+        FockModel(1, ("a",), (), {"a": one, "b": one})
+    with pytest.raises(ValueError):
+        FockModel(2, ("a",), (), {"a": one})
+
+
+def test_matrix_arithmetic_on_scalar_multiples_matches_scalar_arithmetic():
+    # Covariance c id has Kraus form sqrt(c) I at every d; on words whose
+    # coefficients are multiples of I the d=2 model is the d=1 model times I.
+    cl, cr = 0.7, 1.3
+    m1 = make_bisemicircular([CPMap([[[math.sqrt(cl)]]])], [CPMap([[[math.sqrt(cr)]]])])
+    m2 = make_bisemicircular(
+        [CPMap([math.sqrt(cl) * np.eye(2)])], [CPMap([math.sqrt(cr) * np.eye(2)])]
+    )
+    rng = np.random.default_rng(30)
+    scalars = [0.5 - 0.25j, -1.5, 2j]
+    for _ in range(120):
+        n = int(rng.integers(1, 9))
+        w1, w2 = [], []
+        for _ in range(n):
+            pick = int(rng.integers(2 + 2 * len(scalars)))
+            if pick < 2:
+                name = ("S1", "D1")[pick]
+                w1.append(m1.symbol(name))
+                w2.append(m2.symbol(name))
+            else:
+                side = (Lb, Rb)[pick % 2]
+                z = scalars[(pick - 2) // 2]
+                w1.append(side([[z]]))
+                w2.append(side(z * np.eye(2)))
+        w1, w2 = Monomial(w1), Monomial(w2)
+        e1 = m1.model.expectation(w1)[0, 0]
+        assert maxabs(m2.model.expectation(w2) - e1 * np.eye(2)) < 1e-12
+        n1 = m1.model.norm_sq(m1.model.vector_of(w1))
+        assert abs(m2.model.norm_sq(m2.model.vector_of(w2)) - n1) < 1e-12
+
+
+def _seeded_states(model, alphabet, rng, count):
+    for _ in range(count):
+        vec = FockVector(model.dim)
+        for _ in range(3):
+            n = int(rng.integers(0, 5))
+            word = Monomial([alphabet[i] for i in rng.integers(len(alphabet), size=n)])
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            vec = vec + model.vector_of(word).scaled(c)
+        yield vec.prune()
+
+
+def _assert_same_state(got, want):
+    assert got.terms.keys() == want.terms.keys()
+    for ks, t in want.terms.items():
+        assert np.array_equal(got.terms[ks], t), ks
+
+
+@pytest.mark.parametrize("keep", [None, 0, 1, 2])
+def test_one_pass_action_matches_factor_by_factor_scalar(keep):
+    cp = make_circular_pair()
+    model = cp.model
+    rng = np.random.default_rng(31)
+    alphabet = list(cp.symbols) + [Lb([[0.5 - 0.25j]]), Rb([[1.5j]])]
+    for vec in _seeded_states(model, alphabet, rng, 12):
+        for f in alphabet:
+            got = model.apply_symbol(f, vec, keep)
+            _assert_same_state(got, apply_symbol_by_factors(model, f, vec, keep))
+
+
+@pytest.mark.parametrize("keep", [None, 0, 1, 2])
+def test_one_pass_action_matches_factor_by_factor_matrix(keep):
+    rng = np.random.default_rng(32)
+    m = make_bisemicircular([_psd_cpmap(rng), _psd_cpmap(rng)], [_psd_cpmap(rng)])
+    model = m.model
+    s1, s2, d1 = m.symbol("S1"), m.symbol("S2"), m.symbol("D1")
+    u = model.combination_symbol("u", "l", [(0.3 + 0.2j, s1), (-1.1, s2)])
+    v = model.scaled_symbol(d1, -0.7j, name="v")
+    alphabet = [s1, s2, d1, u, v, Lb(random_belement(2, rng)), Rb(random_belement(2, rng))]
+    for vec in _seeded_states(model, alphabet, rng, 6):
+        for f in alphabet:
+            got = model.apply_symbol(f, vec, keep)
+            _assert_same_state(got, apply_symbol_by_factors(model, f, vec, keep))
