@@ -214,8 +214,6 @@ def _cmd_conj_check(args, cfg: RunConfig) -> int:
 
 
 def _cmd_fisher_run(args, cfg: RunConfig) -> int:
-    if args.experiment != "circular-min":
-        raise ValueError(f"unknown experiment {args.experiment!r}")
     rep = fisher_minimization_experiment()
     _emit(rep, cfg)
     return 0 if rep["pass"] else 1
@@ -224,10 +222,8 @@ def _cmd_fisher_run(args, cfg: RunConfig) -> int:
 def _cmd_entropy_run(args, cfg: RunConfig) -> int:
     if args.experiment == "semicircular-max":
         rep = semicircular_entropy_experiment()
-    elif args.experiment == "circular-pair":
-        rep = circular_entropy_experiment()
     else:
-        raise ValueError(f"unknown experiment {args.experiment!r}")
+        rep = circular_entropy_experiment()
     rep = {k: v for k, v in rep.items() if k not in ("pair_report", "lift_report")}
     _emit(rep, cfg)
     return 0 if rep["pass"] else 1

@@ -5,10 +5,13 @@ word) that is supposed to satisfy the moment relations of the conjugate
 variable: the trace of any test word against the candidate must equal the
 sum, over occurrences of the target, of the trace of the word with the
 occurrence removed, the same-side tail averaged out through the covariance
-map, and spliced back in as a coefficient.  ``conj_residual`` scans all test
-words up to a length and reports the worst violation; everything downstream
-(Fisher information, the perturbation law, entropy integrals, the
-minimization experiments) consumes verified candidates.
+map, and spliced back in as a coefficient.  One walk over the test words
+(``_relation_walk``) carries both sides of these relations: the candidate's
+state on the word and the right-hand side, each grown from its value on the
+parent word.  ``conj_residual`` reports the worst violation along that walk,
+and ``solve_conjugate`` reads its least-squares rows from the same walk;
+everything downstream (Fisher information, the perturbation law, entropy
+integrals, the minimization experiments) consumes verified candidates.
 """
 
 from __future__ import annotations
@@ -107,25 +110,53 @@ class WordCandidate:
         return float(abs(self.scale) ** 2 * raw)
 
 
-def _conjugate_rhs(word: tuple, target: GeneratorSymbol, eta: CPMap,
-                   F: MomentFunctional) -> complex:
-    """Right-hand side of the conjugate relation tested against ``word``.
+def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, F: MomentFunctional,
+                   max_n: int):
+    """Every test word with the candidate's state and the relation's right side.
 
-    Sum over the occurrences of ``target``: remove it, average the same-side
-    tail after it through ``eta`` and splice that back in as a coefficient.
+    Yields ``(word, state, rhs)`` for every word up to ``max_n`` letters over
+    the target, the presence generators and, when the coefficient algebra is
+    nontrivial, left/right insertions of its matrix unit basis.  Words grow
+    from the left, depth first, so each state is reused across all its
+    extensions and only keeps the components that the longest extension can
+    still bring back to depth 0.
+
+    ``rhs`` sums, over the occurrences of the target in position order, the
+    trace of the word with the occurrence removed and its same-side tail
+    averaged through ``eta`` and spliced back in as a coefficient.  Growing
+    ``w`` to ``f w`` leaves every tail unchanged, so each spliced monomial is
+    built once, when its occurrence is prepended, and then only gains ``f``
+    on the left.
     """
+    if max_n > 8:
+        raise ValueError("max_n capped at 8")
+    target = xi.target
     coeff = Lb if target.side == LEFT else Rb
-    total = 0.0 + 0.0j
-    n = len(word)
-    for k in range(n):
-        if word[k] is not target:
-            continue
-        tail = [m for m in range(k + 1, n) if word[m].side == target.side]
-        tail_set = set(tail)
-        inner = eta(F.expect(Monomial([word[m] for m in tail])))
-        rest = [word[m] for m in range(n) if m != k and m not in tail_set]
-        total += F.tau(Monomial(rest) * coeff(inner))
-    return total
+    alphabet: list = [target] + list(ctx.generators())
+    if F.dim > 1:
+        for e in matrix_units(F.dim):
+            alphabet.append(Lb(e))
+            alphabet.append(Rb(e))
+
+    def walk(word: tuple, state, spliced: list):
+        rhs = 0.0 + 0.0j
+        for m in spliced:
+            rhs += F.tau(m)
+        yield word, state, rhs
+        depth = len(word)
+        if depth == max_n:
+            return
+        for f in alphabet:
+            grown = [f * m for m in spliced]
+            if f is target:
+                tail = Monomial([g for g in word if g.side == target.side])
+                rest = Monomial([g for g in word if g.side != target.side])
+                grown.insert(0, rest * coeff(eta(F.expect(tail))))
+            yield from walk(
+                (f,) + word, xi.extend(f, state, max_n - depth - 1), grown
+            )
+
+    yield from walk((), xi.initial_state(), [])
 
 
 def conj_residual(
@@ -137,32 +168,13 @@ def conj_residual(
 ) -> float:
     """Worst violation of the conjugate-variable moment relations.
 
-    Test words run over the target, the presence generators and, when the
-    coefficient algebra is nontrivial, left/right insertions of its matrix
-    unit basis.  Words are grown from the right so each candidate state is
-    reused across all extensions; a state only keeps the components that
-    the longest extension can still bring back to depth 0.
+    The maximum, over the test words of ``_relation_walk``, of the distance
+    between the candidate's trace on the word and the right-hand side that
+    the walk carries along with it.
     """
-    if max_n > 8:
-        raise ValueError("max_n capped at 8")
-    target = xi.target
-    alphabet: list = [target] + list(ctx.generators())
-    if F.dim > 1:
-        for e in matrix_units(F.dim):
-            alphabet.append(Lb(e))
-            alphabet.append(Rb(e))
     worst = 0.0
-
-    def walk(word: tuple, state, depth: int):
-        nonlocal worst
-        lhs = xi.tau(state)
-        worst = max(worst, abs(lhs - _conjugate_rhs(word, target, eta, F)))
-        if depth == max_n:
-            return
-        for f in alphabet:
-            walk((f,) + word, xi.extend(f, state, max_n - depth - 1), depth + 1)
-
-    walk((), xi.initial_state(), 0)
+    for _, state, rhs in _relation_walk(xi, eta, ctx, F, max_n):
+        worst = max(worst, abs(xi.tau(state) - rhs))
     return worst
 
 
@@ -186,8 +198,11 @@ def solve_conjugate(
 ):
     """Least-squares conjugate candidate over a truncated word basis.
 
-    Returns the candidate together with its verified residual; the residual
-    is reported, never trusted silently.
+    The rows and the right-hand side come from the relation walk that
+    ``conj_residual`` reads: one walk per basis vector, read in lockstep, so
+    the fit covers exactly the relations that the residual checks.  Returns
+    the candidate together with its verified residual; the residual is
+    reported, never trusted silently.
     """
     F = model.functional()
     alphabet = [target] + list(ctx.generators())
@@ -198,21 +213,11 @@ def solve_conjugate(
         basis_words.extend(frontier)
     basis = [model.vector_of(Monomial(w)) for w in basis_words]
 
-    test_words = [()]
-    frontier = [()]
-    for _ in range(max_n):
-        frontier = [(f,) + w for w in frontier for f in alphabet]
-        test_words.extend(frontier)
-
-    rows = [
-        [
-            complex(np.trace(model.apply_word(Monomial(w), v, keep_depth=0).depth0()))
-            / model.dim
-            for v in basis
-        ]
-        for w in test_words
-    ]
-    rhs_vec = [_conjugate_rhs(w, target, eta, F) for w in test_words]
+    cands = [VectorCandidate(target, v, model) for v in basis]
+    rows, rhs_vec = [], []
+    for nodes in zip(*(_relation_walk(c, eta, ctx, F, max_n) for c in cands)):
+        rows.append([c.tau(state) for c, (_, state, _) in zip(cands, nodes)])
+        rhs_vec.append(nodes[0][2])
     sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs_vec), rcond=None)
     vec = FockVector(model.dim)
     for c, v in zip(sol, basis):
@@ -268,7 +273,7 @@ class MatrixLift:
 
     def _entry_options(self, factor, i: int, j: int):
         if isinstance(factor, BCoeff):
-            if factor.matrix.shape[0] == 1 and self.d != 1:
+            if factor.matrix.shape[0] == 1:
                 # Scalar coefficient: acts as a multiple of the identity.
                 v = complex(factor.matrix[0, 0])
                 return ((v, ()),) if (i == j and v != 0) else ()
@@ -281,6 +286,11 @@ class MatrixLift:
 
     def expect(self, word) -> np.ndarray:
         word = as_monomial(word)
+        for f in word.factors:
+            # A coefficient is d x d, or 1 x 1 for a multiple of the identity.
+            if isinstance(f, BCoeff) and f.matrix.shape[0] not in (1, self.d):
+                size = f.matrix.shape[0]
+                raise ValueError(f"{size}x{size} coefficient in a lift with d={self.d}")
         n = len(word)
         out = np.zeros((self.d, self.d), dtype=complex)
         if n == 0:
@@ -494,30 +504,45 @@ def entropy_chi_star(
 
 # --- experiments ---------------------------------------------------------------
 
-def circular_fisher_candidates(cp: CircularPairModel):
-    """Verified-by-construction conjugate candidates of the circular pair.
+def circular_candidates(model: FockModel, z, z_star, w, w_star, scale: float = 1.0):
+    """Conjugate candidates of a circular pair, with their presence contexts.
 
-    The candidate for each element is the state of its adjoint: the real and
-    imaginary parts are variance-1/2 semicircular, whose conjugate variables
-    are twice themselves, and the non-self-adjoint recombination lands on
-    the adjoint state.
+    The candidate for each element is ``scale`` times the state of its
+    adjoint: the real and imaginary parts are variance-1/2 semicircular,
+    whose conjugate variables are twice themselves, and the
+    non-self-adjoint recombination lands on the adjoint state.  Each
+    element is tested in the presence of the other three.
     """
-    model = cp.model
-    return [
-        VectorCandidate(cp.c_l, model.vector_of(Monomial([cp.c_l_star])), model),
-        VectorCandidate(cp.c_l_star, model.vector_of(Monomial([cp.c_l])), model),
-        VectorCandidate(cp.c_r, model.vector_of(Monomial([cp.c_r_star])), model),
-        VectorCandidate(cp.c_r_star, model.vector_of(Monomial([cp.c_r])), model),
+
+    def cand(target, partner):
+        vec = model.vector_of(Monomial([partner])).scaled(scale)
+        return VectorCandidate(target, vec, model)
+
+    cands = [cand(z, z_star), cand(z_star, z), cand(w, w_star), cand(w_star, w)]
+    ctxs = [
+        PresenceContext((z_star,), (w, w_star)),
+        PresenceContext((z,), (w, w_star)),
+        PresenceContext((z, z_star), (w_star,)),
+        PresenceContext((z, z_star), (w,)),
     ]
+    return cands, ctxs
 
 
-def _circular_contexts(cp: CircularPairModel):
-    return [
-        PresenceContext((cp.c_l_star,), (cp.c_r, cp.c_r_star)),
-        PresenceContext((cp.c_l,), (cp.c_r, cp.c_r_star)),
-        PresenceContext((cp.c_l, cp.c_l_star), (cp.c_r_star,)),
-        PresenceContext((cp.c_l, cp.c_l_star), (cp.c_r,)),
+def lifted_candidates(F: MomentFunctional, z, z_star, w, w_star, scale: float = 1.0):
+    """The lift of a circular pair and its carriers' conjugate candidates.
+
+    Each self-adjoint carrier is its own conjugate variable up to ``scale``
+    and is tested in the presence of the other.  Returns the lifted pair,
+    the candidates for X and Y, and their presence contexts.
+    """
+    pair = matrix_lift(F, z, w, z_star, w_star)
+    tau2 = pair.scalar_functional
+    cands = [
+        WordCandidate(pair.X, Monomial([pair.X]), tau2, scale),
+        WordCandidate(pair.Y, Monomial([pair.Y]), tau2, scale),
     ]
+    ctxs = [PresenceContext((), (pair.Y,)), PresenceContext((pair.X,), ())]
+    return pair, cands, ctxs
 
 
 def fisher_minimization_experiment(
@@ -533,20 +558,16 @@ def fisher_minimization_experiment(
     cp = CircularPairModel()
     F = cp.functional
     eta1 = CPMap.identity(1)
-    max_resid = 0.0
-    cands = circular_fisher_candidates(cp)
-    for cand, ctx in zip(cands, _circular_contexts(cp)):
-        max_resid = max(max_resid, conj_residual(cand, eta1, ctx, F, max_n))
-    lhs = fisher_info(cands)
-
-    pair = matrix_lift(F, cp.c_l, cp.c_r, cp.c_l_star, cp.c_r_star)
+    pair_symbols = (cp.c_l, cp.c_l_star, cp.c_r, cp.c_r_star)
+    cands, ctxs = circular_candidates(cp.model, *pair_symbols)
+    pair, lifted, lifted_ctxs = lifted_candidates(F, *pair_symbols)
     tau2 = pair.scalar_functional
-    cx = WordCandidate(pair.X, Monomial([pair.X]), tau2)
-    cy = WordCandidate(pair.Y, Monomial([pair.Y]), tau2)
-    rx = conj_residual(cx, eta1, PresenceContext((), (pair.Y,)), tau2, max_n)
-    ry = conj_residual(cy, eta1, PresenceContext((pair.X,), ()), tau2, max_n)
-    max_resid = max(max_resid, rx, ry)
-    rhs = fisher_info([cx, cy])
+    max_resid = max(
+        [conj_residual(c, eta1, x, F, max_n) for c, x in zip(cands, ctxs)]
+        + [conj_residual(c, eta1, x, tau2, max_n) for c, x in zip(lifted, lifted_ctxs)]
+    )
+    lhs = fisher_info(cands)
+    rhs = fisher_info(lifted)
 
     ratio = lhs / rhs
     tau_sq = (tau2.tau(Monomial([pair.X, pair.X])) + tau2.tau(Monomial([pair.Y, pair.Y]))).real
@@ -644,57 +665,32 @@ def circular_entropy_experiment(
         return z, zs, w, ws
 
     def pair_candidates(t: float):
-        z, zs, w, ws = perturbed_symbols(t)
-        c = 1.0 / (1.0 + t)
-        mk = lambda tgt, src: VectorCandidate(
-            tgt, model.vector_of(Monomial([src])).scaled(c), model
-        )
-        cands = [mk(z, zs), mk(zs, z), mk(w, ws), mk(ws, w)]
-        ctxs = [
-            PresenceContext((zs,), (w, ws)),
-            PresenceContext((z,), (w, ws)),
-            PresenceContext((z, zs), (ws,)),
-            PresenceContext((z, zs), (w,)),
-        ]
-        return cands, ctxs
+        return circular_candidates(model, *perturbed_symbols(t), scale=1.0 / (1.0 + t))
 
-    max_resid = 0.0
+    def lifted_pair_candidates(t: float):
+        return lifted_candidates(F, *perturbed_symbols(t), scale=1.0 / (1.0 + t))
+
     F = model.functional()
+    max_resid = 0.0
     for t in resid_spots:
         cands, ctxs = pair_candidates(t)
         for cand, ctx in zip(cands, ctxs):
             max_resid = max(max_resid, conj_residual(cand, eta1, ctx, F, max_n))
-
-    def fisher_pair(t: float) -> float:
-        cands, _ = pair_candidates(t)
-        return fisher_info(cands)
-
     pair_report = entropy_chi_star(
-        fisher_pair, K=4.0, K1=4.0, K3=4.0, t_max=t_max, steps=steps
+        lambda t: fisher_info(pair_candidates(t)[0]),
+        K=4.0, K1=4.0, K3=4.0, t_max=t_max, steps=steps,
     )
 
     # Lifted side: the perturbed carriers are the lift of the perturbed pair.
-    def lifted_candidates(t: float):
-        z, zs, w, ws = perturbed_symbols(t)
-        pair = matrix_lift(F, z, w, zs, ws)
-        tau2 = pair.scalar_functional
-        c = 1.0 / (1.0 + t)
-        cx = WordCandidate(pair.X, Monomial([pair.X]), tau2, scale=c)
-        cy = WordCandidate(pair.Y, Monomial([pair.Y]), tau2, scale=c)
-        return pair, tau2, cx, cy
-
     for t in resid_spots:
-        pair, tau2, cx, cy = lifted_candidates(t)
-        rx = conj_residual(cx, eta1, PresenceContext((), (pair.Y,)), tau2, max_n)
-        ry = conj_residual(cy, eta1, PresenceContext((pair.X,), ()), tau2, max_n)
-        max_resid = max(max_resid, rx, ry)
-
-    def fisher_lift(t: float) -> float:
-        _, _, cx, cy = lifted_candidates(t)
-        return fisher_info([cx, cy])
-
+        pair, cands, ctxs = lifted_pair_candidates(t)
+        for cand, ctx in zip(cands, ctxs):
+            max_resid = max(
+                max_resid, conj_residual(cand, eta1, ctx, pair.scalar_functional, max_n)
+            )
     lift_report = entropy_chi_star(
-        fisher_lift, K=2.0, K1=2.0, K3=2.0, t_max=t_max, steps=steps
+        lambda t: fisher_info(lifted_pair_candidates(t)[1]),
+        K=2.0, K1=2.0, K3=2.0, t_max=t_max, steps=steps,
     )
 
     lhs = pair_report["value"]

@@ -5,7 +5,10 @@ machinery: set partitions come from restricted growth strings, crossings
 from a quartic scan, and the Moebius function from inverting the order
 matrix numerically.  The moment oracle strips admissible runs in random
 order, and the Fock oracle applies a symbol one elementary factor at a
-time, with its own copy of the scalar and tensor arithmetic.
+time, with its own copy of the scalar and tensor arithmetic.  The
+conjugate-relation oracles rebuild each right-hand side from its word alone and
+fit the least-squares candidate over breadth-first test words applied from
+the vacuum.
 """
 
 import math
@@ -13,9 +16,10 @@ import math
 import numpy as np
 
 from bifree.bnc import LEFT, enumerate_nc
+from bifree.conjvar import VectorCandidate
 from bifree.fock import FockVector
 from bifree.moments import _chi_ranks, _product, _restrict
-from bifree.words import BCoeff, Lb, Rb, as_monomial
+from bifree.words import BCoeff, Lb, Monomial, Rb, as_monomial
 
 
 def all_set_partitions(n):
@@ -250,3 +254,63 @@ def apply_symbol_by_factors(model, f, vec, keep_depth=None):
     out = FockVector(model.dim)
     out.terms = {ks: x for ks, x in terms.items() if np.max(np.abs(x)) > 0}
     return out
+
+
+# --- conjugate relations, one word at a time -------------------------------------
+
+def conjugate_rhs(word, target, eta, F):
+    """Right-hand side of the conjugate relation tested against ``word``.
+
+    Sum over the occurrences of ``target``: remove it, average the same-side
+    tail after it through ``eta`` and splice that back in as a coefficient.
+    """
+    coeff = Lb if target.side == LEFT else Rb
+    total = 0.0 + 0.0j
+    n = len(word)
+    for k in range(n):
+        if word[k] is not target:
+            continue
+        tail = [m for m in range(k + 1, n) if word[m].side == target.side]
+        inner = eta(F.expect(Monomial([word[m] for m in tail])))
+        rest = [word[m] for m in range(n) if m != k and m not in tail]
+        total += F.tau(Monomial(rest) * coeff(inner))
+    return total
+
+
+def solve_conjugate_bfs(model, target, eta, ctx, max_n=4, basis_len=3):
+    """Least-squares conjugate candidate with breadth-first test words.
+
+    Each row applies its test word to each basis vector from the vacuum, and
+    each right-hand side comes from ``conjugate_rhs``.  The test words carry
+    no coefficient insertions, so this agrees with the package's solver at
+    d = 1 only.
+    """
+    F = model.functional()
+    alphabet = [target] + list(ctx.generators())
+    basis_words = [()]
+    frontier = [()]
+    for _ in range(basis_len):
+        frontier = [w + (f,) for w in frontier for f in alphabet]
+        basis_words.extend(frontier)
+    basis = [model.vector_of(Monomial(w)) for w in basis_words]
+
+    test_words = [()]
+    frontier = [()]
+    for _ in range(max_n):
+        frontier = [(f,) + w for w in frontier for f in alphabet]
+        test_words.extend(frontier)
+
+    rows = [
+        [
+            complex(np.trace(model.apply_word(Monomial(w), v, keep_depth=0).depth0()))
+            / model.dim
+            for v in basis
+        ]
+        for w in test_words
+    ]
+    rhs_vec = [conjugate_rhs(w, target, eta, F) for w in test_words]
+    sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs_vec), rcond=None)
+    vec = FockVector(model.dim)
+    for c, v in zip(sol, basis):
+        vec = vec + v.scaled(c)
+    return VectorCandidate(target, vec.prune(1e-14), model)

@@ -174,9 +174,7 @@ def test_entropy_run(capsys):
     assert rep["pass"]
 
 
-def test_unknown_experiment_is_computation_error(capsys):
-    code, out = run_cli(capsys, "fisher", "run", "--experiment", "circular-min")
-    assert code == 0
+def test_invalid_chi_is_computation_error(capsys):
     # an invalid chi word is a computation failure: exit 1 with a JSON error
     code, out = run_cli(capsys, "bnc", "enum", "--chi", "xyz")
     assert code == 1
@@ -184,9 +182,15 @@ def test_unknown_experiment_is_computation_error(capsys):
 
 
 def test_usage_error_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["nonsense"])
-    assert exc.value.code == 2
+    for argv in (
+        ["nonsense"],
+        ["fisher", "run", "--experiment", "nope"],
+        ["entropy", "run", "--experiment", "nope"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from bifree.balgebra import CPMap, matrix_unit, maxabs, random_belement
+from bifree.balgebra import CPMap, matrix_unit, maxabs
 from bifree.bnc import ChiWord, s_chi
 from bifree.conjvar import (
     MatrixLift,
     PresenceContext,
     VectorCandidate,
-    WordCandidate,
     aaf_check,
     conj_residual,
     entropy_chi_star,
@@ -24,7 +23,7 @@ from bifree.conjvar import (
     solve_conjugate,
 )
 from bifree.fock import FockVector, make_bisemicircular, make_circular_pair
-from bifree.words import GeneratorSymbol, Monomial, MomentFunctional
+from bifree.words import GeneratorSymbol, Lb, Monomial, MomentFunctional, Rb
 
 ONE = CPMap.identity(1)
 
@@ -260,6 +259,22 @@ def test_lift_general_d_matches_tensor_oracle():
             got = lift.scalar_functional().tau(Monomial(word))
             want = oracle.tau(word, tables)
             assert abs(got - want) < 1e-9
+
+
+def test_lift_coefficient_size():
+    # A coefficient is d x d, or 1 x 1 for a multiple of the identity;
+    # any other size is an error, not a cut to its top-left block.
+    cp = make_circular_pair()
+    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r, cp.c_l_star, cp.c_r_star)
+    X, Y = pair.X, pair.Y
+    for word, want in (
+        ([X, Lb(np.array([[2.0]])), X], 2.0 * np.eye(2)),
+        ([X, Lb(np.arange(4.0).reshape(2, 2)), X], [[3.0, 0.0], [0.0, 0.0]]),
+        ([Y, Rb(np.arange(4.0).reshape(2, 2) + 1j), X, Y, X], [[3.0 + 1j, 0.0], [0.0, 1j]]),
+    ):
+        assert maxabs(pair.lift.expect(Monomial(word)) - np.array(want)) < 1e-12
+    with pytest.raises(ValueError):
+        pair.lift.expect(Monomial([X, Lb(np.arange(9.0).reshape(3, 3)), X]))
 
 
 def test_eta_flip_properties():

@@ -9,12 +9,10 @@ import numpy as np
 import pytest
 
 from bifree.balgebra import CPMap, matrix_units, random_belement
-from bifree.bnc import LEFT
 from bifree.conjvar import (
     PresenceContext,
     VectorCandidate,
-    _circular_contexts,
-    circular_fisher_candidates,
+    circular_candidates,
     conj_residual,
 )
 from bifree.fock import (
@@ -24,6 +22,7 @@ from bifree.fock import (
     make_bisemicircular,
 )
 from bifree.words import Lb, Monomial, Rb
+from oracles import conjugate_rhs
 
 
 def _unpruned(model, word, vec=None):
@@ -95,25 +94,11 @@ def _unpruned_residual(xi, eta, ctx, F, max_n):
     if F.dim > 1:
         for e in matrix_units(F.dim):
             alphabet += [Lb(e), Rb(e)]
-    coeff = Lb if target.side == LEFT else Rb
-
-    def rhs(word):
-        total = 0.0 + 0.0j
-        n = len(word)
-        for k in range(n):
-            if word[k] is not target:
-                continue
-            tail = [m for m in range(k + 1, n) if word[m].side == target.side]
-            inner = eta(F.expect(Monomial([word[m] for m in tail])))
-            rest = [word[m] for m in range(n) if m != k and m not in tail]
-            total += F.tau(Monomial(rest) * coeff(inner))
-        return total
-
     worst = 0.0
 
     def walk(word, state, depth):
         nonlocal worst
-        worst = max(worst, abs(xi.tau(state) - rhs(word)))
+        worst = max(worst, abs(xi.tau(state) - conjugate_rhs(word, target, eta, F)))
         if depth == max_n:
             return
         for f in alphabet:
@@ -127,7 +112,7 @@ def test_circular_residuals_match_unpruned_walk():
     cp = CircularPairModel()
     F = cp.functional
     eta = CPMap.identity(1)
-    for cand, ctx in zip(circular_fisher_candidates(cp), _circular_contexts(cp)):
+    for cand, ctx in zip(*circular_candidates(cp.model, *cp.pairs[0])):
         # The true candidates leave only roundoff; the rescaled ones do not.
         off = VectorCandidate(cand.target, cand.vector.scaled(1.5), cand.model)
         for xi in (cand, off):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from oracles import apply_symbol_by_factors
 
-from bifree.balgebra import CPMap, matrix_unit, maxabs, random_belement
-from bifree.bnc import ChiWord, enumerate_bnc, lattice_leq, one_partition
+from bifree.balgebra import CPMap, maxabs, random_belement
+from bifree.bnc import ChiWord, enumerate_bnc, one_partition
 from bifree.fock import (
     BisemicircularModel,
     FockModel,

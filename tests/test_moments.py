@@ -26,7 +26,7 @@ from bifree.moments import (
     moments_from_cumulants,
     product_cumulant_expand,
 )
-from bifree.words import GeneratorSymbol, Lb, Monomial, MomentFunctional, Rb
+from bifree.words import GeneratorSymbol, Lb, Monomial, Rb
 
 
 @pytest.fixture(scope="module")
