@@ -188,6 +188,21 @@ def fisher_info(candidates: Sequence) -> float:
     return total
 
 
+class _Lockstep:
+    """Candidates for one target walked as one: a state holds one state per
+    candidate, so the walk builds each right-hand side once for all."""
+
+    def __init__(self, cands: Sequence):
+        self.cands = cands
+        self.target = cands[0].target
+
+    def initial_state(self):
+        return tuple(c.initial_state() for c in self.cands)
+
+    def extend(self, factor, state, keep_depth: int | None = None):
+        return tuple(c.extend(factor, s, keep_depth) for c, s in zip(self.cands, state))
+
+
 def solve_conjugate(
     model: FockModel,
     target: GeneratorSymbol,
@@ -199,10 +214,10 @@ def solve_conjugate(
     """Least-squares conjugate candidate over a truncated word basis.
 
     The rows and the right-hand side come from the relation walk that
-    ``conj_residual`` reads: one walk per basis vector, read in lockstep, so
-    the fit covers exactly the relations that the residual checks.  Returns
-    the candidate together with its verified residual; the residual is
-    reported, never trusted silently.
+    ``conj_residual`` reads, walked once with every basis vector in
+    lockstep, so the fit covers exactly the relations that the residual
+    checks.  Returns the candidate together with its verified residual; the
+    residual is reported, never trusted silently.
     """
     F = model.functional()
     alphabet = [target] + list(ctx.generators())
@@ -215,9 +230,9 @@ def solve_conjugate(
 
     cands = [VectorCandidate(target, v, model) for v in basis]
     rows, rhs_vec = [], []
-    for nodes in zip(*(_relation_walk(c, eta, ctx, F, max_n) for c in cands)):
-        rows.append([c.tau(state) for c, (_, state, _) in zip(cands, nodes)])
-        rhs_vec.append(nodes[0][2])
+    for _, states, rhs in _relation_walk(_Lockstep(cands), eta, ctx, F, max_n):
+        rows.append([c.tau(state) for c, state in zip(cands, states)])
+        rhs_vec.append(rhs)
     sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs_vec), rcond=None)
     vec = FockVector(model.dim)
     for c, v in zip(sol, basis):
@@ -246,9 +261,7 @@ class MatrixLift:
         self.d = d
         self.tables: dict[GeneratorSymbol, dict] = {}
 
-    def add_symbol(
-        self, sym: GeneratorSymbol, table: dict, register_adjoint: bool = True
-    ) -> GeneratorSymbol:
+    def add_symbol(self, sym: GeneratorSymbol, table: dict) -> GeneratorSymbol:
         """Register a lifted generator.
 
         ``table`` maps 1-based ``(i, j)`` to a list of ``(coeff, base_word)``
@@ -261,14 +274,12 @@ class MatrixLift:
                 raise ValueError(f"entry ({i},{j}) outside 1..{self.d}")
             clean[(i, j)] = tuple((complex(c), tuple(w)) for c, w in terms)
         self.tables[sym] = clean
-        if register_adjoint:
-            adj: dict = {}
-            for (i, j), terms in clean.items():
-                adj[(j, i)] = tuple(
-                    (c.conjugate(), tuple(g.star() for g in reversed(w)))
-                    for c, w in terms
-                )
-            self.tables[sym.star()] = adj
+        adj: dict = {}
+        for (i, j), terms in clean.items():
+            adj[(j, i)] = tuple(
+                (c.conjugate(), tuple(g.star() for g in reversed(w))) for c, w in terms
+            )
+        self.tables[sym.star()] = adj
         return sym
 
     def _entry_options(self, factor, i: int, j: int):

@@ -1,12 +1,13 @@
 """Partition-indexed moments and cumulants of two-faced families.
 
 The value of the moment function at a bi-non-crossing partition is computed
-by the recursive interval-stripping reduction: repeatedly locate a run of
-positions that is contiguous in the chi-order and a union of blocks, reduce
-it to a single coefficient, and splice that coefficient into a neighbouring
-operand through the left or right copy of the coefficient algebra.  The
-result does not depend on the order in which admissible runs are stripped;
-the test-suite checks that against a reduction taking them in random order.
+by the recursive interval-stripping reduction on the partition's NC picture:
+with the operands listed in chi-order, repeatedly strip a slice that is a
+union of blocks, reduce it to a single coefficient, and splice that
+coefficient into a neighbouring operand through the left or right copy of
+the coefficient algebra; the rest is the two slices around it.  The result
+does not depend on the order in which admissible runs are stripped; the
+test-suite checks that against a reduction taking them in random order.
 
 Cumulants are Moebius convolutions of the moment function over the lattice,
 and the product-entry expansion relates a cumulant of grouped products to a
@@ -16,6 +17,7 @@ partition to the maximum.
 
 from __future__ import annotations
 
+from itertools import chain, product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -45,68 +47,42 @@ def _product(ops: Sequence[Monomial]) -> Monomial:
     return out
 
 
-def _restrict(labels, blocks, ops, keep: Sequence[int]):
-    keep = sorted(keep)
-    pos_map = {old: new for new, old in enumerate(keep, start=1)}
-    new_labels = tuple(labels[k - 1] for k in keep)
-    new_blocks = tuple(
-        tuple(pos_map[x] for x in b if x in pos_map)
-        for b in blocks
-        if any(x in pos_map for x in b)
-    )
-    new_ops = [ops[k - 1] for k in keep]
-    return new_labels, new_blocks, new_ops
+def _eval_pi(F: MomentFunctional, cells, ops) -> np.ndarray:
+    """Strip chi-order slices of a partition's NC picture (d > 1).
 
-
-def _chi_ranks(labels) -> tuple[list[int], dict[int, int]]:
-    """Positions in chi-order, and the rank (1-based) of each position."""
-    chi = ChiWord(labels)
-    order = list(s_chi(chi))
-    rank = {pos: i + 1 for i, pos in enumerate(order)}
-    return order, rank
-
-
-def _eval_pi(F: MomentFunctional, labels, blocks, ops) -> np.ndarray:
-    """Deterministic reduction (innermost chi-interval first)."""
-    n = len(labels)
-    if len(blocks) == 1:
-        return F.expect(_product(ops))
-    if F.dim == 1:
-        # Over scalar coefficients the value factors completely over blocks.
-        out = np.eye(1, dtype=complex)
-        for b in blocks:
-            out = out * F.expect(_product([ops[k - 1] for k in b]))
-        return out
-    order, rank = _chi_ranks(labels)
-    V = next(b for b in blocks if n in b)
-    ranks_V = sorted(rank[x] for x in V)
-    if ranks_V[0] == 1 and ranks_V[-1] == n:
+    ``cells[i]`` is ``(position, side, block)`` at chi-rank ``i + 1`` of
+    the current sub-word and ``ops[i]`` its operand (updated in place).  A
+    stripped run is a union of blocks that is an interval in chi-order, so
+    it is a slice, and what is left is the two slices around it with the
+    ranks after the cut shifted down.  Positions fix only the product order
+    of a one-block word, the block of the last entry and the survivor that
+    receives a hull's value.
+    """
+    pos, side, blk = zip(*cells)
+    n = len(cells)
+    if blk.count(blk[0]) == n:
+        return F.expect(_product([ops[i] for i in sorted(range(n), key=pos.__getitem__)]))
+    v = blk[pos.index(max(pos))]
+    lo, hi = blk.index(v), n - blk[::-1].index(v)
+    if lo == 0 and hi == n:
         # The block of the last entry spans the whole chi-range: strip the
-        # first run of foreign positions between two of its elements.
-        rp = min(rank[x] for x in range(1, n + 1) if x not in V)
-        rq = min(r for r in ranks_V if r > rp)
-        rm = max(r for r in ranks_V if r < rp)
-        W = [order[r - 1] for r in range(rp, rq)]
-        sub = _eval_pi(F, *_restrict(labels, blocks, ops, W))
-        ops2 = list(ops)
-        p = order[rp - 1]
-        if labels[p - 1] == LEFT:
-            tgt = order[rm - 1]
-            ops2[tgt - 1] = ops2[tgt - 1] * Lb(sub)
+        # first run of foreign positions between two of its elements and
+        # splice its value into the element of that block on the run's side.
+        a = next(i for i, x in enumerate(blk) if x != v)
+        b = blk.index(v, a)
+        sub = _eval_pi(F, cells[a:b], ops[a:b])
+        if side[a] == LEFT:
+            ops[a - 1] = ops[a - 1] * Lb(sub)
         else:
-            tgt = order[rq - 1]
-            ops2[tgt - 1] = ops2[tgt - 1] * Rb(sub)
-        comp = [x for x in range(1, n + 1) if x not in set(W)]
-        return _eval_pi(F, *_restrict(labels, blocks, ops2, comp))
-    # Otherwise reduce the chi-interval hull of that block first and feed the
-    # value to the last surviving operand.
-    hull = [order[r - 1] for r in range(ranks_V[0], ranks_V[-1] + 1)]
-    sub = _eval_pi(F, *_restrict(labels, blocks, ops, hull))
-    comp = [x for x in range(1, n + 1) if x not in set(hull)]
-    q = max(comp)
-    ops2 = list(ops)
-    ops2[q - 1] = ops2[q - 1] * (Lb(sub) if labels[q - 1] == LEFT else Rb(sub))
-    return _eval_pi(F, *_restrict(labels, blocks, ops2, comp))
+            ops[b] = ops[b] * Rb(sub)
+    else:
+        # Otherwise reduce the chi-interval hull of that block first and feed
+        # the value to the surviving operand with the last position.
+        a, b = lo, hi
+        sub = _eval_pi(F, cells[a:b], ops[a:b])
+        q = max(chain(range(a), range(b, n)), key=pos.__getitem__)
+        ops[q] = ops[q] * (Lb(sub) if side[q] == LEFT else Rb(sub))
+    return _eval_pi(F, cells[:a] + cells[b:], ops[:a] + ops[b:])
 
 
 def _check_sides(chi: ChiWord, ops: Sequence[Monomial]) -> None:
@@ -120,12 +96,25 @@ def _check_sides(chi: ChiWord, ops: Sequence[Monomial]) -> None:
 
 
 def eval_moment_pi(F: MomentFunctional, pi: BncPartition, operands: Sequence) -> np.ndarray:
-    """Moment function at a bi-non-crossing partition."""
+    """Moment function at a bi-non-crossing partition.
+
+    Over scalar coefficients the value factors over the blocks; otherwise
+    the operands are listed in chi-order once and the reduction strips
+    chi-order slices of the partition's NC picture ``pi.nc``.
+    """
     ops = [as_monomial(z) for z in operands]
     if len(ops) != pi.n:
         raise ValueError(f"expected {pi.n} operands, got {len(ops)}")
     _check_sides(pi.chi, ops)
-    return _eval_pi(F, pi.chi.labels, pi.blocks, ops)
+    if F.dim == 1 and len(pi.blocks) > 1:
+        out = np.eye(1, dtype=complex)
+        for b in pi.blocks:
+            out = out * F.expect(_product([ops[k - 1] for k in b]))
+        return out
+    block_of = {r: i for i, b in enumerate(pi.nc) for r in b}
+    order = s_chi(pi.chi)
+    cells = tuple((k, pi.chi.side(k), block_of[r]) for r, k in enumerate(order, start=1))
+    return _eval_pi(F, cells, [ops[k - 1] for k in order])
 
 
 def cumulant_pi(F: MomentFunctional, pi: BncPartition, operands: Sequence) -> np.ndarray:
@@ -305,7 +294,7 @@ def bifree_test(
     worst_word = None
     violations = []
     for n in range(2, max_order + 1):
-        for word in _words_of_length(syms, n):
+        for word in product(syms, repeat=n):
             if len({fam[s] for s in word}) < 2:
                 continue
             chi = ChiWord(s.side for s in word)
@@ -339,15 +328,6 @@ def bifree_test(
         "violations": violations[:10],
         "violation_count": len(violations),
     }
-
-
-def _words_of_length(syms, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _words_of_length(syms, n - 1):
-        for s in syms:
-            yield rest + (s,)
 
 
 def _scalar_top_cumulant(F: MomentFunctional, word, chi: ChiWord) -> complex:

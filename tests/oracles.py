@@ -3,8 +3,9 @@
 The lattice oracles are deliberately written without the package's lattice
 machinery: set partitions come from restricted growth strings, crossings
 from a quartic scan, and the Moebius function from inverting the order
-matrix numerically.  The moment oracle strips admissible runs in random
-order, and the Fock oracle applies a symbol one elementary factor at a
+matrix numerically.  The moment oracles reduce on numeric labels, one
+re-ranking every level in chi-order and one stripping admissible runs in
+random order, and the Fock oracle applies a symbol one elementary factor at a
 time, with its own copy of the scalar and tensor arithmetic.  The
 conjugate-relation oracles rebuild each right-hand side from its word alone and
 fit the least-squares candidate over breadth-first test words applied from
@@ -15,10 +16,9 @@ import math
 
 import numpy as np
 
-from bifree.bnc import LEFT, enumerate_nc
+from bifree.bnc import LEFT, ChiWord, enumerate_nc, s_chi
 from bifree.conjvar import VectorCandidate
 from bifree.fock import FockVector
-from bifree.moments import _chi_ranks, _product, _restrict
 from bifree.words import BCoeff, Lb, Monomial, Rb, as_monomial
 
 
@@ -102,6 +102,82 @@ def free_cumulant_from_moments(moments, n):
             term *= moments[len(b)]
         total += term
     return total
+
+
+# --- moment reduction on numeric labels --------------------------------------
+
+def _product(ops):
+    out = Monomial.unit()
+    for w in ops:
+        out = out * w
+    return out
+
+
+def _restrict(labels, blocks, ops, keep):
+    """The sub-problem on ``keep``, renumbered to 1..len(keep)."""
+    keep = sorted(keep)
+    pos_map = {old: new for new, old in enumerate(keep, start=1)}
+    new_labels = tuple(labels[k - 1] for k in keep)
+    new_blocks = tuple(
+        tuple(pos_map[x] for x in b if x in pos_map)
+        for b in blocks
+        if any(x in pos_map for x in b)
+    )
+    new_ops = [ops[k - 1] for k in keep]
+    return new_labels, new_blocks, new_ops
+
+
+def _chi_ranks(labels):
+    """Positions in chi-order, and the rank (1-based) of each position."""
+    order = list(s_chi(ChiWord(labels)))
+    rank = {pos: i + 1 for i, pos in enumerate(order)}
+    return order, rank
+
+
+def _eval_pi_reference(F, labels, blocks, ops):
+    n = len(labels)
+    if len(blocks) == 1:
+        return F.expect(_product(ops))
+    if F.dim == 1:
+        out = np.eye(1, dtype=complex)
+        for b in blocks:
+            out = out * F.expect(_product([ops[k - 1] for k in b]))
+        return out
+    order, rank = _chi_ranks(labels)
+    V = next(b for b in blocks if n in b)
+    ranks_V = sorted(rank[x] for x in V)
+    if ranks_V[0] == 1 and ranks_V[-1] == n:
+        rp = min(rank[x] for x in range(1, n + 1) if x not in V)
+        rq = min(r for r in ranks_V if r > rp)
+        rm = max(r for r in ranks_V if r < rp)
+        W = [order[r - 1] for r in range(rp, rq)]
+        sub = _eval_pi_reference(F, *_restrict(labels, blocks, ops, W))
+        ops2 = list(ops)
+        p = order[rp - 1]
+        if labels[p - 1] == LEFT:
+            tgt = order[rm - 1]
+            ops2[tgt - 1] = ops2[tgt - 1] * Lb(sub)
+        else:
+            tgt = order[rq - 1]
+            ops2[tgt - 1] = ops2[tgt - 1] * Rb(sub)
+        comp = [x for x in range(1, n + 1) if x not in set(W)]
+        return _eval_pi_reference(F, *_restrict(labels, blocks, ops2, comp))
+    hull = [order[r - 1] for r in range(ranks_V[0], ranks_V[-1] + 1)]
+    sub = _eval_pi_reference(F, *_restrict(labels, blocks, ops, hull))
+    comp = [x for x in range(1, n + 1) if x not in set(hull)]
+    q = max(comp)
+    ops2 = list(ops)
+    ops2[q - 1] = ops2[q - 1] * (Lb(sub) if labels[q - 1] == LEFT else Rb(sub))
+    return _eval_pi_reference(F, *_restrict(labels, blocks, ops2, comp))
+
+
+def eval_moment_pi_reference(F, pi, operands):
+    """Moment function at ``pi`` by the deterministic reduction on numeric
+    labels: every level re-ranks its positions in chi-order and renumbers
+    the kept ones.  It makes the same ``F.expect`` calls on the same
+    monomials, in the same order, as ``eval_moment_pi``."""
+    ops = [as_monomial(z) for z in operands]
+    return _eval_pi_reference(F, pi.chi.labels, pi.blocks, ops)
 
 
 # --- moment reduction in random order ---------------------------------------

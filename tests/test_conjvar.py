@@ -246,9 +246,7 @@ def test_lift_general_d_matches_tensor_oracle():
                 if rng.integers(2):
                     c = complex(rng.standard_normal(), rng.standard_normal())
                     table[(i, j)] = [(c, (pool[int(rng.integers(2))],))]
-        sym = lift.add_symbol(
-            GeneratorSymbol(name, side, family=name), table, register_adjoint=False
-        )
+        sym = lift.add_symbol(GeneratorSymbol(name, side, family=name), table)
         tables[sym] = (lift.tables[sym], side)
     A = next(s for s in tables if s.name == "A")
     B = next(s for s in tables if s.name == "B")

@@ -1,8 +1,9 @@
-"""No module imports a name it never reads.
+"""No module imports a name it never reads, and the oracles no private one.
 
 An AST scan over the package (except ``__init__.py``, whose imports are
 its public API), the tests and the demos: every name bound by an import
-must be read somewhere in the module.
+must be read somewhere in the module.  ``tests/oracles.py`` imports no
+``_``-prefixed name from the package.
 """
 
 import ast
@@ -44,3 +45,17 @@ def test_no_unused_imports(path):
     read = _read(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in read]
     assert not unused, f"{path.name} imports but never reads: {', '.join(unused)}"
+
+
+def test_oracles_import_no_private_names():
+    # An oracle that borrows the helpers it checks is not independent.
+    path = ROOT / "tests" / "oracles.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [
+        f"{node.module}.{a.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bifree"
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+    assert not private, f"oracles.py imports private names: {', '.join(private)}"

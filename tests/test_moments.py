@@ -1,8 +1,15 @@
 """Moment/cumulant transforms: reduction, convolution, grouping, detection."""
 
+import itertools
+
 import numpy as np
 import pytest
-from oracles import eval_moment_pi_random, free_cumulant_from_moments, nc_pair_partition_count
+from oracles import (
+    eval_moment_pi_random,
+    eval_moment_pi_reference,
+    free_cumulant_from_moments,
+    nc_pair_partition_count,
+)
 
 from bifree.balgebra import CPMap, matrix_unit, maxabs, random_belement, random_cpmap
 from bifree.bnc import (
@@ -142,6 +149,45 @@ def test_scalar_shortcut_matches_full_recursion():
         # the randomized reduction order never takes the scalar shortcut
         b = eval_moment_pi_random(cp.functional, pi, ops, order_rng)
         assert maxabs(a - b) < 1e-12
+
+
+def _operands_with_insertions(S, D, chi, d, rng):
+    """One generator per position with random coefficient insertions on its
+    side before and after it; the last operand may also mix sides."""
+    ops = []
+    for side in chi.labels:
+        coeff = Lb if side == "l" else Rb
+        op = Monomial([S if side == "l" else D])
+        if rng.integers(2):
+            op = coeff(random_belement(d, rng)) * op
+        if rng.integers(2):
+            op = op * coeff(random_belement(d, rng))
+        ops.append(op)
+    if rng.integers(2):
+        other = Rb if chi.labels[-1] == "l" else Lb
+        ops[-1] = ops[-1] * other(random_belement(d, rng))
+    return ops
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_chi_order_slices_match_numeric_reduction(d):
+    # Equal with np.array_equal: the same monomials reach F.expect, so each
+    # side evaluates them through a functional with its own cache.
+    rng = np.random.default_rng(40 + d)
+    m = make_bisemicircular([random_cpmap(d, rng)], [random_cpmap(d, rng)])
+    S, D = m.symbol("S1"), m.symbol("D1")
+    F, F_ref = m.model.functional(), m.model.functional()
+    chis = [ChiWord(w) for n in range(1, 6) for w in itertools.product("lr", repeat=n)]
+    chis += [ChiWord(rng.choice(["l", "r"], size=n)) for n in (6, 6, 6, 7, 7)]
+    checked = 0
+    for chi in chis:
+        for pi in enumerate_bnc(chi):
+            ops = _operands_with_insertions(S, D, chi, d, rng)
+            got = eval_moment_pi(F, pi, ops)
+            want = eval_moment_pi_reference(F_ref, pi, ops)
+            assert np.array_equal(got, want), (pi, ops)
+            checked += 1
+    assert checked == 1618 + 3 * 132 + 2 * 429
 
 
 def test_side_mismatch_rejected(scalar_model):
