@@ -56,6 +56,15 @@ class RunConfig:
             raise ValueError("max_order capped at 8")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if self.truncation is not None and self.truncation < 0:
+            raise ValueError("truncation must be >= 0")
+
+
+def _nonzero(text: str) -> float:
+    x = float(text)
+    if x == 0:
+        raise argparse.ArgumentTypeError("must be nonzero")
+    return x
 
 
 def _jsonable(obj):
@@ -322,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="cmd", required=True
     )
     p = p_conj.add_parser("check", help="verify the semicircular conjugate variable")
-    p.add_argument("--lam", type=float, default=1.0, help="scale of the target")
-    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument("--lam", type=_nonzero, default=1.0, help="scale of the target")
+    p.add_argument("--max-n", type=int, choices=range(9), default=6, help="longest test word")
     p.add_argument("--solve", action="store_true", help="also run the least-squares solver")
     _add_config_options(p)
     p.set_defaults(func=_cmd_conj_check)

@@ -128,8 +128,8 @@ def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, F: MomentFunctional,
     built once, when its occurrence is prepended, and then only gains ``f``
     on the left.
     """
-    if max_n > 8:
-        raise ValueError("max_n capped at 8")
+    if not 0 <= max_n <= 8:
+        raise ValueError("max_n must be in 0..8")
     target = xi.target
     coeff = Lb if target.side == LEFT else Rb
     alphabet: list = [target] + list(ctx.generators())
@@ -209,9 +209,8 @@ def solve_conjugate(
     eta: CPMap,
     ctx: PresenceContext,
     max_n: int = 4,
-    basis_len: int = 3,
 ):
-    """Least-squares conjugate candidate over a truncated word basis.
+    """Least-squares conjugate candidate over the words of up to three letters.
 
     The rows and the right-hand side come from the relation walk that
     ``conj_residual`` reads, walked once with every basis vector in
@@ -223,7 +222,7 @@ def solve_conjugate(
     alphabet = [target] + list(ctx.generators())
     basis_words = [()]
     frontier = [()]
-    for _ in range(basis_len):
+    for _ in range(3):
         frontier = [w + (f,) for w in frontier for f in alphabet]
         basis_words.extend(frontier)
     basis = [model.vector_of(Monomial(w)) for w in basis_words]
@@ -296,6 +295,9 @@ class MatrixLift:
         return table.get((i, j), ())
 
     def expect(self, word) -> np.ndarray:
+        """Expectation matrix: index chains grow in chi-order, keeping each
+        factor's entry options, which a finished chain expands in position
+        order."""
         word = as_monomial(word)
         for f in word.factors:
             # A coefficient is d x d, or 1 x 1 for a multiple of the identity.
@@ -303,49 +305,33 @@ class MatrixLift:
                 size = f.matrix.shape[0]
                 raise ValueError(f"{size}x{size} coefficient in a lift with d={self.d}")
         n = len(word)
-        out = np.zeros((self.d, self.d), dtype=complex)
         if n == 0:
             return np.eye(self.d, dtype=complex)
-        chi = ChiWord([f.side for f in word.factors])
-        order = s_chi(chi)  # order[t-1] = position with chi-rank t
-        factors = word.factors
+        out = np.zeros((self.d, self.d), dtype=complex)
+        order = s_chi(ChiWord([f.side for f in word.factors]))
+        ranked = [word.factors[k - 1] for k in order]
+        rank_of = sorted(range(n), key=order.__getitem__)  # chi-rank of each position
 
-        def descend(t: int, chain: list[int]):
-            # chain[t] = shared index between chi-rank t and t+1
+        def descend(first: int, i: int, found: list):
+            # i is the index shared by chi-ranks len(found) and len(found) + 1
+            t = len(found)
             if t == n:
-                self._accumulate(out, factors, order, chain)
+                terms = [(1.0 + 0.0j, ())]
+                for r in rank_of:
+                    terms = [(c * ci, w + wi) for c, w in terms for ci, wi in found[r]]
+                total = 0.0 + 0.0j
+                for c, w in terms:
+                    total += c * self.base.tau(Monomial(w))
+                out[first - 1, i - 1] += total
                 return
-            pos = order[t]
             for a in range(1, self.d + 1):
-                if self._entry_options(factors[pos - 1], chain[t], a):
-                    descend(t + 1, chain + [a])
+                opts = self._entry_options(ranked[t], i, a)
+                if opts:
+                    descend(first, a, found + [opts])
 
         for a0 in range(1, self.d + 1):
-            descend(0, [a0])
+            descend(a0, a0, [])
         return out
-
-    def _accumulate(self, out, factors, order, chain):
-        n = len(factors)
-        rank_of = {pos: t for t, pos in enumerate(order, start=1)}
-        options = []
-        for k in range(1, n + 1):
-            t = rank_of[k]
-            opts = self._entry_options(factors[k - 1], chain[t - 1], chain[t])
-            if not opts:
-                return
-            options.append(opts)
-        total = 0.0 + 0.0j
-
-        def expand(k: int, coeff: complex, word_acc: tuple):
-            nonlocal total
-            if k == n:
-                total += coeff * self.base.tau(Monomial(word_acc))
-                return
-            for c, w in options[k]:
-                expand(k + 1, coeff * c, word_acc + w)
-
-        expand(0, 1.0 + 0.0j, ())
-        out[chain[0] - 1, chain[-1] - 1] += total
 
     def scalar_functional(self) -> MomentFunctional:
         def oracle(word):
@@ -556,9 +542,7 @@ def lifted_candidates(F: MomentFunctional, z, z_star, w, w_star, scale: float = 
     return pair, cands, ctxs
 
 
-def fisher_minimization_experiment(
-    max_n: int = 6, tol_resid: float = 1e-9, ratio_tol: float = 1e-6
-) -> dict:
+def fisher_minimization_experiment(max_n: int = 6) -> dict:
     """Equality case of the Fisher minimization law for the circular pair.
 
     Computes the Fisher information of the circular pair and of its lifted
@@ -583,7 +567,7 @@ def fisher_minimization_experiment(
     ratio = lhs / rhs
     tau_sq = (tau2.tau(Monomial([pair.X, pair.X])) + tau2.tau(Monomial([pair.Y, pair.Y]))).real
     cramer_rao = rhs * tau_sq
-    ok = abs(ratio - 2.0) <= ratio_tol and max_resid <= tol_resid
+    ok = abs(ratio - 2.0) <= 1e-6 and max_resid <= 1e-9
     return {
         "lhs": lhs,
         "rhs": rhs,
@@ -596,8 +580,7 @@ def fisher_minimization_experiment(
 
 
 def semicircular_entropy_experiment(
-    t_max: float = 1e5, steps: int = 257, resid_spots: Sequence[float] = (0.0, 1.0, 10.0),
-    max_n: int = 6,
+    t_max: float = 1e5, steps: int = 257, resid_spots: Sequence[float] = (0.0, 1.0, 10.0)
 ) -> dict:
     """Entropy of a standard semicircular element, computed not assumed.
 
@@ -624,7 +607,7 @@ def semicircular_entropy_experiment(
     for t in resid_spots:
         u, cand = candidate(t)
         max_resid = max(
-            max_resid, conj_residual(cand, eta1, PresenceContext(), model.functional, max_n)
+            max_resid, conj_residual(cand, eta1, PresenceContext(), model.functional, 6)
         )
 
     def fisher_of_t(t: float) -> float:
@@ -649,10 +632,7 @@ def semicircular_entropy_experiment(
     return report
 
 
-def circular_entropy_experiment(
-    t_max: float = 1e5, steps: int = 257, resid_spots: Sequence[float] = (0.0, 1.0),
-    max_n: int = 4,
-) -> dict:
+def circular_entropy_experiment() -> dict:
     """Equality case of the entropy maximization law for the circular pair.
 
     Computes the entropy of the pair and of its lifted carriers through
@@ -664,6 +644,9 @@ def circular_entropy_experiment(
     model = cp.model
     (cl, cls, cr, crs), (c2l, c2ls, c2r, c2rs) = cp.pairs
     eta1 = CPMap.identity(1)
+    # Residuals at two perturbation times over test words of up to 4 letters;
+    # Simpson quadrature on 257 nodes over [0, 1e5].
+    t_max, steps, resid_spots, max_n = 1e5, 257, (0.0, 1.0), 4
 
     def perturbed_symbols(t: float):
         rt = math.sqrt(t)

@@ -235,7 +235,10 @@ def product_cumulant_expand(
     """Both sides of the product-entry cumulant expansion.
 
     The grouped top cumulant must equal the sum of ungrouped cumulants over
-    partitions whose join with the embedded minimum is the maximum.
+    partitions whose join with the embedded minimum is the maximum.  The
+    right-hand side evaluates every partition moment of the ungrouped word
+    once and reads each of those cumulants from that one table through
+    ``cumulants_from_moments``.
     """
     ops = [as_monomial(z) for z in operands]
     if len(ops) != chi_hat.n:
@@ -249,10 +252,12 @@ def product_cumulant_expand(
     lhs = cumulant_pi(F, one_partition(chi_m), grouped)
     zero_hat = hat_embed(zero_partition(chi_m), group_sizes, chi_hat)
     top = one_partition(chi_hat)
+    parts = enumerate_bnc(chi_hat)
+    moments = {tau: eval_moment_pi(F, tau, ops) for tau in parts}
     rhs = np.zeros_like(lhs)
-    for sigma in enumerate_bnc(chi_hat):
+    for sigma in parts:
         if lattice_join(sigma, zero_hat) == top:
-            rhs += cumulant_pi(F, sigma, ops)
+            rhs += cumulants_from_moments(moments, sigma)
     return {"lhs": lhs, "rhs": rhs, "residual": maxabs(lhs - rhs)}
 
 
@@ -263,22 +268,18 @@ def bifree_test(
     symbols: Sequence,
     max_order: int,
     tol: float = 1e-9,
-    families: Mapping | None = None,
 ) -> dict:
     """Scan all mixed cumulants up to an order and report the largest one.
 
-    Words run over all sequences of the given generators whose family map is
-    non-constant; the side word is forced by the generators.  The report
+    Words run over all sequences of the given generators whose family tags
+    are not all equal; the side word is forced by the generators.  The report
     carries the worst offenders, which for a genuinely correlated family
     exhibit the planted covariance at order two.
     """
     if max_order > 8:
         raise ValueError("max_order capped at 8")
     syms = list(symbols)
-    fam = dict(families) if families is not None else {s: s.family for s in syms}
-    for s in syms:
-        if s not in fam:
-            raise ValueError(f"symbol {s!r} has no family assignment")
+    fam = {s: s.family for s in syms}
     if len({fam[s] for s in syms}) < 2:
         return {
             "pass": True,

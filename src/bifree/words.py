@@ -130,16 +130,11 @@ class Monomial:
         s = self.sides()
         return s.pop() if len(s) == 1 else None
 
-    def key(self):
-        return tuple(
-            f if isinstance(f, GeneratorSymbol) else f._key for f in self.factors
-        )
-
     def __eq__(self, other):
-        return isinstance(other, Monomial) and self.key() == other.key()
+        return isinstance(other, Monomial) and self.factors == other.factors
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.factors)
 
     def __repr__(self):
         if not self.factors:
@@ -162,8 +157,9 @@ class MomentFunctional:
     """Expectation oracle: monomial -> (d, d) coefficient matrix.
 
     The oracle must be unital (empty word maps to the identity) and pure;
-    results are memoized by monomial key, so concurrent reads are safe under
-    the interpreter lock.
+    results are memoized with the monomial itself as the key (monomials
+    compare and hash by their factors, coefficients by side, size and
+    bytes), so concurrent reads are safe under the interpreter lock.
     """
 
     def __init__(self, oracle: Callable[[Monomial], np.ndarray], dim: int):
@@ -173,14 +169,13 @@ class MomentFunctional:
 
     def expect(self, word) -> np.ndarray:
         word = as_monomial(word)
-        k = word.key()
-        v = self._cache.get(k)
+        v = self._cache.get(word)
         if v is None:
             if len(word) == 0:
                 v = identity(self.dim)
             else:
                 v = as_belement(self._oracle(word), self.dim)
-            self._cache[k] = v
+            self._cache[word] = v
         return v
 
     def tau(self, word) -> complex:

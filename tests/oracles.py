@@ -9,16 +9,28 @@ random order, and the Fock oracle applies a symbol one elementary factor at a
 time, with its own copy of the scalar and tensor arithmetic.  The
 conjugate-relation oracles rebuild each right-hand side from its word alone and
 fit the least-squares candidate over breadth-first test words applied from
-the vacuum.
+the vacuum.  The matrix-lift oracle finds the index chains first and resolves
+every entry again for each chain, and the product-expansion oracle runs a full
+cumulant scan for each partition on its right-hand side.
 """
 
 import math
 
 import numpy as np
 
-from bifree.bnc import LEFT, ChiWord, enumerate_nc, s_chi
+from bifree.bnc import (
+    LEFT,
+    ChiWord,
+    enumerate_bnc,
+    enumerate_nc,
+    lattice_join,
+    one_partition,
+    s_chi,
+    zero_partition,
+)
 from bifree.conjvar import VectorCandidate
 from bifree.fock import FockVector
+from bifree.moments import chi_of_groups, cumulant_pi, group_offsets, hat_embed
 from bifree.words import BCoeff, Lb, Monomial, Rb, as_monomial
 
 
@@ -180,6 +192,28 @@ def eval_moment_pi_reference(F, pi, operands):
     return _eval_pi_reference(F, pi.chi.labels, pi.blocks, ops)
 
 
+# --- product-entry expansion by nested scans ----------------------------------
+
+def product_cumulant_expand_nested(F, chi_hat, group_sizes, operands):
+    """``(lhs, rhs)`` of the product-entry expansion by nested scans.
+
+    Each cumulant on either side is a full ``cumulant_pi`` scan, so every
+    partition moment is evaluated again for each partition above it.  The
+    sums run in the same order as ``product_cumulant_expand``'s.
+    """
+    ops = [as_monomial(z) for z in operands]
+    chi_m = chi_of_groups(chi_hat, group_sizes)
+    grouped = [_product(ops[a - 1:b - 1]) for a, b in group_offsets(group_sizes)]
+    lhs = cumulant_pi(F, one_partition(chi_m), grouped)
+    zero_hat = hat_embed(zero_partition(chi_m), group_sizes, chi_hat)
+    top = one_partition(chi_hat)
+    rhs = np.zeros_like(lhs)
+    for sigma in enumerate_bnc(chi_hat):
+        if lattice_join(sigma, zero_hat) == top:
+            rhs += cumulant_pi(F, sigma, ops)
+    return lhs, rhs
+
+
 # --- moment reduction in random order ---------------------------------------
 
 def _is_union_of_blocks(blocks, subset):
@@ -329,6 +363,68 @@ def apply_symbol_by_factors(model, f, vec, keep_depth=None):
             terms[ks] = y if cur is None else cur + y
     out = FockVector(model.dim)
     out.terms = {ks: x for ks, x in terms.items() if np.max(np.abs(x)) > 0}
+    return out
+
+
+# --- matrix lift in two phases -------------------------------------------------
+
+def _lift_entry_options(lift, factor, i, j):
+    """The ``(coeff, base_word)`` terms of a factor's ``(i, j)`` entry."""
+    if isinstance(factor, BCoeff):
+        m = factor.matrix
+        if m.shape[0] == 1:
+            v = complex(m[0, 0])
+            return ((v, ()),) if (i == j and v != 0) else ()
+        v = complex(m[i - 1, j - 1])
+        return ((v, ()),) if v != 0 else ()
+    return lift.tables[factor].get((i, j), ())
+
+
+def lift_expect_two_phase(lift, word):
+    """Expectation matrix of a word in a ``MatrixLift``, in two phases.
+
+    First every index chain with non-empty entries is found in chi-order;
+    then, for each chain, every factor's entry options are resolved again in
+    position order and expanded into base words.  The base words,
+    coefficient products and sums are those of ``MatrixLift.expect``, in the
+    same order.
+    """
+    factors = as_monomial(word).factors
+    n, d = len(factors), lift.d
+    if n == 0:
+        return np.eye(d, dtype=complex)
+    out = np.zeros((d, d), dtype=complex)
+    order = s_chi(ChiWord([f.side for f in factors]))
+    rank_of = {pos: t for t, pos in enumerate(order, start=1)}
+
+    def accumulate(chain):
+        options = [
+            _lift_entry_options(lift, factors[k - 1], chain[rank_of[k] - 1], chain[rank_of[k]])
+            for k in range(1, n + 1)
+        ]
+        total = 0.0 + 0.0j
+
+        def expand(k, coeff, word_acc):
+            nonlocal total
+            if k == n:
+                total += coeff * lift.base.tau(Monomial(word_acc))
+                return
+            for c, w in options[k]:
+                expand(k + 1, coeff * c, word_acc + w)
+
+        expand(0, 1.0 + 0.0j, ())
+        out[chain[0] - 1, chain[-1] - 1] += total
+
+    def descend(t, chain):
+        if t == n:
+            accumulate(chain)
+            return
+        for a in range(1, d + 1):
+            if _lift_entry_options(lift, factors[order[t] - 1], chain[t], a):
+                descend(t + 1, chain + [a])
+
+    for a0 in range(1, d + 1):
+        descend(0, [a0])
     return out
 
 

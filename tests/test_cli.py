@@ -27,6 +27,8 @@ def test_runconfig_validation():
         RunConfig(max_order=9)
     with pytest.raises(ValueError):
         RunConfig(tolerance=0)
+    with pytest.raises(ValueError):
+        RunConfig(truncation=-1)
 
 
 def test_bnc_enum(capsys):
@@ -186,6 +188,12 @@ def test_usage_error_exit_2(capsys):
         ["nonsense"],
         ["fisher", "run", "--experiment", "nope"],
         ["entropy", "run", "--experiment", "nope"],
+        ["conj", "check", "--max-n", "-1"],
+        ["conj", "check", "--max-n", "9"],
+        ["conj", "check", "--max-n", "-1", "--solve"],
+        ["conj", "check", "--lam", "0"],
+        ["--truncation", "-1", "fock", "moment", "--word", "S1"],
+        ["fock", "moment", "--word", "S1", "--truncation", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -201,6 +209,31 @@ def test_invalid_config_is_usage_error(flag, value, capsys):
         main([flag, value, "bnc", "enum", "--chi", "lr"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+# Exact stdout of three d=1 commands, which use only Python complex arithmetic
+# and elementwise numpy (no LAPACK, no vectorized libm).  A change that moves a
+# noise digit must update these strings and name every changed field.
+PINNED_STDOUT = {
+    ("fisher", "run", "--experiment", "circular-min"):
+        '{"cramer_rao_expected": 4.0, "cramer_rao_product": 3.9999999999999982, '
+        '"lhs": 3.999999999999999, "max_residual": 4.440892098500626e-16, '
+        '"pass": true, "ratio": 2.0, "rhs": 1.9999999999999996, "schema": 1}\n',
+    ("conj", "check", "--lam", "2.0", "--max-n", "6"):
+        '{"cramer_rao_product": 1.0, "fisher": 0.25, "max_residual": 0.0, '
+        '"pass": true, "schema": 1, "target": "2*semicircular"}\n',
+    ("--max-order", "6", "bifree", "test"):
+        '{"max_order": 6, "max_residual": 0.0, "pass": true, "schema": 1, '
+        '"tested": 114, "tolerance": 1e-09, "vacuous": false, "violation_count": 0, '
+        '"violations": [], "worst_word": null}\n',
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_STDOUT, ids=" ".join)
+def test_pinned_stdout_bytes(argv, capsys):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == PINNED_STDOUT[argv]
 
 
 def test_mc_reads_table_from_stdin(capsys, monkeypatch):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from bifree.balgebra import CPMap, matrix_unit, maxabs
+from oracles import lift_expect_two_phase
+
+from bifree.balgebra import CPMap, matrix_unit, maxabs, random_belement
 from bifree.bnc import ChiWord, s_chi
 from bifree.conjvar import (
     MatrixLift,
@@ -257,6 +259,44 @@ def test_lift_general_d_matches_tensor_oracle():
             got = lift.scalar_functional().tau(Monomial(word))
             want = oracle.tau(word, tables)
             assert abs(got - want) < 1e-9
+
+
+def test_lift_expect_matches_two_phase_oracle():
+    # Exact: the same base words, coefficient products and sums in the same
+    # order as the two-phase expansion.
+    cp = make_circular_pair()
+    rng = np.random.default_rng(14)
+    nonzero = 0
+    for d in (2, 3):
+        lift = MatrixLift(cp.functional, d=d)
+        symbols = []
+        for name, side, pool in (("A", "l", (cp.c_l, cp.c_l_star)),
+                                 ("B", "r", (cp.c_r, cp.c_r_star))):
+            table = {}
+            for i in range(1, d + 1):
+                for j in range(1, d + 1):
+                    if rng.integers(3):
+                        table[(i, j)] = [
+                            (complex(*rng.standard_normal(2)),
+                             tuple(pool[int(k)] for k in rng.integers(2, size=rng.integers(1, 3))))
+                            for _ in range(rng.integers(1, 3))
+                        ]
+            sym = lift.add_symbol(GeneratorSymbol(name, side, family=name), table)
+            symbols += [sym, sym.star()]
+        for n in range(6):
+            for _ in range(8):
+                word = []
+                for _ in range(n):
+                    if rng.integers(3):
+                        word.append(symbols[rng.integers(len(symbols))])
+                        continue
+                    size = (1, d)[rng.integers(2)]
+                    b = random_belement(size, rng) * (rng.integers(3, size=(size, size)) > 0)
+                    word.append((Lb, Rb)[rng.integers(2)](b))
+                got = lift.expect(Monomial(word))
+                assert np.array_equal(got, lift_expect_two_phase(lift, Monomial(word))), word
+                nonzero += bool(got.any())
+    assert nonzero >= 40
 
 
 def test_lift_coefficient_size():

@@ -9,6 +9,7 @@ from oracles import (
     eval_moment_pi_reference,
     free_cumulant_from_moments,
     nc_pair_partition_count,
+    product_cumulant_expand_nested,
 )
 
 from bifree.balgebra import CPMap, matrix_unit, maxabs, random_belement, random_cpmap
@@ -415,6 +416,37 @@ def test_product_expansion_operator_valued_random():
         [Monomial([S]), Monomial([S, Lb(random_belement(2, rng))]), Monomial([D])],
     )
     assert rep["residual"] < 1e-9
+
+
+def test_product_expansion_matches_nested_scan(scalar_model, flip_model):
+    # Instances drawn as in the acceptance criterion: a random side word with
+    # constant non-final groups, one generator per letter and a coefficient
+    # on about one letter in three.  Exact: every cumulant sums the same
+    # terms in the same order as a full scan.
+    rng = np.random.default_rng(11)
+    for trial in range(100):
+        model = flip_model if trial % 2 else scalar_model
+        n = int(rng.integers(2, 6))
+        cuts = sorted({int(c) for c in rng.integers(1, n, size=n // 2)} | {n})
+        sizes = [b - a for a, b in zip([0] + cuts, cuts)]
+        labels = []
+        for g, size in enumerate(sizes):
+            if g < len(sizes) - 1:
+                labels += ["lr"[rng.integers(2)]] * size
+            else:
+                labels += ["lr"[rng.integers(2)] for _ in range(size)]
+        chi_hat = ChiWord(labels)
+        ops = []
+        for side in labels:
+            pool = model.left_symbols if side == "l" else model.right_symbols
+            w = Monomial([pool[rng.integers(len(pool))]])
+            if rng.integers(3) == 0:
+                b = random_belement(model.dim, rng)
+                w = w * (Lb(b) if side == "l" else Rb(b))
+            ops.append(w)
+        rep = product_cumulant_expand(model.functional, chi_hat, sizes, ops)
+        lhs, rhs = product_cumulant_expand_nested(model.functional, chi_hat, sizes, ops)
+        assert np.array_equal(rep["lhs"], lhs) and np.array_equal(rep["rhs"], rhs)
 
 
 # --- bi-freeness scan ---------------------------------------------------------------

@@ -57,6 +57,19 @@ def _check_walk(xi, eta, ctx, F, fresh_F, max_n):
     return nodes
 
 
+def test_negative_max_n_is_an_error():
+    # Test words would otherwise grow without bound.
+    m = make_bisemicircular([ONE], [])
+    s = m.symbol("S1")
+    cand = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
+    with pytest.raises(ValueError):
+        next(_relation_walk(cand, ONE, PresenceContext(), m.functional, -1))
+    with pytest.raises(ValueError):
+        conj_residual(cand, ONE, PresenceContext(), m.functional, -1)
+    with pytest.raises(ValueError):
+        solve_conjugate(m.model, s, ONE, PresenceContext(), max_n=-1)
+
+
 def test_circular_rhs_matches_oracle():
     cp = CircularPairModel()
     cands, ctxs = circular_candidates(cp.model, *cp.pairs[0])
