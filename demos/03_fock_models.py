@@ -58,7 +58,7 @@ print("\ntwo generators sharing one direction are flagged at order two:")
 fm = FockModel(1, ("k",), (), {"k": one})
 A = fm.register_symbol(GeneratorSymbol("A", "l", family="a"), [(1.0, ("l", "k")), (1.0, ("l*", "k"))])
 B = fm.register_symbol(GeneratorSymbol("B", "l", family="b"), [(1.0, ("l", "k")), (1.0, ("l*", "k"))])
-rep = bifree_test(fm.functional(), [A, B], max_order=3)
+rep = bifree_test(fm.functional, [A, B], max_order=3)
 worst = rep["violations"][0]
 print(f"  pass={rep['pass']}; worst: order {worst['order']} word {worst['word']} residual {worst['residual']:g}")
 

@@ -27,7 +27,7 @@ print("the standard semicircular element is its own conjugate variable:")
 model = make_bisemicircular([one], [])
 s = model.symbol("S1")
 cand = VectorCandidate(s, model.model.vector_of(Monomial([s])), model.model)
-r = conj_residual(cand, one, PresenceContext(), model.functional, 6)
+r = conj_residual(cand, one, PresenceContext(), 6)
 print(f"  residual over words up to length 6: {r:.2e}")
 print(f"  Fisher information: {fisher_info([cand]):g}")
 
@@ -35,9 +35,9 @@ print("\nscaling by lambda scales the conjugate by 1/lambda:")
 for lam in (0.5, 2.0):
     m = make_bisemicircular([one], [])
     s0 = m.symbol("S1")
-    target = m.model.scaled_symbol(s0, lam, name="lam*s")
+    target = m.model.combination_symbol("lam*s", s0.side, [(lam, s0)])
     c = VectorCandidate(target, m.model.vector_of(Monomial([s0])).scaled(1 / lam), m.model)
-    r = conj_residual(c, one, PresenceContext(), m.functional, 6)
+    r = conj_residual(c, one, PresenceContext(), 6)
     print(f"  lambda={lam}: residual {r:.2e}, Fisher {fisher_info([c]):g} = 1/lambda^2")
 
 print("\nperturbing by an independent semicircular decays the information:")

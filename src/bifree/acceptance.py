@@ -246,7 +246,7 @@ def criterion_6_bifree_detector(seed: int = 0) -> CriterionResult:
     B = fm.register_symbol(
         GeneratorSymbol("B", "l", family="b"), [(1.0, ("l", "k")), (1.0, ("l*", "k"))]
     )
-    rep2 = bifree_test(fm.functional(), [A, B], max_order=3)
+    rep2 = bifree_test(fm.functional, [A, B], max_order=3)
     planted = [v for v in rep2["violations"] if v["order"] == 2]
     ok2 = (not rep2["pass"]) and any(abs(v["residual"] - cov) <= 1e-9 for v in planted)
     detail += f"; correlated family flagged at order 2 with residual {planted[0]['residual']:.6f}" if planted else "; no order-2 violation found"
@@ -262,17 +262,17 @@ def criterion_7_conjugate_variables(seed: int = 0) -> CriterionResult:
     S = model.symbol("S1")
     F = model.functional
     cand = VectorCandidate(S, model.model.vector_of(Monomial([S])), model.model)
-    r = conj_residual(cand, one, PresenceContext(), F, 6)
+    r = conj_residual(cand, one, PresenceContext(), 6)
     details = [f"xi=S residual {r:.2e}"]
     ok = r <= 1e-9
     for lam in (0.5, 2.0):
         m2 = make_bisemicircular([one], [])
         s0 = m2.symbol("S1")
-        lam_s = m2.model.scaled_symbol(s0, lam, name=f"lam{lam}")
+        lam_s = m2.model.combination_symbol(f"lam{lam}", s0.side, [(lam, s0)])
         cand_l = VectorCandidate(
             lam_s, m2.model.vector_of(Monomial([s0])).scaled(1.0 / lam), m2.model
         )
-        rl = conj_residual(cand_l, one, PresenceContext(), m2.functional, 6)
+        rl = conj_residual(cand_l, one, PresenceContext(), 6)
         phi_l = fisher_info([cand_l])
         ok = ok and rl <= 1e-9 and abs(phi_l - 1.0 / lam**2) <= 1e-9
         details.append(f"lam={lam}: residual {rl:.2e}, Fisher {phi_l:.6f}")
@@ -292,7 +292,6 @@ def criterion_8_perturbation_law(seed: int = 0) -> CriterionResult:
     one = CPMap.identity(1)
     model = make_bisemicircular([one, one], [])
     s, s2 = model.symbol("S1"), model.symbol("S2")
-    F = model.functional
     worst = 0.0
     worst_resid = 0.0
     values = []
@@ -303,7 +302,7 @@ def criterion_8_perturbation_law(seed: int = 0) -> CriterionResult:
         cand = VectorCandidate(
             u, model.model.vector_of(Monomial([u])).scaled(1.0 / (1.0 + t)), model.model
         )
-        worst_resid = max(worst_resid, conj_residual(cand, one, PresenceContext(), F, 6))
+        worst_resid = max(worst_resid, conj_residual(cand, one, PresenceContext(), 6))
         phi = fisher_info([cand])
         values.append(phi)
         worst = max(worst, abs(phi - h_closed_form(t, 1.0, 1.0)))
@@ -319,8 +318,8 @@ def criterion_8_perturbation_law(seed: int = 0) -> CriterionResult:
 def criterion_9_lift_experiment(seed: int = 0) -> CriterionResult:
     t0 = time.time()
     cp = make_circular_pair()
-    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r, cp.c_l_star, cp.c_r_star)
-    tau2 = pair.scalar_functional
+    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r)
+    tau2 = pair.lift.functional
     worst = 0.0
     semicirc = {1: 0.0, 2: 1.0, 3: 0.0, 4: 2.0, 5: 0.0, 6: 5.0}
     for Z in (pair.X, pair.Y):

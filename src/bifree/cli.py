@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -52,18 +53,18 @@ class RunConfig:
             raise ValueError("d must be >= 1")
         if self.d > 8:
             raise ValueError("d capped at 8")
-        if self.max_order > 8:
-            raise ValueError("max_order capped at 8")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 2 <= self.max_order <= 8:
+            raise ValueError("max_order must be in 2..8")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be positive and finite")
         if self.truncation is not None and self.truncation < 0:
             raise ValueError("truncation must be >= 0")
 
 
-def _nonzero(text: str) -> float:
+def _finite_nonzero(text: str) -> float:
     x = float(text)
-    if x == 0:
-        raise argparse.ArgumentTypeError("must be nonzero")
+    if x == 0 or not math.isfinite(x):
+        raise argparse.ArgumentTypeError("must be finite and nonzero")
     return x
 
 
@@ -198,11 +199,13 @@ def _cmd_conj_check(args, cfg: RunConfig) -> int:
     model = make_bisemicircular([one], [])
     s = model.symbol("S1")
     lam = args.lam
-    target = model.model.scaled_symbol(s, lam, name="target") if lam != 1.0 else s
+    target = s
+    if lam != 1.0:
+        target = model.model.combination_symbol("target", s.side, [(lam, s)])
     cand = VectorCandidate(
         target, model.model.vector_of(Monomial([s])).scaled(1.0 / lam), model.model
     )
-    resid = conj_residual(cand, one, PresenceContext(), model.functional, args.max_n)
+    resid = conj_residual(cand, one, PresenceContext(), args.max_n)
     phi = fisher_info([cand])
     tau_sq = model.functional.tau(Monomial([target, target])).real
     rep = {
@@ -331,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="cmd", required=True
     )
     p = p_conj.add_parser("check", help="verify the semicircular conjugate variable")
-    p.add_argument("--lam", type=_nonzero, default=1.0, help="scale of the target")
+    p.add_argument("--lam", type=_finite_nonzero, default=1.0, help="scale of the target")
     p.add_argument("--max-n", type=int, choices=range(9), default=6, help="longest test word")
     p.add_argument("--solve", action="store_true", help="also run the least-squares solver")
     _add_config_options(p)

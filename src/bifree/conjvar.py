@@ -8,8 +8,10 @@ occurrence removed, the same-side tail averaged out through the covariance
 map, and spliced back in as a coefficient.  One walk over the test words
 (``_relation_walk``) carries both sides of these relations: the candidate's
 state on the word and the right-hand side, each grown from its value on the
-parent word.  ``conj_residual`` reports the worst violation along that walk,
-and ``solve_conjugate`` reads its least-squares rows from the same walk;
+parent word.  Every candidate carries the moment functional that backs
+its relations (its model's, or its lift's), so the walk reads no other.
+``conj_residual`` reports the worst violation along that walk, and
+``solve_conjugate`` reads its least-squares rows from the same walk;
 everything downstream (Fisher information, the perturbation law, entropy
 integrals, the minimization experiments) consumes verified candidates.
 """
@@ -56,7 +58,8 @@ class PresenceContext:
 
 
 class VectorCandidate:
-    """Conjugate candidate given as a state of a Fock-backed model."""
+    """Conjugate candidate given as a state of a Fock-backed model; its
+    relations read the model's moment functional."""
 
     def __init__(self, target: GeneratorSymbol, vector: FockVector, model: FockModel):
         if vector.dim != model.dim:
@@ -65,6 +68,7 @@ class VectorCandidate:
         self.side = target.side
         self.vector = vector
         self.model = model
+        self.functional = model.functional
 
     def initial_state(self):
         return self.vector
@@ -110,8 +114,7 @@ class WordCandidate:
         return float(abs(self.scale) ** 2 * raw)
 
 
-def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, F: MomentFunctional,
-                   max_n: int):
+def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, max_n: int):
     """Every test word with the candidate's state and the relation's right side.
 
     Yields ``(word, state, rhs)`` for every word up to ``max_n`` letters over
@@ -123,14 +126,15 @@ def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, F: MomentFunctional,
 
     ``rhs`` sums, over the occurrences of the target in position order, the
     trace of the word with the occurrence removed and its same-side tail
-    averaged through ``eta`` and spliced back in as a coefficient.  Growing
+    averaged through ``eta`` and spliced back in as a coefficient, all read
+    through the candidate's moment functional.  Growing
     ``w`` to ``f w`` leaves every tail unchanged, so each spliced monomial is
     built once, when its occurrence is prepended, and then only gains ``f``
     on the left.
     """
     if not 0 <= max_n <= 8:
         raise ValueError("max_n must be in 0..8")
-    target = xi.target
+    target, F = xi.target, xi.functional
     coeff = Lb if target.side == LEFT else Rb
     alphabet: list = [target] + list(ctx.generators())
     if F.dim > 1:
@@ -159,21 +163,16 @@ def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, F: MomentFunctional,
     yield from walk((), xi.initial_state(), [])
 
 
-def conj_residual(
-    xi,
-    eta: CPMap,
-    ctx: PresenceContext,
-    F: MomentFunctional,
-    max_n: int,
-) -> float:
+def conj_residual(xi, eta: CPMap, ctx: PresenceContext, max_n: int) -> float:
     """Worst violation of the conjugate-variable moment relations.
 
     The maximum, over the test words of ``_relation_walk``, of the distance
     between the candidate's trace on the word and the right-hand side that
-    the walk carries along with it.
+    the walk carries along with it.  Both sides read the moment functional
+    that the candidate carries.
     """
     worst = 0.0
-    for _, state, rhs in _relation_walk(xi, eta, ctx, F, max_n):
+    for _, state, rhs in _relation_walk(xi, eta, ctx, max_n):
         worst = max(worst, abs(xi.tau(state) - rhs))
     return worst
 
@@ -195,6 +194,7 @@ class _Lockstep:
     def __init__(self, cands: Sequence):
         self.cands = cands
         self.target = cands[0].target
+        self.functional = cands[0].functional
 
     def initial_state(self):
         return tuple(c.initial_state() for c in self.cands)
@@ -215,10 +215,11 @@ def solve_conjugate(
     The rows and the right-hand side come from the relation walk that
     ``conj_residual`` reads, walked once with every basis vector in
     lockstep, so the fit covers exactly the relations that the residual
-    checks.  Returns the candidate together with its verified residual; the
-    residual is reported, never trusted silently.
+    checks.  Every moment is read through ``model.functional``, so the
+    residual check reuses the moments that the fit cached.  Returns the
+    candidate together with its verified residual; the residual is
+    reported, never trusted silently.
     """
-    F = model.functional()
     alphabet = [target] + list(ctx.generators())
     basis_words = [()]
     frontier = [()]
@@ -229,7 +230,7 @@ def solve_conjugate(
 
     cands = [VectorCandidate(target, v, model) for v in basis]
     rows, rhs_vec = [], []
-    for _, states, rhs in _relation_walk(_Lockstep(cands), eta, ctx, F, max_n):
+    for _, states, rhs in _relation_walk(_Lockstep(cands), eta, ctx, max_n):
         rows.append([c.tau(state) for c, state in zip(cands, states)])
         rhs_vec.append(rhs)
     sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs_vec), rcond=None)
@@ -237,8 +238,7 @@ def solve_conjugate(
     for c, v in zip(sol, basis):
         vec = vec + v.scaled(c)
     cand = VectorCandidate(target, vec.prune(1e-14), model)
-    residual = conj_residual(cand, eta, ctx, F, max_n)
-    return cand, residual
+    return cand, conj_residual(cand, eta, ctx, max_n)
 
 
 # --- matrix lift --------------------------------------------------------------
@@ -251,6 +251,8 @@ class MatrixLift:
     as a sum over index chains read in chi-order, evaluating the base state
     on the concatenation in numeric order.  Coefficient insertions from
     either side are one-entry tables, so the same expansion covers them.
+    ``functional`` is the normalized trace of the expectation, built once,
+    so every reader of the lift shares its moment cache.
     """
 
     def __init__(self, base: MomentFunctional, d: int = 2):
@@ -259,6 +261,9 @@ class MatrixLift:
         self.base = base
         self.d = d
         self.tables: dict[GeneratorSymbol, dict] = {}
+        self.functional = MomentFunctional(
+            lambda word: np.array([[trace_d(self.expect(word))]], dtype=complex), 1
+        )
 
     def add_symbol(self, sym: GeneratorSymbol, table: dict) -> GeneratorSymbol:
         """Register a lifted generator.
@@ -333,47 +338,31 @@ class MatrixLift:
             descend(a0, a0, [])
         return out
 
-    def scalar_functional(self) -> MomentFunctional:
-        def oracle(word):
-            return np.array([[trace_d(self.expect(word))]], dtype=complex)
-
-        return MomentFunctional(oracle, 1)
-
 
 @dataclass
 class LiftedPair:
-    """The self-adjoint matrix carriers of a non-self-adjoint pair, with the
-    trace functional of their lift (built once, so its moment cache is
-    shared by every reader)."""
+    """The self-adjoint matrix carriers of a non-self-adjoint pair and their
+    lift, whose ``functional`` reads their moments."""
 
     lift: MatrixLift
     X: GeneratorSymbol
     Y: GeneratorSymbol
-    scalar_functional: MomentFunctional
 
 
-def matrix_lift(
-    base: MomentFunctional,
-    x: GeneratorSymbol,
-    y: GeneratorSymbol,
-    x_star: GeneratorSymbol | None = None,
-    y_star: GeneratorSymbol | None = None,
-) -> LiftedPair:
+def matrix_lift(base: MomentFunctional, x: GeneratorSymbol, y: GeneratorSymbol) -> LiftedPair:
     """Standard off-diagonal 2x2 lift of a left/right pair and its adjoints."""
     if x.side != LEFT or y.side != RIGHT:
         raise ValueError("expected a left generator and a right generator")
-    xs = x_star if x_star is not None else x.star()
-    ys = y_star if y_star is not None else y.star()
     lift = MatrixLift(base, d=2)
     X = lift.add_symbol(
         GeneratorSymbol("X", LEFT, family="X"),
-        {(1, 2): [(1.0, (x,))], (2, 1): [(1.0, (xs,))]},
+        {(1, 2): [(1.0, (x,))], (2, 1): [(1.0, (x.star(),))]},
     )
     Y = lift.add_symbol(
         GeneratorSymbol("Y", RIGHT, family="Y"),
-        {(1, 2): [(1.0, (y,))], (2, 1): [(1.0, (ys,))]},
+        {(1, 2): [(1.0, (y,))], (2, 1): [(1.0, (y.star(),))]},
     )
-    return LiftedPair(lift, X, Y, lift.scalar_functional())
+    return LiftedPair(lift, X, Y)
 
 
 def eta_flip() -> CPMap:
@@ -501,7 +490,7 @@ def entropy_chi_star(
 
 # --- experiments ---------------------------------------------------------------
 
-def circular_candidates(model: FockModel, z, z_star, w, w_star, scale: float = 1.0):
+def circular_candidates(model: FockModel, z, w, scale: float = 1.0):
     """Conjugate candidates of a circular pair, with their presence contexts.
 
     The candidate for each element is ``scale`` times the state of its
@@ -510,6 +499,7 @@ def circular_candidates(model: FockModel, z, z_star, w, w_star, scale: float = 1
     non-self-adjoint recombination lands on the adjoint state.  Each
     element is tested in the presence of the other three.
     """
+    z_star, w_star = z.star(), w.star()
 
     def cand(target, partner):
         vec = model.vector_of(Monomial([partner])).scaled(scale)
@@ -525,21 +515,44 @@ def circular_candidates(model: FockModel, z, z_star, w, w_star, scale: float = 1
     return cands, ctxs
 
 
-def lifted_candidates(F: MomentFunctional, z, z_star, w, w_star, scale: float = 1.0):
-    """The lift of a circular pair and its carriers' conjugate candidates.
+def lifted_candidates(F: MomentFunctional, z, w, scale: float = 1.0):
+    """Conjugate candidates of the lifted carriers of a circular pair.
 
     Each self-adjoint carrier is its own conjugate variable up to ``scale``
-    and is tested in the presence of the other.  Returns the lifted pair,
-    the candidates for X and Y, and their presence contexts.
+    and is tested in the presence of the other.  Returns the candidates for
+    X and Y, which carry the lift's trace functional, and their presence
+    contexts.
     """
-    pair = matrix_lift(F, z, w, z_star, w_star)
-    tau2 = pair.scalar_functional
+    pair = matrix_lift(F, z, w)
+    tau2 = pair.lift.functional
     cands = [
         WordCandidate(pair.X, Monomial([pair.X]), tau2, scale),
         WordCandidate(pair.Y, Monomial([pair.Y]), tau2, scale),
     ]
     ctxs = [PresenceContext((), (pair.Y,)), PresenceContext((pair.X,), ())]
-    return pair, cands, ctxs
+    return cands, ctxs
+
+
+def _worst_residual(cands: Sequence, ctxs: Sequence, max_n: int) -> float:
+    """Worst conjugate residual (eta = id) of candidates in their contexts."""
+    eta1 = CPMap.identity(1)
+    return max(conj_residual(c, eta1, x, max_n) for c, x in zip(cands, ctxs))
+
+
+def _verify_then_integrate(family, K: float, spots: Sequence[float], max_n: int):
+    """Check a perturbation family's candidates, then integrate its Fisher values.
+
+    ``family`` maps a time t to conjugate candidates and their presence
+    contexts.  Returns the worst residual over the candidates at the times
+    ``spots``, and the ``entropy_chi_star`` report (K = K1 = K3, Simpson on
+    257 nodes over [0, 1e5]) of t -> the Fisher information of the
+    candidates at t.
+    """
+    worst = max(_worst_residual(*family(t), max_n) for t in spots)
+    report = entropy_chi_star(
+        lambda t: fisher_info(family(t)[0]), K=K, K1=K, K3=K, t_max=1e5, steps=257
+    )
+    return worst, report
 
 
 def fisher_minimization_experiment(max_n: int = 6) -> dict:
@@ -551,21 +564,16 @@ def fisher_minimization_experiment(max_n: int = 6) -> dict:
     Cramer-Rao product on the lifted side (expected: exactly K^2 = 4).
     """
     cp = CircularPairModel()
-    F = cp.functional
-    eta1 = CPMap.identity(1)
-    pair_symbols = (cp.c_l, cp.c_l_star, cp.c_r, cp.c_r_star)
-    cands, ctxs = circular_candidates(cp.model, *pair_symbols)
-    pair, lifted, lifted_ctxs = lifted_candidates(F, *pair_symbols)
-    tau2 = pair.scalar_functional
-    max_resid = max(
-        [conj_residual(c, eta1, x, F, max_n) for c, x in zip(cands, ctxs)]
-        + [conj_residual(c, eta1, x, tau2, max_n) for c, x in zip(lifted, lifted_ctxs)]
-    )
+    cands, ctxs = circular_candidates(cp.model, cp.c_l, cp.c_r)
+    lifted, lifted_ctxs = lifted_candidates(cp.functional, cp.c_l, cp.c_r)
+    max_resid = _worst_residual(cands + lifted, ctxs + lifted_ctxs, max_n)
     lhs = fisher_info(cands)
     rhs = fisher_info(lifted)
 
     ratio = lhs / rhs
-    tau_sq = (tau2.tau(Monomial([pair.X, pair.X])) + tau2.tau(Monomial([pair.Y, pair.Y]))).real
+    tau2 = lifted[0].functional
+    X, Y = (c.target for c in lifted)
+    tau_sq = (tau2.tau(Monomial([X, X])) + tau2.tau(Monomial([Y, Y]))).real
     cramer_rao = rhs * tau_sq
     ok = abs(ratio - 2.0) <= 1e-6 and max_resid <= 1e-9
     return {
@@ -579,9 +587,7 @@ def fisher_minimization_experiment(max_n: int = 6) -> dict:
     }
 
 
-def semicircular_entropy_experiment(
-    t_max: float = 1e5, steps: int = 257, resid_spots: Sequence[float] = (0.0, 1.0, 10.0)
-) -> dict:
+def semicircular_entropy_experiment() -> dict:
     """Entropy of a standard semicircular element, computed not assumed.
 
     The Fisher information of the perturbed element is evaluated from a
@@ -591,30 +597,16 @@ def semicircular_entropy_experiment(
     """
     model = make_bisemicircular([CPMap.identity(1)] * 2, [])
     s, s2 = model.symbol("S1"), model.symbol("S2")
-    eta1 = CPMap.identity(1)
 
-    def perturbed(t: float) -> GeneratorSymbol:
-        return model.model.combination_symbol(
+    def family(t: float):
+        u = model.model.combination_symbol(
             f"u[{t!r}]", LEFT, [(1.0, s), (math.sqrt(t), s2)], family="u"
         )
-
-    def candidate(t: float):
-        u = perturbed(t)
         vec = model.model.vector_of(Monomial([u])).scaled(1.0 / (1.0 + t))
-        return u, VectorCandidate(u, vec, model.model)
+        return [VectorCandidate(u, vec, model.model)], [PresenceContext()]
 
-    max_resid = 0.0
-    for t in resid_spots:
-        u, cand = candidate(t)
-        max_resid = max(
-            max_resid, conj_residual(cand, eta1, PresenceContext(), model.functional, 6)
-        )
-
-    def fisher_of_t(t: float) -> float:
-        _, cand = candidate(t)
-        return fisher_info([cand])
-
-    report = entropy_chi_star(fisher_of_t, K=1.0, K1=1.0, K3=1.0, t_max=t_max, steps=steps)
+    # Residuals at three perturbation times over test words of up to 6 letters.
+    max_resid, report = _verify_then_integrate(family, 1.0, (0.0, 1.0, 10.0), 6)
     expected = 0.5 * math.log(2.0 * math.pi * math.e)
     report.update(
         {
@@ -643,49 +635,28 @@ def circular_entropy_experiment() -> dict:
     cp = CircularPairModel(n_pairs=2)
     model = cp.model
     (cl, cls, cr, crs), (c2l, c2ls, c2r, c2rs) = cp.pairs
-    eta1 = CPMap.identity(1)
-    # Residuals at two perturbation times over test words of up to 4 letters;
-    # Simpson quadrature on 257 nodes over [0, 1e5].
-    t_max, steps, resid_spots, max_n = 1e5, 257, (0.0, 1.0), 4
 
-    def perturbed_symbols(t: float):
+    def perturbed(t: float):
         rt = math.sqrt(t)
         mk = model.combination_symbol
-        # Adjoint partners share the bare name so that star() resolves.
+        # Adjoint partners share the bare name, so that star() finds them.
         z = mk(f"z[{t!r}]", LEFT, [(1.0, cl), (rt, c2l)], family="z")
-        zs = mk(f"z[{t!r}]", LEFT, [(1.0, cls), (rt, c2ls)], family="z", adjoint=True)
+        mk(f"z[{t!r}]", LEFT, [(1.0, cls), (rt, c2ls)], family="z", adjoint=True)
         w = mk(f"w[{t!r}]", RIGHT, [(1.0, cr), (rt, c2r)], family="z")
-        ws = mk(f"w[{t!r}]", RIGHT, [(1.0, crs), (rt, c2rs)], family="z", adjoint=True)
-        return z, zs, w, ws
+        mk(f"w[{t!r}]", RIGHT, [(1.0, crs), (rt, c2rs)], family="z", adjoint=True)
+        return z, w
 
-    def pair_candidates(t: float):
-        return circular_candidates(model, *perturbed_symbols(t), scale=1.0 / (1.0 + t))
-
-    def lifted_pair_candidates(t: float):
-        return lifted_candidates(F, *perturbed_symbols(t), scale=1.0 / (1.0 + t))
-
-    F = model.functional()
-    max_resid = 0.0
-    for t in resid_spots:
-        cands, ctxs = pair_candidates(t)
-        for cand, ctx in zip(cands, ctxs):
-            max_resid = max(max_resid, conj_residual(cand, eta1, ctx, F, max_n))
-    pair_report = entropy_chi_star(
-        lambda t: fisher_info(pair_candidates(t)[0]),
-        K=4.0, K1=4.0, K3=4.0, t_max=t_max, steps=steps,
+    # Residuals at two perturbation times over test words of up to 4 letters.
+    resid_pair, pair_report = _verify_then_integrate(
+        lambda t: circular_candidates(model, *perturbed(t), scale=1.0 / (1.0 + t)),
+        4.0, (0.0, 1.0), 4,
     )
-
     # Lifted side: the perturbed carriers are the lift of the perturbed pair.
-    for t in resid_spots:
-        pair, cands, ctxs = lifted_pair_candidates(t)
-        for cand, ctx in zip(cands, ctxs):
-            max_resid = max(
-                max_resid, conj_residual(cand, eta1, ctx, pair.scalar_functional, max_n)
-            )
-    lift_report = entropy_chi_star(
-        lambda t: fisher_info(lifted_pair_candidates(t)[1]),
-        K=2.0, K1=2.0, K3=2.0, t_max=t_max, steps=steps,
+    resid_lift, lift_report = _verify_then_integrate(
+        lambda t: lifted_candidates(cp.functional, *perturbed(t), scale=1.0 / (1.0 + t)),
+        2.0, (0.0, 1.0), 4,
     )
+    max_resid = max(resid_pair, resid_lift)
 
     lhs = pair_report["value"]
     rhs_each = lift_report["value"]

@@ -236,7 +236,9 @@ class FockModel:
 
     ``covariances`` maps every index k to the CP map eta_k applied when an
     annihilator of index k meets a creator of index k; an annihilator never
-    meets a creator of another index.
+    meets a creator of another index.  ``functional`` is the model's one
+    moment functional, the vacuum expectation behind one moment cache,
+    shared by every reader of the model's moments.
     """
 
     def __init__(
@@ -262,6 +264,7 @@ class FockModel:
         self._cov = {k: self._ar.covariance(eta) for k, eta in self.covariances.items()}
         self.max_depth = max_depth
         self.symbol_actions: dict[GeneratorSymbol, tuple[tuple[complex, tuple], ...]] = {}
+        self.functional = MomentFunctional(self.expectation, dim)
 
     @property
     def indices(self) -> tuple:
@@ -291,14 +294,6 @@ class FockModel:
         if self_adjoint:
             self.symbol_actions[sym.star()] = terms
         return sym
-
-    def scaled_symbol(self, sym: GeneratorSymbol, lam: complex, name: str | None = None) -> GeneratorSymbol:
-        """A derived generator acting as ``lam`` times an existing one."""
-        base = self.symbol_actions[sym]
-        out = GeneratorSymbol(
-            name or f"{lam:g}*{sym.name}", sym.side, sym.adjoint, sym.family
-        )
-        return self.register_symbol(out, [(lam * c, f) for c, f in base])
 
     def combination_symbol(
         self,
@@ -410,9 +405,6 @@ class FockModel:
         """E(word) = depth-0 part of (word applied to the vacuum)."""
         return self.apply_word(word, FockVector.vacuum(self.dim), keep_depth=0).depth0()
 
-    def functional(self) -> MomentFunctional:
-        return MomentFunctional(self.expectation, self.dim)
-
     # -- geometry -------------------------------------------------------------
 
     def inner_B(self, u: FockVector, v: FockVector) -> np.ndarray:
@@ -458,11 +450,11 @@ class FockModel:
 class BisemicircularModel:
     """Self-adjoint sums creation+annihilation on both sides, one CP map each.
 
-    Exposes left symbols S1..Sn, right symbols D1..Dm, and the moment
-    functional of the vacuum expectation.  Each symbol is its own family:
-    the pair generated by S_i on the left (resp. D_j on the right) together
-    with the opposite copy of the coefficient algebra is bi-free from the
-    others over the coefficient algebra.
+    Exposes left symbols S1..Sn, right symbols D1..Dm, and the Fock
+    model's moment functional (the same object).  Each symbol is its own
+    family: the pair generated by S_i on the left (resp. D_j on the right)
+    together with the opposite copy of the coefficient algebra is bi-free
+    from the others over the coefficient algebra.
     """
 
     def __init__(self, eta_left: Sequence[CPMap], eta_right: Sequence[CPMap],
@@ -495,7 +487,7 @@ class BisemicircularModel:
             )
             for k in ridx
         )
-        self.functional = self.model.functional()
+        self.functional = self.model.functional
 
     @property
     def symbols(self) -> tuple[GeneratorSymbol, ...]:
@@ -568,7 +560,7 @@ class CircularPairModel:
                     ))
             self.pairs.append(tuple(pair))
         self.c_l, self.c_l_star, self.c_r, self.c_r_star = self.pairs[0]
-        self.functional = self.model.functional()
+        self.functional = self.model.functional
 
     @property
     def symbols(self) -> tuple[GeneratorSymbol, ...]:

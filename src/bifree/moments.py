@@ -17,6 +17,7 @@ partition to the maximum.
 
 from __future__ import annotations
 
+import math
 from itertools import chain, product
 from typing import Mapping, Sequence
 
@@ -274,10 +275,14 @@ def bifree_test(
     Words run over all sequences of the given generators whose family tags
     are not all equal; the side word is forced by the generators.  The report
     carries the worst offenders, which for a genuinely correlated family
-    exhibit the planted covariance at order two.
+    exhibit the planted covariance at order two.  Mixed cumulants start at
+    order two, so ``max_order`` must lie in 2..8; ``tol`` must be positive
+    and finite.
     """
-    if max_order > 8:
-        raise ValueError("max_order capped at 8")
+    if not 2 <= max_order <= 8:
+        raise ValueError("max_order must be in 2..8")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     syms = list(symbols)
     fam = {s: s.family for s in syms}
     if len({fam[s] for s in syms}) < 2:

@@ -31,7 +31,7 @@ from bifree.bnc import (
 from bifree.conjvar import VectorCandidate
 from bifree.fock import FockVector
 from bifree.moments import chi_of_groups, cumulant_pi, group_offsets, hat_embed
-from bifree.words import BCoeff, Lb, Monomial, Rb, as_monomial
+from bifree.words import BCoeff, Lb, Monomial, MomentFunctional, Rb, as_monomial
 
 
 def all_set_partitions(n):
@@ -457,7 +457,7 @@ def solve_conjugate_bfs(model, target, eta, ctx, max_n=4, basis_len=3):
     no coefficient insertions, so this agrees with the package's solver at
     d = 1 only.
     """
-    F = model.functional()
+    F = MomentFunctional(model.expectation, model.dim)
     alphabet = [target] + list(ctx.generators())
     basis_words = [()]
     frontier = [()]

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from bifree.balgebra import belement_from_json, belement_to_json
 from bifree.bnc import ChiWord, enumerate_bnc
 from bifree.cli import RunConfig, main
-from bifree.fock import make_standard_semicircular
+from bifree.fock import FockModel, make_standard_semicircular
 from bifree.moments import eval_moment_pi
 from bifree.words import Monomial
 
@@ -29,6 +30,13 @@ def test_runconfig_validation():
         RunConfig(tolerance=0)
     with pytest.raises(ValueError):
         RunConfig(truncation=-1)
+    for max_order in (-1, 0, 1):
+        with pytest.raises(ValueError):
+            RunConfig(max_order=max_order)
+    for tolerance in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            RunConfig(tolerance=tolerance)
+    RunConfig(max_order=2)
 
 
 def test_bnc_enum(capsys):
@@ -162,6 +170,22 @@ def test_conj_check_solver(capsys):
     assert rep["solver_residual"] <= 1e-8
 
 
+def test_conj_check_evaluates_each_moment_once(capsys, monkeypatch):
+    # The residual check and the solver read one moment cache: no word
+    # reaches the Fock model twice.
+    seen = []
+    expectation = FockModel.expectation
+
+    def counted(self, word):
+        seen.append(word)
+        return expectation(self, word)
+
+    monkeypatch.setattr(FockModel, "expectation", counted)
+    code, _ = run_cli(capsys, "conj", "check", "--max-n", "6", "--solve")
+    assert code == 0
+    assert seen and len(seen) == len(set(seen))
+
+
 def test_fisher_run(capsys):
     code, out = run_cli(capsys, "fisher", "run", "--experiment", "circular-min")
     assert code == 0
@@ -194,6 +218,13 @@ def test_usage_error_exit_2(capsys):
         ["conj", "check", "--lam", "0"],
         ["--truncation", "-1", "fock", "moment", "--word", "S1"],
         ["fock", "moment", "--word", "S1", "--truncation", "-1"],
+        ["--tolerance", "nan", "conj", "check", "--max-n", "2"],
+        ["--tolerance", "inf", "conj", "check", "--max-n", "2"],
+        ["--max-order", "-1", "bifree", "test"],
+        ["bifree", "test", "--max-order", "1"],
+        ["conj", "check", "--lam", "nan"],
+        ["conj", "check", "--lam", "inf"],
+        ["conj", "check", "--lam", "-inf"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -202,7 +233,10 @@ def test_usage_error_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--d", "9"), ("--max-order", "9"), ("--tolerance", "-1")]
+    "flag, value",
+    [("--d", "9"), ("--max-order", "9"), ("--tolerance", "-1"), ("--max-order", "1"),
+     ("--max-order", "-1"), ("--tolerance", "nan"), ("--tolerance", "inf"),
+     ("--tolerance", "-inf")],
 )
 def test_invalid_config_is_usage_error(flag, value, capsys):
     with pytest.raises(SystemExit) as exc:

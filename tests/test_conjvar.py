@@ -7,19 +7,21 @@ import pytest
 
 from oracles import lift_expect_two_phase
 
-from bifree.balgebra import CPMap, matrix_unit, maxabs, random_belement
+from bifree.balgebra import CPMap, matrix_unit, maxabs, random_belement, trace_d
 from bifree.bnc import ChiWord, s_chi
 from bifree.conjvar import (
     MatrixLift,
     PresenceContext,
     VectorCandidate,
     aaf_check,
+    circular_candidates,
     conj_residual,
     entropy_chi_star,
     eta_flip,
     fisher_info,
     fisher_minimization_experiment,
     h_closed_form,
+    lifted_candidates,
     matrix_lift,
     semicircular_entropy_experiment,
     solve_conjugate,
@@ -36,14 +38,14 @@ def test_semicircular_conjugate_is_itself():
     m = make_bisemicircular([ONE], [])
     s = m.symbol("S1")
     cand = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
-    assert conj_residual(cand, ONE, PresenceContext(), m.functional, 6) <= 1e-12
+    assert conj_residual(cand, ONE, PresenceContext(), 6) <= 1e-12
 
 
 def test_zero_candidate_fails_at_first_relation():
     m = make_bisemicircular([ONE], [])
     s = m.symbol("S1")
     cand = VectorCandidate(s, FockVector(1), m.model)
-    r = conj_residual(cand, ONE, PresenceContext(), m.functional, 2)
+    r = conj_residual(cand, ONE, PresenceContext(), 2)
     assert abs(r - 1.0) < 1e-12  # tau(S S) = 1 is the first broken relation
 
 
@@ -51,11 +53,11 @@ def test_scaling_law():
     for lam in (0.5, 2.0):
         m = make_bisemicircular([ONE], [])
         s = m.symbol("S1")
-        scaled = m.model.scaled_symbol(s, lam, name="scaled")
+        scaled = m.model.combination_symbol("scaled", s.side, [(lam, s)])
         cand = VectorCandidate(
             scaled, m.model.vector_of(Monomial([s])).scaled(1 / lam), m.model
         )
-        assert conj_residual(cand, ONE, PresenceContext(), m.functional, 6) <= 1e-12
+        assert conj_residual(cand, ONE, PresenceContext(), 6) <= 1e-12
         assert abs(fisher_info([cand]) - 1 / lam**2) < 1e-12
 
 
@@ -78,8 +80,8 @@ def test_uniqueness_up_to_orthogonal_part():
     c1 = VectorCandidate(s1, base, model)
     c2 = VectorCandidate(s1, other, model)
     ctx = PresenceContext()
-    assert conj_residual(c1, ONE, ctx, m.functional, 5) <= 1e-12
-    assert conj_residual(c2, ONE, ctx, m.functional, 5) <= 1e-12
+    assert conj_residual(c1, ONE, ctx, 5) <= 1e-12
+    assert conj_residual(c2, ONE, ctx, 5) <= 1e-12
     diff = other - base
     for k in range(0, 5):
         word = Monomial([s1] * k)
@@ -95,10 +97,10 @@ def test_projection_monotonicity():
     u = m.model.combination_symbol("u", "l", [(1.0, s1), (1.0, s2)], family="u")
     # full context: the extra generator s1 is present; conjugate is s2
     full = VectorCandidate(u, m.model.vector_of(Monomial([s2])), m.model)
-    assert conj_residual(full, ONE, PresenceContext((s1,), ()), m.functional, 5) <= 1e-10
+    assert conj_residual(full, ONE, PresenceContext((s1,), ()), 5) <= 1e-10
     # reduced context: scalar coefficients only; conjugate is u/2
     reduced = VectorCandidate(u, m.model.vector_of(Monomial([u])).scaled(0.5), m.model)
-    assert conj_residual(reduced, ONE, PresenceContext(), m.functional, 5) <= 1e-10
+    assert conj_residual(reduced, ONE, PresenceContext(), 5) <= 1e-10
     assert fisher_info([reduced]) <= fisher_info([full]) + 1e-12
     assert abs(fisher_info([reduced]) - 0.5) < 1e-12
     assert abs(fisher_info([full]) - 1.0) < 1e-12
@@ -113,8 +115,8 @@ def test_two_sided_fisher_additivity():
     s, d = m.symbol("S1"), m.symbol("D1")
     cs = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
     cd = VectorCandidate(d, m.model.vector_of(Monomial([d])), m.model)
-    assert conj_residual(cs, ONE, PresenceContext((), (d,)), m.functional, 5) <= 1e-10
-    assert conj_residual(cd, ONE, PresenceContext((s,), ()), m.functional, 5) <= 1e-10
+    assert conj_residual(cs, ONE, PresenceContext((), (d,)), 5) <= 1e-10
+    assert conj_residual(cd, ONE, PresenceContext((s,), ()), 5) <= 1e-10
     assert abs(fisher_info([cs, cd]) - 2.0) < 1e-12
     assert fisher_info([cs, None]) == math.inf
 
@@ -126,7 +128,7 @@ def test_matrix_coefficient_insertions_in_relations():
     m = make_bisemicircular([flip], [flip])
     S, D = m.symbol("S1"), m.symbol("D1")
     cand = VectorCandidate(S, m.model.vector_of(Monomial([S])), m.model)
-    r = conj_residual(cand, flip, PresenceContext((), (D,)), m.functional, 3)
+    r = conj_residual(cand, flip, PresenceContext((), (D,)), 3)
     assert r <= 1e-10
 
 
@@ -181,17 +183,57 @@ class TensorOracle:
 
 def test_lifted_pair_keeps_one_scalar_functional():
     cp = make_circular_pair()
-    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r, cp.c_l_star, cp.c_r_star)
-    tau2 = pair.scalar_functional
-    assert pair.scalar_functional is tau2
+    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r)
+    tau2 = pair.lift.functional
+    assert pair.lift.functional is tau2
     tau2.tau(Monomial([pair.X, pair.X]))
-    assert pair.scalar_functional._cache
+    assert pair.lift.functional._cache
+
+
+def test_models_and_candidates_share_one_functional():
+    # One moment functional per model and per lift, the same object on every
+    # read, and the one that every candidate of the model or lift carries.
+    m = make_bisemicircular([ONE], [ONE])
+    assert m.functional is m.model.functional
+    assert m.model.functional is m.model.functional
+    cp = make_circular_pair()
+    assert cp.functional is cp.model.functional
+    cands, _ = circular_candidates(cp.model, cp.c_l, cp.c_r)
+    assert all(c.functional is cp.functional for c in cands)
+    lifted, _ = lifted_candidates(cp.functional, cp.c_l, cp.c_r)
+    assert lifted[0].functional is lifted[1].functional
+    assert lifted[0].functional.dim == 1
+
+
+def test_residual_after_solve_reads_the_filled_cache():
+    # The solver verifies its result through the model's functional, so a
+    # second check of the same relations finds every moment cached.
+    m = make_bisemicircular([ONE, ONE], [ONE])
+    s1, d1 = m.symbol("S1"), m.symbol("D1")
+    ctx = PresenceContext((), (d1,))
+    cand, resid = solve_conjugate(m.model, s1, ONE, ctx, max_n=4)
+    assert cand.functional is m.functional
+    cached = len(m.functional._cache)
+    assert cached > 0
+    assert conj_residual(cand, ONE, ctx, 4) == resid
+    assert len(m.functional._cache) == cached
+
+
+def test_candidates_derive_adjoints():
+    cp = make_circular_pair()
+    assert cp.c_l.star() == cp.c_l_star and hash(cp.c_l.star()) == hash(cp.c_l_star)
+    cands, ctxs = circular_candidates(cp.model, cp.c_l, cp.c_r)
+    assert [c.target for c in cands] == [cp.c_l, cp.c_l_star, cp.c_r, cp.c_r_star]
+    assert ctxs[0] == PresenceContext((cp.c_l_star,), (cp.c_r, cp.c_r_star))
+    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r)
+    assert pair.lift.tables[pair.X][(2, 1)] == ((1.0, (cp.c_l_star,)),)
+    assert pair.lift.tables[pair.Y][(2, 1)] == ((1.0, (cp.c_r_star,)),)
 
 
 def test_lift_parity_and_half_sum_formula():
     cp = make_circular_pair()
-    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r, cp.c_l_star, cp.c_r_star)
-    tau2 = pair.scalar_functional
+    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r)
+    tau2 = pair.lift.functional
     phi = cp.functional.tau
     rng = np.random.default_rng(11)
     for n in range(1, 7):
@@ -218,7 +260,7 @@ def test_lift_parity_and_half_sum_formula():
 
 def test_lift_matches_tensor_oracle_d2():
     cp = make_circular_pair()
-    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r, cp.c_l_star, cp.c_r_star)
+    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r)
     tables = {
         pair.X: (pair.lift.tables[pair.X], "l"),
         pair.Y: (pair.lift.tables[pair.Y], "r"),
@@ -228,7 +270,7 @@ def test_lift_matches_tensor_oracle_d2():
     for n in range(1, 7):
         for _ in range(4):
             word = [pair.X if rng.integers(2) else pair.Y for _ in range(n)]
-            got = pair.scalar_functional.tau(Monomial(word))
+            got = pair.lift.functional.tau(Monomial(word))
             want = oracle.tau(word, tables)
             assert abs(got - want) < 1e-10
 
@@ -253,10 +295,12 @@ def test_lift_general_d_matches_tensor_oracle():
     A = next(s for s in tables if s.name == "A")
     B = next(s for s in tables if s.name == "B")
     oracle = TensorOracle(cp.model, d)
+    # The lift's trace through a moment cache of its own.
+    trace = MomentFunctional(lambda w: np.array([[trace_d(lift.expect(w))]]), 1)
     for n in range(1, 5):
         for _ in range(4):
             word = [A if rng.integers(2) else B for _ in range(n)]
-            got = lift.scalar_functional().tau(Monomial(word))
+            got = trace.tau(Monomial(word))
             want = oracle.tau(word, tables)
             assert abs(got - want) < 1e-9
 
@@ -303,7 +347,7 @@ def test_lift_coefficient_size():
     # A coefficient is d x d, or 1 x 1 for a multiple of the identity;
     # any other size is an error, not a cut to its top-left block.
     cp = make_circular_pair()
-    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r, cp.c_l_star, cp.c_r_star)
+    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r)
     X, Y = pair.X, pair.Y
     for word, want in (
         ([X, Lb(np.array([[2.0]])), X], 2.0 * np.eye(2)),
@@ -408,7 +452,7 @@ def test_fisher_minimization_quick():
 
 
 def test_semicircular_entropy_quick():
-    rep = semicircular_entropy_experiment(t_max=1e4, steps=65, resid_spots=(0.0, 1.0))
+    rep = semicircular_entropy_experiment()
     assert rep["pass"]
     assert rep["max_integrand_abs"] <= 1e-9
     assert abs(rep["value"] - 0.5 * math.log(2 * math.pi * math.e)) <= 1e-3

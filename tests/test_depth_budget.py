@@ -112,11 +112,11 @@ def test_circular_residuals_match_unpruned_walk():
     cp = CircularPairModel()
     F = cp.functional
     eta = CPMap.identity(1)
-    for cand, ctx in zip(*circular_candidates(cp.model, *cp.pairs[0])):
+    for cand, ctx in zip(*circular_candidates(cp.model, cp.c_l, cp.c_r)):
         # The true candidates leave only roundoff; the rescaled ones do not.
         off = VectorCandidate(cand.target, cand.vector.scaled(1.5), cand.model)
         for xi in (cand, off):
-            got = conj_residual(xi, eta, ctx, F, 4)
+            got = conj_residual(xi, eta, ctx, 4)
             assert got == _unpruned_residual(xi, eta, ctx, F, 4)
 
 
@@ -129,7 +129,7 @@ def test_matrix_residual_matches_unpruned_walk():
     vec = model.model.vector_of(Monomial([s]))
     for scale in (1.0, 1.5):
         xi = VectorCandidate(s, vec.scaled(scale), model.model)
-        got = conj_residual(xi, eta, ctx, model.functional, 3)
+        got = conj_residual(xi, eta, ctx, 3)
         assert got == _unpruned_residual(xi, eta, ctx, model.functional, 3)
 
 

@@ -322,7 +322,7 @@ def test_one_pass_action_matches_factor_by_factor_matrix(keep):
     model = m.model
     s1, s2, d1 = m.symbol("S1"), m.symbol("S2"), m.symbol("D1")
     u = model.combination_symbol("u", "l", [(0.3 + 0.2j, s1), (-1.1, s2)])
-    v = model.scaled_symbol(d1, -0.7j, name="v")
+    v = model.combination_symbol("v", d1.side, [(-0.7j, d1)])
     alphabet = [s1, s2, d1, u, v, Lb(random_belement(2, rng)), Rb(random_belement(2, rng))]
     for vec in _seeded_states(model, alphabet, rng, 6):
         for f in alphabet:

@@ -1,6 +1,7 @@
 """Moment/cumulant transforms: reduction, convolution, grouping, detection."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from bifree.moments import (
     moments_from_cumulants,
     product_cumulant_expand,
 )
-from bifree.words import GeneratorSymbol, Lb, Monomial, Rb
+from bifree.words import GeneratorSymbol, Lb, Monomial, MomentFunctional, Rb
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +178,7 @@ def test_chi_order_slices_match_numeric_reduction(d):
     rng = np.random.default_rng(40 + d)
     m = make_bisemicircular([random_cpmap(d, rng)], [random_cpmap(d, rng)])
     S, D = m.symbol("S1"), m.symbol("D1")
-    F, F_ref = m.model.functional(), m.model.functional()
+    F, F_ref = m.functional, MomentFunctional(m.model.expectation, m.dim)
     chis = [ChiWord(w) for n in range(1, 6) for w in itertools.product("lr", repeat=n)]
     chis += [ChiWord(rng.choice(["l", "r"], size=n)) for n in (6, 6, 6, 7, 7)]
     checked = 0
@@ -462,6 +463,17 @@ def test_bifree_scan_vacuous_single_family(scalar_model):
     assert rep["pass"] and rep["vacuous"]
 
 
+def test_bifree_scan_bounds(scalar_model):
+    # Mixed cumulants start at order two; a NaN tolerance would pass anything.
+    for max_order in (-1, 0, 1, 9):
+        with pytest.raises(ValueError):
+            bifree_test(scalar_model.functional, scalar_model.symbols, max_order=max_order)
+    for tol in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            bifree_test(scalar_model.functional, scalar_model.symbols, max_order=2, tol=tol)
+    assert bifree_test(scalar_model.functional, scalar_model.symbols, max_order=2)["pass"]
+
+
 def test_bifree_scan_detects_planted_covariance():
     one = CPMap.identity(1)
     fm = FockModel(1, ("k",), ("j",), {"k": one, "j": one})
@@ -472,7 +484,7 @@ def test_bifree_scan_detects_planted_covariance():
         GeneratorSymbol("B", "l", family="b"),
         [(0.5, ("l", "k")), (0.5, ("l*", "k")), (1.0, ("l*", "j"))],
     )
-    rep = bifree_test(fm.functional(), [A, B], max_order=3)
+    rep = bifree_test(fm.functional, [A, B], max_order=3)
     assert not rep["pass"]
     k2 = [v for v in rep["violations"] if v["order"] == 2]
     assert any(abs(v["residual"] - 0.5) < 1e-9 for v in k2)

@@ -11,7 +11,7 @@ word from the vacuum.
 import numpy as np
 import pytest
 
-from bifree.balgebra import CPMap, matrix_units, random_belement
+from bifree.balgebra import CPMap, matrix_units, random_belement, trace_d
 from bifree.conjvar import (
     PresenceContext,
     VectorCandidate,
@@ -20,10 +20,11 @@ from bifree.conjvar import (
     conj_residual,
     eta_flip,
     lifted_candidates,
+    matrix_lift,
     solve_conjugate,
 )
 from bifree.fock import CircularPairModel, make_bisemicircular
-from bifree.words import Lb, Monomial, Rb
+from bifree.words import Lb, Monomial, MomentFunctional, Rb
 from oracles import conjugate_rhs, solve_conjugate_bfs
 
 ONE = CPMap.identity(1)
@@ -40,18 +41,19 @@ def _dfs_words(alphabet, max_n):
     yield from grow(())
 
 
-def _alphabet(xi, ctx, F):
+def _alphabet(xi, ctx):
     alphabet = [xi.target] + list(ctx.generators())
-    if F.dim > 1:
-        for e in matrix_units(F.dim):
+    d = xi.functional.dim
+    if d > 1:
+        for e in matrix_units(d):
             alphabet += [Lb(e), Rb(e)]
     return alphabet
 
 
-def _check_walk(xi, eta, ctx, F, fresh_F, max_n):
+def _check_walk(xi, eta, ctx, fresh_F, max_n):
     """Every node's right-hand side equals the one rebuilt from the word alone."""
-    nodes = list(_relation_walk(xi, eta, ctx, F, max_n))
-    assert [w for w, _, _ in nodes] == list(_dfs_words(_alphabet(xi, ctx, F), max_n))
+    nodes = list(_relation_walk(xi, eta, ctx, max_n))
+    assert [w for w, _, _ in nodes] == list(_dfs_words(_alphabet(xi, ctx), max_n))
     for word, _, rhs in nodes:
         assert rhs == conjugate_rhs(word, xi.target, eta, fresh_F), word
     return nodes
@@ -63,20 +65,20 @@ def test_negative_max_n_is_an_error():
     s = m.symbol("S1")
     cand = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
     with pytest.raises(ValueError):
-        next(_relation_walk(cand, ONE, PresenceContext(), m.functional, -1))
+        next(_relation_walk(cand, ONE, PresenceContext(), -1))
     with pytest.raises(ValueError):
-        conj_residual(cand, ONE, PresenceContext(), m.functional, -1)
+        conj_residual(cand, ONE, PresenceContext(), -1)
     with pytest.raises(ValueError):
         solve_conjugate(m.model, s, ONE, PresenceContext(), max_n=-1)
 
 
 def test_circular_rhs_matches_oracle():
     cp = CircularPairModel()
-    cands, ctxs = circular_candidates(cp.model, *cp.pairs[0])
-    off, _ = circular_candidates(cp.model, *cp.pairs[0], scale=1.5)
-    fresh = cp.model.functional()
+    cands, ctxs = circular_candidates(cp.model, cp.c_l, cp.c_r)
+    off, _ = circular_candidates(cp.model, cp.c_l, cp.c_r, scale=1.5)
+    fresh = MomentFunctional(cp.model.expectation, 1)
     for xi, ctx in zip(cands + off, ctxs + ctxs):
-        _check_walk(xi, ONE, ctx, cp.functional, fresh, 4)
+        _check_walk(xi, ONE, ctx, fresh, 4)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.5])
@@ -90,7 +92,7 @@ def test_matrix_rhs_matches_oracle(scale):
 
     model = make_bisemicircular([cp()], [cp()])
     s, d1 = model.symbol("S1"), model.symbol("D1")
-    fresh = model.model.functional()
+    fresh = MomentFunctional(model.model.expectation, model.dim)
     for target, partner, ctx in (
         (s, "S1", PresenceContext((), (d1,))),
         (d1, "D1", PresenceContext((s,), ())),
@@ -98,7 +100,7 @@ def test_matrix_rhs_matches_oracle(scale):
         vec = model.model.vector_of(Monomial([model.symbol(partner)])).scaled(scale)
         xi = VectorCandidate(target, vec, model.model)
         eta = model.model.covariances[partner]
-        _check_walk(xi, eta, ctx, model.functional, fresh, 3)
+        _check_walk(xi, eta, ctx, fresh, 3)
 
 
 def test_scalar_rhs_summation_order():
@@ -112,21 +114,22 @@ def test_scalar_rhs_summation_order():
     xi = VectorCandidate(u, model.model.vector_of(Monomial([s2])), model.model)
     ctx = PresenceContext((s1,), (d1,))
     eta = CPMap([np.array([[0.9]])])
-    _check_walk(xi, eta, ctx, model.functional, model.model.functional(), 6)
+    _check_walk(xi, eta, ctx, MomentFunctional(model.model.expectation, 1), 6)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.5])
 def test_lifted_rhs_and_residual_match_oracle(scale):
     cp = CircularPairModel()
-    pair, cands, ctxs = lifted_candidates(cp.functional, *cp.pairs[0], scale=scale)
-    tau2 = pair.scalar_functional
-    fresh = pair.lift.scalar_functional()
+    cands, ctxs = lifted_candidates(cp.functional, cp.c_l, cp.c_r, scale=scale)
+    # A second lift of the same pair, read through a moment cache of its own.
+    lift = matrix_lift(cp.functional, cp.c_l, cp.c_r).lift
+    fresh = MomentFunctional(lambda w: np.array([[trace_d(lift.expect(w))]]), 1)
     for xi, ctx in zip(cands, ctxs):
-        nodes = _check_walk(xi, ONE, ctx, tau2, fresh, 6)
+        nodes = _check_walk(xi, ONE, ctx, fresh, 6)
         want = max(
             abs(xi.tau(Monomial(word) * xi.word) - rhs) for word, _, rhs in nodes
         )
-        assert conj_residual(xi, ONE, ctx, tau2, 6) == want
+        assert conj_residual(xi, ONE, ctx, 6) == want
         if scale != 1.0:
             assert want > 0.1
 
@@ -140,7 +143,9 @@ def _max_diff(u, v):
 def test_solver_equals_breadth_first_solver_one_letter(lam):
     m = make_bisemicircular([ONE], [])
     s = m.symbol("S1")
-    target = m.model.scaled_symbol(s, lam, name="target") if lam != 1.0 else s
+    target = s
+    if lam != 1.0:
+        target = m.model.combination_symbol("target", s.side, [(lam, s)])
     got, _ = solve_conjugate(m.model, target, ONE, PresenceContext(), max_n=4)
     want = solve_conjugate_bfs(m.model, target, ONE, PresenceContext(), max_n=4)
     assert got.vector.terms.keys() == want.vector.terms.keys()
