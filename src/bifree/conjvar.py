@@ -8,8 +8,15 @@ occurrence removed, the same-side tail averaged out through the covariance
 map, and spliced back in as a coefficient.  One walk over the test words
 (``_relation_walk``) carries both sides of these relations: the candidate's
 state on the word and the right-hand side, each grown from its value on the
-parent word.  Every candidate carries the moment functional that backs
-its relations (its model's, or its lift's), so the walk reads no other.
+parent word.  Left-type and right-type letters commute (Charlesworth-Nelson-
+Skoufranis, CMP 2015), and words that differ by such swaps are one operator
+with one right-hand side, so the walk visits one word per operator: the
+lexicographic normal form of the partially commutative monoid (Diekert-
+Rozenberg, *The Book of Traces*).  The candidate says which letters commute
+(for a Fock-backed state: letters pure on opposite sides), and its residual
+is the residual over every word, up to roundoff.  Every candidate carries
+the moment functional that backs its relations (its model's, or its
+lift's), so the walk reads no other.
 ``conj_residual`` reports the worst violation along that walk, and
 ``solve_conjugate`` reads its least-squares rows from the same walk;
 everything downstream (Fisher information, the perturbation law, entropy
@@ -77,6 +84,12 @@ class VectorCandidate:
         """Apply a factor, keeping components up to ``keep_depth`` only."""
         return self.model.apply_symbol(factor, state, keep_depth)
 
+    def independent(self, a, b) -> bool:
+        """Whether two letters commute as operators of the model: one is pure
+        on the left side and the other on the right (``FockModel.pure_side``)."""
+        sa, sb = self.model.pure_side(a), self.model.pure_side(b)
+        return sa is not None and sb is not None and sa != sb
+
     def tau(self, state) -> complex:
         return complex(np.trace(state.depth0())) / self.model.dim
 
@@ -106,6 +119,11 @@ class WordCandidate:
     def extend(self, factor, state, keep_depth: int | None = None):
         return factor * state
 
+    def independent(self, a, b) -> bool:
+        """No two letters are declared to commute: the lift's words are all
+        walked."""
+        return False
+
     def tau(self, state) -> complex:
         return self.scale * self.functional.tau(state)
 
@@ -115,14 +133,30 @@ class WordCandidate:
 
 
 def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, max_n: int):
-    """Every test word with the candidate's state and the relation's right side.
+    """One test word per operator, with the candidate's state and the
+    relation's right side.
 
-    Yields ``(word, state, rhs)`` for every word up to ``max_n`` letters over
+    Yields ``(word, state, rhs)`` for words of up to ``max_n`` letters over
     the target, the presence generators and, when the coefficient algebra is
     nontrivial, left/right insertions of its matrix unit basis.  Words grow
     from the left, depth first, so each state is reused across all its
     extensions and only keeps the components that the longest extension can
     still bring back to depth 0.
+
+    Letters that the candidate declares independent (``xi.independent``)
+    commute as operators, so words that differ by swapping adjacent
+    independent letters are one operator.  Only the lexicographic normal
+    form of each such class is walked: with letters ordered as in the
+    alphabet, ``f w`` is skipped when some letter ``a < f`` of ``w`` is
+    independent of ``f`` and of every letter before it, since ``a`` could
+    then be moved in front of ``f``.  The letters of ``w`` that can be moved
+    to its front are carried along as a bit mask.  A skipped word is the
+    same operator as a walked one and has the same right side: swapping
+    independent letters after an occurrence of the target keeps both the
+    same-side tail and the rest in order, swapping across it moves an
+    opposite-side letter between the prefix and the rest, and swapping
+    within the prefix keeps the operator.  The residual over the walked
+    words is therefore the residual over all words, up to roundoff.
 
     ``rhs`` sums, over the occurrences of the target in position order, the
     trace of the word with the occurrence removed and its same-side tail
@@ -141,8 +175,14 @@ def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, max_n: int):
         for e in matrix_units(F.dim):
             alphabet.append(Lb(e))
             alphabet.append(Rb(e))
+    # Per letter: the bit masks of the letters independent of it, and of
+    # those among them that come earlier in the alphabet.
+    letters = []
+    for i, f in enumerate(alphabet):
+        indep = sum(1 << j for j, a in enumerate(alphabet) if xi.independent(f, a))
+        letters.append((f, 1 << i, indep, indep & ((1 << i) - 1)))
 
-    def walk(word: tuple, state, spliced: list):
+    def walk(word: tuple, state, spliced: list, front: int):
         rhs = 0.0 + 0.0j
         for m in spliced:
             rhs += F.tau(m)
@@ -150,17 +190,36 @@ def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, max_n: int):
         depth = len(word)
         if depth == max_n:
             return
-        for f in alphabet:
+        for f, bit, indep, earlier in letters:
+            if front & earlier:
+                continue  # f w is not in normal form
             grown = [f * m for m in spliced]
             if f is target:
                 tail = Monomial([g for g in word if g.side == target.side])
                 rest = Monomial([g for g in word if g.side != target.side])
                 grown.insert(0, rest * coeff(eta(F.expect(tail))))
             yield from walk(
-                (f,) + word, xi.extend(f, state, max_n - depth - 1), grown
+                (f,) + word,
+                xi.extend(f, state, max_n - depth - 1),
+                grown,
+                bit | (front & indep),
             )
 
-    yield from walk((), xi.initial_state(), [])
+    yield from walk((), xi.initial_state(), [], 0)
+
+
+def _worst(residuals) -> float:
+    """The largest residual, or the first one that is not finite.
+
+    ``max`` would drop a NaN that comes after a number (``max(0.0, nan)`` is
+    ``0.0``), and a residual that is NaN must fail every ``<=`` check.
+    """
+    worst = 0.0
+    for r in residuals:
+        if not math.isfinite(r):
+            return r
+        worst = max(worst, r)
+    return worst
 
 
 def conj_residual(xi, eta: CPMap, ctx: PresenceContext, max_n: int) -> float:
@@ -168,13 +227,12 @@ def conj_residual(xi, eta: CPMap, ctx: PresenceContext, max_n: int) -> float:
 
     The maximum, over the test words of ``_relation_walk``, of the distance
     between the candidate's trace on the word and the right-hand side that
-    the walk carries along with it.  Both sides read the moment functional
-    that the candidate carries.
+    the walk carries along with it; a node whose distance is not finite is
+    returned as it is.  Both sides read the moment functional that the
+    candidate carries.
     """
-    worst = 0.0
-    for _, state, rhs in _relation_walk(xi, eta, ctx, max_n):
-        worst = max(worst, abs(xi.tau(state) - rhs))
-    return worst
+    walk = _relation_walk(xi, eta, ctx, max_n)
+    return _worst(abs(xi.tau(state) - rhs) for _, state, rhs in walk)
 
 
 def fisher_info(candidates: Sequence) -> float:
@@ -195,6 +253,7 @@ class _Lockstep:
         self.cands = cands
         self.target = cands[0].target
         self.functional = cands[0].functional
+        self.independent = cands[0].independent
 
     def initial_state(self):
         return tuple(c.initial_state() for c in self.cands)
@@ -536,7 +595,7 @@ def lifted_candidates(F: MomentFunctional, z, w, scale: float = 1.0):
 def _worst_residual(cands: Sequence, ctxs: Sequence, max_n: int) -> float:
     """Worst conjugate residual (eta = id) of candidates in their contexts."""
     eta1 = CPMap.identity(1)
-    return max(conj_residual(c, eta1, x, max_n) for c, x in zip(cands, ctxs))
+    return _worst(conj_residual(c, eta1, x, max_n) for c, x in zip(cands, ctxs))
 
 
 def _verify_then_integrate(family, K: float, spots: Sequence[float], max_n: int):
@@ -548,7 +607,7 @@ def _verify_then_integrate(family, K: float, spots: Sequence[float], max_n: int)
     257 nodes over [0, 1e5]) of t -> the Fisher information of the
     candidates at t.
     """
-    worst = max(_worst_residual(*family(t), max_n) for t in spots)
+    worst = _worst(_worst_residual(*family(t), max_n) for t in spots)
     report = entropy_chi_star(
         lambda t: fisher_info(family(t)[0]), K=K, K1=K, K3=K, t_max=1e5, steps=257
     )
@@ -656,7 +715,7 @@ def circular_entropy_experiment() -> dict:
         lambda t: lifted_candidates(cp.functional, *perturbed(t), scale=1.0 / (1.0 + t)),
         2.0, (0.0, 1.0), 4,
     )
-    max_resid = max(resid_pair, resid_lift)
+    max_resid = _worst((resid_pair, resid_lift))
 
     lhs = pair_report["value"]
     rhs_each = lift_report["value"]

@@ -67,7 +67,7 @@ class _Scalars:
         return b * t
 
     def nonzero(self, t, tol: float) -> bool:
-        return abs(t) > tol
+        return not abs(t) <= tol  # a NaN entry is kept
 
     def matrix(self, t) -> np.ndarray:
         return np.array([[t]], dtype=complex)
@@ -116,7 +116,7 @@ class _Tensors:
         return np.einsum("...ia,aj->...ij", t, b)
 
     def nonzero(self, t, tol: float) -> bool:
-        return np.max(np.abs(t)) > tol
+        return not np.max(np.abs(t)) <= tol  # a NaN entry is kept
 
     def matrix(self, t) -> np.ndarray:
         return t.copy()
@@ -218,6 +218,8 @@ class FockVector:
         return self + other.scaled(-1.0)
 
     def prune(self, tol: float = 0.0) -> "FockVector":
+        """Drop the components whose entries are all within ``tol`` of 0;
+        a component holding a NaN is kept, so that it reaches every reader."""
         nonzero = self._ar.nonzero
         self.terms = {ks: t for ks, t in self.terms.items() if nonzero(t, tol)}
         return self
@@ -313,6 +315,27 @@ class FockModel:
             action.extend((c * c0, f) for c0, f in self.symbol_actions[sym])
         out = GeneratorSymbol(name, side, adjoint, fam or name)
         return self.register_symbol(out, action)
+
+    def pure_side(self, f) -> str | None:
+        """The side whose operators alone make up ``f``, or None.
+
+        A coefficient factor is pure on its own side.  A registered symbol is
+        pure when every factor of its action is a creator or annihilator of
+        its own side on an index of that side.  Operators pure on opposite
+        sides act on opposite ends of every word and commute.
+        """
+        if isinstance(f, BCoeff):
+            return f.side
+        action = self.symbol_actions.get(f)
+        if action is None:
+            return None
+        if f.side == LEFT:
+            ops, indices = ("l", "l*"), self.left_indices
+        else:
+            ops, indices = ("r", "r*"), self.right_indices
+        if all(op in ops and k in indices for _, (op, k) in action):
+            return f.side
+        return None
 
     # -- elementary actions --------------------------------------------------
 

@@ -96,6 +96,14 @@ def _check_sides(chi: ChiWord, ops: Sequence[Monomial]) -> None:
             )
 
 
+def _checked_operands(chi: ChiWord, operands: Sequence) -> list[Monomial]:
+    ops = [as_monomial(z) for z in operands]
+    if len(ops) != chi.n:
+        raise ValueError(f"expected {chi.n} operands, got {len(ops)}")
+    _check_sides(chi, ops)
+    return ops
+
+
 def eval_moment_pi(F: MomentFunctional, pi: BncPartition, operands: Sequence) -> np.ndarray:
     """Moment function at a bi-non-crossing partition.
 
@@ -103,10 +111,11 @@ def eval_moment_pi(F: MomentFunctional, pi: BncPartition, operands: Sequence) ->
     the operands are listed in chi-order once and the reduction strips
     chi-order slices of the partition's NC picture ``pi.nc``.
     """
-    ops = [as_monomial(z) for z in operands]
-    if len(ops) != pi.n:
-        raise ValueError(f"expected {pi.n} operands, got {len(ops)}")
-    _check_sides(pi.chi, ops)
+    return _moment_pi(F, pi, _checked_operands(pi.chi, operands))
+
+
+def _moment_pi(F: MomentFunctional, pi: BncPartition, ops: list) -> np.ndarray:
+    """``eval_moment_pi`` on operands that ``_checked_operands`` returned."""
     if F.dim == 1 and len(pi.blocks) > 1:
         out = np.eye(1, dtype=complex)
         for b in pi.blocks:
@@ -119,14 +128,18 @@ def eval_moment_pi(F: MomentFunctional, pi: BncPartition, operands: Sequence) ->
 
 
 def cumulant_pi(F: MomentFunctional, pi: BncPartition, operands: Sequence) -> np.ndarray:
-    """Cumulant at a partition: Moebius convolution of the moment function."""
-    ops = [as_monomial(z) for z in operands]
+    """Cumulant at a partition: Moebius convolution of the moment function.
+
+    The operands are converted and side-checked once; every partition below
+    ``pi`` has the same side word.
+    """
+    ops = _checked_operands(pi.chi, operands)
     total = np.zeros((F.dim, F.dim), dtype=complex)
     for sigma in enumerate_bnc(pi.chi):
         if lattice_leq(sigma, pi):
             mu = mobius_bnc(sigma, pi)
             if mu:
-                total += mu * eval_moment_pi(F, sigma, ops)
+                total += mu * _moment_pi(F, sigma, ops)
     return total
 
 
@@ -254,7 +267,7 @@ def product_cumulant_expand(
     zero_hat = hat_embed(zero_partition(chi_m), group_sizes, chi_hat)
     top = one_partition(chi_hat)
     parts = enumerate_bnc(chi_hat)
-    moments = {tau: eval_moment_pi(F, tau, ops) for tau in parts}
+    moments = {tau: _moment_pi(F, tau, ops) for tau in parts}
     rhs = np.zeros_like(lhs)
     for sigma in parts:
         if lattice_join(sigma, zero_hat) == top:

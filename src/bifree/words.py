@@ -20,7 +20,12 @@ from .bnc import LEFT, RIGHT
 
 @dataclass(frozen=True)
 class GeneratorSymbol:
-    """A named generator with a fixed side; the adjoint keeps side and family."""
+    """A named generator with a fixed side; the adjoint keeps side and family.
+
+    The hash is the one the dataclass would compute from the four fields,
+    computed once, since every moment-cache lookup hashes each symbol of its
+    word.
+    """
 
     name: str
     side: str
@@ -32,6 +37,12 @@ class GeneratorSymbol:
             raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}")
         if not self.family:
             object.__setattr__(self, "family", self.name)
+        object.__setattr__(
+            self, "_hash", hash((self.name, self.side, self.adjoint, self.family))
+        )
+
+    def __hash__(self):
+        return self._hash
 
     def star(self) -> "GeneratorSymbol":
         return replace(self, adjoint=not self.adjoint)
@@ -181,4 +192,8 @@ class MomentFunctional:
     def tau(self, word) -> complex:
         """Scalar trace functional: normalized trace of the expectation."""
         e = self.expect(word)
+        if self.dim == 1:
+            # The trace of a 1x1 matrix is its entry added to zero, which
+            # turns a -0.0 part into +0.0; adding 0j does the same.
+            return (complex(e[0, 0]) + 0j) / self.dim
         return complex(np.trace(e)) / self.dim

@@ -7,11 +7,13 @@ matrix numerically.  The moment oracles reduce on numeric labels, one
 re-ranking every level in chi-order and one stripping admissible runs in
 random order, and the Fock oracle applies a symbol one elementary factor at a
 time, with its own copy of the scalar and tensor arithmetic.  The
-conjugate-relation oracles rebuild each right-hand side from its word alone and
-fit the least-squares candidate over breadth-first test words applied from
-the vacuum.  The matrix-lift oracle finds the index chains first and resolves
-every entry again for each chain, and the product-expansion oracle runs a full
-cumulant scan for each partition on its right-hand side.
+conjugate-relation oracles rebuild each right-hand side from its word alone,
+walk every test word with no two merged as one operator, find a word's
+commutation class by closing it under swaps, and fit the least-squares
+candidate over breadth-first test words applied from the vacuum.  The
+matrix-lift oracle finds the index chains first and resolves every entry
+again for each chain, and the product-expansion oracle runs a full cumulant
+scan for each partition on its right-hand side.
 """
 
 import math
@@ -28,6 +30,7 @@ from bifree.bnc import (
     s_chi,
     zero_partition,
 )
+from bifree.balgebra import matrix_units
 from bifree.conjvar import VectorCandidate
 from bifree.fock import FockVector
 from bifree.moments import chi_of_groups, cumulant_pi, group_offsets, hat_embed
@@ -447,6 +450,54 @@ def conjugate_rhs(word, target, eta, F):
         rest = [word[m] for m in range(n) if m != k and m not in tail]
         total += F.tau(Monomial(rest) * coeff(inner))
     return total
+
+
+def full_walk_residual(xi, eta, ctx, F, max_n):
+    """Conjugate residual of a state candidate over every test word.
+
+    Visits every word of up to ``max_n`` letters, with no two words merged
+    as one operator, applies each letter to its parent word's full state
+    (no depth budget) and rebuilds each right-hand side from its word alone.
+    """
+    target = xi.target
+    alphabet = [target] + list(ctx.generators())
+    if F.dim > 1:
+        for e in matrix_units(F.dim):
+            alphabet += [Lb(e), Rb(e)]
+    worst = 0.0
+
+    def walk(word, state, depth):
+        nonlocal worst
+        worst = max(worst, abs(xi.tau(state) - conjugate_rhs(word, target, eta, F)))
+        if depth == max_n:
+            return
+        for f in alphabet:
+            walk((f,) + word, xi.model.apply_symbol(f, state), depth + 1)
+
+    walk((), xi.vector, 0)
+    return worst
+
+
+def is_lex_normal_form(word, alphabet, independent):
+    """Whether ``word`` is the least word of its commutation class.
+
+    The class is every word reached by swapping adjacent letters that
+    ``independent`` says commute, found by closing the word under such
+    swaps; words compare letter by letter from the left, and letters by
+    their place in ``alphabet``.
+    """
+    rank = {f: i for i, f in enumerate(alphabet)}
+    start = tuple(rank[f] for f in word)
+    seen, todo = {start}, [start]
+    while todo:
+        w = todo.pop()
+        for k in range(len(w) - 1):
+            if independent(alphabet[w[k]], alphabet[w[k + 1]]):
+                v = w[:k] + (w[k + 1], w[k]) + w[k + 2:]
+                if v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+    return start == min(seen)
 
 
 def solve_conjugate_bfs(model, target, eta, ctx, max_n=4, basis_len=3):

@@ -128,7 +128,7 @@ def test_matrix_coefficient_insertions_in_relations():
     m = make_bisemicircular([flip], [flip])
     S, D = m.symbol("S1"), m.symbol("D1")
     cand = VectorCandidate(S, m.model.vector_of(Monomial([S])), m.model)
-    r = conj_residual(cand, flip, PresenceContext((), (D,)), 3)
+    r = conj_residual(cand, flip, PresenceContext((), (D,)), 4)
     assert r <= 1e-10
 
 

@@ -3,12 +3,14 @@
 The oracle applies every symbol with no budget, so it builds every component
 the word creates; the pruned path must agree with it exactly (``==``), not
 just within a tolerance, because a dropped component never feeds a kept one.
+The conjugate residual is checked against the walk over every test word with
+no budget, so it covers the walk's one word per operator as well.
 """
 
 import numpy as np
 import pytest
 
-from bifree.balgebra import CPMap, matrix_units, random_belement
+from bifree.balgebra import CPMap, random_belement
 from bifree.conjvar import (
     PresenceContext,
     VectorCandidate,
@@ -22,7 +24,7 @@ from bifree.fock import (
     make_bisemicircular,
 )
 from bifree.words import Lb, Monomial, Rb
-from oracles import conjugate_rhs
+from oracles import full_walk_residual
 
 
 def _unpruned(model, word, vec=None):
@@ -87,27 +89,6 @@ def test_apply_word_keeps_every_component_within_budget(keep):
         assert pruned.terms == want
 
 
-def _unpruned_residual(xi, eta, ctx, F, max_n):
-    # Copy of the conjugate-residual walk with no depth budget.
-    target = xi.target
-    alphabet = [target] + list(ctx.generators())
-    if F.dim > 1:
-        for e in matrix_units(F.dim):
-            alphabet += [Lb(e), Rb(e)]
-    worst = 0.0
-
-    def walk(word, state, depth):
-        nonlocal worst
-        worst = max(worst, abs(xi.tau(state) - conjugate_rhs(word, target, eta, F)))
-        if depth == max_n:
-            return
-        for f in alphabet:
-            walk((f,) + word, xi.model.apply_symbol(f, state), depth + 1)
-
-    walk((), xi.vector, 0)
-    return worst
-
-
 def test_circular_residuals_match_unpruned_walk():
     cp = CircularPairModel()
     F = cp.functional
@@ -117,7 +98,7 @@ def test_circular_residuals_match_unpruned_walk():
         off = VectorCandidate(cand.target, cand.vector.scaled(1.5), cand.model)
         for xi in (cand, off):
             got = conj_residual(xi, eta, ctx, 4)
-            assert got == _unpruned_residual(xi, eta, ctx, F, 4)
+            assert got == full_walk_residual(xi, eta, ctx, F, 4)
 
 
 def test_matrix_residual_matches_unpruned_walk():
@@ -130,7 +111,7 @@ def test_matrix_residual_matches_unpruned_walk():
     for scale in (1.0, 1.5):
         xi = VectorCandidate(s, vec.scaled(scale), model.model)
         got = conj_residual(xi, eta, ctx, 3)
-        assert got == _unpruned_residual(xi, eta, ctx, model.functional, 3)
+        assert got == full_walk_residual(xi, eta, ctx, model.functional, 3)
 
 
 def test_truncation_raised_only_for_reachable_components():

@@ -13,6 +13,7 @@ from oracles import (
     product_cumulant_expand_nested,
 )
 
+import bifree.moments
 from bifree.balgebra import CPMap, matrix_unit, maxabs, random_belement, random_cpmap
 from bifree.bnc import (
     BncPartition,
@@ -202,6 +203,23 @@ def test_side_mismatch_rejected(scalar_model):
 
 
 # --- cumulants ----------------------------------------------------------------------
+
+def test_cumulant_checks_its_operands_once(scalar_model, monkeypatch):
+    # Every partition below pi has pi's side word, so one check covers them.
+    s = scalar_model.symbol("S1")
+    calls = []
+    check = bifree.moments._check_sides
+    monkeypatch.setattr(
+        bifree.moments, "_check_sides", lambda *a: calls.append(a) or check(*a)
+    )
+    chi = ChiWord("llll")
+    cumulant_pi(scalar_model.functional, one_partition(chi), [Monomial([s])] * 4)
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        cumulant_pi(scalar_model.functional, one_partition(ChiWord("rl")), [Monomial([s])] * 2)
+    with pytest.raises(ValueError):
+        cumulant_pi(scalar_model.functional, one_partition(chi), [Monomial([s])] * 3)
+
 
 def test_order_one_cumulant_is_expectation(flip_model):
     rng = np.random.default_rng(1)

@@ -1,12 +1,17 @@
 """The conjugate-relation walk against relations rebuilt word by word.
 
-The walk carries each test word's right-hand side from its parent word; the
-oracle rebuilds it from the word alone, through a functional with its own
-moment cache.  They must agree exactly (``==``): the walk builds the same
-monomials and sums them in the same order.  The solver reads the same walk,
-and is checked against the breadth-first solver that applies every test
-word from the vacuum.
+The walk visits one word per operator: the lexicographic normal forms of the
+words under swaps of commuting letters, which the oracle finds by closing
+each word under such swaps.  The walk carries each test word's right-hand
+side from its parent word; the oracle rebuilds it from the word alone,
+through a functional with its own moment cache.  They must agree exactly
+(``==``): the walk builds the same monomials and sums them in the same
+order.  Its residual is checked against the walk over every word, and the
+solver, which reads the same walk, against the breadth-first solver that
+applies every test word from the vacuum.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +20,9 @@ from bifree.balgebra import CPMap, matrix_units, random_belement, trace_d
 from bifree.conjvar import (
     PresenceContext,
     VectorCandidate,
+    _Lockstep,
     _relation_walk,
+    _worst_residual,
     circular_candidates,
     conj_residual,
     eta_flip,
@@ -24,8 +31,13 @@ from bifree.conjvar import (
     solve_conjugate,
 )
 from bifree.fock import CircularPairModel, make_bisemicircular
-from bifree.words import Lb, Monomial, MomentFunctional, Rb
-from oracles import conjugate_rhs, solve_conjugate_bfs
+from bifree.words import GeneratorSymbol, Lb, Monomial, MomentFunctional, Rb
+from oracles import (
+    conjugate_rhs,
+    full_walk_residual,
+    is_lex_normal_form,
+    solve_conjugate_bfs,
+)
 
 ONE = CPMap.identity(1)
 
@@ -50,10 +62,22 @@ def _alphabet(xi, ctx):
     return alphabet
 
 
-def _check_walk(xi, eta, ctx, fresh_F, max_n):
-    """Every node's right-hand side equals the one rebuilt from the word alone."""
+def _opposite_sides(a, b):
+    # Every letter of the models below acts on its own side only, so letters
+    # of opposite sides commute.
+    return a.side != b.side
+
+
+def _check_walk(xi, eta, ctx, fresh_F, max_n, independent=_opposite_sides):
+    """The walk visits the normal-form words in depth-first order, and every
+    node's right-hand side equals the one rebuilt from the word alone."""
     nodes = list(_relation_walk(xi, eta, ctx, max_n))
-    assert [w for w, _, _ in nodes] == list(_dfs_words(_alphabet(xi, ctx), max_n))
+    alphabet = _alphabet(xi, ctx)
+    want = [
+        w for w in _dfs_words(alphabet, max_n)
+        if is_lex_normal_form(w, alphabet, independent)
+    ]
+    assert [w for w, _, _ in nodes] == want
     for word, _, rhs in nodes:
         assert rhs == conjugate_rhs(word, xi.target, eta, fresh_F), word
     return nodes
@@ -125,13 +149,116 @@ def test_lifted_rhs_and_residual_match_oracle(scale):
     lift = matrix_lift(cp.functional, cp.c_l, cp.c_r).lift
     fresh = MomentFunctional(lambda w: np.array([[trace_d(lift.expect(w))]]), 1)
     for xi, ctx in zip(cands, ctxs):
-        nodes = _check_walk(xi, ONE, ctx, fresh, 6)
+        # A lifted candidate declares no commuting letters: every word is walked.
+        nodes = _check_walk(xi, ONE, ctx, fresh, 6, lambda a, b: False)
         want = max(
             abs(xi.tau(Monomial(word) * xi.word) - rhs) for word, _, rhs in nodes
         )
         assert conj_residual(xi, ONE, ctx, 6) == want
         if scale != 1.0:
             assert want > 0.1
+
+
+def test_walk_visits_one_word_per_operator():
+    # The letters of a circular pair split into two sides of two letters
+    # each, so an operator is a pair of one-sided words: sum over n <= 6 of
+    # (n + 1) 2^n = 769 of them, out of 5,461 words.
+    cp = CircularPairModel()
+    for xi, ctx in zip(*circular_candidates(cp.model, cp.c_l, cp.c_r)):
+        assert sum(1 for _ in _relation_walk(xi, ONE, ctx, 6)) == 769
+    # d=2, flip covariance, S1 with D1 present: five letters a side (the
+    # generator and four matrix-unit insertions), sum over n <= 5 of
+    # (n + 1) 5^n = 22,461 operators, out of 111,111 words.
+    flip = eta_flip()
+    m = make_bisemicircular([flip], [flip])
+    s, d1 = m.symbol("S1"), m.symbol("D1")
+    xi = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
+    walk = _relation_walk(xi, flip, PresenceContext((), (d1,)), 5)
+    assert sum(1 for _ in walk) == 22461
+
+
+def test_walk_keeps_letters_of_mixed_action_apart():
+    # A left target that also creates on a right index commutes with no
+    # letter; S1 and D1 still commute with each other.
+    m = make_bisemicircular([ONE], [ONE])
+    s, d1 = m.symbol("S1"), m.symbol("D1")
+    mixed = m.model.register_symbol(
+        GeneratorSymbol("M", "l"), [(1.0, ("l", "S1")), (0.5, ("r", "D1"))]
+    )
+    assert m.model.pure_side(s) == "l" and m.model.pure_side(d1) == "r"
+    assert m.model.pure_side(mixed) is None
+    for name, action in (("N", ("l", "D1")), ("P", ("r", "S1"))):
+        # A left creator on a right index, a right creator on a left one.
+        odd = m.model.register_symbol(GeneratorSymbol(name, "l"), [(1.0, action)])
+        assert m.model.pure_side(odd) is None
+    ctx = PresenceContext((s,), (d1,))
+    xi = VectorCandidate(mixed, m.model.vector_of(Monomial([s])), m.model)
+
+    def independent(a, b):
+        return mixed not in (a, b) and a.side != b.side
+
+    _check_walk(xi, ONE, ctx, MomentFunctional(m.model.expectation, 1), 4, independent)
+
+
+@pytest.mark.parametrize("d, seed", [(1, 41), (1, 42), (2, 43)])
+def test_pruned_residual_equals_full_walk(d, seed):
+    # Seeded CP covariances, true candidates (each generator is its own
+    # conjugate variable relative to its covariance) and wrong ones (x1.5).
+    # A word left out of the walk is the same operator as a walked one, so
+    # the residuals agree up to roundoff in the largest one.
+    rng = np.random.default_rng(seed)
+
+    def cp():
+        return CPMap([random_belement(d, rng) / 2.0 for _ in range(2)])
+
+    model = make_bisemicircular([cp(), cp()], [cp()])
+    s1, s2, d1 = model.symbol("S1"), model.symbol("S2"), model.symbol("D1")
+    for target, ctx in (
+        (s1, PresenceContext((s2,), (d1,))),
+        (d1, PresenceContext((s1,), ())),
+    ):
+        eta = model.model.covariances[target.name]
+        vec = model.model.vector_of(Monomial([target]))
+        for scale in (1.0, 1.5):
+            xi = VectorCandidate(target, vec.scaled(scale), model.model)
+            got = conj_residual(xi, eta, ctx, 4)
+            want = full_walk_residual(xi, eta, ctx, model.functional, 4)
+            assert abs(got - want) <= 1e-15 * max(1.0, want), (target, scale)
+            if scale != 1.0:
+                assert got > 0.1
+
+
+def test_solver_walks_the_words_of_the_residual():
+    # Walked in lockstep, the solver's basis candidates share one walk: the
+    # words of the residual check, with their right-hand sides.
+    m = make_bisemicircular([ONE, ONE], [ONE])
+    s1, s2, d1 = m.symbol("S1"), m.symbol("S2"), m.symbol("D1")
+    ctx = PresenceContext((s2,), (d1,))
+    cands = [
+        VectorCandidate(s1, m.model.vector_of(Monomial(w)), m.model)
+        for w in ((s1,), (d1, s2))
+    ]
+    together = [(w, rhs) for w, _, rhs in _relation_walk(_Lockstep(cands), ONE, ctx, 4)]
+    alone = [(w, rhs) for w, _, rhs in _relation_walk(cands[0], ONE, ctx, 4)]
+    assert together == alone
+
+
+def _nan_candidate(m):
+    s = m.symbol("S1")
+    return VectorCandidate(s, m.model.vector_of(Monomial([s])).scaled(math.nan), m.model)
+
+
+def test_nan_candidate_fails_the_residual_check():
+    m = make_bisemicircular([ONE], [])
+    bad = _nan_candidate(m)
+    r = conj_residual(bad, ONE, PresenceContext(), 4)
+    assert not math.isfinite(r) and not r <= 1e-9
+    s = m.symbol("S1")
+    good = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
+    ctx = PresenceContext()
+    for cands in ((good, bad), (bad, good)):
+        worst = _worst_residual(cands, (ctx, ctx), 4)
+        assert not math.isfinite(worst) and not worst <= 1e-9
 
 
 def _max_diff(u, v):

@@ -6,6 +6,8 @@ call through a ``MomentFunctional``; words that differ in any of those must
 each reach the oracle.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,27 @@ def test_differing_factor_reaches_the_oracle_again(f, g):
     assert not np.array_equal(va, vb)
     F.expect(a)
     assert len(seen) == 2
+
+
+def test_symbol_hash_is_the_hash_of_its_fields():
+    # The hash is computed once, and is the value a frozen dataclass computes.
+    for g in (
+        GeneratorSymbol("x", "l"),
+        GeneratorSymbol("y", "r", adjoint=True),
+        GeneratorSymbol("z", "l", family="w"),
+    ):
+        for h in (g, g.star()):
+            assert hash(h) == hash((h.name, h.side, h.adjoint, h.family))
+
+
+@pytest.mark.parametrize(
+    "re, im",
+    [(-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (1.0, -0.0), (-0.0, -1.0), (1.5, -2.0),
+     (math.nan, 1.0), (math.inf, -0.0)],
+)
+def test_scalar_tau_matches_the_trace_bit_for_bit(re, im):
+    # At d=1 tau reads the entry in place of the trace, with the same signed zeros.
+    F = MomentFunctional(lambda word: np.array([[complex(re, im)]]), 1)
+    word = Monomial([GeneratorSymbol("x", "l")])
+    want = complex(np.trace(F.expect(word))) / 1
+    assert repr(F.tau(word)) == repr(want)
