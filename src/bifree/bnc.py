@@ -394,24 +394,14 @@ def _kreweras_sizes(sigma: Blocks, pi: Blocks) -> list[int]:
 
 
 def _mobius_nc(sigma: Blocks, pi: Blocks) -> int:
-    """``mobius_nc`` for canonical non-crossing blocks, unchecked."""
+    """Moebius function of NC(n) on canonical non-crossing blocks, unchecked
+    (an exact integer)."""
     if not _blocks_leq(sigma, pi):
         return 0
     mu = 1
     for k in _kreweras_sizes(sigma, pi):
         mu *= (-1) ** (k - 1) * catalan(k - 1)
     return mu
-
-
-def mobius_nc(sigma: Blocks, pi: Blocks, n: int) -> int:
-    """Moebius function of the non-crossing partition lattice (exact integer)."""
-    a = _canonical_blocks(sigma)
-    b = _canonical_blocks(pi)
-    for p in (a, b):
-        _check_partition(p, n)
-        if not _is_noncrossing(p, n):
-            raise ValueError("argument is not a non-crossing partition")
-    return _mobius_nc(a, b)
 
 
 def mobius_bnc(sigma: BncPartition, pi: BncPartition) -> int:

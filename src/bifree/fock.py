@@ -51,6 +51,8 @@ class _Scalars:
     """d = 1: a component or a coefficient is its single entry, a complex
     number, and a covariance is the number eta(1)."""
 
+    one = 1.0 + 0.0j
+
     def covariance(self, eta: CPMap) -> complex:
         return complex(eta(np.eye(1))[0, 0])
 
@@ -84,7 +86,8 @@ class _Tensors:
     a covariance is its Kraus list with its pairing kernel."""
 
     def __init__(self, d: int):
-        self.eye = identity(d)
+        self.one = identity(d)
+        self.one.flags.writeable = False  # every vacuum shares it
 
     def covariance(self, eta: CPMap):
         d = eta.dim
@@ -97,7 +100,7 @@ class _Tensors:
         return a
 
     def create(self, t, left: bool):
-        return np.multiply.outer(self.eye, t) if left else np.multiply.outer(t, self.eye)
+        return np.multiply.outer(self.one, t) if left else np.multiply.outer(t, self.one)
 
     def contract(self, t, cov, left: bool):
         # b0 Z b1 ... -> eta(b0) b1 ...  (mirrored on the right)
@@ -184,7 +187,9 @@ class FockVector:
 
     @classmethod
     def vacuum(cls, dim: int) -> "FockVector":
-        return cls(dim, {(): identity(dim)})
+        v = cls(dim)
+        v.terms = {(): v._ar.one}
+        return v
 
     def copy(self) -> "FockVector":
         v = FockVector(self.dim)
@@ -440,7 +445,7 @@ class FockModel:
         index are mutually adjoint) and for every state over scalar
         coefficients.  For right-generated states with a matrix covariance
         the GNS inner product instead goes through the trace of operator
-        words; see ``word_norm_sq``.
+        words: the squared norm of a word w is tau(w* w).
         """
         terms = v.terms
         total = sum(
@@ -456,12 +461,6 @@ class FockModel:
     def norm_sq(self, u: FockVector) -> float:
         val = self.inner(u, u)
         return float(val.real)
-
-    def word_norm_sq(self, word) -> float:
-        """Squared GNS norm of an operator word, through the trace."""
-        word = as_monomial(word)
-        full = word.adjoint() * word
-        return float((np.trace(self.expectation(full)) / self.dim).real)
 
     def vector_of(self, word) -> FockVector:
         """The GNS vector of an operator word (word applied to the vacuum)."""

@@ -103,6 +103,20 @@ def zeta_inverse_mobius(n):
     return parts, idx, mu
 
 
+def mobius_nc(sigma, pi, n):
+    """Moebius function of NC(n) from the inverse of the order matrix; raises
+    ``ValueError`` for an argument that is not a non-crossing partition of
+    1..n."""
+    parts, idx, mu = zeta_inverse_mobius(n)
+    ij = []
+    for p in (sigma, pi):
+        key = tuple(sorted(tuple(sorted(b)) for b in p))
+        if key not in idx:
+            raise ValueError(f"{p} is not a non-crossing partition of 1..{n}")
+        ij.append(idx[key])
+    return round(mu[ij[0], ij[1]])
+
+
 def free_cumulant_from_moments(moments, n):
     """Scalar free cumulant kappa_n from a moment sequence, via the NC lattice.
 
@@ -367,6 +381,14 @@ def apply_symbol_by_factors(model, f, vec, keep_depth=None):
     out = FockVector(model.dim)
     out.terms = {ks: x for ks, x in terms.items() if np.max(np.abs(x)) > 0}
     return out
+
+
+def word_norm_sq(model, word):
+    """Squared GNS norm of an operator word of a Fock model, through the
+    trace: tau(w* w)."""
+    word = as_monomial(word)
+    full = word.adjoint() * word
+    return float((np.trace(model.expectation(full)) / model.dim).real)
 
 
 # --- matrix lift in two phases -------------------------------------------------

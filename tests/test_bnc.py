@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import all_set_partitions, has_crossing, zeta_inverse_mobius
+from oracles import all_set_partitions, has_crossing, mobius_nc, zeta_inverse_mobius
 
 from bifree.bnc import (
     MAX_ENUM_N,
@@ -20,7 +20,6 @@ from bifree.bnc import (
     lattice_meet,
     lower_interval,
     mobius_bnc,
-    mobius_nc,
     mobius_top_table,
     one_partition,
     s_chi,
@@ -250,6 +249,10 @@ def test_mobius_nc_rejects_crossing():
         mobius_nc(crossing, one, 4)
     with pytest.raises(ValueError):
         mobius_nc(one, crossing, 4)
+    # On an all-left chi word BNC(chi) is NC(n): mu(0, 1) = -Cat(3).
+    chi = ChiWord("llll")
+    want = mobius_bnc(zero_partition(chi), one_partition(chi))
+    assert mobius_nc([[1], [2], [3], [4]], one, 4) == want == -5
 
 
 def test_mobius_top_table():

@@ -186,18 +186,36 @@ def test_conj_check_evaluates_each_moment_once(capsys, monkeypatch):
     assert seen and len(seen) == len(set(seen))
 
 
+def _strict_json(text: str) -> dict:
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# The fisher and entropy tests below also apply the output checks of the
+# benchmark's conj-laws workload, so a renamed or non-finite field fails here.
+
 def test_fisher_run(capsys):
     code, out = run_cli(capsys, "fisher", "run", "--experiment", "circular-min")
     assert code == 0
-    rep = json.loads(out)
-    assert rep["pass"] and abs(rep["ratio"] - 2.0) <= 1e-6
+    rep = _strict_json(out)
+    assert rep["pass"] is True
+    for key, want in (("lhs", 4.0), ("rhs", 2.0), ("ratio", 2.0)):
+        assert abs(rep[key] - want) <= 1e-6, key
+    assert rep["max_residual"] <= 1e-9
 
 
 def test_entropy_run(capsys):
-    code, out = run_cli(capsys, "entropy", "run", "--experiment", "semicircular-max")
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["pass"]
+    log_2pi_e = math.log(2.0 * math.pi * math.e)
+    for experiment, expected in (("semicircular-max", 0.5 * log_2pi_e),
+                                 ("circular-pair", 2.0 * log_2pi_e)):
+        code, out = run_cli(capsys, "entropy", "run", "--experiment", experiment)
+        assert code == 0
+        rep = _strict_json(out)
+        assert rep["pass"] is True
+        assert abs(rep["lhs"] - expected) <= rep["bracket_width"] + 1e-12
+        assert abs(rep["lhs"] - expected) <= 1e-12
 
 
 def test_invalid_chi_is_computation_error(capsys):

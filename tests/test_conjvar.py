@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import lift_expect_two_phase
 
@@ -13,6 +15,7 @@ from bifree.conjvar import (
     MatrixLift,
     PresenceContext,
     VectorCandidate,
+    _gauss_legendre,
     aaf_check,
     circular_candidates,
     conj_residual,
@@ -59,6 +62,24 @@ def test_scaling_law():
         )
         assert conj_residual(cand, ONE, PresenceContext(), 6) <= 1e-12
         assert abs(fisher_info([cand]) - 1 / lam**2) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), complex(1.0, -0.0),
+     complex(-0.0, -1.0), complex(1.5, -2.0), complex(math.nan, 1.0), complex(math.inf, -0.0),
+     None],
+    ids=repr,
+)
+def test_candidate_tau_matches_the_trace_bit_for_bit(entry):
+    # At d=1 tau reads the depth-0 entry in place of the trace of depth0(),
+    # with the same signed zeros; a state without a depth-0 part reads 0.
+    m = make_bisemicircular([ONE], [])
+    s = m.symbol("S1")
+    cand = VectorCandidate(s, FockVector(1, {} if entry is None else {(): [[entry]]}), m.model)
+    state = cand.initial_state()
+    want = complex(np.trace(state.depth0())) / 1
+    assert repr(cand.tau(state)) == repr(want)
 
 
 def test_presence_context_validation():
@@ -417,27 +438,63 @@ def test_h_closed_form_values():
 
 
 def test_entropy_quadrature_closed_form():
-    rep = entropy_chi_star(lambda t: 1.0 / (1.0 + t), K=1.0, K1=1.0, K3=1.0, t_max=1e5)
+    rep = entropy_chi_star(lambda t: 1.0 / (1.0 + t), K=1.0)
     want = 0.5 * math.log(2 * math.pi * math.e)
+    assert rep["nodes"] == 96
     assert rep["max_integrand_abs"] <= 1e-12
     assert abs(rep["value"] - want) <= rep["bracket_width"] + 1e-9
     assert rep["bracket"][0] - 1e-12 <= want <= rep["bracket"][1] + 1e-12
+    assert rep["bracket"] == [
+        rep["value"] - rep["bracket_width"], rep["value"] + rep["bracket_width"]
+    ]
 
 
 def test_entropy_rejects_nonfinite_fisher():
-    with pytest.raises(ValueError):
-        entropy_chi_star(lambda t: math.inf, K=1.0, K1=1.0, steps=5)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            entropy_chi_star(lambda t: bad, K=1.0)
 
 
 def test_entropy_max_bound_equality_case():
     # Variance-matched semicircular family of total covariance K: the value
-    # meets the maximum-entropy bound (K/2) log(2 pi e K1 / K).
+    # meets the maximum-entropy bound (K/2) log(2 pi e).
     K = 2.0
-    rep = entropy_chi_star(
-        lambda t: K * K / (K + K * t), K=K, K1=K, K3=K, t_max=1e5
-    )
+    rep = entropy_chi_star(lambda t: K * K / (K + K * t), K=K)
     want = 0.5 * K * math.log(2 * math.pi * math.e)
     assert abs(rep["value"] - want) <= rep["bracket_width"] + 1e-9
+
+
+def test_gauss_legendre_nodes_match_numpy():
+    from numpy.polynomial.legendre import leggauss
+
+    for n in (16, 32):
+        x, w = _gauss_legendre(n)
+        ref_x, ref_w = leggauss(n)
+        assert np.max(np.abs(x - 0.5 * (ref_x + 1.0))) <= 4e-15
+        assert np.max(np.abs(w - 0.5 * ref_w)) <= 4e-15
+
+
+def test_entropy_evaluates_fisher_at_96_finite_times():
+    # 48 nodes in (0, 1) and 48 in (1, inf), each evaluated once; t = inf never.
+    seen = []
+    entropy_chi_star(lambda t: seen.append(t) or 1.0 / (1.0 + t), K=1.0)
+    assert len(seen) == len(set(seen)) == 96
+    assert sum(0.0 < t < 1.0 for t in seen) == 48
+    assert sum(1.0 < t < math.inf for t in seen) == 48
+
+
+@example(1.0, 1.0)
+@example(0.75, 0.25)
+@example(0.9, 0.1)
+@example(0.99, 0.01)
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.floats(0.01, 1.0), st.floats(0.01, 1.0))
+def test_entropy_error_estimate_covers_the_error(a2, b2):
+    # Phi(t) = 1/(a2+t) + 1/(b2+t) is the Fisher curve of a pair of
+    # semicircular elements of variances a2 and b2: K = 2, chi = log(2 pi e ab).
+    rep = entropy_chi_star(lambda t: 1.0 / (a2 + t) + 1.0 / (b2 + t), K=2.0)
+    exact = math.log(2.0 * math.pi * math.e * math.sqrt(a2 * b2))
+    assert abs(rep["value"] - exact) <= rep["bracket_width"] + 1e-14
 
 
 # --- experiments ------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import apply_symbol_by_factors
+from oracles import apply_symbol_by_factors, word_norm_sq
 
 from bifree.balgebra import CPMap, maxabs, random_belement
 from bifree.bnc import ChiWord, enumerate_bnc, one_partition
@@ -118,7 +118,7 @@ def test_right_adjointness_scalar_and_trace_norm():
     m2 = make_bisemicircular([_psd_cpmap(rng)], [])
     s2 = m2.symbol("S1")
     for w in (Monomial([s2]), Monomial([s2, Lb(random_belement(2, rng)), s2])):
-        assert abs(m2.model.norm_sq(m2.model.vector_of(w)) - m2.model.word_norm_sq(w)) < 1e-10
+        assert abs(m2.model.norm_sq(m2.model.vector_of(w)) - word_norm_sq(m2.model, w)) < 1e-10
 
 
 def test_left_right_commutation():
