@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, product
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,28 +41,26 @@ from .bnc import (
 from .words import Lb, Monomial, MomentFunctional, Rb, as_monomial
 
 
-def _product(ops: Sequence[Monomial]) -> Monomial:
-    out = Monomial.unit()
-    for w in ops:
-        out = out * w
-    return out
-
-
-def _eval_pi(F: MomentFunctional, cells, ops) -> np.ndarray:
+def _eval_pi(F: MomentFunctional, pos, side, blk, ops) -> np.ndarray:
     """Strip chi-order slices of a partition's NC picture (d > 1).
 
-    ``cells[i]`` is ``(position, side, block)`` at chi-rank ``i + 1`` of
-    the current sub-word and ``ops[i]`` its operand (updated in place).  A
-    stripped run is a union of blocks that is an interval in chi-order, so
-    it is a slice, and what is left is the two slices around it with the
-    ranks after the cut shifted down.  Positions fix only the product order
-    of a one-block word, the block of the last entry and the survivor that
-    receives a hull's value.
+    ``pos[i]``, ``side[i]`` and ``blk[i]`` are the position, side and block
+    at chi-rank ``i + 1`` of the current sub-word and ``ops[i]`` its operand
+    (updated in place).  A stripped run is a union of blocks that is an
+    interval in chi-order, so it is a slice, and what is left is the two
+    slices around it with the ranks after the cut shifted down.  Positions
+    fix only the product order of a one-block word, the block of the last
+    entry and the survivor that receives a hull's value.
+
+    A slice whose value is exactly the zero matrix ends the reduction: the
+    moment function is a bimodule map over the coefficient algebra, so the
+    spliced zero annihilates the whole value.  The +0 matrix returned is the
+    one the rest of the reduction would return through a Fock model, where
+    the zero coefficient prunes every component.  A NaN entry is not zero.
     """
-    pos, side, blk = zip(*cells)
-    n = len(cells)
+    n = len(blk)
     if blk.count(blk[0]) == n:
-        return F.expect(_product([ops[i] for i in sorted(range(n), key=pos.__getitem__)]))
+        return F.expect(Monomial.concat([ops[i] for i in sorted(range(n), key=pos.__getitem__)]))
     v = blk[pos.index(max(pos))]
     lo, hi = blk.index(v), n - blk[::-1].index(v)
     if lo == 0 and hi == n:
@@ -71,7 +69,9 @@ def _eval_pi(F: MomentFunctional, cells, ops) -> np.ndarray:
         # splice its value into the element of that block on the run's side.
         a = next(i for i, x in enumerate(blk) if x != v)
         b = blk.index(v, a)
-        sub = _eval_pi(F, cells[a:b], ops[a:b])
+        sub = _eval_pi(F, pos[a:b], side[a:b], blk[a:b], ops[a:b])
+        if not np.count_nonzero(sub):
+            return np.zeros(sub.shape, dtype=complex)
         if side[a] == LEFT:
             ops[a - 1] = ops[a - 1] * Lb(sub)
         else:
@@ -80,10 +80,14 @@ def _eval_pi(F: MomentFunctional, cells, ops) -> np.ndarray:
         # Otherwise reduce the chi-interval hull of that block first and feed
         # the value to the surviving operand with the last position.
         a, b = lo, hi
-        sub = _eval_pi(F, cells[a:b], ops[a:b])
+        sub = _eval_pi(F, pos[a:b], side[a:b], blk[a:b], ops[a:b])
+        if not np.count_nonzero(sub):
+            return np.zeros(sub.shape, dtype=complex)
         q = max(chain(range(a), range(b, n)), key=pos.__getitem__)
         ops[q] = ops[q] * (Lb(sub) if side[q] == LEFT else Rb(sub))
-    return _eval_pi(F, cells[:a] + cells[b:], ops[:a] + ops[b:])
+    return _eval_pi(
+        F, pos[:a] + pos[b:], side[:a] + side[b:], blk[:a] + blk[b:], ops[:a] + ops[b:]
+    )
 
 
 def _check_sides(chi: ChiWord, ops: Sequence[Monomial]) -> None:
@@ -96,12 +100,26 @@ def _check_sides(chi: ChiWord, ops: Sequence[Monomial]) -> None:
             )
 
 
-def _checked_operands(chi: ChiWord, operands: Sequence) -> list[Monomial]:
+class _ChiOrdered(NamedTuple):
+    """A word's operands by position and in chi-order, resolved once for
+    every partition over its side word."""
+
+    ops: list
+    pos: tuple
+    side: tuple
+    chi_ops: tuple
+
+
+def _chi_ordered(chi: ChiWord, operands: Sequence) -> _ChiOrdered:
+    """Convert and side-check the operands, and list them in chi-order."""
     ops = [as_monomial(z) for z in operands]
     if len(ops) != chi.n:
         raise ValueError(f"expected {chi.n} operands, got {len(ops)}")
     _check_sides(chi, ops)
-    return ops
+    pos = s_chi(chi)
+    return _ChiOrdered(
+        ops, pos, tuple(chi.side(k) for k in pos), tuple(ops[k - 1] for k in pos)
+    )
 
 
 def eval_moment_pi(F: MomentFunctional, pi: BncPartition, operands: Sequence) -> np.ndarray:
@@ -109,37 +127,48 @@ def eval_moment_pi(F: MomentFunctional, pi: BncPartition, operands: Sequence) ->
 
     Over scalar coefficients the value factors over the blocks; otherwise
     the operands are listed in chi-order once and the reduction strips
-    chi-order slices of the partition's NC picture ``pi.nc``.
+    chi-order slices of the partition's NC picture ``pi.nc``.  A slice
+    whose value is exactly zero ends the reduction with the +0 matrix (see
+    ``_eval_pi``): the moment function is a bimodule map, so a zero
+    coefficient annihilates the whole value.
     """
-    return _moment_pi(F, pi, _checked_operands(pi.chi, operands))
+    return _moment_pi(F, pi, _chi_ordered(pi.chi, operands))
 
 
-def _moment_pi(F: MomentFunctional, pi: BncPartition, ops: list) -> np.ndarray:
-    """``eval_moment_pi`` on operands that ``_checked_operands`` returned."""
+def _moment_pi(F: MomentFunctional, pi: BncPartition, word: _ChiOrdered) -> np.ndarray:
+    """``eval_moment_pi`` on a word that ``_chi_ordered`` resolved; only the
+    block labels are read from ``pi``."""
     if F.dim == 1 and len(pi.blocks) > 1:
         out = np.eye(1, dtype=complex)
         for b in pi.blocks:
-            out = out * F.expect(_product([ops[k - 1] for k in b]))
+            out = out * F.expect(Monomial.concat([word.ops[k - 1] for k in b]))
         return out
-    block_of = {r: i for i, b in enumerate(pi.nc) for r in b}
-    order = s_chi(pi.chi)
-    cells = tuple((k, pi.chi.side(k), block_of[r]) for r, k in enumerate(order, start=1))
-    return _eval_pi(F, cells, [ops[k - 1] for k in order])
+    blk = [0] * len(word.pos)
+    for i, b in enumerate(pi.nc):
+        for r in b:
+            blk[r - 1] = i
+    return _eval_pi(F, word.pos, word.side, tuple(blk), list(word.chi_ops))
 
 
 def cumulant_pi(F: MomentFunctional, pi: BncPartition, operands: Sequence) -> np.ndarray:
     """Cumulant at a partition: Moebius convolution of the moment function.
 
-    The operands are converted and side-checked once; every partition below
-    ``pi`` has the same side word.
+    The operands are converted, side-checked and put in chi-order once;
+    every partition below ``pi`` has the same side word.  The Moebius value
+    is taken only for a partition whose moment is not exactly zero:
+    mu(sigma, pi) is non-zero for every sigma <= pi, and adding an exact
+    zero to the sum, which starts at +0, changes no bit of it.  With the
+    zero-slice exit of the reduction, most partitions of a bisemicircular
+    word (every one with an odd block) cost a short reduction and no Moebius
+    value.
     """
-    ops = _checked_operands(pi.chi, operands)
+    word = _chi_ordered(pi.chi, operands)
     total = np.zeros((F.dim, F.dim), dtype=complex)
     for sigma in enumerate_bnc(pi.chi):
         if lattice_leq(sigma, pi):
-            mu = mobius_bnc(sigma, pi)
-            if mu:
-                total += mu * _moment_pi(F, sigma, ops)
+            m = _moment_pi(F, sigma, word)
+            if np.count_nonzero(m):
+                total += mobius_bnc(sigma, pi) * m
     return total
 
 
@@ -254,20 +283,15 @@ def product_cumulant_expand(
     once and reads each of those cumulants from that one table through
     ``cumulants_from_moments``.
     """
-    ops = [as_monomial(z) for z in operands]
-    if len(ops) != chi_hat.n:
-        raise ValueError("operand count does not match the expanded word")
-    _check_sides(chi_hat, ops)
+    word = _chi_ordered(chi_hat, operands)
+    ops = word.ops
     chi_m = chi_of_groups(chi_hat, group_sizes)
-    grouped = [
-        _product([ops[k - 1] for k in range(a, b)])
-        for a, b in group_offsets(group_sizes)
-    ]
+    grouped = [Monomial.concat(ops[a - 1:b - 1]) for a, b in group_offsets(group_sizes)]
     lhs = cumulant_pi(F, one_partition(chi_m), grouped)
     zero_hat = hat_embed(zero_partition(chi_m), group_sizes, chi_hat)
     top = one_partition(chi_hat)
     parts = enumerate_bnc(chi_hat)
-    moments = {tau: _moment_pi(F, tau, ops) for tau in parts}
+    moments = {tau: _moment_pi(F, tau, word) for tau in parts}
     rhs = np.zeros_like(lhs)
     for sigma in parts:
         if lattice_join(sigma, zero_hat) == top:
@@ -288,7 +312,9 @@ def bifree_test(
     Words run over all sequences of the given generators whose family tags
     are not all equal; the side word is forced by the generators.  The report
     carries the worst offenders, which for a genuinely correlated family
-    exhibit the planted covariance at order two.  Mixed cumulants start at
+    exhibit the planted covariance at order two.  A residual that is not
+    finite fails the scan: the first one is reported as the maximum, and
+    such violations are listed first.  Mixed cumulants start at
     order two, so ``max_order`` must lie in 2..8; ``tol`` must be positive
     and finite.
     """
@@ -323,10 +349,13 @@ def bifree_test(
                 val = cumulant_pi(F, one_partition(chi), [Monomial([s]) for s in word])
                 r = maxabs(val)
             tested += 1
-            if r > worst:
+            # A NaN residual fails both comparisons ``r > worst`` and
+            # ``r > tol``; the first non-finite one is the maximum and every
+            # one is a violation.
+            if math.isfinite(worst) and not r <= worst:
                 worst = r
                 worst_word = [s.display for s in word]
-            if r > tol:
+            if not r <= tol:
                 violations.append(
                     {
                         "order": n,
@@ -335,7 +364,7 @@ def bifree_test(
                         "residual": r,
                     }
                 )
-    violations.sort(key=lambda v: -v["residual"])
+    violations.sort(key=lambda v: (math.isfinite(v["residual"]), -v["residual"]))
     return {
         "pass": not violations,
         "vacuous": False,

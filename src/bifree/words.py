@@ -10,6 +10,7 @@ oracle assigning a ``(d, d)`` expectation matrix to every monomial.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, Iterable
 
 import numpy as np
@@ -114,6 +115,13 @@ class Monomial:
     @classmethod
     def unit(cls) -> "Monomial":
         return cls(())
+
+    @classmethod
+    def concat(cls, words: Iterable["Monomial"]) -> "Monomial":
+        """The product of monomials, their factor tuples joined in one pass."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "factors", tuple(chain.from_iterable(w.factors for w in words)))
+        return out
 
     def __mul__(self, other) -> "Monomial":
         if isinstance(other, Monomial):

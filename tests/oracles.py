@@ -12,8 +12,10 @@ walk every test word with no two merged as one operator, find a word's
 commutation class by closing it under swaps, and fit the least-squares
 candidate over breadth-first test words applied from the vacuum.  The
 matrix-lift oracle finds the index chains first and resolves every entry
-again for each chain, and the product-expansion oracle runs a full cumulant
-scan for each partition on its right-hand side.
+again for each chain.  The cumulant oracle takes a Moebius value and a
+fresh numeric-label reduction for every partition below its argument, and the
+product-expansion oracle runs a full cumulant scan for each partition on
+its right-hand side.
 """
 
 import math
@@ -26,6 +28,8 @@ from bifree.bnc import (
     enumerate_bnc,
     enumerate_nc,
     lattice_join,
+    lattice_leq,
+    mobius_bnc,
     one_partition,
     s_chi,
     zero_partition,
@@ -207,6 +211,20 @@ def eval_moment_pi_reference(F, pi, operands):
     monomials, in the same order, as ``eval_moment_pi``."""
     ops = [as_monomial(z) for z in operands]
     return _eval_pi_reference(F, pi.chi.labels, pi.blocks, ops)
+
+
+def cumulant_pi_scan(F, pi, operands):
+    """Cumulant at ``pi`` by the full scan: every sigma of ``enumerate_bnc``
+    is tested against ``pi``, the Moebius value is taken for each sigma below
+    it, and each moment is reduced from scratch by the numeric-label
+    reduction, with no exit on a zero slice.  The sum runs in enumeration
+    order, as in ``cumulant_pi``."""
+    ops = [as_monomial(z) for z in operands]
+    total = np.zeros((F.dim, F.dim), dtype=complex)
+    for sigma in enumerate_bnc(pi.chi):
+        if lattice_leq(sigma, pi):
+            total += mobius_bnc(sigma, pi) * eval_moment_pi_reference(F, sigma, ops)
+    return total
 
 
 # --- product-entry expansion by nested scans ----------------------------------

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import bifree.cli
 from bifree.balgebra import belement_from_json, belement_to_json
 from bifree.bnc import ChiWord, enumerate_bnc
 from bifree.cli import RunConfig, main
@@ -130,6 +131,22 @@ def test_bifree_test_subcommand(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["pass"] and rep["schema"] == 1
+
+
+def test_bifree_test_fails_on_nan_model(tmp_path, capsys):
+    # A NaN in a Kraus operator makes cumulants NaN: the scan fails, exit 1.
+    from bifree.balgebra import random_cpmap
+    from bifree.fock import make_bisemicircular
+
+    rng = np.random.default_rng(4)
+    spec = make_bisemicircular([random_cpmap(2, rng)], [random_cpmap(2, rng)]).to_json()
+    spec["left"][0]["kraus"][0]["re"][0][0] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(capsys, "--max-order", "4", "bifree", "test", "--model", str(path))
+    assert code == 1
+    rep = json.loads(out)
+    assert not rep["pass"] and rep["max_residual"] is None and rep["violation_count"] > 0
 
 
 def test_fock_moment(capsys):
@@ -310,6 +327,28 @@ def test_byte_stable_output(capsys):
     _, a = run_cli(capsys, "bifree", "test", "--max-order", "3")
     _, b = run_cli(capsys, "bifree", "test", "--max-order", "3")
     assert a == b
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    # Calls in one process share one parser; top-level options of one call
+    # must not leak into the next, so each prints what a fresh call prints.
+    argvs = [
+        ("--max-order", "3", "bifree", "test"),
+        ("bifree", "test"),
+        ("--output-format", "csv", "bnc", "enum", "--chi", "lr"),
+        ("bnc", "enum", "--chi", "lr"),
+        ("--max-order", "2", "--output-format", "csv", "bnc", "enum", "--chi", "rl"),
+    ]
+    fresh = []
+    for argv in argvs:
+        bifree.cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    builds = []
+    build = bifree.cli.build_parser
+    monkeypatch.setattr(bifree.cli, "build_parser", lambda: builds.append(1) or build())
+    bifree.cli._parser.cache_clear()
+    assert [run_cli(capsys, *argv) for argv in argvs] == fresh
+    assert len(builds) == 1
 
 
 def test_help_available_on_subcommands(capsys):

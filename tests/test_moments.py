@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from oracles import (
+    cumulant_pi_scan,
     eval_moment_pi_random,
     eval_moment_pi_reference,
     free_cumulant_from_moments,
@@ -219,6 +220,108 @@ def test_cumulant_checks_its_operands_once(scalar_model, monkeypatch):
         cumulant_pi(scalar_model.functional, one_partition(ChiWord("rl")), [Monomial([s])] * 2)
     with pytest.raises(ValueError):
         cumulant_pi(scalar_model.functional, one_partition(chi), [Monomial([s])] * 3)
+
+
+def _planted_model(d, rng):
+    """A left and a right generator that share the index ``k``, so their
+    mixed cumulants do not vanish."""
+    fm = FockModel(d, ("k",), ("j",), {"k": random_cpmap(d, rng), "j": random_cpmap(d, rng)})
+    A = fm.register_symbol(
+        GeneratorSymbol("A", "l", family="a"), [(1.0, ("l", "k")), (1.0, ("l*", "k"))]
+    )
+    B = fm.register_symbol(
+        GeneratorSymbol("B", "r", family="b"),
+        [(1.0, ("r", "j")), (1.0, ("r*", "j")), (0.5, ("r", "k")), (0.5, ("r*", "k"))],
+    )
+    return fm, A, B
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cumulant_matches_full_scan(d):
+    # The zero-slice exit, the Moebius value taken only for a non-zero
+    # moment and the chi-order resolved once per word change no bit: every
+    # mixed word up to order 5, with and without coefficient insertions, at
+    # the top and at a random partition, equals the full per-partition scan.
+    # In the scaled-down model, moments of order 2 are about 1e-14: a slice
+    # that is small but not zero must not end the reduction.
+    rng = np.random.default_rng(70 + d)
+    m = make_bisemicircular([random_cpmap(d, rng)], [random_cpmap(d, rng)])
+    tiny = make_bisemicircular(
+        *([CPMap([1e-7 * v for v in random_cpmap(d, rng).kraus])] for _ in "lr")
+    )
+    planted, A, B = _planted_model(d, rng)
+    planted_nonzero = 0
+    models = [(x.model, x.symbol("S1"), x.symbol("D1")) for x in (m, tiny)]
+    for model, S, D in models + [(planted, A, B)]:
+        F, F_ref = model.functional, MomentFunctional(model.expectation, d)
+        for n in range(2, 6):
+            for labels in itertools.product("lr", repeat=n):
+                if len(set(labels)) < 2:
+                    continue
+                chi = ChiWord(labels)
+                parts = enumerate_bnc(chi)
+                plain = [Monomial([S if s == "l" else D]) for s in labels]
+                inserted = _operands_with_insertions(S, D, chi, d, rng)
+                for pi, ops in (
+                    (one_partition(chi), plain),
+                    (one_partition(chi), inserted),
+                    (parts[rng.integers(len(parts))], inserted),
+                ):
+                    got = cumulant_pi(F, pi, ops)
+                    assert np.array_equal(got, cumulant_pi_scan(F_ref, pi, ops)), (pi, ops)
+                    planted_nonzero += model is planted and maxabs(got) > 1e-9
+    assert planted_nonzero >= 6
+
+
+def test_scan_report_equals_full_scan(monkeypatch):
+    rng = np.random.default_rng(81)
+    m = make_bisemicircular([random_cpmap(2, rng)], [random_cpmap(2, rng)])
+    got = bifree_test(m.functional, m.symbols, max_order=6)
+    monkeypatch.setattr(bifree.moments, "cumulant_pi", cumulant_pi_scan)
+    want = bifree_test(MomentFunctional(m.model.expectation, 2), m.symbols, max_order=6)
+    assert got == want and got["tested"] == 114 and got["max_residual"] > 0
+
+
+def test_scan_lattice_counts_pinned(monkeypatch):
+    # Moebius values only for partitions whose moment is not zero; every
+    # partition is still compared with the top, so the lattice layer is
+    # reached (the benchmark's own check needs both counts above 0).
+    calls = {"mobius_bnc": 0, "lattice_leq": 0}
+    for name in calls:
+        real = getattr(bifree.moments, name)
+
+        def counted(*a, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*a)
+
+        monkeypatch.setattr(bifree.moments, name, counted)
+    rng = np.random.default_rng(82)
+    m = make_bisemicircular([random_cpmap(2, rng)], [random_cpmap(2, rng)])
+    rep = bifree_test(m.functional, m.symbols, max_order=5)
+    assert rep["pass"] and rep["tested"] == 52
+    assert calls["lattice_leq"] == 2 * 2 + 6 * 5 + 14 * 14 + 30 * 42
+    # Taking a Moebius value for every partition would make this 1490.
+    assert calls["mobius_bnc"] == 12
+    assert calls["mobius_bnc"] > 0 and calls["lattice_leq"] > 0
+
+
+def _nan_model(d, rng):
+    if d == 1:
+        return make_bisemicircular([CPMap([[[math.nan]]])], [CPMap.identity(1)])
+    kraus = [random_belement(2, rng) for _ in range(2)]
+    kraus[0][0, 0] = math.nan
+    return make_bisemicircular([CPMap(kraus)], [random_cpmap(2, rng)])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bifree_scan_fails_on_nan(d):
+    # NaN is neither above the worst residual nor above the tolerance: it
+    # must still fail the scan and be the reported maximum.
+    m = _nan_model(d, np.random.default_rng(83))
+    rep = bifree_test(m.functional, m.symbols, max_order=4)
+    assert not rep["pass"] and math.isnan(rep["max_residual"])
+    assert rep["worst_word"] is not None and rep["violation_count"] > 0
+    assert math.isnan(rep["violations"][0]["residual"])
 
 
 def test_order_one_cumulant_is_expectation(flip_model):
