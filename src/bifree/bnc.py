@@ -4,10 +4,12 @@ A word ``chi`` over the side tags ``l``/``r`` assigns each of the positions
 ``1..n`` to the left or the right line of a two-line diagram.  Reading the
 left positions top-down and then the right positions bottom-up gives a
 permutation of ``1..n``; a partition is bi-non-crossing when it becomes an
-ordinary non-crossing partition after that relabelling.  Each partition
-carries that NC picture, computed once, and the lattice operations run on
-it.  This module holds the word type, the partition type, enumeration, the
-refinement lattice, its lower intervals and its integer Moebius function.
+ordinary non-crossing partition after that relabelling.  The lattice is
+kept in those NC coordinates: each partition carries its NC picture,
+enumerated partitions share the tuples of NC(n), and the lattice operations
+and the Moebius tables run on them.  This module holds the word type, the
+partition type, enumeration, the refinement lattice, its lower intervals and
+its integer Moebius function.
 """
 
 from __future__ import annotations
@@ -57,12 +59,6 @@ class ChiWord:
             raise IndexError(f"position {k} out of range 1..{self.n}")
         return self.labels[k - 1]
 
-    def left_positions(self) -> tuple[int, ...]:
-        return tuple(k for k in range(1, self.n + 1) if self.labels[k - 1] == LEFT)
-
-    def right_positions(self) -> tuple[int, ...]:
-        return tuple(k for k in range(1, self.n + 1) if self.labels[k - 1] == RIGHT)
-
     def restrict(self, positions: Sequence[int]) -> "ChiWord":
         """Induced word on a subset of positions (kept in numeric order)."""
         return ChiWord(self.labels[k - 1] for k in sorted(positions))
@@ -85,9 +81,10 @@ def s_chi(chi: ChiWord) -> tuple[int, ...]:
 
     Entry ``k-1`` of the result is the position visited k-th.
     """
-    lefts = chi.left_positions()
-    rights = chi.right_positions()
-    return lefts + rights[::-1]
+    ks = range(1, chi.n + 1)
+    return tuple(k for k in ks if chi.labels[k - 1] == LEFT) + tuple(
+        k for k in reversed(ks) if chi.labels[k - 1] == RIGHT
+    )
 
 
 def s_chi_inverse(chi: ChiWord) -> tuple[int, ...]:
@@ -100,8 +97,7 @@ def s_chi_inverse(chi: ChiWord) -> tuple[int, ...]:
 
 
 def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
-    canon = tuple(sorted((tuple(sorted(set(b))) for b in blocks), key=lambda b: b[0]))
-    return canon
+    return tuple(sorted((tuple(sorted(set(b))) for b in blocks), key=lambda b: b[0]))
 
 
 def _check_partition(blocks: Blocks, n: int) -> None:
@@ -180,29 +176,40 @@ def is_bnc(blocks: Iterable[Iterable[int]], chi: ChiWord) -> bool:
 class BncPartition:
     """A partition of ``{1..n}`` that is bi-non-crossing for its chi word.
 
-    ``blocks`` are the canonical blocks; ``nc`` is the same partition in the
-    chi-ordered picture, a canonical non-crossing partition of ``1..n``.
+    ``nc`` is its chi-ordered picture, a canonical non-crossing partition of
+    ``1..n``; the lattice operations, equality and hash read ``(chi, nc)``.
+    ``blocks``, the canonical blocks in position coordinates, are computed
+    from ``nc`` through ``s_chi`` the first time they are read.
     """
 
-    __slots__ = ("chi", "blocks", "nc")
+    __slots__ = ("chi", "nc", "_blocks")
 
     def __init__(self, blocks: Iterable[Iterable[int]], chi: ChiWord):
         canon, nc = _nc_picture(blocks, chi)
         if not _is_noncrossing(nc, chi.n):
             raise ValueError(f"partition {canon} is not bi-non-crossing for chi={chi}")
-        self._set(canon, nc, chi)
+        self._set(nc, chi, canon)
 
     @classmethod
-    def _trusted(cls, blocks: Blocks, nc: Blocks, chi: ChiWord) -> "BncPartition":
-        """Build from canonical blocks and their NC picture without checks."""
+    def _trusted(cls, nc: Blocks, chi: ChiWord) -> "BncPartition":
+        """Build from a canonical non-crossing picture without checks."""
         self = object.__new__(cls)
-        self._set(blocks, nc, chi)
+        self._set(nc, chi, None)
         return self
 
-    def _set(self, blocks: Blocks, nc: Blocks, chi: ChiWord) -> None:
-        object.__setattr__(self, "blocks", blocks)
+    def _set(self, nc: Blocks, chi: ChiWord, blocks: Blocks | None) -> None:
         object.__setattr__(self, "nc", nc)
         object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "_blocks", blocks)
+
+    @property
+    def blocks(self) -> Blocks:
+        if self._blocks is None:
+            s = s_chi(self.chi)
+            object.__setattr__(
+                self, "_blocks", _canonical_blocks(tuple(s[x - 1] for x in b) for b in self.nc)
+            )
+        return self._blocks
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("BncPartition is immutable")
@@ -215,11 +222,11 @@ class BncPartition:
         return (
             isinstance(other, BncPartition)
             and self.chi == other.chi
-            and self.blocks == other.blocks
+            and self.nc == other.nc
         )
 
     def __hash__(self):
-        return hash((self.chi, self.blocks))
+        return hash((self.chi, self.nc))
 
     def __repr__(self):
         return f"BncPartition({list(map(list, self.blocks))}, chi={self.chi})"
@@ -284,7 +291,12 @@ def _cross_gaps(block: Block, gaps: list[list[int]], gi: int, acc: Blocks) -> It
 
 @lru_cache(maxsize=16)
 def _nc_all(n: int) -> tuple[Blocks, ...]:
-    return tuple(_canonical_blocks(p) for p in _nc_blocks(tuple(range(1, n + 1))))
+    # Equal blocks of different partitions are one tuple.
+    shared: dict[Block, Block] = {}
+    return tuple(
+        tuple(shared.setdefault(b, b) for b in _canonical_blocks(p))
+        for p in _nc_blocks(tuple(range(1, n + 1)))
+    )
 
 
 def enumerate_nc(n: int) -> tuple[Blocks, ...]:
@@ -296,23 +308,10 @@ def enumerate_nc(n: int) -> tuple[Blocks, ...]:
     return _nc_all(n)
 
 
-def _bnc_blocks(chi: ChiWord) -> list[Blocks]:
-    """Canonical blocks of each partition of ``_nc_all(n)`` relabelled by
-    ``s_chi``, in that order."""
-    s = s_chi(chi)
-    nc = _nc_all(chi.n)
-    # Relabel each distinct block once; disjoint blocks sort by first element.
-    rel = {b: tuple(sorted(s[x - 1] for x in b)) for b in set(chain.from_iterable(nc))}
-    return [tuple(sorted(rel[b] for b in sigma)) for sigma in nc]
-
-
 @lru_cache(maxsize=256)
 def _bnc_all(chi: ChiWord) -> tuple[BncPartition, ...]:
     # Relabelled NC partitions are BNC by definition: no re-check needed.
-    return tuple(
-        BncPartition._trusted(blocks, sigma, chi)
-        for blocks, sigma in zip(_bnc_blocks(chi), _nc_all(chi.n))
-    )
+    return tuple(BncPartition._trusted(sigma, chi) for sigma in _nc_all(chi.n))
 
 
 def enumerate_bnc(chi: ChiWord) -> tuple[BncPartition, ...]:
@@ -328,9 +327,10 @@ def _require_same_chi(sigma: BncPartition, pi: BncPartition) -> None:
 
 
 def lattice_leq(sigma: BncPartition, pi: BncPartition) -> bool:
-    """Refinement order: every block of sigma is contained in a block of pi."""
+    """Refinement order: every block of sigma lies in a block of pi.  Read on
+    the NC pictures, since relabelling the points preserves refinement."""
     _require_same_chi(sigma, pi)
-    return _blocks_leq(sigma.blocks, pi.blocks)
+    return len(pi.nc) == 1 or _blocks_leq(sigma.nc, pi.nc)
 
 
 def _blocks_leq(fine: Blocks, coarse: Blocks) -> bool:
@@ -347,29 +347,18 @@ def _blocks_leq(fine: Blocks, coarse: Blocks) -> bool:
 
 
 def lattice_meet(sigma: BncPartition, pi: BncPartition) -> BncPartition:
-    """Common refinement (pairwise block intersections)."""
+    """Common refinement: the pairwise block intersections of the NC
+    pictures, which do not cross."""
     _require_same_chi(sigma, pi)
-    blocks = []
-    for a in sigma.blocks:
-        sa = set(a)
-        for b in pi.blocks:
-            inter = sa.intersection(b)
-            if inter:
-                blocks.append(tuple(sorted(inter)))
-    return BncPartition(blocks, sigma.chi)
+    inter = (set(a).intersection(b) for a in sigma.nc for b in pi.nc)
+    return BncPartition._trusted(_canonical_blocks(x for x in inter if x), sigma.chi)
 
 
 def lattice_join(sigma: BncPartition, pi: BncPartition) -> BncPartition:
-    """Least upper bound in BNC(chi).
-
-    In the NC picture it is the join in P(n) closed under merging crossing
-    blocks (the P(n) join alone can cross); the result is mapped back by
-    ``s_chi`` and validated.
-    """
+    """Least upper bound in BNC(chi): in the NC picture, the join in P(n)
+    closed under merging crossing blocks (the P(n) join alone can cross)."""
     _require_same_chi(sigma, pi)
-    s = s_chi(sigma.chi)
-    joined = _nc_closure(sigma.nc + pi.nc, sigma.n)
-    return BncPartition([[s[x - 1] for x in b] for b in joined], sigma.chi)
+    return BncPartition._trusted(_nc_closure(sigma.nc + pi.nc, sigma.n), sigma.chi)
 
 
 # --- Moebius function -------------------------------------------------------
@@ -417,20 +406,13 @@ def mobius_bnc(sigma: BncPartition, pi: BncPartition) -> int:
 
 
 @lru_cache(maxsize=MAX_ENUM_N)
-def _mu_top_nc(n: int) -> tuple[int, ...]:
-    top = (tuple(range(1, n + 1)),)
-    return tuple(_mobius_nc(sigma, top) for sigma in _nc_all(n))
-
-
-def mobius_top_table(chi: ChiWord) -> tuple[tuple[Blocks, int], ...]:
-    """``(sigma.blocks, mobius_bnc(sigma, one_partition(chi)))`` for each sigma
-    of ``enumerate_bnc(chi)``, in that order, without building the partitions.
-
-    The values are computed once per length in NC coordinates.
+def mobius_top_table(n: int) -> tuple[tuple[Blocks, int], ...]:
+    """``(sigma, mu(sigma, 1_n))`` for each sigma of ``enumerate_nc(n)``, once
+    per length.  For every chi of length n, entry i is ``(p.nc, mobius_bnc(p,
+    one_partition(chi)))`` for the i-th partition p of ``enumerate_bnc(chi)``.
     """
-    if chi.n > MAX_ENUM_N:
-        raise ValueError(f"n={chi.n} exceeds enumeration bound {MAX_ENUM_N}")
-    return tuple(zip(_bnc_blocks(chi), _mu_top_nc(chi.n)))
+    top = (tuple(range(1, n + 1)),)
+    return tuple((sigma, _mobius_nc(sigma, top)) for sigma in enumerate_nc(n))
 
 
 @lru_cache(maxsize=MAX_ENUM_N)
@@ -450,9 +432,10 @@ def lower_interval(pi: BncPartition) -> tuple[tuple[BncPartition, int], ...]:
     parts = enumerate_bnc(pi.chi)
     factors = []
     for V in pi.nc:
-        k = len(V)
-        relabelled = (tuple(tuple(V[x - 1] for x in b) for b in sigma) for sigma in _nc_all(k))
-        factors.append(tuple(zip(relabelled, _mu_top_nc(k))))
+        table = mobius_top_table(len(V))
+        factors.append(
+            tuple((tuple(tuple(V[x - 1] for x in b) for b in s), mu) for s, mu in table)
+        )
     index = _nc_index(pi.n)
     found = []
     for combo in product(*factors):

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import acceptance
-from .balgebra import CPMap, belement_from_json, belement_to_json
+from .balgebra import CPMap, as_belement, belement_from_json, belement_to_json
 from .bnc import BncPartition, ChiWord, enumerate_bnc, mobius_bnc
 from .conjvar import (
     PresenceContext,
@@ -116,9 +116,13 @@ def _read_table(path: str):
             data = json.load(fh)
     chi = ChiWord(data["chi"])
     table = {}
+    d = None  # every value must have the first value's size
     for entry in data["entries"]:
         p = BncPartition(entry["partition"], chi)
-        table[p] = belement_from_json(entry["value"])
+        if p in table:
+            raise ValueError(f"partition {list(map(list, p.blocks))} is listed twice")
+        v = table[p] = as_belement(belement_from_json(entry["value"]), d)
+        d = v.shape[0]
     return chi, table
 
 

@@ -381,24 +381,32 @@ def bifree_test(
 def _scalar_top_cumulant(F: MomentFunctional, word, chi: ChiWord) -> complex:
     """Top cumulant of a word of generators over scalar coefficients.
 
-    Uses the complete block factorization of scalar moment functions, with
-    the subword expectations cached per position subset.
+    Scalar moments factor over blocks, so the sum runs over the per-length
+    table ``mobius_top_table(n)``; each NC block is resolved to positions
+    once per word.  A partition with a block whose value is exactly 0 adds
+    an exact zero and is skipped; the others multiply mu by their block
+    values in order of smallest position, as ``enumerate_bnc(chi)`` lists
+    the blocks.
     """
-    phi_cache: dict[tuple, complex] = {}
-
-    def phi(block: tuple) -> complex:
-        v = phi_cache.get(block)
-        if v is None:
-            v = complex(F.expect(Monomial([word[k - 1] for k in block]))[0, 0])
-            phi_cache[block] = v
-        return v
-
+    s = s_chi(chi)
+    # NC block -> (smallest position, value), or None when the value is 0.
+    factor: dict = {}
     total = 0.0 + 0.0j
-    for blocks, mu in mobius_top_table(chi):
-        term = mu
-        for b in blocks:
-            term *= phi(b)
-            if term == 0:
+    for sigma, mu in mobius_top_table(chi.n):
+        for b in sigma:
+            try:
+                f = factor[b]
+            except KeyError:
+                pos = sorted(s[x - 1] for x in b)
+                v = complex(F.expect(Monomial([word[k - 1] for k in pos]))[0, 0])
+                f = factor[b] = (pos[0], v) if v != 0 else None
+            if f is None:
                 break
-        total += term
+        else:
+            # Disjoint blocks have distinct smallest positions, so the sort
+            # never compares two values.
+            term = mu
+            for _, v in sorted(factor[b] for b in sigma):
+                term *= v
+            total += term
     return total

@@ -15,10 +15,13 @@ matrix-lift oracle finds the index chains first and resolves every entry
 again for each chain.  The cumulant oracle takes a Moebius value and a
 fresh numeric-label reduction for every partition below its argument, and the
 product-expansion oracle runs a full cumulant scan for each partition on
-its right-hand side.
+its right-hand side.  The scalar top-cumulant oracle relabels every
+partition of the per-length Moebius table to positions for its side word
+and multiplies block values in position order.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from bifree.bnc import (
     lattice_join,
     lattice_leq,
     mobius_bnc,
+    mobius_top_table,
     one_partition,
     s_chi,
     zero_partition,
@@ -224,6 +228,59 @@ def cumulant_pi_scan(F, pi, operands):
     for sigma in enumerate_bnc(pi.chi):
         if lattice_leq(sigma, pi):
             total += mobius_bnc(sigma, pi) * eval_moment_pi_reference(F, sigma, ops)
+    return total
+
+
+# --- the lattice in position coordinates ---------------------------------------
+
+def relabel_nc(nc, chi):
+    """Canonical position blocks of an NC picture: rank r becomes position
+    ``s_chi(chi)[r - 1]``, each block sorted, blocks by smallest element."""
+    s = s_chi(chi)
+    return tuple(sorted(tuple(sorted(s[x - 1] for x in b)) for b in nc))
+
+
+def refines(fine, coarse):
+    """True iff every block of ``fine`` lies inside one block of ``coarse``."""
+    return all(any(set(b) <= set(c) for c in coarse) for b in fine)
+
+
+@lru_cache(maxsize=None)
+def mobius_top_table_by_positions(chi):
+    """``(blocks, mu(sigma, 1))`` for each sigma of ``enumerate_bnc(chi)``: the
+    per-length table with every partition relabelled to positions for this
+    side word."""
+    s = s_chi(chi)
+    table = mobius_top_table(chi.n)
+    # Relabel each distinct block once; disjoint blocks sort by first element.
+    blocks = {b for sigma, _ in table for b in sigma}
+    rel = {b: tuple(sorted(s[x - 1] for x in b)) for b in blocks}
+    return tuple((tuple(sorted(rel[b] for b in sigma)), mu) for sigma, mu in table)
+
+
+def scalar_top_cumulant_by_positions(F, word, chi):
+    """Top cumulant of a word of generators over scalar coefficients, summed
+    in position coordinates: every partition of the table relabelled for
+    ``chi``, each term multiplied block by block in position order and cut
+    short once it is exactly zero, block values cached per position
+    subset."""
+    phi_cache = {}
+
+    def phi(block):
+        v = phi_cache.get(block)
+        if v is None:
+            v = complex(F.expect(Monomial([word[k - 1] for k in block]))[0, 0])
+            phi_cache[block] = v
+        return v
+
+    total = 0.0 + 0.0j
+    for blocks, mu in mobius_top_table_by_positions(chi):
+        term = mu
+        for b in blocks:
+            term *= phi(b)
+            if term == 0:
+                break
+        total += term
     return total
 
 

@@ -5,7 +5,13 @@ import json
 
 import numpy as np
 import pytest
-from oracles import all_set_partitions, has_crossing, mobius_nc, zeta_inverse_mobius
+from oracles import (
+    all_set_partitions,
+    has_crossing,
+    mobius_nc,
+    mobius_top_table_by_positions,
+    zeta_inverse_mobius,
+)
 
 from bifree.bnc import (
     MAX_ENUM_N,
@@ -256,13 +262,21 @@ def test_mobius_nc_rejects_crossing():
 
 
 def test_mobius_top_table():
-    # same entries in the same order: the scalar cumulant scan sums in it
+    # Entry i is the i-th partition of enumerate_bnc(chi), in NC coordinates,
+    # with its Moebius value below the top, for every side word of the length.
     for n in range(1, 7):
+        table = mobius_top_table(n)
         for labels in itertools.product("lr", repeat=n):
             chi = ChiWord(labels)
             one = one_partition(chi)
-            want = [(s.blocks, mobius_bnc(s, one)) for s in enumerate_bnc(chi)]
-            assert list(mobius_top_table(chi)) == want
+            want = [(s.nc, mobius_bnc(s, one)) for s in enumerate_bnc(chi)]
+            assert list(table) == want
+            assert list(mobius_top_table_by_positions(chi)) == [
+                (s.blocks, mu) for s, (_, mu) in zip(enumerate_bnc(chi), want)
+            ]
+    for n in (0, MAX_ENUM_N + 1):
+        with pytest.raises(ValueError):
+            mobius_top_table(n)
 
 
 def _interval_by_scan(pi):

@@ -126,6 +126,43 @@ def test_mc_round_trip_n8(tmp_path, capsys):
         assert np.max(np.abs(got - belement_from_json(e["value"]))) < 1e-10
 
 
+def _seeded_table(n, seed):
+    rng = np.random.default_rng(seed)
+    chi = ChiWord(rng.choice(["l", "r"], size=n))
+    entries = [
+        {"partition": [list(b) for b in p.blocks],
+         "value": belement_to_json([[complex(*rng.standard_normal(2))]])}
+        for p in enumerate_bnc(chi)
+    ]
+    return {"chi": str(chi), "entries": entries}
+
+
+@pytest.mark.parametrize("direction", ["to-cumulants", "to-moments"])
+def test_mc_rejects_repeated_partition(tmp_path, capsys, direction):
+    # The last value of a repeated partition used to win silently.
+    table = _seeded_table(7, 14)
+    repeat = {"partition": table["entries"][0]["partition"],
+              "value": {"re": [[99.0]], "im": [[0.0]]}}
+    table["entries"].append(repeat)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, out = run_cli(capsys, "mc", direction, "--table", str(path))
+    assert code == 1
+    assert "listed twice" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("direction", ["to-cumulants", "to-moments"])
+def test_mc_rejects_values_of_different_sizes(tmp_path, capsys, direction):
+    # A 2x2 value among 1x1 ones used to broadcast into a mixed-size report.
+    table = _seeded_table(7, 15)
+    table["entries"][3]["value"] = belement_to_json(np.eye(2))
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, out = run_cli(capsys, "mc", direction, "--table", str(path))
+    assert code == 1
+    assert "dimension mismatch" in json.loads(out)["error"]
+
+
 def test_bifree_test_subcommand(capsys):
     code, out = run_cli(capsys, "bifree", "test", "--max-order", "3")
     assert code == 0

@@ -1,9 +1,11 @@
-"""No module imports a name it never reads, and the oracles no private one.
+"""No module imports a name it never reads, and no private name crosses a
+module boundary where it would hide work or borrow what it checks.
 
 An AST scan over the package (except ``__init__.py``, whose imports are
 its public API), the tests and the demos: every name bound by an import
 must be read somewhere in the module.  ``tests/oracles.py`` imports no
-``_``-prefixed name from the package.
+``_``-prefixed name from the package, and no package module imports one
+from another package module or reads one off an imported package module.
 """
 
 import ast
@@ -50,12 +52,42 @@ def test_no_unused_imports(path):
 def test_oracles_import_no_private_names():
     # An oracle that borrows the helpers it checks is not independent.
     path = ROOT / "tests" / "oracles.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    private = [
-        f"{node.module}.{a.name} (line {node.lineno})"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bifree"
-        for a in node.names
-        if a.name.startswith("_")
-    ]
+    private = list(_private_package_names(ast.parse(path.read_text(), filename=str(path))))
     assert not private, f"oracles.py imports private names: {', '.join(private)}"
+
+
+def _private_package_names(tree):
+    """``_``-prefixed names that a module imports from ``bifree`` modules
+    (relative imports included) or reads as attributes of a ``bifree``
+    module it imported."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "bifree"
+        ):
+            for a in node.names:
+                if a.name.startswith("_"):
+                    yield f"{node.module or '.'}.{a.name} (line {node.lineno})"
+                elif node.module in (None, "bifree"):
+                    modules.add(a.asname or a.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            yield f"{node.value.id}.{node.attr} (line {node.lineno})"
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "src" / "bifree").glob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_package_imports_no_private_names(path):
+    # The benchmark's tracer wraps public callables only: a private shortcut
+    # between modules would hide work from the per-layer metrics.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = list(_private_package_names(tree))
+    assert not private, f"{path.name} imports private names: {', '.join(private)}"

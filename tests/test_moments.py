@@ -1,5 +1,6 @@
 """Moment/cumulant transforms: reduction, convolution, grouping, detection."""
 
+import cmath
 import itertools
 import math
 
@@ -12,6 +13,7 @@ from oracles import (
     free_cumulant_from_moments,
     nc_pair_partition_count,
     product_cumulant_expand_nested,
+    scalar_top_cumulant_by_positions,
 )
 
 import bifree.moments
@@ -37,6 +39,7 @@ from bifree.moments import (
     moments_from_cumulants,
     product_cumulant_expand,
 )
+from bifree.moments import _scalar_top_cumulant
 from bifree.words import GeneratorSymbol, Lb, Monomial, MomentFunctional, Rb
 
 
@@ -322,6 +325,69 @@ def test_bifree_scan_fails_on_nan(d):
     assert not rep["pass"] and math.isnan(rep["max_residual"])
     assert rep["worst_word"] is not None and rep["violation_count"] > 0
     assert math.isnan(rep["violations"][0]["residual"])
+
+
+def _three_family_model(rng):
+    """Two left generators and a right one (families a, b, c) over scalar
+    coefficients.  Each creates and annihilates on its own index and on the
+    next one, with complex, non-integer weights: mixed cumulants do not
+    vanish, odd moments are exactly 0, and a product's bits depend on the
+    order of its factors."""
+    idx = ("k1", "k2", "k3")
+    fm = FockModel(1, idx[:2], idx[2:], {k: CPMap([[[rng.uniform(0.5, 1.5)]]]) for k in idx})
+    syms = []
+    for i, (name, side) in enumerate((("A", "l"), ("B", "l"), ("C", "r"))):
+        w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        own = (idx[i], idx[(i + 1) % 3])
+        action = [(c, (side, k)) for c, k in zip(w, own)]
+        action += [(c.conjugate(), (side + "*", k)) for c, k in zip(w, own)]
+        syms.append(fm.register_symbol(GeneratorSymbol(name, side, family=name.lower()), action))
+    return fm, syms
+
+
+def _scalar_scans(model, symbols, max_order):
+    """``(word, scan, position-coordinate scan)`` for every mixed word; the
+    oracle reads its own moment functional."""
+    F, F_ref = model.functional, MomentFunctional(model.expectation, 1)
+    for n in range(2, max_order + 1):
+        for word in itertools.product(symbols, repeat=n):
+            if len({s.family for s in word}) > 1:
+                chi = ChiWord(s.side for s in word)
+                yield (
+                    word,
+                    _scalar_top_cumulant(F, word, chi),
+                    scalar_top_cumulant_by_positions(F_ref, word, chi),
+                )
+
+
+def test_scalar_scan_matches_position_scan():
+    # The NC-coordinate scan sums the same terms in the same order as the
+    # scan over relabelled partitions: equal bits on every mixed word up to
+    # order 7.  The default model's mixed cumulants vanish; the correlated
+    # complex models' do not, and make the product order visible.
+    default = make_bisemicircular([CPMap.identity(1)], [CPMap.identity(1)])
+    models = [(default.model, default.symbols)]
+    models += [_three_family_model(np.random.default_rng(seed)) for seed in (84, 85)]
+    for model, symbols in models:
+        nonzero = 0
+        for word, got, want in _scalar_scans(model, symbols, 7):
+            assert got == want, [s.display for s in word]
+            nonzero += got != 0
+        assert nonzero == 0 if model is default.model else nonzero > 700
+
+
+def test_scalar_scan_non_finite_on_nan_model():
+    # A partition with a block whose value is exactly 0 is skipped even when
+    # another block is NaN; the position scan multiplies up to the first zero
+    # in position order.  Both scans fail, and every word that the NC scan
+    # finds non-finite the position scan finds non-finite too.
+    m = _nan_model(1, np.random.default_rng(83))
+    bad = 0
+    for word, got, want in _scalar_scans(m.model, m.symbols, 7):
+        if not cmath.isfinite(got):
+            assert not cmath.isfinite(want), [s.display for s in word]
+            bad += 1
+    assert bad > 0
 
 
 def test_order_one_cumulant_is_expectation(flip_model):
