@@ -17,8 +17,6 @@ from . import bnc
 from .balgebra import CPMap, maxabs, random_belement, random_cpmap
 from .bnc import BncPartition, ChiWord, catalan, enumerate_bnc, mobius_bnc
 from .conjvar import (
-    PresenceContext,
-    VectorCandidate,
     aaf_check,
     circular_entropy_experiment,
     conj_residual,
@@ -27,7 +25,9 @@ from .conjvar import (
     fisher_minimization_experiment,
     h_closed_form,
     matrix_lift,
+    scaled_semicircular,
     semicircular_entropy_experiment,
+    semicircular_perturbation,
 )
 from .fock import FockModel, make_bisemicircular, make_circular_pair
 from .moments import (
@@ -258,28 +258,17 @@ def criterion_6_bifree_detector(seed: int = 0) -> CriterionResult:
 def criterion_7_conjugate_variables(seed: int = 0) -> CriterionResult:
     t0 = time.time()
     one = CPMap.identity(1)
-    model = make_bisemicircular([one], [])
-    S = model.symbol("S1")
-    F = model.functional
-    cand = VectorCandidate(S, model.model.vector_of(Monomial([S])), model.model)
-    r = conj_residual(cand, one, PresenceContext(), 6)
+    runs = {}  # lam -> (candidate, residual, Fisher information)
+    for lam in (1.0, 0.5, 2.0):
+        cands, ctxs = scaled_semicircular(lam)
+        runs[lam] = (cands[0], conj_residual(cands[0], one, ctxs[0], 6), fisher_info(cands))
+    ok = all(r <= 1e-9 and abs(phi - 1.0 / lam**2) <= 1e-9 for lam, (_, r, phi) in runs.items())
+    cand, r, phi = runs.pop(1.0)
+    cr = phi * cand.functional.tau(Monomial([cand.target] * 2)).real
+    ok = ok and abs(cr - 1.0) <= 1e-9
     details = [f"xi=S residual {r:.2e}"]
-    ok = r <= 1e-9
-    for lam in (0.5, 2.0):
-        m2 = make_bisemicircular([one], [])
-        s0 = m2.symbol("S1")
-        lam_s = m2.model.combination_symbol(f"lam{lam}", s0.side, [(lam, s0)])
-        cand_l = VectorCandidate(
-            lam_s, m2.model.vector_of(Monomial([s0])).scaled(1.0 / lam), m2.model
-        )
-        rl = conj_residual(cand_l, one, PresenceContext(), 6)
-        phi_l = fisher_info([cand_l])
-        ok = ok and rl <= 1e-9 and abs(phi_l - 1.0 / lam**2) <= 1e-9
-        details.append(f"lam={lam}: residual {rl:.2e}, Fisher {phi_l:.6f}")
-    phi = fisher_info([cand])
-    tau_sq = F.tau(Monomial([S, S])).real
-    cr = phi * tau_sq
-    ok = ok and abs(phi - 1.0) <= 1e-9 and abs(cr - 1.0) <= 1e-9
+    for lam, (_, r_lam, phi_lam) in runs.items():
+        details.append(f"lam={lam}: residual {r_lam:.2e}, Fisher {phi_lam:.6f}")
     details.append(f"Fisher(s)={phi:.9f}, Cramer-Rao product {cr:.9f}")
     return CriterionResult(
         7, "conjugate variables (scalings, Fisher, Cramer-Rao)", ok,
@@ -290,20 +279,14 @@ def criterion_7_conjugate_variables(seed: int = 0) -> CriterionResult:
 def criterion_8_perturbation_law(seed: int = 0) -> CriterionResult:
     t0 = time.time()
     one = CPMap.identity(1)
-    model = make_bisemicircular([one, one], [])
-    s, s2 = model.symbol("S1"), model.symbol("S2")
+    family = semicircular_perturbation()
     worst = 0.0
     worst_resid = 0.0
     values = []
     for t in (0.0, 0.5, 1.0, 2.0, 10.0):
-        u = model.model.combination_symbol(
-            f"u{t}", "l", [(1.0, s), (math.sqrt(t), s2)], family="u"
-        )
-        cand = VectorCandidate(
-            u, model.model.vector_of(Monomial([u])).scaled(1.0 / (1.0 + t)), model.model
-        )
-        worst_resid = max(worst_resid, conj_residual(cand, one, PresenceContext(), 6))
-        phi = fisher_info([cand])
+        cands, ctxs = family(t)
+        worst_resid = max(worst_resid, conj_residual(cands[0], one, ctxs[0], 6))
+        phi = fisher_info(cands)
         values.append(phi)
         worst = max(worst, abs(phi - h_closed_form(t, 1.0, 1.0)))
     decreasing = all(values[i] > values[i + 1] for i in range(len(values) - 1))

@@ -97,7 +97,9 @@ def s_chi_inverse(chi: ChiWord) -> tuple[int, ...]:
 
 
 def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
-    return tuple(sorted((tuple(sorted(set(b))) for b in blocks), key=lambda b: b[0]))
+    """Blocks sorted inside and by their first element; the blocks must be
+    non-empty and disjoint."""
+    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
 
 
 def _check_partition(blocks: Blocks, n: int) -> None:
@@ -109,7 +111,7 @@ def _check_partition(blocks: Blocks, n: int) -> None:
             if not 1 <= x <= n:
                 raise ValueError(f"element {x} outside 1..{n}")
             if x in seen:
-                raise ValueError(f"element {x} appears in two blocks")
+                raise ValueError(f"element {x} is listed twice")
             seen.add(x)
     if len(seen) != n:
         raise ValueError(f"blocks cover {len(seen)} of {n} elements")
@@ -162,8 +164,9 @@ def _is_noncrossing(blocks: Blocks, n: int) -> bool:
 def _nc_picture(blocks: Iterable[Iterable[int]], chi: ChiWord) -> tuple[Blocks, Blocks]:
     """Canonical blocks of a partition of ``1..n`` and their relabelling by
     ``s_chi`` (also canonical); raises ``ValueError`` for a non-partition."""
+    blocks = [tuple(b) for b in blocks]
+    _check_partition(blocks, chi.n)
     canon = _canonical_blocks(blocks)
-    _check_partition(canon, chi.n)
     inv = s_chi_inverse(chi)
     return canon, _canonical_blocks(tuple(inv[x - 1] for x in b) for b in canon)
 

@@ -15,7 +15,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,12 +23,11 @@ from . import acceptance
 from .balgebra import CPMap, as_belement, belement_from_json, belement_to_json
 from .bnc import BncPartition, ChiWord, enumerate_bnc, mobius_bnc
 from .conjvar import (
-    PresenceContext,
-    VectorCandidate,
     circular_entropy_experiment,
     conj_residual,
     fisher_info,
     fisher_minimization_experiment,
+    scaled_semicircular,
     semicircular_entropy_experiment,
     solve_conjugate,
 )
@@ -40,33 +38,24 @@ from .words import Monomial
 SCHEMA = 1
 
 
-@dataclass
-class RunConfig:
-    d: int = 1
-    max_order: int = 4
-    tolerance: float = 1e-9
-    truncation: int | None = None
-    seed: int = 0
-    output_format: str = "json"
+def _checked(convert, ok, message: str):
+    """An argparse ``type``: convert the text, then reject a value failing
+    ``ok`` (a usage error, exit 2), wherever in the command line it is given."""
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.d > 8:
-            raise ValueError("d capped at 8")
-        if not 2 <= self.max_order <= 8:
-            raise ValueError("max_order must be in 2..8")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("tolerance must be positive and finite")
-        if self.truncation is not None and self.truncation < 0:
-            raise ValueError("truncation must be >= 0")
+    def parse(text: str):
+        x = convert(text)
+        if not ok(x):
+            raise argparse.ArgumentTypeError(message)
+        return x
+
+    return parse
 
 
-def _finite_nonzero(text: str) -> float:
-    x = float(text)
-    if x == 0 or not math.isfinite(x):
-        raise argparse.ArgumentTypeError("must be finite and nonzero")
-    return x
+_finite_nonzero = _checked(float, lambda x: 0 < abs(x) < math.inf, "must be finite and nonzero")
+_positive_finite = _checked(float, lambda x: 0 < x < math.inf, "must be positive and finite")
+_dimension = _checked(int, lambda n: 1 <= n <= 8, "must be in 1..8")
+_max_order = _checked(int, lambda n: 2 <= n <= 8, "must be in 2..8")
+_depth = _checked(int, lambda n: n >= 0, "must be >= 0")
 
 
 def _jsonable(obj):
@@ -87,9 +76,9 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(report: dict, cfg: RunConfig, csv_rows=None, csv_header=None) -> None:
+def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
     report = {"schema": SCHEMA, **report}
-    if cfg.output_format == "csv" and csv_rows is not None:
+    if args.output_format == "csv" and csv_rows is not None:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(csv_header)
@@ -100,12 +89,12 @@ def _emit(report: dict, cfg: RunConfig, csv_rows=None, csv_header=None) -> None:
         sys.stdout.write("\n")
 
 
-def _load_model(path: str | None, cfg: RunConfig) -> BisemicircularModel:
-    if path:
-        with open(path) as fh:
-            return BisemicircularModel.from_json(json.load(fh))
-    eye = CPMap.identity(cfg.d)
-    return make_bisemicircular([eye], [eye], max_depth=cfg.truncation)
+def _load_model(args) -> BisemicircularModel:
+    if args.model:
+        with open(args.model) as fh:
+            return BisemicircularModel.from_json(json.load(fh), max_depth=args.truncation)
+    eye = CPMap.identity(args.d)
+    return make_bisemicircular([eye], [eye], max_depth=args.truncation)
 
 
 def _read_table(path: str):
@@ -142,28 +131,28 @@ def _table_report(chi: ChiWord, table: dict) -> dict:
 
 # --- subcommand handlers -----------------------------------------------------
 
-def _cmd_bnc_enum(args, cfg: RunConfig) -> int:
+def _cmd_bnc_enum(args) -> int:
     chi = ChiWord(args.chi)
     parts = enumerate_bnc(chi)
     rows = [(p.n, str(chi), json.dumps([list(b) for b in p.blocks])) for p in parts]
     _emit(
         {"chi": str(chi), "count": len(parts), "partitions": [p.to_json() for p in parts]},
-        cfg,
+        args,
         csv_rows=rows,
         csv_header=("n", "chi", "blocks"),
     )
     return 0
 
 
-def _cmd_bnc_mobius(args, cfg: RunConfig) -> int:
+def _cmd_bnc_mobius(args) -> int:
     chi = ChiWord(args.chi)
     sigma = BncPartition(json.loads(args.sigma), chi)
     pi = BncPartition(json.loads(args.pi), chi)
-    _emit({"chi": str(chi), "value": mobius_bnc(sigma, pi)}, cfg)
+    _emit({"chi": str(chi), "value": mobius_bnc(sigma, pi)}, args)
     return 0
 
 
-def _cmd_mc(args, cfg: RunConfig, direction: str) -> int:
+def _cmd_mc(args, direction: str) -> int:
     chi, table = _read_table(args.table)
     out = {}
     for p in enumerate_bnc(chi):
@@ -171,21 +160,21 @@ def _cmd_mc(args, cfg: RunConfig, direction: str) -> int:
             out[p] = cumulants_from_moments(table, p)
         else:
             out[p] = moments_from_cumulants(table, p)
-    _emit(_table_report(chi, out), cfg)
+    _emit(_table_report(chi, out), args)
     return 0
 
 
-def _cmd_bifree_test(args, cfg: RunConfig) -> int:
-    model = _load_model(args.model, cfg)
+def _cmd_bifree_test(args) -> int:
+    model = _load_model(args)
     rep = bifree_test(
-        model.functional, model.symbols, max_order=cfg.max_order, tol=cfg.tolerance
+        model.functional, model.symbols, max_order=args.max_order, tol=args.tolerance
     )
-    _emit(rep, cfg)
+    _emit(rep, args)
     return 0 if rep["pass"] else 1
 
 
-def _cmd_fock_moment(args, cfg: RunConfig) -> int:
-    model = _load_model(args.model, cfg)
+def _cmd_fock_moment(args) -> int:
+    model = _load_model(args)
     word = Monomial([model.symbol(tok) for tok in args.word.split()])
     value = model.functional.expect(word)
     _emit(
@@ -194,77 +183,66 @@ def _cmd_fock_moment(args, cfg: RunConfig) -> int:
             "value": belement_to_json(value),
             "trace": _jsonable(complex(np.trace(value)) / model.dim),
         },
-        cfg,
+        args,
     )
     return 0
 
 
-def _cmd_conj_check(args, cfg: RunConfig) -> int:
+def _cmd_conj_check(args) -> int:
     one = CPMap.identity(1)
-    model = make_bisemicircular([one], [])
-    s = model.symbol("S1")
-    lam = args.lam
-    target = s
-    if lam != 1.0:
-        target = model.model.combination_symbol("target", s.side, [(lam, s)])
-    cand = VectorCandidate(
-        target, model.model.vector_of(Monomial([s])).scaled(1.0 / lam), model.model
-    )
-    resid = conj_residual(cand, one, PresenceContext(), args.max_n)
+    (cand,), (ctx,) = scaled_semicircular(args.lam)
+    resid = conj_residual(cand, one, ctx, args.max_n)
     phi = fisher_info([cand])
-    tau_sq = model.functional.tau(Monomial([target, target])).real
+    tau_sq = cand.functional.tau(Monomial([cand.target] * 2)).real
     rep = {
-        "target": f"{lam:g}*semicircular",
+        "target": f"{args.lam:g}*semicircular",
         "max_residual": resid,
         "fisher": phi,
         "cramer_rao_product": phi * tau_sq,
-        "pass": bool(resid <= cfg.tolerance),
+        "pass": bool(resid <= args.tolerance),
     }
     if args.solve:
         solved, solved_resid = solve_conjugate(
-            model.model, target, one, PresenceContext(), max_n=min(args.max_n, 4)
+            cand.model, cand.target, one, ctx, max_n=min(args.max_n, 4)
         )
         rep["solver_residual"] = solved_resid
         rep["solver_fisher"] = fisher_info([solved])
-    _emit(rep, cfg)
+    _emit(rep, args)
     return 0 if rep["pass"] else 1
 
 
-def _cmd_fisher_run(args, cfg: RunConfig) -> int:
+def _cmd_fisher_run(args) -> int:
     rep = fisher_minimization_experiment()
-    _emit(rep, cfg)
+    _emit(rep, args)
     return 0 if rep["pass"] else 1
 
 
-def _cmd_entropy_run(args, cfg: RunConfig) -> int:
+def _cmd_entropy_run(args) -> int:
     if args.experiment == "semicircular-max":
         rep = semicircular_entropy_experiment()
     else:
         rep = circular_entropy_experiment()
     rep = {k: v for k, v in rep.items() if k not in ("pair_report", "lift_report")}
-    _emit(rep, cfg)
+    _emit(rep, args)
     return 0 if rep["pass"] else 1
 
 
-def _cmd_verify_all(args, cfg: RunConfig) -> int:
+def _cmd_verify_all(args) -> int:
     # Progress lines (with timings) go to stderr; stdout carries only the
-    # byte-stable JSON summary.
+    # byte-stable summary.
     results, ok = acceptance.run_all(
-        seed=cfg.seed, emit=lambda line: print(line, file=sys.stderr)
+        seed=args.seed, emit=lambda line: print(line, file=sys.stderr)
     )
     summary = {
         "pass": ok,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "criteria": [
             {"id": r.cid, "name": r.name, "pass": r.passed, "detail": r.detail}
             for r in results
         ],
     }
-    if cfg.output_format == "csv":
-        rows = [(r.cid, r.name, r.passed, r.detail) for r in results]
-        _emit(summary, cfg, csv_rows=rows, csv_header=("id", "name", "pass", "detail"))
-    else:
-        _emit(summary, cfg)
+    rows = [(r.cid, r.name, r.passed, r.detail) for r in results]
+    _emit(summary, args, csv_rows=rows, csv_header=("id", "name", "pass", "detail"))
     return 0 if ok else 1
 
 
@@ -273,12 +251,12 @@ def _add_config_options(p: argparse.ArgumentParser, default: bool = False) -> No
     # the top level are not overwritten.
     d = (lambda v: v) if default else (lambda v: argparse.SUPPRESS)
     p.add_argument("--output-format", choices=("json", "csv"), default=d("json"))
-    p.add_argument("--tolerance", type=float, default=d(1e-9))
+    p.add_argument("--tolerance", type=_positive_finite, default=d(1e-9))
     p.add_argument("--seed", type=int, default=d(0))
-    p.add_argument("--d", type=int, default=d(1), help="coefficient dimension")
-    p.add_argument("--max-order", type=int, default=d(4))
+    p.add_argument("--d", type=_dimension, default=d(1), help="coefficient dimension, 1..8")
+    p.add_argument("--max-order", type=_max_order, default=d(4), help="2..8")
     p.add_argument(
-        "--truncation", type=int, default=d(None),
+        "--truncation", type=_depth, default=d(None),
         help="Fock depth cap; an expectation fails only if a component that "
         "could still return to depth 0 would exceed it",
     )
@@ -312,11 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = p_mc.add_parser("to-cumulants", help="convolve a moment table")
     p.add_argument("--table", required=True, help="JSON file or - for stdin")
     _add_config_options(p)
-    p.set_defaults(func=lambda a, c: _cmd_mc(a, c, "to-cumulants"))
+    p.set_defaults(func=lambda a: _cmd_mc(a, "to-cumulants"))
     p = p_mc.add_parser("to-moments", help="sum a cumulant table")
     p.add_argument("--table", required=True, help="JSON file or - for stdin")
     _add_config_options(p)
-    p.set_defaults(func=lambda a, c: _cmd_mc(a, c, "to-moments"))
+    p.set_defaults(func=lambda a: _cmd_mc(a, "to-moments"))
 
     p_bf = sub.add_parser("bifree", help="bi-freeness checks").add_subparsers(
         dest="cmd", required=True
@@ -381,21 +359,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            d=args.d,
-            max_order=args.max_order,
-            tolerance=args.tolerance,
-            truncation=args.truncation,
-            seed=args.seed,
-            output_format=args.output_format,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))  # usage error: exits 2
-    try:
-        return args.func(args, cfg)
+        return args.func(args)
     except BrokenPipeError:  # pragma: no cover
         return 1
     except Exception as exc:  # computation failure -> exit 1 with JSON error

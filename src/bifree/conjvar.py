@@ -25,6 +25,7 @@ integrals, the minimization experiments) consumes verified candidates.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -324,8 +325,11 @@ class MatrixLift:
         self.base = base
         self.d = d
         self.tables: dict[GeneratorSymbol, dict] = {}
+        # The oracle reads a shallow copy that shares the tables but not the
+        # functional, so lift and functional form no reference cycle.
+        view = copy.copy(self)
         self.functional = MomentFunctional(
-            lambda word: np.array([[trace_d(self.expect(word))]], dtype=complex), 1
+            lambda word: np.array([[trace_d(view.expect(word))]], dtype=complex), 1
         )
 
     def add_symbol(self, sym: GeneratorSymbol, table: dict) -> GeneratorSymbol:
@@ -580,6 +584,35 @@ def circular_candidates(model: FockModel, z, w, scale: float = 1.0):
     return cands, ctxs
 
 
+def scaled_semicircular(lam: float):
+    """Candidate for ``lam * S1`` on a fresh scalar model: the state of
+    ``S1`` over ``lam`` (Fisher information ``1/lam^2``), with its empty
+    presence context, each in a one-element list."""
+    m = make_bisemicircular([CPMap.identity(1)], [])
+    s = m.symbol("S1")
+    target = m.model.combination_symbol(f"{lam!r}*S1", s.side, [(lam, s)])
+    vec = m.model.vector_of(Monomial([s])).scaled(1.0 / lam)
+    return [VectorCandidate(target, vec, m.model)], [PresenceContext()]
+
+
+def semicircular_perturbation():
+    """The family t -> candidates for ``u[t] = S1 + sqrt(t) S2``, free
+    semicircular of variance ``1 + t`` on one scalar model: the state of
+    ``u[t]`` over ``1 + t`` (Fisher information ``1/(1 + t)``), with its
+    empty presence context, each in a one-element list."""
+    m = make_bisemicircular([CPMap.identity(1)] * 2, [])
+    s, s2 = m.symbol("S1"), m.symbol("S2")
+
+    def family(t: float):
+        u = m.model.combination_symbol(
+            f"u[{t!r}]", LEFT, [(1.0, s), (math.sqrt(t), s2)], family="u"
+        )
+        vec = m.model.vector_of(Monomial([u])).scaled(1.0 / (1.0 + t))
+        return [VectorCandidate(u, vec, m.model)], [PresenceContext()]
+
+    return family
+
+
 def lifted_candidates(F: MomentFunctional, z, w, scale: float = 1.0):
     """Conjugate candidates of the lifted carriers of a circular pair.
 
@@ -658,18 +691,10 @@ def semicircular_entropy_experiment() -> dict:
     then vanishes identically and the entropy is (1/2) log(2 pi e), which is
     also the maximum-entropy bound at unit variance.
     """
-    model = make_bisemicircular([CPMap.identity(1)] * 2, [])
-    s, s2 = model.symbol("S1"), model.symbol("S2")
-
-    def family(t: float):
-        u = model.model.combination_symbol(
-            f"u[{t!r}]", LEFT, [(1.0, s), (math.sqrt(t), s2)], family="u"
-        )
-        vec = model.model.vector_of(Monomial([u])).scaled(1.0 / (1.0 + t))
-        return [VectorCandidate(u, vec, model.model)], [PresenceContext()]
-
     # Residuals at three perturbation times over test words of up to 6 letters.
-    max_resid, report = _verify_then_integrate(family, 1.0, (0.0, 1.0, 10.0), 6)
+    max_resid, report = _verify_then_integrate(
+        semicircular_perturbation(), 1.0, (0.0, 1.0, 10.0), 6
+    )
     expected = 0.5 * math.log(2.0 * math.pi * math.e)
     report.update(
         {

@@ -27,6 +27,7 @@ float roundoff, for any truncation at or above floor(n/2).
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
@@ -271,7 +272,9 @@ class FockModel:
         self._cov = {k: self._ar.covariance(eta) for k, eta in self.covariances.items()}
         self.max_depth = max_depth
         self.symbol_actions: dict[GeneratorSymbol, tuple[tuple[complex, tuple], ...]] = {}
-        self.functional = MomentFunctional(self.expectation, dim)
+        # The oracle is bound to a shallow copy that shares every table but
+        # not the functional: model and functional form no reference cycle.
+        self.functional = MomentFunctional(copy.copy(self).expectation, dim)
 
     @property
     def indices(self) -> tuple:
@@ -291,15 +294,20 @@ class FockModel:
 
         Each action term is ``(coeff, ("l"| "l*" | "r" | "r*", index))``.
         With ``self_adjoint`` the starred symbol resolves to the same action.
+        Registering a symbol again with the same action changes nothing; with
+        another action it raises ``ValueError``, since the moment cache keys
+        on the symbol and would keep the old moments.
         """
         terms = tuple((complex(c), (str(op), k)) for c, (op, k) in action)
         for _, (op, k) in terms:
             if op not in _CREATORS + _ANNIHILATORS:
                 raise ValueError(f"unknown factor kind {op!r}")
             self._check_index(k)
-        self.symbol_actions[sym] = terms
-        if self_adjoint:
-            self.symbol_actions[sym.star()] = terms
+        keys = (sym, sym.star()) if self_adjoint else (sym,)
+        for key in keys:
+            if self.symbol_actions.get(key, terms) != terms:
+                raise ValueError(f"symbol {key!r} is already registered with another action")
+        self.symbol_actions.update(dict.fromkeys(keys, terms))
         return sym
 
     def combination_symbol(
@@ -522,12 +530,12 @@ class BisemicircularModel:
         raise KeyError(name)
 
     @classmethod
-    def from_json(cls, obj: dict | str) -> "BisemicircularModel":
+    def from_json(cls, obj: dict | str, max_depth: int | None = None) -> "BisemicircularModel":
         if isinstance(obj, str):
             obj = json.loads(obj)
         left = [CPMap.from_json(e) for e in obj.get("left", [])]
         right = [CPMap.from_json(e) for e in obj.get("right", [])]
-        return cls(left, right)
+        return cls(left, right, max_depth=max_depth)
 
     def to_json(self) -> dict:
         n = len(self.left_symbols)

@@ -94,6 +94,17 @@ def test_is_bnc_rejects_non_partition():
         is_bnc([[1]], ChiWord("ll"))
 
 
+@pytest.mark.parametrize(
+    "blocks, chi",
+    [([[1, 1], [2]], "ll"), ([[1], [2, 2]], "lr"), ([[1], [2], [3], []], "lll"),
+     ([[], [1, 2]], "rl"), ([[1, 2, 1]], "ll")],
+)
+def test_partition_with_repeat_or_empty_block_rejected(blocks, chi):
+    # Canonicalizing first used to drop the repeat, or index an empty block.
+    with pytest.raises(ValueError):
+        BncPartition(blocks, ChiWord(chi))
+
+
 # --- enumeration ----------------------------------------------------------------
 
 def test_counts_are_catalan():

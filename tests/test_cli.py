@@ -10,7 +10,8 @@ import pytest
 import bifree.cli
 from bifree.balgebra import belement_from_json, belement_to_json
 from bifree.bnc import ChiWord, enumerate_bnc
-from bifree.cli import RunConfig, main
+from bifree.acceptance import CriterionResult
+from bifree.cli import main
 from bifree.fock import FockModel, make_standard_semicircular
 from bifree.moments import eval_moment_pi
 from bifree.words import Monomial
@@ -20,24 +21,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
-
-
-def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        RunConfig(d=0)
-    with pytest.raises(ValueError):
-        RunConfig(max_order=9)
-    with pytest.raises(ValueError):
-        RunConfig(tolerance=0)
-    with pytest.raises(ValueError):
-        RunConfig(truncation=-1)
-    for max_order in (-1, 0, 1):
-        with pytest.raises(ValueError):
-            RunConfig(max_order=max_order)
-    for tolerance in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            RunConfig(tolerance=tolerance)
-    RunConfig(max_order=2)
 
 
 def test_bnc_enum(capsys):
@@ -208,6 +191,24 @@ def test_fock_moment_with_model_file(tmp_path, capsys):
     assert np.allclose(rep["value"]["re"], np.eye(2))
 
 
+@pytest.mark.parametrize("from_file", [False, True])
+def test_truncation_applies_to_every_model(from_file, tmp_path, capsys):
+    # The identity model is built from --d or read with --model; the depth
+    # cap holds for both.
+    model = []
+    if from_file:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(make_standard_semicircular(1, 1).to_json()))
+        model = ["--model", str(path)]
+    word = ["fock", "moment", "--word", "S1 S1 S1 S1 S1 S1", *model]
+    code, out = run_cli(capsys, "--truncation", "2", *word)
+    assert code == 1
+    assert json.loads(out)["error"].startswith("TruncationError")
+    code, out = run_cli(capsys, "--truncation", "3", *word)
+    assert code == 0
+    assert json.loads(out)["trace"] == 5.0
+
+
 def test_conj_check(capsys):
     code, out = run_cli(capsys, "conj", "check", "--lam", "2.0", "--max-n", "4")
     assert code == 0
@@ -296,7 +297,7 @@ def test_usage_error_exit_2(capsys):
         ["bifree", "test", "--max-order", "1"],
         ["conj", "check", "--lam", "nan"],
         ["conj", "check", "--lam", "inf"],
-        ["conj", "check", "--lam", "-inf"],
+        ["conj", "check", "--lam=-inf"],  # "--lam -inf" would read -inf as an option
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -304,15 +305,37 @@ def test_usage_error_exit_2(capsys):
         assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize(
-    "flag, value",
-    [("--d", "9"), ("--max-order", "9"), ("--tolerance", "-1"), ("--max-order", "1"),
-     ("--max-order", "-1"), ("--tolerance", "nan"), ("--tolerance", "inf"),
-     ("--tolerance", "-inf")],
-)
+# Every value out of range is a usage error wherever it is given, even when
+# a valid value later on the command line would override it.  Values are
+# attached with "=", since argparse reads a separate "-inf" as an option.
+REJECTED_CONFIG = [
+    ("--d", "0"), ("--d", "-1"), ("--d", "9"),
+    ("--max-order", "-1"), ("--max-order", "0"), ("--max-order", "1"), ("--max-order", "9"),
+    ("--tolerance", "0"), ("--tolerance", "-1"), ("--tolerance", "nan"),
+    ("--tolerance", "inf"), ("--tolerance", "-inf"),
+    ("--truncation", "-1"),
+]
+VALID_CONFIG = {"--d": "1", "--max-order": "4", "--tolerance": "1e-9", "--truncation": "3"}
+
+
+@pytest.mark.parametrize("flag, value", REJECTED_CONFIG)
 def test_invalid_config_is_usage_error(flag, value, capsys):
     with pytest.raises(SystemExit) as exc:
-        main([flag, value, "bnc", "enum", "--chi", "lr"])
+        main([f"{flag}={value}", "bnc", "enum", "--chi", "lr"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("where", ["leaf", "top-overridden"])
+@pytest.mark.parametrize("flag, value", REJECTED_CONFIG)
+def test_invalid_config_after_subcommand_is_usage_error(flag, value, where, capsys):
+    leaf = ["fock", "moment", "--word", "S1"]
+    if where == "leaf":
+        argv = [*leaf, f"{flag}={value}"]
+    else:
+        argv = [f"{flag}={value}", *leaf, flag, VALID_CONFIG[flag]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
 
@@ -386,6 +409,26 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
     bifree.cli._parser.cache_clear()
     assert [run_cli(capsys, *argv) for argv in argvs] == fresh
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_all_output_formats(fmt, capsys, monkeypatch):
+    results = [CriterionResult(1, "lattice counts", True, "exact, 2 words", 0.5),
+               CriterionResult(12, "total runtime", False, "over budget", 301.0)]
+    monkeypatch.setattr(bifree.cli.acceptance, "run_all", lambda seed, emit: (results, False))
+    code, out = run_cli(capsys, "--output-format", fmt, "verify", "all")
+    assert code == 1
+    if fmt == "csv":
+        assert out.splitlines() == [
+            "id,name,pass,detail", '1,lattice counts,True,"exact, 2 words"',
+            "12,total runtime,False,over budget",
+        ]
+    else:
+        rep = json.loads(out)
+        assert (rep["pass"], rep["seed"]) == (False, 0)
+        assert rep["criteria"][0] == {
+            "id": 1, "name": "lattice counts", "pass": True, "detail": "exact, 2 words"
+        }
 
 
 def test_help_available_on_subcommands(capsys):

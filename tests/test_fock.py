@@ -1,6 +1,8 @@
 """Fock-space models: exact word actions, expectations, pairings."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -218,6 +220,49 @@ def test_registered_symbol_validation():
         fm.register_symbol(GeneratorSymbol("bad", "l"), [(1.0, ("nope", "a"))])
     with pytest.raises(KeyError):
         fm.register_symbol(GeneratorSymbol("bad", "l"), [(1.0, ("l", "zz"))])
+
+
+def test_rebinding_a_symbol_to_another_action_rejected():
+    m = make_standard_semicircular()
+    s = m.symbol("S1")
+    target = m.model.combination_symbol("target", "l", [(2.0, s)])
+    tt = Monomial([target, target])
+    assert m.functional.expect(tt)[0, 0] == 4.0
+    # The same action again is a no-op; another one would leave the cached
+    # moment stale.
+    assert m.model.combination_symbol("target", "l", [(2.0, s)]) == target
+    with pytest.raises(ValueError, match="another action"):
+        m.model.combination_symbol("target", "l", [(3.0, s)])
+    assert m.functional.expect(tt)[0, 0] == 4.0
+    assert m.model.norm_sq(m.model.vector_of(Monomial([target]))) == 4.0
+    with pytest.raises(ValueError, match="another action"):
+        m.model.register_symbol(s.star(), [(1.0, ("l", "S1"))])
+
+
+def test_model_and_lift_freed_without_the_cycle_collector():
+    from bifree.conjvar import MatrixLift
+
+    gc.disable()
+    try:
+        m = make_standard_semicircular()
+        s = m.symbol("S1")
+        F = m.functional
+        assert F.expect(Monomial([s, s]))[0, 0] == 1.0
+        model = weakref.ref(m.model)
+        del m
+        assert model() is None
+        # The functional keeps what its oracle reads.
+        assert F.expect(Monomial([s] * 4))[0, 0] == 2.0
+        lift = MatrixLift(F, d=2)
+        x = lift.add_symbol(GeneratorSymbol("X", "l"), {(1, 2): [(1.0, (s,))]})
+        G = lift.functional
+        G.expect(Monomial([x, x.star()]))
+        ref = weakref.ref(lift)
+        del lift
+        assert ref() is None
+        assert G.tau(Monomial([x, x.star()])) == 0.5
+    finally:
+        gc.enable()
 
 
 # --- one action path for both arithmetics -----------------------------------
