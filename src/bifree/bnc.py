@@ -8,8 +8,8 @@ ordinary non-crossing partition after that relabelling.  The lattice is
 kept in those NC coordinates: each partition carries its NC picture,
 enumerated partitions share the tuples of NC(n), and the lattice operations
 and the Moebius tables run on them.  This module holds the word type, the
-partition type, enumeration, the refinement lattice, its lower intervals and
-its integer Moebius function.
+partition type, enumeration and lookup, the refinement lattice, its lower
+intervals and its integer Moebius function.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -108,6 +108,8 @@ def _check_partition(blocks: Blocks, n: int) -> None:
         if not b:
             raise ValueError("empty block")
         for x in b:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"element {x!r} is not an integer")
             if not 1 <= x <= n:
                 raise ValueError(f"element {x} outside 1..{n}")
             if x in seen:
@@ -418,35 +420,82 @@ def mobius_top_table(n: int) -> tuple[tuple[Blocks, int], ...]:
     return tuple((sigma, _mobius_nc(sigma, top)) for sigma in enumerate_nc(n))
 
 
+def _code(blocks: Iterable[Iterable[int]]) -> int:
+    """A partition of ``1..n`` (n < 16) as an integer: hex digit x-1 is the
+    smallest element of x's block.  Blocks on disjoint points add."""
+    code = 0
+    for b in blocks:
+        m = min(b)
+        for x in b:
+            code += m << 4 * (x - 1)
+    return code
+
+
 @lru_cache(maxsize=MAX_ENUM_N)
-def _nc_index(n: int) -> dict[Blocks, int]:
-    return {sigma: i for i, sigma in enumerate(_nc_all(n))}
+def _nc_index(n: int) -> dict[int, int]:
+    return {_code(sigma): i for i, sigma in enumerate(_nc_all(n))}
+
+
+def find_bnc(blocks: Iterable[Iterable[int]], chi: ChiWord) -> BncPartition:
+    """The partition of ``enumerate_bnc(chi)`` with the given blocks, equal to
+    ``BncPartition(blocks, chi)``.
+
+    A partition of ``1..n`` into ``int`` elements is looked up by its NC
+    picture; any other input goes through ``BncPartition(blocks, chi)``,
+    which raises the ``ValueError`` that names the fault.
+    """
+    blocks = [tuple(b) for b in blocks]
+    n = chi.n
+    elems = [x for b in blocks for x in b]
+    if (
+        n <= MAX_ENUM_N
+        and all(blocks)
+        and all(type(x) is int for x in elems)
+        and sorted(elems) == list(range(1, n + 1))
+    ):
+        inv = s_chi_inverse(chi)
+        i = _nc_index(n).get(_code([inv[x - 1] for x in b] for b in blocks))
+        if i is not None:
+            return _bnc_all(chi)[i]
+    return BncPartition(blocks, chi)
+
+
+# Catalan(8) entries: every interval of every partition up to n = 8.
+@lru_cache(maxsize=1430)
+def _interval_table(n: int, nc: Blocks) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Indices into ``enumerate_nc(n)`` of the sigma <= nc, increasing, and
+    their mu(sigma, nc).
+
+    The interval is the product, over the blocks V of nc, of NC(|V|)
+    relabelled onto V, and mu is the product of the factors' mu(sigma|V,
+    1_V) (Nica-Speicher, Lectures 9-10).  A factor entry is kept as its
+    ``_code``, so a product entry's code is the sum of its factors' codes.
+    """
+    factors = [
+        [(_code(tuple(V[x - 1] for x in b) for b in s), mu) for s, mu in mobius_top_table(len(V))]
+        for V in nc
+    ]
+    index = _nc_index(n)
+    found = []
+    for combo in product(*factors):
+        codes, mus = zip(*combo)
+        found.append((index[sum(codes)], prod(mus)))
+    found.sort()
+    indices, mus = zip(*found)
+    return indices, mus
 
 
 def lower_interval(pi: BncPartition) -> tuple[tuple[BncPartition, int], ...]:
     """``(sigma, mobius_bnc(sigma, pi))`` for every sigma <= pi, in
     ``enumerate_bnc(pi.chi)`` order.
 
-    In the NC picture the interval [0, pi] is the product, over the blocks V
-    of pi, of NC(|V|) relabelled onto V, and mu(sigma, pi) is the product of
-    the factors' mu(sigma|V, 1_V) (Nica-Speicher, Lectures 9-10).  The
-    interval is built from those factors, not found by scanning BNC(chi).
+    The interval depends only on ``pi.nc``: it is read from a bounded cache
+    of intervals of NC(n), each built once from the per-length tables
+    ``mobius_top_table`` of pi's block sizes, not found by scanning BNC(chi).
     """
     parts = enumerate_bnc(pi.chi)
-    factors = []
-    for V in pi.nc:
-        table = mobius_top_table(len(V))
-        factors.append(
-            tuple((tuple(tuple(V[x - 1] for x in b) for b in s), mu) for s, mu in table)
-        )
-    index = _nc_index(pi.n)
-    found = []
-    for combo in product(*factors):
-        blocks, mus = zip(*combo)
-        # Disjoint sorted blocks sort by first element: the canonical order.
-        found.append((index[tuple(sorted(chain.from_iterable(blocks)))], prod(mus)))
-    found.sort()
-    return tuple((parts[i], mu) for i, mu in found)
+    indices, mus = _interval_table(pi.n, pi.nc)
+    return tuple(zip(map(parts.__getitem__, indices), mus))
 
 
 def catalan(n: int) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import acceptance
 from .balgebra import CPMap, as_belement, belement_from_json, belement_to_json
-from .bnc import BncPartition, ChiWord, enumerate_bnc, mobius_bnc
+from .bnc import BncPartition, ChiWord, enumerate_bnc, find_bnc, mobius_bnc
 from .conjvar import (
     circular_entropy_experiment,
     conj_residual,
@@ -85,8 +85,8 @@ def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
         writer.writerows(csv_rows)
         sys.stdout.write(buf.getvalue())
     else:
-        json.dump(_jsonable(report), sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
+        # json.dumps encodes in C; json.dump to a stream never does.
+        sys.stdout.write(json.dumps(_jsonable(report), sort_keys=True) + "\n")
 
 
 def _load_model(args) -> BisemicircularModel:
@@ -98,6 +98,11 @@ def _load_model(args) -> BisemicircularModel:
 
 
 def _read_table(path: str):
+    """The chi word and the ``{partition: value}`` table of a JSON file, or
+    of stdin for ``-``.  Each partition is found among ``enumerate_bnc(chi)``
+    by ``find_bnc``, so a bad one raises the partition check's
+    ``ValueError``; a partition listed twice, or a value of another size than
+    the first, is rejected too."""
     if path == "-":
         data = json.load(sys.stdin)
     else:
@@ -107,7 +112,7 @@ def _read_table(path: str):
     table = {}
     d = None  # every value must have the first value's size
     for entry in data["entries"]:
-        p = BncPartition(entry["partition"], chi)
+        p = find_bnc(entry["partition"], chi)
         if p in table:
             raise ValueError(f"partition {list(map(list, p.blocks))} is listed twice")
         v = table[p] = as_belement(belement_from_json(entry["value"]), d)

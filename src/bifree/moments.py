@@ -177,21 +177,33 @@ def cumulant_chi(F: MomentFunctional, chi: ChiWord, operands: Sequence) -> np.nd
     return cumulant_pi(F, one_partition(chi), operands)
 
 
+def _interval_values(table: Mapping, pi: BncPartition, kind: str):
+    """The table's values on ``lower_interval(pi)`` as one ``(k, d, d)``
+    complex array in the interval's order, and the interval's mu values."""
+    sigmas, mus = zip(*lower_interval(pi))
+    values = []
+    for sigma in sigmas:
+        try:
+            values.append(table[sigma])
+        except KeyError:
+            raise ValueError(f"{kind} table missing entry for {sigma!r}")
+    return np.array(values, dtype=complex), mus
+
+
 def moments_from_cumulants(
     kappa_table: Mapping[BncPartition, np.ndarray], pi: BncPartition
 ) -> np.ndarray:
     """Moment value from a complete cumulant table on the interval below pi.
 
-    Sums the table over ``lower_interval(pi)``, walked in enumeration order.
+    Sums the table over ``lower_interval(pi)`` in enumeration order.  The
+    values are gathered into one array and summed by ``np.add.accumulate``,
+    which adds them one after another: every bit equals that of a loop of
+    ``total + value``, except which NaN a sum of two NaNs keeps.  ``np.sum``
+    would sum pairwise and move digits.
     """
-    total = None
-    for sigma, _ in lower_interval(pi):
-        try:
-            v = kappa_table[sigma]
-        except KeyError:
-            raise ValueError(f"cumulant table missing entry for {sigma!r}")
-        total = np.asarray(v, dtype=complex) if total is None else total + v
-    return total
+    values, _ = _interval_values(kappa_table, pi, "cumulant")
+    # A copy, so that the partial sums are not kept alive by a view.
+    return np.add.accumulate(values, axis=0)[-1].copy()
 
 
 def cumulants_from_moments(
@@ -199,18 +211,14 @@ def cumulants_from_moments(
 ) -> np.ndarray:
     """Cumulant value from a complete moment table on the interval below pi.
 
-    Moebius convolution over ``lower_interval(pi)``, walked in enumeration
-    order.
+    Moebius convolution over ``lower_interval(pi)`` in enumeration order: the
+    gathered values times their mu values in one array product, then the
+    sequential ``np.add.accumulate`` of ``moments_from_cumulants``, bit for
+    bit a loop of ``total + mu * value`` up to the same NaN choice.
     """
-    total = None
-    for sigma, mu in lower_interval(pi):
-        try:
-            v = moment_table[sigma]
-        except KeyError:
-            raise ValueError(f"moment table missing entry for {sigma!r}")
-        term = mu * np.asarray(v, dtype=complex)
-        total = term if total is None else total + term
-    return total
+    values, mus = _interval_values(moment_table, pi, "moment")
+    terms = np.array(mus, dtype=complex)[:, None, None] * values
+    return np.add.accumulate(terms, axis=0)[-1].copy()
 
 
 # --- product-entry expansion -------------------------------------------------

@@ -17,9 +17,12 @@ fresh numeric-label reduction for every partition below its argument, and the
 product-expansion oracle runs a full cumulant scan for each partition on
 its right-hand side.  The scalar top-cumulant oracle relabels every
 partition of the per-length Moebius table to positions for its side word
-and multiplies block values in position order.
+and multiplies block values in position order.  The interval oracle
+rebuilds a lower interval from relabelled factor tables on every call, and
+the table-transform oracles add one term at a time over it.
 """
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -228,6 +231,56 @@ def cumulant_pi_scan(F, pi, operands):
     for sigma in enumerate_bnc(pi.chi):
         if lattice_leq(sigma, pi):
             total += mobius_bnc(sigma, pi) * eval_moment_pi_reference(F, sigma, ops)
+    return total
+
+
+# --- lower intervals and the table transforms, rebuilt on every call -----------
+
+@lru_cache(maxsize=None)
+def _nc_position(n):
+    return {sigma: i for i, sigma in enumerate(enumerate_nc(n))}
+
+
+def lower_interval_by_product(pi):
+    """``(sigma, mu(sigma, pi))`` for every sigma <= pi in enumeration order,
+    rebuilt on every call: the per-length Moebius table of each block V of
+    ``pi.nc`` relabelled onto V, the product of those factors, each entry's
+    blocks sorted and found in ``enumerate_nc``, then a sort by position."""
+    parts = enumerate_bnc(pi.chi)
+    factors = []
+    for V in pi.nc:
+        table = mobius_top_table(len(V))
+        factors.append(
+            tuple((tuple(tuple(V[x - 1] for x in b) for b in s), mu) for s, mu in table)
+        )
+    index = _nc_position(pi.n)
+    found = []
+    for combo in itertools.product(*factors):
+        blocks, mus = zip(*combo)
+        found.append((index[tuple(sorted(itertools.chain.from_iterable(blocks)))], math.prod(mus)))
+    found.sort()
+    return tuple((parts[i], mu) for i, mu in found)
+
+
+def moments_from_cumulants_loop(kappa_table, interval):
+    """Moment from a cumulant table: ``total + value`` term by term over an
+    interval listed as by ``lower_interval_by_product``, starting from the
+    first value."""
+    total = None
+    for sigma, _ in interval:
+        v = kappa_table[sigma]
+        total = np.asarray(v, dtype=complex) if total is None else total + v
+    return total
+
+
+def cumulants_from_moments_loop(moment_table, interval):
+    """Cumulant from a moment table: ``total + mu * value`` term by term over
+    an interval listed as by ``lower_interval_by_product``, starting from the
+    first term."""
+    total = None
+    for sigma, mu in interval:
+        term = mu * np.asarray(moment_table[sigma], dtype=complex)
+        total = term if total is None else total + term
     return total
 
 

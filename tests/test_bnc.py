@@ -16,10 +16,12 @@ from oracles import (
 from bifree.bnc import (
     MAX_ENUM_N,
     BncPartition,
+    _interval_table,
     _nc_all,
     ChiWord,
     catalan,
     enumerate_bnc,
+    find_bnc,
     is_bnc,
     lattice_join,
     lattice_leq,
@@ -97,10 +99,12 @@ def test_is_bnc_rejects_non_partition():
 @pytest.mark.parametrize(
     "blocks, chi",
     [([[1, 1], [2]], "ll"), ([[1], [2, 2]], "lr"), ([[1], [2], [3], []], "lll"),
-     ([[], [1, 2]], "rl"), ([[1, 2, 1]], "ll")],
+     ([[], [1, 2]], "rl"), ([[1, 2, 1]], "ll"), ([[True], [2]], "ll"),
+     ([[1.0], [2]], "ll"), ([["1"], [2]], "ll")],
 )
 def test_partition_with_repeat_or_empty_block_rejected(blocks, chi):
-    # Canonicalizing first used to drop the repeat, or index an empty block.
+    # Canonicalizing first used to drop the repeat, or index an empty block;
+    # True was read as 1, and 1.0 or "1" failed later with a TypeError.
     with pytest.raises(ValueError):
         BncPartition(blocks, ChiWord(chi))
 
@@ -162,6 +166,28 @@ def test_enumeration_is_trusted_relabelling():
             q = BncPartition(p.blocks, chi)
             assert q == p and q.nc == p.nc
             assert p.nc is nc[i]
+            # the lookup finds the enumerated partition from any block order
+            assert find_bnc([b[::-1] for b in p.blocks[::-1]], chi) is p
+
+
+def test_find_bnc_rejects_like_the_constructor():
+    # Every set partition that is not BNC, and malformed inputs, fail the
+    # lookup with the exception the full check raises.
+    rng = np.random.default_rng(9)
+    bad = [[[1, 1], [2]], [[0], [2]], [[1], [3]], [[1]], [[1], []], [[True], [2]],
+           [[1.0], [2]], [["1"], [2]], [[1, 2], [2]], [1, 2], [[1, 2], [2.5]]]
+    cases = [(raw, ChiWord("lr")) for raw in bad]
+    for n in range(4, 7):
+        for _ in range(3):
+            chi = ChiWord(rng.choice(["l", "r"], size=n))
+            cases += [(list(b), chi) for b in all_set_partitions(n) if not is_bnc(b, chi)]
+    assert len(cases) > 100
+    for raw, chi in cases:
+        with pytest.raises(Exception) as want:
+            BncPartition(raw, chi)
+        with pytest.raises(type(want.value)) as got:
+            find_bnc(raw, chi)
+        assert str(got.value) == str(want.value)
 
 
 # --- lattice operations ----------------------------------------------------------
@@ -310,6 +336,11 @@ def test_lower_interval_matches_scan_sampled():
             parts = enumerate_bnc(ChiWord(rng.choice(["l", "r"], size=n)))
             for i in rng.choice(len(parts), size=8, replace=False):
                 assert lower_interval(parts[i]) == _interval_by_scan(parts[i])
+
+
+def test_interval_cache_is_bounded():
+    info = _interval_table.cache_info()
+    assert info.maxsize is not None and info.maxsize >= catalan(8)
 
 
 def test_lower_interval_sizes():

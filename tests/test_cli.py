@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import hashlib
 import io
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 
 import bifree.cli
 from bifree.balgebra import belement_from_json, belement_to_json
-from bifree.bnc import ChiWord, enumerate_bnc
+from bifree.bnc import BncPartition, ChiWord, enumerate_bnc
 from bifree.acceptance import CriterionResult
 from bifree.cli import main
 from bifree.fock import FockModel, make_standard_semicircular
@@ -144,6 +145,51 @@ def test_mc_rejects_values_of_different_sizes(tmp_path, capsys, direction):
     code, out = run_cli(capsys, "mc", direction, "--table", str(path))
     assert code == 1
     assert "dimension mismatch" in json.loads(out)["error"]
+
+
+# Bad table partitions for chi = llll; the element-type cases used to be read
+# as 1 (true) or fail with a TypeError.
+BAD_PARTITIONS = {
+    "not-bnc": [[1, 3], [2, 4]],
+    "element-repeated": [[1, 1], [2, 3, 4]],
+    "empty-block": [[1, 2, 3, 4], []],
+    "out-of-range": [[1, 2, 3], [5]],
+    "zero": [[0], [1, 2, 3]],
+    "incomplete-cover": [[1, 2], [3]],
+    "listed-twice": [[1, 2], [2, 3, 4]],
+    "true": [[True], [2, 3, 4]],
+    "float": [[1.0], [2, 3, 4]],
+    "string": [["1"], [2, 3, 4]],
+}
+
+
+@pytest.mark.parametrize("raw", BAD_PARTITIONS.values(), ids=BAD_PARTITIONS)
+def test_mc_rejects_bad_partition_like_the_constructor(raw, tmp_path, capsys):
+    chi = ChiWord("llll")
+    with pytest.raises(ValueError) as want:
+        BncPartition(raw, chi)
+    entries = [
+        {"partition": [list(b) for b in p.blocks], "value": belement_to_json(np.eye(1))}
+        for p in enumerate_bnc(chi)
+    ]
+    entries[5]["partition"] = raw
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"chi": str(chi), "entries": entries}))
+    with pytest.raises(ValueError) as got:
+        bifree.cli._read_table(str(path))
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    code, out = run_cli(capsys, "mc", "to-cumulants", "--table", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == f"ValueError: {want.value}"
+
+
+@pytest.mark.parametrize("sigma", ["[[true],[2]]", "[[1.0],[2]]"])
+def test_bnc_mobius_rejects_non_int_elements(sigma, capsys):
+    code, out = run_cli(
+        capsys, "bnc", "mobius", "--chi", "ll", "--sigma", sigma, "--pi", "[[1,2]]"
+    )
+    assert code == 1
+    assert json.loads(out)["error"].startswith("ValueError: element ")
 
 
 def test_bifree_test_subcommand(capsys):
@@ -363,6 +409,32 @@ def test_pinned_stdout_bytes(argv, capsys):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out == PINNED_STDOUT[argv]
+
+
+# sha256 of the exact mc stdout on a seeded n=6 table, recorded before the
+# transforms summed the cached intervals as arrays.
+PINNED_MC_SHA256 = {
+    ("to-cumulants", 1): "78ce1e848b3df65c1bdd46425218840105b66e8fa8d22b500d86954486059c4c",
+    ("to-moments", 1): "29c0bc0874e15995136e6f863730ef7f11a3e6515795be7fea2d6b970c8e3b3c",
+    ("to-cumulants", 2): "a92ee34eae528aea42d345c4e17fa61f6aa3e81181266e4793831783d8ed0fd1",
+    ("to-moments", 2): "2b6ce33096ce64d8e630ec4672b33eaa18325ead61b3c049026c855c65916c54",
+}
+
+
+@pytest.mark.parametrize("direction, d", PINNED_MC_SHA256, ids=lambda x: str(x))
+def test_pinned_mc_stdout_sha256(direction, d, tmp_path, capsys):
+    rng = np.random.default_rng(606)
+    chi = ChiWord(rng.choice(["l", "r"], size=6))
+    entries = [
+        {"partition": [list(b) for b in p.blocks],
+         "value": belement_to_json(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))}
+        for p in enumerate_bnc(chi)
+    ]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"chi": str(chi), "entries": entries}))
+    code, out = run_cli(capsys, "mc", direction, "--table", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MC_SHA256[direction, d]
 
 
 def test_mc_reads_table_from_stdin(capsys, monkeypatch):

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 from oracles import (
     cumulant_pi_scan,
+    cumulants_from_moments_loop,
     eval_moment_pi_random,
     eval_moment_pi_reference,
     free_cumulant_from_moments,
+    lower_interval_by_product,
+    moments_from_cumulants_loop,
     nc_pair_partition_count,
     product_cumulant_expand_nested,
     scalar_top_cumulant_by_positions,
@@ -532,6 +535,56 @@ def test_transforms_match_lattice_scan():
                 cumulant = term if cumulant is None else cumulant + term
         assert np.array_equal(moments_from_cumulants(table, pi), moment)
         assert np.array_equal(cumulants_from_moments(table, pi), cumulant)
+
+
+def _table_values(n_entries, d, rng):
+    """``n_entries`` seeded (d, d) values whose real and imaginary parts are
+    each +0.0 or -0.0 (a fifth each), NaN, inf or -inf (one in a hundred
+    each), or else a normal draw."""
+    parts = rng.standard_normal((n_entries, d, d, 2))
+    u = rng.random(parts.shape)
+    for lo, hi, x in ((0.0, 0.2, 0.0), (0.2, 0.4, -0.0), (0.4, 0.41, math.nan),
+                      (0.41, 0.42, math.inf), (0.42, 0.43, -math.inf)):
+        parts[(lo <= u) & (u < hi)] = x
+    return parts.view(complex)[..., 0]
+
+
+def _bits(a):
+    """The bytes of a complex array with every NaN replaced by one NaN.
+
+    Which of two NaN operands numpy's complex add returns differs between
+    its scalar and SIMD loops (the term loop itself returns one NaN at d=1
+    and the other at d=2), and the sign of a NaN is never printed; every
+    other bit, the sign of a zero included, is compared.
+    """
+    f = np.ascontiguousarray(a, dtype=complex).view(float)
+    return np.where(np.isnan(f), math.nan, f).tobytes()
+
+
+def _bit_test_chis():
+    for n in range(1, 7):
+        yield from map(ChiWord, itertools.product("lr", repeat=n))
+    rng = np.random.default_rng(16)
+    for n in (7, 8):
+        yield ChiWord(rng.choice(["l", "r"], size=n))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_transforms_bit_exact_against_term_loops():
+    # Every pi of every chi up to n = 6 and of seeded chi of length 7 and 8.
+    rng = np.random.default_rng(17)
+    for chi in _bit_test_chis():
+        parts = enumerate_bnc(chi)
+        tables = [dict(zip(parts, _table_values(len(parts), d, rng))) for d in (1, 2)]
+        for pi in parts:
+            interval = lower_interval_by_product(pi)
+            for table in tables:
+                assert _bits(moments_from_cumulants(table, pi)) == _bits(
+                    moments_from_cumulants_loop(table, interval)
+                ), (chi, pi)
+                assert _bits(cumulants_from_moments(table, pi)) == _bits(
+                    cumulants_from_moments_loop(table, interval)
+                ), (chi, pi)
 
 
 # --- hat embedding and product expansion ----------------------------------------------
