@@ -1,12 +1,16 @@
 """Acceptance suite: every exit criterion as a callable check.
 
-Each criterion returns a result record; ``run_all`` executes them in order,
-prints one line per criterion and reports overall success.  The same
-functions back both the command-line ``verify all`` and the pytest wrapper.
+Each criterion body returns ``(passed, detail)``; ``_criterion`` times it,
+records a result under the next id and registers it in ``ALL_CRITERIA``.
+``run_all`` executes them in order, prints one line per criterion and reports
+overall success.  The same functions back both the command-line
+``verify all`` and the pytest wrapper.  Residuals fold into a verdict through
+``worst_at``, so a NaN fails its gate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bnc
-from .balgebra import CPMap, maxabs, random_belement, random_cpmap
+from .balgebra import CPMap, maxabs, random_belement, random_cpmap, worst_at
 from .bnc import BncPartition, ChiWord, catalan, enumerate_bnc, mobius_bnc
 from .conjvar import (
     aaf_check,
@@ -56,11 +60,35 @@ class CriterionResult:
         return f"[{status}] criterion {self.cid:>2}  {self.name}: {self.detail} ({self.seconds:.1f}s)"
 
 
+#: The criteria in id order; ``_criterion`` appends each one as it is defined.
+ALL_CRITERIA: list = []
+
+
+def _criterion(name: str):
+    """Register a criterion body ``seed -> (passed, detail)`` under the next
+    id; the registered function times the body and returns its record."""
+
+    def register(body):
+        cid = len(ALL_CRITERIA) + 1
+
+        @functools.wraps(body)
+        def run(seed: int = 0) -> CriterionResult:
+            t0 = time.time()
+            passed, detail = body(seed)
+            return CriterionResult(cid, name, passed, detail, time.time() - t0)
+
+        ALL_CRITERIA.append(run)
+        return run
+
+    return register
+
+
 def _random_chi(n: int, rng) -> ChiWord:
     return ChiWord("".join("l" if rng.integers(2) else "r" for _ in range(n)))
 
 
-def criterion_1_lattice_counts(seed: int = 0) -> CriterionResult:
+@_criterion("lattice counts")
+def criterion_1_lattice_counts(seed: int = 0):
     t0 = time.time()
     rng = np.random.default_rng(seed + 1)
     worst = ""
@@ -72,17 +100,12 @@ def criterion_1_lattice_counts(seed: int = 0) -> CriterionResult:
             if count != catalan(n):
                 ok = False
                 worst = f"n={n} chi={chi}: {count} != {catalan(n)}"
-    dt = time.time() - t0
-    ok = ok and dt < 10.0
-    return CriterionResult(
-        1, "lattice counts", ok,
-        worst or "Catalan(1..8) exact over 3 random words per size, within 10s",
-        dt,
-    )
+    ok = ok and time.time() - t0 < 10.0
+    return ok, worst or "Catalan(1..8) exact over 3 random words per size, within 10s"
 
 
-def criterion_2_mobius(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
+@_criterion("Moebius recursion/extremes/factorization")
+def criterion_2_mobius(seed: int = 0):
     rng = np.random.default_rng(seed + 2)
     detail = []
     ok = True
@@ -151,16 +174,13 @@ def criterion_2_mobius(seed: int = 0) -> CriterionResult:
             ok = False
             detail.append(f"factorization fails: chi={chi} pi={pi.blocks} sigma={sigma.blocks}")
             break
-    return CriterionResult(
-        2, "Moebius recursion/extremes/factorization", ok,
-        "; ".join(detail) or "exact", time.time() - t0,
-    )
+    return ok, "; ".join(detail) or "exact"
 
 
-def criterion_3_mobius_inversion(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
+@_criterion("Moebius inversion round trip")
+def criterion_3_mobius_inversion(seed: int = 0):
     rng = np.random.default_rng(seed + 3)
-    worst = 0.0
+    errors = []
     for d in (1, 2):
         for n in range(2, 7):
             chi = _random_chi(n, rng)
@@ -168,70 +188,64 @@ def criterion_3_mobius_inversion(seed: int = 0) -> CriterionResult:
             ktab = {p: random_belement(d, rng) for p in parts}
             mtab = {p: moments_from_cumulants(ktab, p) for p in parts}
             back = {p: cumulants_from_moments(mtab, p) for p in parts}
-            worst = max(worst, max(maxabs(ktab[p] - back[p]) for p in parts))
-    ok = worst <= 1e-10
-    return CriterionResult(
-        3, "Moebius inversion round trip", ok, f"max error {worst:.2e} <= 1e-10",
-        time.time() - t0,
-    )
+            errors.extend(maxabs(ktab[p] - back[p]) for p in parts)
+    worst, _ = worst_at(errors)
+    return worst <= 1e-10, f"max error {worst:.2e} <= 1e-10"
 
 
-def criterion_4_fock_exactness(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
-    worst = 0.0
+@_criterion("Fock exactness and truncation independence")
+def criterion_4_fock_exactness(seed: int = 0):
+    errors = []
     targets = {2: 1.0, 4: 2.0, 6: 5.0}
     for depth_pad in (0, 1, 3):
         for k, want in targets.items():
             model = make_bisemicircular([CPMap.identity(1)], [], max_depth=k + depth_pad)
             s = model.symbol("S1")
             got = model.functional.expect(Monomial([s] * k))[0, 0]
-            worst = max(worst, abs(got - want))
-    ok = worst <= 1e-12
-    return CriterionResult(
-        4, "Fock exactness and truncation independence", ok,
+            errors.append(abs(got - want))
+    worst, _ = worst_at(errors)
+    return (
+        worst <= 1e-12,
         f"max |m_k - Catalan| = {worst:.2e} <= 1e-12 for depths >= word length",
-        time.time() - t0,
     )
 
 
-def criterion_5_semicircular_cumulants(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
+@_criterion("bi-semicircular cumulant law (flip covariance)")
+def criterion_5_semicircular_cumulants(seed: int = 0):
     rng = np.random.default_rng(seed + 5)
     flip = eta_flip()
     model = make_bisemicircular([flip], [flip])
     S, D = model.symbol("S1"), model.symbol("D1")
     F = model.functional
-    worst_two = 0.0
+    two = []
     for _ in range(50):
         b = random_belement(2, rng)
         k = cumulant_chi(F, ChiWord("ll"), [Monomial([S, Lb(b)]), Monomial([S])])
-        worst_two = max(worst_two, maxabs(k - flip(b)))
+        two.append(maxabs(k - flip(b)))
         k = cumulant_chi(F, ChiWord("rr"), [Monomial([D, Rb(b)]), Monomial([D])])
-        worst_two = max(worst_two, maxabs(k - flip(b)))
+        two.append(maxabs(k - flip(b)))
     b = random_belement(2, rng)
-    mixed = maxabs(cumulant_chi(F, ChiWord("lr"), [Monomial([S, Lb(b)]), Monomial([D])]))
-    mixed = max(
-        mixed,
+    mixed, _ = worst_at((
+        maxabs(cumulant_chi(F, ChiWord("lr"), [Monomial([S, Lb(b)]), Monomial([D])])),
         maxabs(cumulant_chi(F, ChiWord("rl"), [Monomial([D, Rb(b)]), Monomial([S])])),
-    )
-    worst_odd = 0.0
+    ))
+    odd = []
     for n in (1, 3, 4, 5):
         for bits in range(2 ** n):
             word = [S if (bits >> i) & 1 else D for i in range(n)]
             chi = ChiWord([w.side for w in word])
-            k = cumulant_chi(F, chi, [Monomial([w]) for w in word])
-            worst_odd = max(worst_odd, maxabs(k))
+            odd.append(maxabs(cumulant_chi(F, chi, [Monomial([w]) for w in word])))
+    worst_two, _ = worst_at(two)
+    worst_odd, _ = worst_at(odd)
     ok = worst_two <= 1e-9 and mixed <= 1e-9 and worst_odd <= 1e-9
-    return CriterionResult(
-        5, "bi-semicircular cumulant law (flip covariance)", ok,
+    return ok, (
         f"order-2 vs covariance {worst_two:.2e}; mixed order-2 {mixed:.2e}; "
-        f"orders 1,3-5 {worst_odd:.2e} (all <= 1e-9)",
-        time.time() - t0,
+        f"orders 1,3-5 {worst_odd:.2e} (all <= 1e-9)"
     )
 
 
-def criterion_6_bifree_detector(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
+@_criterion("bi-freeness detector")
+def criterion_6_bifree_detector(seed: int = 0):
     one = CPMap.identity(1)
     model = make_bisemicircular([one, one], [one, one])
     rep = bifree_test(model.functional, model.symbols, max_order=6)
@@ -250,13 +264,11 @@ def criterion_6_bifree_detector(seed: int = 0) -> CriterionResult:
     planted = [v for v in rep2["violations"] if v["order"] == 2]
     ok2 = (not rep2["pass"]) and any(abs(v["residual"] - cov) <= 1e-9 for v in planted)
     detail += f"; correlated family flagged at order 2 with residual {planted[0]['residual']:.6f}" if planted else "; no order-2 violation found"
-    return CriterionResult(
-        6, "bi-freeness detector", bool(ok and ok2), detail, time.time() - t0
-    )
+    return ok and ok2, detail
 
 
-def criterion_7_conjugate_variables(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
+@_criterion("conjugate variables (scalings, Fisher, Cramer-Rao)")
+def criterion_7_conjugate_variables(seed: int = 0):
     one = CPMap.identity(1)
     runs = {}  # lam -> (candidate, residual, Fisher information)
     for lam in (1.0, 0.5, 2.0):
@@ -270,45 +282,40 @@ def criterion_7_conjugate_variables(seed: int = 0) -> CriterionResult:
     for lam, (_, r_lam, phi_lam) in runs.items():
         details.append(f"lam={lam}: residual {r_lam:.2e}, Fisher {phi_lam:.6f}")
     details.append(f"Fisher(s)={phi:.9f}, Cramer-Rao product {cr:.9f}")
-    return CriterionResult(
-        7, "conjugate variables (scalings, Fisher, Cramer-Rao)", ok,
-        "; ".join(details), time.time() - t0,
-    )
+    return ok, "; ".join(details)
 
 
-def criterion_8_perturbation_law(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
+@_criterion("perturbation law h(t) = 1/(1+t)")
+def criterion_8_perturbation_law(seed: int = 0):
     one = CPMap.identity(1)
     family = semicircular_perturbation()
-    worst = 0.0
-    worst_resid = 0.0
+    times = (0.0, 0.5, 1.0, 2.0, 10.0)
+    residuals = []
     values = []
-    for t in (0.0, 0.5, 1.0, 2.0, 10.0):
+    for t in times:
         cands, ctxs = family(t)
-        worst_resid = max(worst_resid, conj_residual(cands[0], one, ctxs[0], 6))
-        phi = fisher_info(cands)
-        values.append(phi)
-        worst = max(worst, abs(phi - h_closed_form(t, 1.0, 1.0)))
+        residuals.append(conj_residual(cands[0], one, ctxs[0], 6))
+        values.append(fisher_info(cands))
+    worst, _ = worst_at(abs(phi - h_closed_form(t, 1.0, 1.0)) for t, phi in zip(times, values))
+    worst_resid, _ = worst_at(residuals)
     decreasing = all(values[i] > values[i + 1] for i in range(len(values) - 1))
     ok = worst <= 1e-9 and worst_resid <= 1e-9 and decreasing
-    return CriterionResult(
-        8, "perturbation law h(t) = 1/(1+t)", ok,
-        f"max |Fisher - closed form| {worst:.2e}; residuals {worst_resid:.2e}; decreasing on grid",
-        time.time() - t0,
+    return ok, (
+        f"max |Fisher - closed form| {worst:.2e}; residuals {worst_resid:.2e}; decreasing on grid"
     )
 
 
-def criterion_9_lift_experiment(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
+@_criterion("matrix lift + alternating adjoint flip + Fisher minimization")
+def criterion_9_lift_experiment(seed: int = 0):
     cp = make_circular_pair()
     pair = matrix_lift(cp.functional, cp.c_l, cp.c_r)
     tau2 = pair.lift.functional
-    worst = 0.0
     semicirc = {1: 0.0, 2: 1.0, 3: 0.0, 4: 2.0, 5: 0.0, 6: 5.0}
-    for Z in (pair.X, pair.Y):
-        for k, want in semicirc.items():
-            got = tau2.tau(Monomial([Z] * k))
-            worst = max(worst, abs(got - want))
+    worst, _ = worst_at(
+        abs(tau2.tau(Monomial([Z] * k)) - want)
+        for Z in (pair.X, pair.Y)
+        for k, want in semicirc.items()
+    )
     aaf = aaf_check(cp.functional, cp.c_l, cp.c_r, 6)
     fm = fisher_minimization_experiment(max_n=6)
     ok = (
@@ -319,17 +326,15 @@ def criterion_9_lift_experiment(seed: int = 0) -> CriterionResult:
         and abs(fm["rhs"] - 2.0) <= 1e-6
         and abs(fm["ratio"] - 2.0) <= 1e-6
     )
-    return CriterionResult(
-        9, "matrix lift + alternating adjoint flip + Fisher minimization", ok,
+    return ok, (
         f"lifted semicircular moments off by {worst:.2e}; aaf max {aaf['max_discrepancy']:.2e}; "
         f"Fisher lhs={fm['lhs']:.6f} rhs={fm['rhs']:.6f} ratio={fm['ratio']:.8f} "
-        f"(residuals {fm['max_residual']:.2e})",
-        time.time() - t0,
+        f"(residuals {fm['max_residual']:.2e})"
     )
 
 
-def criterion_10_entropy(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
+@_criterion("entropy laws (semicircular value, circular factor 2)")
+def criterion_10_entropy(seed: int = 0):
     semi = semicircular_entropy_experiment()
     circ = circular_entropy_experiment()
     expected = 2.0 * math.log(2.0 * math.pi * math.e)
@@ -341,21 +346,19 @@ def criterion_10_entropy(seed: int = 0) -> CriterionResult:
         and abs(circ["lhs"] - expected) <= 1e-4
         and abs(circ["lhs"] - circ["rhs"]) <= 1e-4
     )
-    return CriterionResult(
-        10, "entropy laws (semicircular value, circular factor 2)", ok,
+    return ok, (
         f"chi*(s) = {semi['value']:.9f} vs {semi['rhs']:.9f} (integrand {semi['max_integrand_abs']:.1e}); "
-        f"circular {circ['lhs']:.6f} = 2 x {circ['rhs']/2:.6f} within bracket {circ['bracket_width']:.1e}",
-        time.time() - t0,
+        f"circular {circ['lhs']:.6f} = 2 x {circ['rhs']/2:.6f} within bracket {circ['bracket_width']:.1e}"
     )
 
 
-def criterion_11_product_expansion(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
+@_criterion("product-entry cumulant expansion")
+def criterion_11_product_expansion(seed: int = 0):
     rng = np.random.default_rng(seed + 11)
     one = CPMap.identity(1)
     scalar_model = make_bisemicircular([one, one], [one])
     flip_model = make_bisemicircular([eta_flip()], [random_cpmap(2, rng)])
-    worst = 0.0
+    residuals = []
     for trial in range(100):
         use_matrix = trial % 2 == 1
         model = flip_model if use_matrix else scalar_model
@@ -373,13 +376,9 @@ def criterion_11_product_expansion(seed: int = 0) -> CriterionResult:
                 w = w * (Lb(b) if side == "l" else Rb(b))
             ops.append(w)
         rep = product_cumulant_expand(model.functional, chi_hat, sizes, ops)
-        worst = max(worst, rep["residual"])
-    ok = worst <= 1e-9
-    return CriterionResult(
-        11, "product-entry cumulant expansion", ok,
-        f"max residual over 100 random instances {worst:.2e} <= 1e-9",
-        time.time() - t0,
-    )
+        residuals.append(rep["residual"])
+    worst, _ = worst_at(residuals)
+    return worst <= 1e-9, f"max residual over 100 random instances {worst:.2e} <= 1e-9"
 
 
 def _random_grouping(n: int, rng):
@@ -398,21 +397,6 @@ def _random_grouping(n: int, rng):
         else:
             labels.extend("l" if rng.integers(2) else "r" for _ in range(size))
     return ChiWord(labels), sizes
-
-
-ALL_CRITERIA = [
-    criterion_1_lattice_counts,
-    criterion_2_mobius,
-    criterion_3_mobius_inversion,
-    criterion_4_fock_exactness,
-    criterion_5_semicircular_cumulants,
-    criterion_6_bifree_detector,
-    criterion_7_conjugate_variables,
-    criterion_8_perturbation_law,
-    criterion_9_lift_experiment,
-    criterion_10_entropy,
-    criterion_11_product_expansion,
-]
 
 
 def run_all(seed: int = 0, emit=print) -> tuple[list[CriterionResult], bool]:

@@ -8,7 +8,8 @@ constructor for maps supplied some other way.
 from __future__ import annotations
 
 import json
-from typing import Sequence
+import math
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,6 +59,23 @@ def diag_expectation(b) -> np.ndarray:
 def maxabs(a) -> float:
     arr = np.asarray(a)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
+
+
+def worst_at(values: Iterable[float]) -> tuple[float, int | None]:
+    """The verdict value of residuals and its index: the first one that is
+    not finite (no later value is read), else the first largest one; when no
+    value exceeds 0, ``(0.0, None)``.
+
+    ``max`` would drop a NaN that comes after a number (``max(0.0, nan)`` is
+    ``0.0``), and a residual that is NaN must fail every ``<=`` check.
+    """
+    worst, at = 0.0, None
+    for i, v in enumerate(values):
+        if not math.isfinite(v):
+            return v, i
+        if v > worst:
+            worst, at = v, i
+    return worst, at
 
 
 class CPMap:

@@ -187,7 +187,7 @@ class BncPartition:
     from ``nc`` through ``s_chi`` the first time they are read.
     """
 
-    __slots__ = ("chi", "nc", "_blocks")
+    __slots__ = ("chi", "nc", "_blocks", "_hash")
 
     def __init__(self, blocks: Iterable[Iterable[int]], chi: ChiWord):
         canon, nc = _nc_picture(blocks, chi)
@@ -206,6 +206,7 @@ class BncPartition:
         object.__setattr__(self, "nc", nc)
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_hash", None)
 
     @property
     def blocks(self) -> Blocks:
@@ -231,7 +232,11 @@ class BncPartition:
         )
 
     def __hash__(self):
-        return hash((self.chi, self.nc))
+        # Hashed on first use and kept: the table transforms look partitions
+        # up in dicts, while most partitions a scan builds are never hashed.
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.chi, self.nc)))
+        return self._hash
 
     def __repr__(self):
         return f"BncPartition({list(map(list, self.blocks))}, chi={self.chi})"

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .balgebra import CPMap, matrix_unit, matrix_units, trace_d
+from .balgebra import CPMap, matrix_unit, matrix_units, trace_d, worst_at
 from .bnc import LEFT, RIGHT, ChiWord, s_chi
 from .fock import CircularPairModel, FockModel, FockVector, make_bisemicircular
 from .words import (
@@ -74,7 +74,6 @@ class VectorCandidate:
         if vector.dim != model.dim:
             raise ValueError("vector dimension does not match the model")
         self.target = target
-        self.side = target.side
         self.vector = vector
         self.model = model
         self.functional = model.functional
@@ -113,7 +112,6 @@ class WordCandidate:
         scale: complex = 1.0,
     ):
         self.target = target
-        self.side = target.side
         self.word = as_monomial(word)
         self.functional = functional
         self.scale = complex(scale)
@@ -213,20 +211,6 @@ def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, max_n: int):
     yield from walk((), xi.initial_state(), [], 0)
 
 
-def _worst(residuals) -> float:
-    """The largest residual, or the first one that is not finite.
-
-    ``max`` would drop a NaN that comes after a number (``max(0.0, nan)`` is
-    ``0.0``), and a residual that is NaN must fail every ``<=`` check.
-    """
-    worst = 0.0
-    for r in residuals:
-        if not math.isfinite(r):
-            return r
-        worst = max(worst, r)
-    return worst
-
-
 def conj_residual(xi, eta: CPMap, ctx: PresenceContext, max_n: int) -> float:
     """Worst violation of the conjugate-variable moment relations.
 
@@ -237,7 +221,7 @@ def conj_residual(xi, eta: CPMap, ctx: PresenceContext, max_n: int) -> float:
     candidate carries.
     """
     walk = _relation_walk(xi, eta, ctx, max_n)
-    return _worst(abs(xi.tau(state) - rhs) for _, state, rhs in walk)
+    return worst_at(abs(xi.tau(state) - rhs) for _, state, rhs in walk)[0]
 
 
 def fisher_info(candidates: Sequence) -> float:
@@ -466,21 +450,21 @@ def aaf_check(
     """Compare moments under the global 1 <-> * swap along the alternating pattern."""
     if max_n > 8:
         raise ValueError("max_n capped at 8")
-    worst = 0.0
+    cases = [
+        (n, chi, abs(F.tau(wp) - F.tau(wq)))
+        for n in range(2, max_n + 1, 2)
+        for chi, wp, wq in _alternating_words(x, y, n)
+    ]
+    worst, at = worst_at(diff for _, _, diff in cases)
     worst_case = None
-    tested = 0
-    for n in range(2, max_n + 1, 2):
-        for chi, wp, wq in _alternating_words(x, y, n):
-            diff = abs(F.tau(wp) - F.tau(wq))
-            tested += 1
-            if diff > worst:
-                worst = diff
-                worst_case = {"n": n, "chi": str(chi), "discrepancy": diff}
+    if at is not None:
+        n, chi, _ = cases[at]
+        worst_case = {"n": n, "chi": str(chi), "discrepancy": worst}
     return {
         "pass": worst <= tol,
         "max_discrepancy": worst,
         "worst_case": worst_case,
-        "tested": tested,
+        "tested": len(cases),
         "tolerance": tol,
     }
 
@@ -634,7 +618,7 @@ def lifted_candidates(F: MomentFunctional, z, w, scale: float = 1.0):
 def _worst_residual(cands: Sequence, ctxs: Sequence, max_n: int) -> float:
     """Worst conjugate residual (eta = id) of candidates in their contexts."""
     eta1 = CPMap.identity(1)
-    return _worst(conj_residual(c, eta1, x, max_n) for c, x in zip(cands, ctxs))
+    return worst_at(conj_residual(c, eta1, x, max_n) for c, x in zip(cands, ctxs))[0]
 
 
 def _verify_then_integrate(family, K: float, spots: Sequence[float], max_n: int):
@@ -646,7 +630,7 @@ def _verify_then_integrate(family, K: float, spots: Sequence[float], max_n: int)
     two Gauss-Legendre panels, with an error estimate) of t -> the Fisher
     information of the candidates at t.
     """
-    worst = _worst(_worst_residual(*family(t), max_n) for t in spots)
+    worst = worst_at(_worst_residual(*family(t), max_n) for t in spots)[0]
     report = entropy_chi_star(lambda t: fisher_info(family(t)[0]), K)
     return worst, report
 
@@ -744,7 +728,7 @@ def circular_entropy_experiment() -> dict:
         lambda t: lifted_candidates(cp.functional, *perturbed(t), scale=1.0 / (1.0 + t)),
         2.0, (0.0, 1.0), 4,
     )
-    max_resid = _worst((resid_pair, resid_lift))
+    max_resid = worst_at((resid_pair, resid_lift))[0]
 
     lhs = pair_report["value"]
     rhs_each = lift_report["value"]

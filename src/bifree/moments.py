@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .balgebra import maxabs
+from .balgebra import maxabs, worst_at
 from .bnc import (
     LEFT,
     BncPartition,
@@ -342,9 +342,8 @@ def bifree_test(
             "max_order": max_order,
             "violations": [],
         }
-    tested = 0
-    worst = 0.0
-    worst_word = None
+    residuals = []
+    words = []
     violations = []
     for n in range(2, max_order + 1):
         for word in product(syms, repeat=n):
@@ -356,13 +355,9 @@ def bifree_test(
             else:
                 val = cumulant_pi(F, one_partition(chi), [Monomial([s]) for s in word])
                 r = maxabs(val)
-            tested += 1
-            # A NaN residual fails both comparisons ``r > worst`` and
-            # ``r > tol``; the first non-finite one is the maximum and every
-            # one is a violation.
-            if math.isfinite(worst) and not r <= worst:
-                worst = r
-                worst_word = [s.display for s in word]
+            residuals.append(r)
+            words.append(word)
+            # A NaN residual fails ``r <= tol``: every one is a violation.
             if not r <= tol:
                 violations.append(
                     {
@@ -373,12 +368,13 @@ def bifree_test(
                     }
                 )
     violations.sort(key=lambda v: (math.isfinite(v["residual"]), -v["residual"]))
+    worst, at = worst_at(residuals)
     return {
         "pass": not violations,
         "vacuous": False,
         "max_residual": worst,
-        "worst_word": worst_word,
-        "tested": tested,
+        "worst_word": None if at is None else [s.display for s in words[at]],
+        "tested": len(residuals),
         "tolerance": tol,
         "max_order": max_order,
         "violations": violations[:10],

@@ -5,6 +5,9 @@ criterion reads its result and prints its PASS/FAIL line, so a plain pytest
 run doubles as the acceptance report.
 """
 
+import hashlib
+import json
+import math
 import time
 
 import pytest
@@ -43,3 +46,35 @@ def test_total_runtime_budget(suite, capsys):
     assert runtime.cid == 12 and runtime.passed, runtime.detail
     assert total < 300.0
     assert ok
+
+
+# sha256 of the criteria list that ``verify all`` emits at seed 0 (``id``,
+# ``name``, ``pass``, ``detail``; JSON with sorted keys).
+CRITERIA_SHA256 = "f85a2303bb642fb762a2d53f2ad3f8dd29b8ebfe4851a36abfabbb8cb7995e52"
+
+
+def test_pinned_verdicts(suite):
+    criteria = [
+        {"id": r.cid, "name": r.name, "pass": r.passed, "detail": r.detail}
+        for r in suite[0]
+    ]
+    digest = hashlib.sha256(json.dumps(criteria, sort_keys=True).encode()).hexdigest()
+    assert digest == CRITERIA_SHA256, criteria
+
+
+def test_criterion_8_fails_on_nan_residual(monkeypatch):
+    monkeypatch.setattr(acceptance, "conj_residual", lambda *args: math.nan)
+    result = acceptance.criterion_8_perturbation_law(SEED)
+    assert not result.passed
+    assert "residuals nan" in result.detail
+
+
+def test_criterion_11_fails_on_nan_residual(monkeypatch):
+    # One NaN among finite residuals: ``max`` would drop it.
+    residuals = iter([1e-12, 2e-12, math.nan] + [1e-12] * 97)
+    monkeypatch.setattr(
+        acceptance, "product_cumulant_expand", lambda *args: {"residual": next(residuals)}
+    )
+    result = acceptance.criterion_11_product_expansion(SEED)
+    assert not result.passed
+    assert "nan" in result.detail

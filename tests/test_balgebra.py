@@ -1,5 +1,7 @@
 """Coefficient algebra: traces, conditional expectations, CP maps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from bifree.balgebra import (
     random_belement,
     random_cpmap,
     trace_d,
+    worst_at,
 )
 
 
@@ -111,3 +114,29 @@ def test_json_round_trips():
     eta2 = CPMap.from_json(eta.to_json())
     x = random_belement(2, rng)
     assert np.allclose(eta(x), eta2(x))
+
+
+# --- the verdict fold ------------------------------------------------------------
+
+def test_worst_at_first_non_finite_wins_and_stops_reading():
+    read = []
+
+    def values():
+        for v in (0.5, math.nan, 2.0, math.inf):
+            read.append(v)
+            yield v
+
+    worst, at = worst_at(values())
+    assert math.isnan(worst) and at == 1
+    assert len(read) == 2
+    assert worst_at([1.0, math.inf, math.nan]) == (math.inf, 1)
+
+
+def test_worst_at_largest_wins_first_index_on_tie():
+    assert worst_at([0.25, 3.0, 1.0, 3.0]) == (3.0, 1)
+    assert worst_at(iter([1e-300])) == (1e-300, 0)
+
+
+def test_worst_at_nothing_above_zero():
+    assert worst_at([]) == (0.0, None)
+    assert worst_at([0.0, -0.0, 0.0]) == (0.0, None)

@@ -425,6 +425,25 @@ def test_aaf_violation_detected():
     assert abs(rep["max_discrepancy"] - 1.0) < 1e-12
 
 
+def test_aaf_nan_moment_fails():
+    # The violation oracle with NaN for x x*: the NaN discrepancy is the
+    # maximum, and the worst case names the word pair (x x*, x* x).
+    def oracle(word):
+        key = tuple((f.name, f.adjoint) for f in word.factors)
+        if key == (("x", False), ("x", True)):
+            return np.array([[math.nan]], dtype=complex)
+        if key == (("x", True), ("x", False)):
+            return np.array([[2.0]], dtype=complex)
+        return np.array([[0.0]], dtype=complex)
+
+    F = MomentFunctional(oracle, 1)
+    rep = aaf_check(F, GeneratorSymbol("x", "l"), GeneratorSymbol("y", "r"), 2)
+    assert not rep["pass"]
+    assert math.isnan(rep["max_discrepancy"])
+    case = rep["worst_case"]
+    assert (case["n"], case["chi"]) == (2, "ll") and math.isnan(case["discrepancy"])
+
+
 # --- closed forms and entropy -----------------------------------------------------------
 
 def test_h_closed_form_values():
