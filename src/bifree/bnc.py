@@ -425,6 +425,38 @@ def mobius_top_table(n: int) -> tuple[tuple[Blocks, int], ...]:
     return tuple((sigma, _mobius_nc(sigma, top)) for sigma in enumerate_nc(n))
 
 
+@lru_cache(maxsize=MAX_ENUM_N)
+def _interval_blocks(n: int) -> tuple[int, ...]:
+    """For each sigma of ``enumerate_nc(n)``, once per length, a bitmask of
+    its blocks that are intervals: the block ``(lo, lo + 1, ..., hi)`` sets
+    bit ``(lo - 1) * n + hi - 1``."""
+    return tuple(
+        sum(1 << ((b[0] - 1) * n + b[-1] - 1) for b in sigma if b[-1] - b[0] + 1 == len(b))
+        for sigma in enumerate_nc(n)
+    )
+
+
+def enumerate_bnc_avoiding(
+    chi: ChiWord, intervals: Iterable[tuple[int, int]]
+) -> list[BncPartition]:
+    """The partitions of ``enumerate_bnc(chi)``, in its order, none of whose
+    blocks is one of the chi-intervals ``(lo, hi)``: the points of chi-rank
+    lo..hi, 1-based and inclusive, which is the NC-picture block
+    ``(lo, ..., hi)``.  Only the partitions returned are built; the interval
+    blocks of every NC partition are read from a per-length table."""
+    n = chi.n
+    avoid = 0
+    for lo, hi in intervals:
+        if not 1 <= lo <= hi <= n:
+            raise ValueError(f"({lo}, {hi}) is not a chi-interval of 1..{n}")
+        avoid |= 1 << ((lo - 1) * n + hi - 1)
+    return [
+        BncPartition._trusted(nc, chi)
+        for nc, blocks in zip(enumerate_nc(n), _interval_blocks(n))
+        if not blocks & avoid
+    ]
+
+
 def _code(blocks: Iterable[Iterable[int]]) -> int:
     """A partition of ``1..n`` (n < 16) as an integer: hex digit x-1 is the
     smallest element of x's block.  Blocks on disjoint points add."""

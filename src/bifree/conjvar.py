@@ -447,9 +447,11 @@ def aaf_check(
     max_n: int,
     tol: float = 1e-9,
 ) -> dict:
-    """Compare moments under the global 1 <-> * swap along the alternating pattern."""
-    if max_n > 8:
-        raise ValueError("max_n capped at 8")
+    """Compare moments under the global 1 <-> * swap along the alternating
+    pattern, on the even lengths 2..max_n; ``max_n`` must lie in 2..8, so
+    that at least one word pair is tested."""
+    if not 2 <= max_n <= 8:
+        raise ValueError("max_n must be in 2..8")
     cases = [
         (n, chi, abs(F.tau(wp) - F.tau(wq)))
         for n in range(2, max_n + 1, 2)

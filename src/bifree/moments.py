@@ -29,6 +29,7 @@ from .bnc import (
     BncPartition,
     ChiWord,
     enumerate_bnc,
+    enumerate_bnc_avoiding,
     lattice_join,
     lattice_leq,
     lower_interval,
@@ -154,22 +155,46 @@ def cumulant_pi(F: MomentFunctional, pi: BncPartition, operands: Sequence) -> np
     """Cumulant at a partition: Moebius convolution of the moment function.
 
     The operands are converted, side-checked and put in chi-order once;
-    every partition below ``pi`` has the same side word.  The Moebius value
-    is taken only for a partition whose moment is not exactly zero:
-    mu(sigma, pi) is non-zero for every sigma <= pi, and adding an exact
-    zero to the sum, which starts at +0, changes no bit of it.  With the
-    zero-slice exit of the reduction, most partitions of a bisemicircular
-    word (every one with an odd block) cost a short reduction and no Moebius
-    value.
+    every partition below ``pi`` has the same side word.  Over matrix
+    coefficients the moment function is bi-multiplicative
+    (Charlesworth-Nelson-Skoufranis 2015): a block that is an interval in
+    chi-order can be reduced first and spliced into a neighbour as
+    ``Lb``/``Rb`` of its value, so a partition with a block whose value is
+    the zero matrix has moment zero.  The value of every chi-interval of
+    the word is read once, and a partition with a block equal to a zero
+    interval is neither built nor reduced; a NaN entry is not zero.  Over
+    scalars every partition is reduced, since a block product can be 0 *
+    NaN.  The Moebius value is taken only for a partition whose moment is
+    not exactly zero: mu(sigma, pi) is non-zero for every sigma <= pi, and
+    adding an exact zero to the sum, which starts at +0, changes no bit of
+    it.  So the sum has the terms, in the order, of a scan that reduces
+    every partition.
     """
     word = _chi_ordered(pi.chi, operands)
     total = np.zeros((F.dim, F.dim), dtype=complex)
-    for sigma in enumerate_bnc(pi.chi):
+    for sigma in _candidates(F, pi.chi, word):
         if lattice_leq(sigma, pi):
             m = _moment_pi(F, sigma, word)
             if np.count_nonzero(m):
                 total += mobius_bnc(sigma, pi) * m
     return total
+
+
+def _candidates(F: MomentFunctional, chi: ChiWord, word: _ChiOrdered):
+    """The partitions of ``enumerate_bnc(chi)`` that ``cumulant_pi`` reduces,
+    in enumeration order.  Over matrix coefficients, those with no block
+    equal to a chi-interval whose value, the one-block word of its operands
+    in position order, is exactly zero."""
+    if F.dim == 1:
+        return enumerate_bnc(chi)
+    ops, pos = word.chi_ops, word.pos
+    zero = []
+    for lo in range(1, chi.n + 1):
+        for hi in range(lo, chi.n + 1):
+            run = sorted(range(lo - 1, hi), key=pos.__getitem__)
+            if not np.count_nonzero(F.expect(Monomial.concat([ops[i] for i in run]))):
+                zero.append((lo, hi))
+    return enumerate_bnc_avoiding(chi, zero)
 
 
 def cumulant_chi(F: MomentFunctional, chi: ChiWord, operands: Sequence) -> np.ndarray:
@@ -324,7 +349,10 @@ def bifree_test(
     finite fails the scan: the first one is reported as the maximum, and
     such violations are listed first.  Mixed cumulants start at
     order two, so ``max_order`` must lie in 2..8; ``tol`` must be positive
-    and finite.
+    and finite.  At d > 1 each top cumulant is ``cumulant_pi``, which
+    reduces only the partitions with no block equal to a chi-interval of
+    zero value (their moments are zero by bi-multiplicativity); at d = 1 it
+    is ``_scalar_top_cumulant``.
     """
     if not 2 <= max_order <= 8:
         raise ValueError("max_order must be in 2..8")

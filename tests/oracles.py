@@ -13,7 +13,9 @@ commutation class by closing it under swaps, and fit the least-squares
 candidate over breadth-first test words applied from the vacuum.  The
 matrix-lift oracle finds the index chains first and resolves every entry
 again for each chain.  The cumulant oracle takes a Moebius value and a
-fresh numeric-label reduction for every partition below its argument, and the
+fresh numeric-label reduction for every partition below its argument; a
+second one reduces every partition through the package's reduction, as the
+scan did before it left out partitions with a zero chi-interval block.  The
 product-expansion oracle runs a full cumulant scan for each partition on
 its right-hand side.  The scalar top-cumulant oracle relabels every
 partition of the per-length Moebius table to positions for its side word
@@ -44,7 +46,13 @@ from bifree.bnc import (
 from bifree.balgebra import matrix_units
 from bifree.conjvar import VectorCandidate
 from bifree.fock import FockVector
-from bifree.moments import chi_of_groups, cumulant_pi, group_offsets, hat_embed
+from bifree.moments import (
+    chi_of_groups,
+    cumulant_pi,
+    eval_moment_pi,
+    group_offsets,
+    hat_embed,
+)
 from bifree.words import BCoeff, Lb, Monomial, MomentFunctional, Rb, as_monomial
 
 
@@ -231,6 +239,21 @@ def cumulant_pi_scan(F, pi, operands):
     for sigma in enumerate_bnc(pi.chi):
         if lattice_leq(sigma, pi):
             total += mobius_bnc(sigma, pi) * eval_moment_pi_reference(F, sigma, ops)
+    return total
+
+
+def cumulant_pi_every_partition(F, pi, operands):
+    """Cumulant at ``pi`` as ``cumulant_pi`` summed it before partitions with a
+    zero chi-interval block were left out: every sigma of ``enumerate_bnc`` is
+    tested against ``pi`` and reduced by ``eval_moment_pi``, zero-slice exit
+    included, and each moment that is not exactly zero adds mu times it,
+    in enumeration order.  Equal bits are expected, NaN payloads included."""
+    total = np.zeros((F.dim, F.dim), dtype=complex)
+    for sigma in enumerate_bnc(pi.chi):
+        if lattice_leq(sigma, pi):
+            m = eval_moment_pi(F, sigma, operands)
+            if np.count_nonzero(m):
+                total += mobius_bnc(sigma, pi) * m
     return total
 
 

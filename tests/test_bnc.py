@@ -21,6 +21,7 @@ from bifree.bnc import (
     ChiWord,
     catalan,
     enumerate_bnc,
+    enumerate_bnc_avoiding,
     find_bnc,
     is_bnc,
     lattice_join,
@@ -314,6 +315,35 @@ def test_mobius_top_table():
     for n in (0, MAX_ENUM_N + 1):
         with pytest.raises(ValueError):
             mobius_top_table(n)
+
+
+def test_enumerate_bnc_avoiding():
+    # The partitions of enumerate_bnc(chi), in order, with no block whose
+    # chi-ranks (read from the position blocks) are one of the intervals; no
+    # interval keeps every partition, and every interval keeps only
+    # partitions with no interval block, i.e. none.
+    rng = np.random.default_rng(12)
+    for n in range(1, 7):
+        spans = [(lo, hi) for lo in range(1, n + 1) for hi in range(lo, n + 1)]
+        for labels in itertools.product("lr", repeat=n):
+            chi = ChiWord(labels)
+            rank = s_chi_inverse(chi)
+            parts = enumerate_bnc(chi)
+            assert enumerate_bnc_avoiding(chi, []) == list(parts)
+            assert enumerate_bnc_avoiding(chi, spans) == []
+            avoid = [spans[i] for i in rng.choice(len(spans), size=min(3, len(spans)))]
+            want = []
+            for p in parts:
+                ranks = [sorted(rank[x - 1] for x in b) for b in p.blocks]
+                if not any(r == list(range(lo, hi + 1)) for r in ranks for lo, hi in avoid):
+                    want.append(p)
+            assert enumerate_bnc_avoiding(chi, avoid) == want
+    chi = ChiWord("lrl")
+    for bad in ((0, 1), (2, 1), (3, 4)):
+        with pytest.raises(ValueError):
+            enumerate_bnc_avoiding(chi, [bad])
+    with pytest.raises(ValueError):
+        enumerate_bnc_avoiding(ChiWord("l" * (MAX_ENUM_N + 1)), [])
 
 
 def _interval_by_scan(pi):

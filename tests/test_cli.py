@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from bifree.cli import main
 from bifree.fock import FockModel, make_standard_semicircular
 from bifree.moments import eval_moment_pi
 from bifree.words import Monomial
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -435,6 +438,27 @@ def test_pinned_mc_stdout_sha256(direction, d, tmp_path, capsys):
     code, out = run_cli(capsys, "mc", direction, "--table", str(path))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MC_SHA256[direction, d]
+
+
+# sha256 of the exact stdout of two d=2 scans, recorded before the scan left
+# out the partitions with a zero chi-interval block.  "M" is pool model 3 of
+# bench/fock_reference.json, written to a file for --model.
+PINNED_SCAN_SHA256 = {
+    ("bifree", "test", "--max-order", "7", "--model", "M"):
+        "a45411219fbcd63bb719cdf1e1d9b30a6b556cc367a226d014744a1192546b56",
+    ("--d", "2", "--max-order", "6", "bifree", "test"):
+        "c7e80af6cf293e78328d52f10e2c697ac6eeee76373d2560bbde7d8604432880",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_SCAN_SHA256, ids=" ".join)
+def test_pinned_d2_scan_stdout_sha256(argv, tmp_path, capsys):
+    pool = json.loads((ROOT / "bench" / "fock_reference.json").read_text())["pool"]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(pool[3]["model"]))
+    code, out = run_cli(capsys, *(str(model) if a == "M" else a for a in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SCAN_SHA256[argv]
 
 
 def test_mc_reads_table_from_stdin(capsys, monkeypatch):

@@ -444,6 +444,15 @@ def test_aaf_nan_moment_fails():
     assert (case["n"], case["chi"]) == (2, "ll") and math.isnan(case["discrepancy"])
 
 
+@pytest.mark.parametrize("max_n", [-1, 0, 1, 9])
+def test_aaf_max_n_bounds(max_n):
+    # Below 2 no word pair would be tested, and the check must not pass
+    # vacuously; above 8 is the cap.
+    cp = make_circular_pair()
+    with pytest.raises(ValueError, match="2..8"):
+        aaf_check(cp.functional, cp.c_l, cp.c_r, max_n)
+
+
 # --- closed forms and entropy -----------------------------------------------------------
 
 def test_h_closed_form_values():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from oracles import (
+    cumulant_pi_every_partition,
     cumulant_pi_scan,
     cumulants_from_moments_loop,
     eval_moment_pi_random,
@@ -161,22 +162,26 @@ def test_scalar_shortcut_matches_full_recursion():
         assert maxabs(a - b) < 1e-12
 
 
-def _operands_with_insertions(S, D, chi, d, rng):
-    """One generator per position with random coefficient insertions on its
-    side before and after it; the last operand may also mix sides."""
-    ops = []
-    for side in chi.labels:
+def _with_insertions(ops, chi, d, rng):
+    """The operands with random coefficient insertions on their side before
+    and after each; the last operand may also mix sides."""
+    ops = list(ops)
+    for k, side in enumerate(chi.labels):
         coeff = Lb if side == "l" else Rb
-        op = Monomial([S if side == "l" else D])
         if rng.integers(2):
-            op = coeff(random_belement(d, rng)) * op
+            ops[k] = coeff(random_belement(d, rng)) * ops[k]
         if rng.integers(2):
-            op = op * coeff(random_belement(d, rng))
-        ops.append(op)
+            ops[k] = ops[k] * coeff(random_belement(d, rng))
     if rng.integers(2):
         other = Rb if chi.labels[-1] == "l" else Lb
         ops[-1] = ops[-1] * other(random_belement(d, rng))
     return ops
+
+
+def _operands_with_insertions(S, D, chi, d, rng):
+    """One generator per position, S on the left and D on the right, with
+    the insertions of ``_with_insertions``."""
+    return _with_insertions([Monomial([S if s == "l" else D]) for s in chi.labels], chi, d, rng)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -279,6 +284,45 @@ def test_cumulant_matches_full_scan(d):
     assert planted_nonzero >= 6
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_interval_skip_bit_exact(d):
+    # Leaving out the partitions with a zero chi-interval block changes no
+    # bit of the cumulant: on every side word up to order 6, with plain and
+    # with inserted operands, at the top and at a random partition, the bytes
+    # equal those of the scan that reduces every partition.  The models: at
+    # d > 1 two left pairs and a right one with combination symbols, one of
+    # which cancels to the zero operator; at d < 3 the NaN-Kraus model.  At
+    # d=1 nothing is left out: a zero block times a NaN block is NaN.
+    rng = np.random.default_rng(90 + d)
+    m = make_bisemicircular([random_cpmap(d, rng) for _ in "ab"], [random_cpmap(d, rng)])
+    S1, S2, D1 = m.symbol("S1"), m.symbol("S2"), m.symbol("D1")
+    mix = m.model.combination_symbol("u", "l", [(0.3, S1), (1.7 - 0.2j, S2)], family="u")
+    gone = m.model.combination_symbol("z", "r", [(1.0, D1), (-1.0, D1)], family="z")
+    models = []
+    if d > 1:
+        models.append((m.model, [S1, S2, mix], [D1, gone]))
+    if d < 3:
+        nan = _nan_model(d, rng)
+        models.append((nan.model, [nan.symbol("S1")], [nan.symbol("D1")]))
+    skipped = 0
+    for model, lefts, rights in models:
+        F, F_ref = model.functional, MomentFunctional(model.expectation, d)
+        for n in range(1, 7):
+            for labels in itertools.product("lr", repeat=n):
+                chi = ChiWord(labels)
+                parts = enumerate_bnc(chi)
+                plain = [Monomial([rng.choice(lefts if s == "l" else rights)]) for s in labels]
+                for ops in (plain, _with_insertions(plain, chi, d, rng)):
+                    for pi in (one_partition(chi), parts[rng.integers(len(parts))]):
+                        got = cumulant_pi(F, pi, ops)
+                        want = cumulant_pi_every_partition(F_ref, pi, ops)
+                        assert got.tobytes() == want.tobytes(), (pi, ops)
+                    skipped += len(parts) - len(
+                        bifree.moments._candidates(F, chi, bifree.moments._chi_ordered(chi, ops))
+                    )
+    assert (skipped == 0) == (d == 1)
+
+
 def test_scan_report_equals_full_scan(monkeypatch):
     rng = np.random.default_rng(81)
     m = make_bisemicircular([random_cpmap(2, rng)], [random_cpmap(2, rng)])
@@ -289,10 +333,11 @@ def test_scan_report_equals_full_scan(monkeypatch):
 
 
 def test_scan_lattice_counts_pinned(monkeypatch):
-    # Moebius values only for partitions whose moment is not zero; every
-    # partition is still compared with the top, so the lattice layer is
-    # reached (the benchmark's own check needs both counts above 0).
-    calls = {"mobius_bnc": 0, "lattice_leq": 0}
+    # Only the partitions with no zero chi-interval block are reduced and
+    # compared with the top, and Moebius values are taken only for those
+    # whose moment is not zero.  The lattice layer is still reached (the
+    # benchmark's own check needs both lattice counts above 0).
+    calls = {"mobius_bnc": 0, "lattice_leq": 0, "_moment_pi": 0}
     for name in calls:
         real = getattr(bifree.moments, name)
 
@@ -305,8 +350,10 @@ def test_scan_lattice_counts_pinned(monkeypatch):
     m = make_bisemicircular([random_cpmap(2, rng)], [random_cpmap(2, rng)])
     rep = bifree_test(m.functional, m.symbols, max_order=5)
     assert rep["pass"] and rep["tested"] == 52
-    assert calls["lattice_leq"] == 2 * 2 + 6 * 5 + 14 * 14 + 30 * 42
-    # Taking a Moebius value for every partition would make this 1490.
+    # Reducing every partition would make both 2 * 2 + 6 * 5 + 14 * 14 +
+    # 30 * 42 = 1490.
+    assert calls["_moment_pi"] == 60 and calls["lattice_leq"] == 60
+    # Taking a Moebius value for every reduced partition would make this 60.
     assert calls["mobius_bnc"] == 12
     assert calls["mobius_bnc"] > 0 and calls["lattice_leq"] > 0
 
