@@ -33,7 +33,7 @@ from .conjvar import (
     semicircular_entropy_experiment,
     semicircular_perturbation,
 )
-from .fock import FockModel, make_bisemicircular, make_circular_pair
+from .fock import make_bisemicircular, make_circular_pair
 from .moments import (
     bifree_test,
     cumulant_chi,
@@ -41,7 +41,7 @@ from .moments import (
     moments_from_cumulants,
     product_cumulant_expand,
 )
-from .words import GeneratorSymbol, Lb, Monomial, Rb
+from .words import Lb, Monomial, Rb
 
 
 @dataclass
@@ -253,14 +253,11 @@ def criterion_6_bifree_detector(seed: int = 0):
     detail = f"bi-free family max mixed cumulant {rep['max_residual']:.2e} over {rep['tested']} words"
     # A planted correlation: two left generators on the same direction.
     cov = 1.0
-    fm = FockModel(1, ("k", "k2"), (), {"k": one, "k2": one})
-    A = fm.register_symbol(
-        GeneratorSymbol("A", "l", family="a"), [(1.0, ("l", "k")), (1.0, ("l*", "k"))]
-    )
-    B = fm.register_symbol(
-        GeneratorSymbol("B", "l", family="b"), [(1.0, ("l", "k")), (1.0, ("l*", "k"))]
-    )
-    rep2 = bifree_test(fm.functional, [A, B], max_order=3)
+    sm = make_bisemicircular([one], [])
+    s = sm.symbol("S1")
+    A = sm.model.combination_symbol("A", s.side, [(1.0, s)], family="a")
+    B = sm.model.combination_symbol("B", s.side, [(1.0, s)], family="b")
+    rep2 = bifree_test(sm.functional, [A, B], max_order=3)
     planted = [v for v in rep2["violations"] if v["order"] == 2]
     ok2 = (not rep2["pass"]) and any(abs(v["residual"] - cov) <= 1e-9 for v in planted)
     detail += f"; correlated family flagged at order 2 with residual {planted[0]['residual']:.6f}" if planted else "; no order-2 violation found"

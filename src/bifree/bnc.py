@@ -18,7 +18,7 @@ import json
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import comb, prod
 from typing import Iterable, Iterator, Sequence
 
 LEFT = "l"
@@ -288,15 +288,8 @@ def _nc_blocks(elems: tuple[int, ...]) -> Iterator[Blocks]:
         gaps: list[list[int]] = [[] for _ in range(len(block))]
         for e in left_out:
             gaps[bisect_right(block, e) - 1].append(e)
-        yield from _cross_gaps(block, gaps, 0, ())
-
-
-def _cross_gaps(block: Block, gaps: list[list[int]], gi: int, acc: Blocks) -> Iterator[Blocks]:
-    if gi == len(gaps):
-        yield (block,) + acc
-        return
-    for sub in _nc_blocks(tuple(gaps[gi])):
-        yield from _cross_gaps(block, gaps, gi + 1, acc + sub)
+        for subs in product(*(_nc_blocks(tuple(g)) for g in gaps)):
+            yield sum(subs, (block,))
 
 
 @lru_cache(maxsize=16)
@@ -477,19 +470,14 @@ def find_bnc(blocks: Iterable[Iterable[int]], chi: ChiWord) -> BncPartition:
     """The partition of ``enumerate_bnc(chi)`` with the given blocks, equal to
     ``BncPartition(blocks, chi)``.
 
-    A partition of ``1..n`` into ``int`` elements is looked up by its NC
-    picture; any other input goes through ``BncPartition(blocks, chi)``,
-    which raises the ``ValueError`` that names the fault.
+    The partition check raises the ``ValueError`` that names a fault; a
+    partition is then looked up by its NC picture, and a miss goes through
+    ``BncPartition(blocks, chi)``, which raises unless it is bi-non-crossing.
     """
     blocks = [tuple(b) for b in blocks]
     n = chi.n
-    elems = [x for b in blocks for x in b]
-    if (
-        n <= MAX_ENUM_N
-        and all(blocks)
-        and all(type(x) is int for x in elems)
-        and sorted(elems) == list(range(1, n + 1))
-    ):
+    _check_partition(blocks, n)
+    if n <= MAX_ENUM_N:
         inv = s_chi_inverse(chi)
         i = _nc_index(n).get(_code([inv[x - 1] for x in b] for b in blocks))
         if i is not None:
@@ -537,7 +525,4 @@ def lower_interval(pi: BncPartition) -> tuple[tuple[BncPartition, int], ...]:
 
 def catalan(n: int) -> int:
     """The n-th Catalan number (Catalan(0) = 1)."""
-    c = 1
-    for i in range(n):
-        c = c * 2 * (2 * i + 1) // (i + 2)
-    return c
+    return comb(2 * n, n) // (n + 1)

@@ -64,7 +64,11 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return belement_to_json(obj) if obj.ndim == 2 else [_jsonable(v) for v in obj]
+        if obj.ndim != 2:
+            return [_jsonable(v) for v in obj]
+        # Converted once; walked again only to print a NaN entry as null.
+        out = belement_to_json(obj)
+        return _jsonable(out) if np.isnan(obj).any() else out
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, complex):
@@ -127,7 +131,7 @@ def _table_report(chi: ChiWord, table: dict) -> dict:
             {
                 "chi": str(chi),
                 "partition": [list(b) for b in p.blocks],
-                "value": belement_to_json(v),
+                "value": v,
             }
             for p, v in sorted(table.items(), key=lambda kv: kv[0].blocks)
         ],
@@ -181,15 +185,8 @@ def _cmd_bifree_test(args) -> int:
 def _cmd_fock_moment(args) -> int:
     model = _load_model(args)
     word = Monomial([model.symbol(tok) for tok in args.word.split()])
-    value = model.functional.expect(word)
-    _emit(
-        {
-            "word": args.word,
-            "value": belement_to_json(value),
-            "trace": _jsonable(complex(np.trace(value)) / model.dim),
-        },
-        args,
-    )
+    F = model.functional
+    _emit({"word": args.word, "value": F.expect(word), "trace": F.tau(word)}, args)
     return 0
 
 
@@ -227,7 +224,6 @@ def _cmd_entropy_run(args) -> int:
         rep = semicircular_entropy_experiment()
     else:
         rep = circular_entropy_experiment()
-    rep = {k: v for k, v in rep.items() if k not in ("pair_report", "lift_report")}
     _emit(rep, args)
     return 0 if rep["pass"] else 1
 

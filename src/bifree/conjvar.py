@@ -475,6 +475,8 @@ def aaf_check(
 
 def h_closed_form(t: float, K1: float, K2: float) -> float:
     """Fisher information along the semicircular perturbation, equality case."""
+    if not all(map(math.isfinite, (t, K1, K2))):
+        raise ValueError("t, K1 and K2 must be finite")
     if t < 0:
         raise ValueError("t must be nonnegative")
     if K1 < 0 or K2 <= 0:
@@ -508,8 +510,11 @@ def entropy_chi_star(fisher_of_t: Callable[[float], float], K: float) -> dict:
     on each panel; ``bracket_width`` is half the sum over the panels of
     |Q_16 - Q_32|, so that one panel's error cannot cancel the other's.
     That is 96 Fisher evaluations, and ``max_integrand_abs`` is taken over
-    all of them; a Fisher value that is not finite raises ``ValueError``.
+    all of them; a Fisher value that is not finite, or a ``K`` that is not
+    positive and finite, raises ``ValueError``.
     """
+    if not 0 < K < math.inf:
+        raise ValueError(f"K must be positive and finite, got {K!r}")
 
     def phi(t: float) -> float:
         val = fisher_of_t(t)
@@ -751,6 +756,4 @@ def circular_entropy_experiment() -> dict:
         "max_residual": max_resid,
         "bracket_width": bracket,
         "expected": expected,
-        "pair_report": pair_report,
-        "lift_report": lift_report,
     }

@@ -558,36 +558,34 @@ def make_standard_semicircular(n_left: int = 1, n_right: int = 0) -> Bisemicircu
 class CircularPairModel:
     """Left/right pairs of circular elements over scalar coefficients.
 
-    Each pair is built from four scalar variance-1 semicircular directions
-    on a common Fock space: the left element is (s1 + i s2)/sqrt(2) and the
-    right one its analogue in the right directions.  The four symbols of a
-    pair share one family tag (they form a single two-faced pair); distinct
-    pairs are bi-free from each other.
+    Each pair is built from two left and two right scalar variance-1
+    semicircular generators of one ``BisemicircularModel``: the left element
+    is (S1 + i S2)/sqrt(2), its adjoint (S1 - i S2)/sqrt(2), and the right
+    ones the same combinations of D1 and D2 (S3, S4, D3, D4 for the second
+    pair, and so on).  The four symbols of a pair share one family tag (they
+    form a single two-faced pair); distinct pairs are bi-free from each other.
     """
 
     def __init__(self, n_pairs: int = 1):
+        if n_pairs < 1:
+            raise ValueError(f"n_pairs must be >= 1, got {n_pairs!r}")
         one = CPMap.identity(1)
-        lidx = tuple(f"e{4 * p + q}" for p in range(n_pairs) for q in (1, 2))
-        ridx = tuple(f"e{4 * p + q}" for p in range(n_pairs) for q in (3, 4))
-        cov = {k: one for k in lidx + ridx}
-        self.model = FockModel(1, lidx, ridx, cov)
+        bs = BisemicircularModel([one] * (2 * n_pairs), [one] * (2 * n_pairs))
+        self.model = bs.model
         self.dim = 1
         isq = 1.0 / np.sqrt(2.0)
-        reg = self.model.register_symbol
+        mk = self.model.combination_symbol
         self.pairs: list[tuple[GeneratorSymbol, ...]] = []
         for p in range(n_pairs):
             tag = "" if p == 0 else str(p + 1)
             pair = []
-            for name, side, cre, ann, (ea, eb) in (
-                (f"cl{tag}", LEFT, "l", "l*", (f"e{4 * p + 1}", f"e{4 * p + 2}")),
-                (f"cr{tag}", RIGHT, "r", "r*", (f"e{4 * p + 3}", f"e{4 * p + 4}")),
+            for name, (s1, s2) in (
+                (f"cl{tag}", bs.left_symbols[2 * p:2 * p + 2]),
+                (f"cr{tag}", bs.right_symbols[2 * p:2 * p + 2]),
             ):
                 for adjoint, phase in ((False, 1j), (True, -1j)):
-                    pair.append(reg(
-                        GeneratorSymbol(name, side, adjoint=adjoint, family=f"c{p + 1}"),
-                        [(isq, (cre, ea)), (isq, (ann, ea)),
-                         (phase * isq, (cre, eb)), (phase * isq, (ann, eb))],
-                    ))
+                    pair.append(mk(name, s1.side, [(isq, s1), (phase * isq, s2)],
+                                   family=f"c{p + 1}", adjoint=adjoint))
             self.pairs.append(tuple(pair))
         self.c_l, self.c_l_star, self.c_r, self.c_r_star = self.pairs[0]
         self.functional = self.model.functional

@@ -101,8 +101,10 @@ def nc_pair_partition_count(n):
     return count
 
 
+@lru_cache(maxsize=None)
 def zeta_inverse_mobius(n):
-    """NC Moebius function as the inverse of the order matrix."""
+    """NC Moebius function as the inverse of the order matrix, once per n
+    (callers only read the result)."""
     parts = enumerate_nc(n)
     owners = []
     for p in parts:

@@ -1,5 +1,6 @@
 """Lattice-level tests with independent combinatorial oracles."""
 
+import hashlib
 import itertools
 import json
 
@@ -22,6 +23,7 @@ from bifree.bnc import (
     catalan,
     enumerate_bnc,
     enumerate_bnc_avoiding,
+    enumerate_nc,
     find_bnc,
     is_bnc,
     lattice_join,
@@ -118,6 +120,37 @@ def test_counts_are_catalan():
         assert len(enumerate_bnc(ChiWord(labels))) == 5
     for labels in ("lrlrl", "rrrrr", "llrrl"):
         assert len(enumerate_bnc(ChiWord(labels))) == 42
+
+
+def test_catalan_closed_form():
+    c = 1  # Cat(k+1) = Cat(k) 2(2k+1)/(k+2)
+    for k in range(30):
+        assert catalan(k) == c
+        c = c * 2 * (2 * k + 1) // (k + 2)
+    with pytest.raises(ValueError):
+        catalan(-1)
+
+
+# sha256 of repr(enumerate_nc(n)): every Moebius table, interval index and
+# summation order is keyed by this order.
+NC_ORDER_SHA256 = {
+    1: "643db1aa8c053beb7cf53628a5c9fb00f73b4113557f1d9b0cf1fead35919eb0",
+    2: "8f562324fd8c04ddcf665cf1a73bcc5f0c1d5b6edc6307ef21b6c59877692dde",
+    3: "ab92a7fa41c1fa6e8bc0daa2566d89a62de78a10d1da97a7d5dfbdd71f28f751",
+    4: "0607bdc9a2c6e5ed224b32cee53d96d41ed988d3d97bf6dbd34c46e50a84ad06",
+    5: "52c2590a1aa63546259b5b9bb0ccc43a7e07832a1a2b2c1cf07af2f355b45420",
+    6: "ce10d4b65f8fff52ad1a91ff1a18288d99b6690942020a3a0b1623fc73015edf",
+    7: "0f4ecbd0a46c89411763e9340a2fedf9db9c042a614523bc04fe88e979213554",
+    8: "21ddcf7f80af7213838b40b2ce07464fd04cdbf4a8b36cb71b56b3543972a94c",
+    9: "478690e18f88ecb987d3391cff2cda03a917346d3540515fffe86c310ebde74a",
+    10: "833b5858e1ed4b569d4a8b3c9916e7d5a9f8fb3f2566aeb204aa8ef36479f7f3",
+}
+
+
+@pytest.mark.parametrize("n", sorted(NC_ORDER_SHA256))
+def test_nc_enumeration_order_pinned(n):
+    got = hashlib.sha256(repr(enumerate_nc(n)).encode()).hexdigest()
+    assert got == NC_ORDER_SHA256[n]
 
 
 def test_enumeration_matches_filtered_set_partitions():

@@ -15,7 +15,7 @@ from bifree.bnc import BncPartition, ChiWord, enumerate_bnc
 from bifree.acceptance import CriterionResult
 from bifree.cli import main
 from bifree.fock import FockModel, make_standard_semicircular
-from bifree.moments import eval_moment_pi
+from bifree.moments import cumulants_from_moments, eval_moment_pi
 from bifree.words import Monomial
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -438,6 +438,39 @@ def test_pinned_mc_stdout_sha256(direction, d, tmp_path, capsys):
     code, out = run_cli(capsys, "mc", direction, "--table", str(path))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MC_SHA256[direction, d]
+
+
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"bare {token} in JSON output")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_mc_prints_nan_as_null(d, tmp_path, capsys):
+    rng = np.random.default_rng(55)
+    chi = ChiWord("lrrlr")
+    table = {p: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+             for p in enumerate_bnc(chi)}
+    planted = enumerate_bnc(chi)[7]
+    table[planted][0, d - 1] = complex(math.nan, 0.5)
+    entries = [{"partition": [list(b) for b in p.blocks], "value": belement_to_json(v)}
+               for p, v in table.items()]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"chi": str(chi), "entries": entries}))
+    code, out = run_cli(capsys, "mc", "to-cumulants", "--table", str(path))
+    assert code == 0
+    rep = _strict_json(out)
+    nulls = 0
+    for e in rep["entries"]:
+        want = cumulants_from_moments(table, BncPartition(e["partition"], chi))
+        for part, got in (("re", want.real), ("im", want.imag)):
+            for row_out, row in zip(e["value"][part], got.tolist()):
+                for x, w in zip(row_out, row):
+                    assert x is None if math.isnan(w) else x == w
+                    nulls += x is None
+    assert nulls > 0
 
 
 # sha256 of the exact stdout of two d=2 scans, recorded before the scan left

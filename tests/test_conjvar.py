@@ -465,6 +465,21 @@ def test_h_closed_form_values():
         h_closed_form(-1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "t, K1, K2", [(math.nan, 1.0, 1.0), (0.0, math.nan, 1.0), (0.0, 1.0, math.nan),
+                  (0.0, 1.0, math.inf), (math.inf, 1.0, 1.0), (0.0, math.inf, 1.0)]
+)
+def test_h_closed_form_rejects_non_finite_input(t, K1, K2):
+    with pytest.raises(ValueError, match="finite"):
+        h_closed_form(t, K1, K2)
+
+
+@pytest.mark.parametrize("K", [math.nan, -1.0, 0.0, math.inf, -math.inf])
+def test_entropy_rejects_k_not_positive_and_finite(K):
+    with pytest.raises(ValueError, match="K must be positive and finite"):
+        entropy_chi_star(lambda t: 1.0 / (1.0 + t), K=K)
+
+
 def test_entropy_quadrature_closed_form():
     rep = entropy_chi_star(lambda t: 1.0 / (1.0 + t), K=1.0)
     want = 0.5 * math.log(2 * math.pi * math.e)

@@ -12,6 +12,7 @@ from bifree.balgebra import CPMap, maxabs, random_belement
 from bifree.bnc import ChiWord, enumerate_bnc, one_partition
 from bifree.fock import (
     BisemicircularModel,
+    CircularPairModel,
     FockModel,
     FockVector,
     TruncationError,
@@ -185,6 +186,12 @@ def test_circular_pair_moments():
     assert maxabs(k) < 1e-12
     k = cumulant_pi(F, one_partition(chi), [Monomial([cl]), Monomial([cls])])
     assert abs(k[0, 0] - 1) < 1e-12
+
+
+@pytest.mark.parametrize("n_pairs", [0, -1])
+def test_circular_pair_needs_a_pair(n_pairs):
+    with pytest.raises(ValueError, match="n_pairs"):
+        CircularPairModel(n_pairs)
 
 
 def test_expectation_compatible_with_coefficients():
