@@ -167,7 +167,8 @@ def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, max_n: int):
     through the candidate's moment functional.  Growing
     ``w`` to ``f w`` leaves every tail unchanged, so each spliced monomial is
     built once, when its occurrence is prepended, and then only gains ``f``
-    on the left.
+    on the left.  Many occurrences share a tail, so each tail's spliced
+    coefficient is built once per walk.
     """
     if not 0 <= max_n <= 8:
         raise ValueError("max_n must be in 0..8")
@@ -184,6 +185,7 @@ def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, max_n: int):
     for i, f in enumerate(alphabet):
         indep = sum(1 << j for j, a in enumerate(alphabet) if xi.independent(f, a))
         letters.append((f, 1 << i, indep, indep & ((1 << i) - 1)))
+    coeffs: dict = {}  # tail -> its spliced coefficient, eta(E(tail))
 
     def walk(word: tuple, state, spliced: list, front: int):
         rhs = 0.0 + 0.0j
@@ -200,7 +202,10 @@ def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, max_n: int):
             if f is target:
                 tail = Monomial([g for g in word if g.side == target.side])
                 rest = Monomial([g for g in word if g.side != target.side])
-                grown.insert(0, rest * coeff(eta(F.expect(tail))))
+                b = coeffs.get(tail)
+                if b is None:
+                    b = coeffs[tail] = coeff(eta(F.expect(tail)))
+                grown.insert(0, rest * b)
             yield from walk(
                 (f,) + word,
                 xi.extend(f, state, max_n - depth - 1),

@@ -19,10 +19,13 @@ Components are never changed in place, so states may share them.
 
 Word actions carry a depth budget: a caller that reads only components up
 to some depth at the end passes that depth, and each step then keeps only
-components that the remaining factors can still bring back within it.
-Components beyond the remaining budget are never built, so an expectation of
-a word of length n never builds depth beyond floor(n/2) and is exact, up to
-float roundoff, for any truncation at or above floor(n/2).
+components that the remaining factors can still bring back within it.  Only
+generator symbols change the depth, each by at most one, so the budget of a
+step is the caller's depth plus the number of symbols still to apply;
+coefficient factors count for nothing.  Components beyond the remaining
+budget are never built, so an expectation of a word with s symbols never
+builds depth beyond floor(s/2) and is exact, up to float roundoff, for any
+truncation at or above floor(s/2).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import copy
 import functools
 import json
 import math
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,6 +42,11 @@ import numpy as np
 from .balgebra import CPMap, as_belement, identity
 from .bnc import LEFT, RIGHT
 from .words import BCoeff, GeneratorSymbol, MomentFunctional, as_monomial
+
+
+# The vacuum-expectation states a model keeps, keyed by (suffix, budget); the
+# oldest is dropped first once there are more.
+SUFFIX_STATES = 256
 
 
 class TruncationError(RuntimeError):
@@ -272,8 +281,10 @@ class FockModel:
         self._cov = {k: self._ar.covariance(eta) for k, eta in self.covariances.items()}
         self.max_depth = max_depth
         self.symbol_actions: dict[GeneratorSymbol, tuple[tuple[complex, tuple], ...]] = {}
-        # The oracle is bound to a shallow copy that shares every table but
-        # not the functional: model and functional form no reference cycle.
+        self._suffix_states: dict[tuple, FockVector] = {}
+        # The oracle is bound to a shallow copy that shares every table (the
+        # suffix states too) but not the functional: model and functional
+        # form no reference cycle.
         self.functional = MomentFunctional(copy.copy(self).expectation, dim)
 
     @property
@@ -428,18 +439,49 @@ class FockModel:
         """Apply a monomial (leftmost factor acts last).
 
         With ``keep_depth`` the result is exact up to that depth only: each
-        step drops the components that the factors still to apply can no
+        step drops the components that the symbols still to apply can no
         longer bring back within it.
         """
         factors = as_monomial(word).factors
-        for j in range(len(factors) - 1, -1, -1):
-            budget = None if keep_depth is None else keep_depth + j
-            vec = self.apply_symbol(factors[j], vec, budget)
+        budget = None
+        if keep_depth is not None:
+            budget = keep_depth + sum(isinstance(f, GeneratorSymbol) for f in factors)
+        for f in reversed(factors):
+            if budget is not None and isinstance(f, GeneratorSymbol):
+                budget -= 1
+            vec = self.apply_symbol(f, vec, budget)
         return vec
 
     def expectation(self, word) -> np.ndarray:
-        """E(word) = depth-0 part of (word applied to the vacuum)."""
-        return self.apply_word(word, FockVector.vacuum(self.dim), keep_depth=0).depth0()
+        """E(word) = depth-0 part of (word applied to the vacuum).
+
+        The state after each suffix of the word is kept, keyed by the suffix
+        and its depth budget (the symbols left of it, still to apply), for the
+        last ``SUFFIX_STATES`` such states built; the oldest is dropped
+        first.  A word starts from the longest suffix kept and applies only
+        the factors left of it.  The key fixes every factor applied and every
+        budget they were applied with, so a kept state is the one that
+        ``apply_word(word, vacuum, keep_depth=0)`` builds there, bit for bit.
+        A state with budget 0 is not kept: only its depth-0 part is ever
+        read, and the moment cache holds that.
+        """
+        factors = as_monomial(word).factors
+        states = self._suffix_states
+        # budgets[j]: the symbols among factors[:j]
+        budgets = list(accumulate((isinstance(f, GeneratorSymbol) for f in factors), initial=0))
+        vec, start = FockVector.vacuum(self.dim), len(factors)
+        for j in range(1, start):
+            kept = states.get((factors[j:], budgets[j])) if budgets[j] else None
+            if kept is not None:
+                vec, start = kept, j
+                break
+        for j in range(start - 1, -1, -1):
+            vec = self.apply_symbol(factors[j], vec, budgets[j])
+            if budgets[j]:
+                states[(factors[j:], budgets[j])] = vec
+                if len(states) > SUFFIX_STATES:
+                    del states[next(iter(states))]
+        return vec.depth0()
 
     # -- geometry -------------------------------------------------------------
 

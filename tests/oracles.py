@@ -5,23 +5,24 @@ machinery: set partitions come from restricted growth strings, crossings
 from a quartic scan, and the Moebius function from inverting the order
 matrix numerically.  The moment oracles reduce on numeric labels, one
 re-ranking every level in chi-order and one stripping admissible runs in
-random order, and the Fock oracle applies a symbol one elementary factor at a
-time, with its own copy of the scalar and tensor arithmetic.  The
-conjugate-relation oracles rebuild each right-hand side from its word alone,
-walk every test word with no two merged as one operator, find a word's
-commutation class by closing it under swaps, and fit the least-squares
-candidate over breadth-first test words applied from the vacuum.  The
-matrix-lift oracle finds the index chains first and resolves every entry
-again for each chain.  The cumulant oracle takes a Moebius value and a
-fresh numeric-label reduction for every partition below its argument; a
-second one reduces every partition through the package's reduction, as the
+random order, and the Fock oracle applies a symbol one elementary factor at
+a time, with its own copy of the scalar and tensor arithmetic.  The vacuum
+expectation oracle applies every word to the vacuum, with no state kept from
+an earlier word.  The conjugate-relation oracles rebuild each right-hand
+side from its word alone, walk every test word with no two merged as one
+operator, find a word's commutation class by closing it under swaps, and fit
+the least-squares candidate over breadth-first test words applied from the
+vacuum.  The matrix-lift oracle finds the index chains first and resolves
+every entry again for each chain.  The cumulant oracle takes a Moebius value
+and a fresh numeric-label reduction for every partition below its argument;
+a second one reduces every partition through the package's reduction, as the
 scan did before it left out partitions with a zero chi-interval block.  The
-product-expansion oracle runs a full cumulant scan for each partition on
-its right-hand side.  The scalar top-cumulant oracle relabels every
-partition of the per-length Moebius table to positions for its side word
-and multiplies block values in position order.  The interval oracle
-rebuilds a lower interval from relabelled factor tables on every call, and
-the table-transform oracles add one term at a time over it.
+product-expansion oracle runs a full cumulant scan for each partition on its
+right-hand side.  The scalar top-cumulant oracle relabels every partition of
+the per-length Moebius table to positions for its side word and multiplies
+block values in position order.  The interval oracle rebuilds a lower
+interval from relabelled factor tables on every call, and the
+table-transform oracles add one term at a time over it.
 """
 
 import itertools
@@ -536,12 +537,22 @@ def apply_symbol_by_factors(model, f, vec, keep_depth=None):
     return out
 
 
+def vacuum_expectation(model):
+    """A Fock model's vacuum expectation that keeps nothing between words:
+    each word is applied to the vacuum, one factor at a time."""
+
+    def expect(word):
+        return model.apply_word(word, FockVector.vacuum(model.dim), keep_depth=0).depth0()
+
+    return expect
+
+
 def word_norm_sq(model, word):
     """Squared GNS norm of an operator word of a Fock model, through the
     trace: tau(w* w)."""
     word = as_monomial(word)
     full = word.adjoint() * word
-    return float((np.trace(model.expectation(full)) / model.dim).real)
+    return float((np.trace(vacuum_expectation(model)(full)) / model.dim).real)
 
 
 # --- matrix lift in two phases -------------------------------------------------
@@ -683,7 +694,7 @@ def solve_conjugate_bfs(model, target, eta, ctx, max_n=4, basis_len=3):
     no coefficient insertions, so this agrees with the package's solver at
     d = 1 only.
     """
-    F = MomentFunctional(model.expectation, model.dim)
+    F = MomentFunctional(vacuum_expectation(model), model.dim)
     alphabet = [target] + list(ctx.generators())
     basis_words = [()]
     frontier = [()]

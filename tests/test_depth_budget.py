@@ -121,3 +121,14 @@ def test_truncation_raised_only_for_reachable_components():
     assert tight.model.expectation(Monomial([s] * 4))[0, 0] == 2.0
     with pytest.raises(TruncationError):
         tight.model.expectation(Monomial([s] * 6))
+
+
+def test_coefficient_factors_do_not_count_towards_the_budget():
+    # Four symbols need depth 2 only; the two insertions never change the
+    # depth, so they must not widen the budget past max_depth.
+    tight = make_bisemicircular([CPMap.identity(1)], [], max_depth=2)
+    s, one = tight.symbol("S1"), Lb(np.eye(1))
+    word = Monomial([one, s, one, s, s, s])
+    assert tight.model.expectation(word)[0, 0] == 2.0
+    pruned = tight.model.apply_word(word, FockVector.vacuum(1), keep_depth=0)
+    assert pruned.depth0()[0, 0] == 2.0

@@ -18,6 +18,7 @@ from oracles import (
     nc_pair_partition_count,
     product_cumulant_expand_nested,
     scalar_top_cumulant_by_positions,
+    vacuum_expectation,
 )
 
 import bifree.moments
@@ -191,7 +192,7 @@ def test_chi_order_slices_match_numeric_reduction(d):
     rng = np.random.default_rng(40 + d)
     m = make_bisemicircular([random_cpmap(d, rng)], [random_cpmap(d, rng)])
     S, D = m.symbol("S1"), m.symbol("D1")
-    F, F_ref = m.functional, MomentFunctional(m.model.expectation, m.dim)
+    F, F_ref = m.functional, MomentFunctional(vacuum_expectation(m.model), m.dim)
     chis = [ChiWord(w) for n in range(1, 6) for w in itertools.product("lr", repeat=n)]
     chis += [ChiWord(rng.choice(["l", "r"], size=n)) for n in (6, 6, 6, 7, 7)]
     checked = 0
@@ -264,7 +265,7 @@ def test_cumulant_matches_full_scan(d):
     planted_nonzero = 0
     models = [(x.model, x.symbol("S1"), x.symbol("D1")) for x in (m, tiny)]
     for model, S, D in models + [(planted, A, B)]:
-        F, F_ref = model.functional, MomentFunctional(model.expectation, d)
+        F, F_ref = model.functional, MomentFunctional(vacuum_expectation(model), d)
         for n in range(2, 6):
             for labels in itertools.product("lr", repeat=n):
                 if len(set(labels)) < 2:
@@ -306,7 +307,7 @@ def test_interval_skip_bit_exact(d):
         models.append((nan.model, [nan.symbol("S1")], [nan.symbol("D1")]))
     skipped = 0
     for model, lefts, rights in models:
-        F, F_ref = model.functional, MomentFunctional(model.expectation, d)
+        F, F_ref = model.functional, MomentFunctional(vacuum_expectation(model), d)
         for n in range(1, 7):
             for labels in itertools.product("lr", repeat=n):
                 chi = ChiWord(labels)
@@ -328,7 +329,7 @@ def test_scan_report_equals_full_scan(monkeypatch):
     m = make_bisemicircular([random_cpmap(2, rng)], [random_cpmap(2, rng)])
     got = bifree_test(m.functional, m.symbols, max_order=6)
     monkeypatch.setattr(bifree.moments, "cumulant_pi", cumulant_pi_scan)
-    want = bifree_test(MomentFunctional(m.model.expectation, 2), m.symbols, max_order=6)
+    want = bifree_test(MomentFunctional(vacuum_expectation(m.model), 2), m.symbols, max_order=6)
     assert got == want and got["tested"] == 114 and got["max_residual"] > 0
 
 
@@ -398,7 +399,7 @@ def _three_family_model(rng):
 def _scalar_scans(model, symbols, max_order):
     """``(word, scan, position-coordinate scan)`` for every mixed word; the
     oracle reads its own moment functional."""
-    F, F_ref = model.functional, MomentFunctional(model.expectation, 1)
+    F, F_ref = model.functional, MomentFunctional(vacuum_expectation(model), 1)
     for n in range(2, max_order + 1):
         for word in itertools.product(symbols, repeat=n):
             if len({s.family for s in word}) > 1:

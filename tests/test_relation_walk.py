@@ -37,6 +37,7 @@ from oracles import (
     full_walk_residual,
     is_lex_normal_form,
     solve_conjugate_bfs,
+    vacuum_expectation,
 )
 
 ONE = CPMap.identity(1)
@@ -100,7 +101,7 @@ def test_circular_rhs_matches_oracle():
     cp = CircularPairModel()
     cands, ctxs = circular_candidates(cp.model, cp.c_l, cp.c_r)
     off, _ = circular_candidates(cp.model, cp.c_l, cp.c_r, scale=1.5)
-    fresh = MomentFunctional(cp.model.expectation, 1)
+    fresh = MomentFunctional(vacuum_expectation(cp.model), 1)
     for xi, ctx in zip(cands + off, ctxs + ctxs):
         _check_walk(xi, ONE, ctx, fresh, 4)
 
@@ -116,7 +117,7 @@ def test_matrix_rhs_matches_oracle(scale):
 
     model = make_bisemicircular([cp()], [cp()])
     s, d1 = model.symbol("S1"), model.symbol("D1")
-    fresh = MomentFunctional(model.model.expectation, model.dim)
+    fresh = MomentFunctional(vacuum_expectation(model.model), model.dim)
     for target, partner, ctx in (
         (s, "S1", PresenceContext((), (d1,))),
         (d1, "D1", PresenceContext((s,), ())),
@@ -138,7 +139,7 @@ def test_scalar_rhs_summation_order():
     xi = VectorCandidate(u, model.model.vector_of(Monomial([s2])), model.model)
     ctx = PresenceContext((s1,), (d1,))
     eta = CPMap([np.array([[0.9]])])
-    _check_walk(xi, eta, ctx, MomentFunctional(model.model.expectation, 1), 6)
+    _check_walk(xi, eta, ctx, MomentFunctional(vacuum_expectation(model.model), 1), 6)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.5])
@@ -197,7 +198,7 @@ def test_walk_keeps_letters_of_mixed_action_apart():
     def independent(a, b):
         return mixed not in (a, b) and a.side != b.side
 
-    _check_walk(xi, ONE, ctx, MomentFunctional(m.model.expectation, 1), 4, independent)
+    _check_walk(xi, ONE, ctx, MomentFunctional(vacuum_expectation(m.model), 1), 4, independent)
 
 
 @pytest.mark.parametrize("d, seed", [(1, 41), (1, 42), (2, 43)])
