@@ -12,11 +12,13 @@ parent word.  Left-type and right-type letters commute (Charlesworth-Nelson-
 Skoufranis, CMP 2015), and words that differ by such swaps are one operator
 with one right-hand side, so the walk visits one word per operator: the
 lexicographic normal form of the partially commutative monoid (Diekert-
-Rozenberg, *The Book of Traces*).  The candidate says which letters commute
-(for a Fock-backed state: letters pure on opposite sides), and its residual
-is the residual over every word, up to roundoff.  Every candidate carries
-the moment functional that backs its relations (its model's, or its
-lift's), so the walk reads no other.
+Rozenberg, *The Book of Traces*).  The candidate says which letters commute:
+letters pure on opposite sides, for a Fock-backed state under its model's
+``FockModel.pure_side`` and for a lifted word under ``MatrixLift.pure_side``,
+which derives a lifted generator's side from the base letters of its table.
+Its residual is the residual over every word, up to roundoff.  Every
+candidate carries the moment functional that backs its relations (its
+model's, or its lift's), so the walk reads no other.
 ``conj_residual`` reports the worst violation along that walk, and
 ``solve_conjugate`` reads its least-squares rows from the same walk;
 everything downstream (Fisher information, the perturbation law, entropy
@@ -66,6 +68,13 @@ class PresenceContext:
         return tuple(self.left_gens) + tuple(self.right_gens)
 
 
+def _pure_on_opposite_sides(pure_side, a, b) -> bool:
+    """Whether ``pure_side`` puts one letter on the left and the other on the
+    right; such letters commute."""
+    sa, sb = pure_side(a), pure_side(b)
+    return sa is not None and sb is not None and sa != sb
+
+
 class VectorCandidate:
     """Conjugate candidate given as a state of a Fock-backed model; its
     relations read the model's moment functional."""
@@ -88,8 +97,7 @@ class VectorCandidate:
     def independent(self, a, b) -> bool:
         """Whether two letters commute as operators of the model: one is pure
         on the left side and the other on the right (``FockModel.pure_side``)."""
-        sa, sb = self.model.pure_side(a), self.model.pure_side(b)
-        return sa is not None and sb is not None and sa != sb
+        return _pure_on_opposite_sides(self.model.pure_side, a, b)
 
     def tau(self, state) -> complex:
         if self.model.dim == 1:
@@ -102,18 +110,25 @@ class VectorCandidate:
 
 
 class WordCandidate:
-    """Conjugate candidate given as a scaled operator word (its GNS vector)."""
+    """Conjugate candidate given as a scaled operator word (its GNS vector).
+
+    ``pure_side`` maps a letter to the side whose operators alone make it
+    up, or None; letters pure on opposite sides commute.  For a lifted word
+    it is ``MatrixLift.pure_side`` over the model behind the lift's base.
+    """
 
     def __init__(
         self,
         target: GeneratorSymbol,
         word,
         functional: MomentFunctional,
+        pure_side: Callable[[object], str | None],
         scale: complex = 1.0,
     ):
         self.target = target
         self.word = as_monomial(word)
         self.functional = functional
+        self.pure_side = pure_side
         self.scale = complex(scale)
 
     def initial_state(self):
@@ -123,9 +138,9 @@ class WordCandidate:
         return factor * state
 
     def independent(self, a, b) -> bool:
-        """No two letters are declared to commute: the lift's words are all
-        walked."""
-        return False
+        """Whether two letters commute: one is pure on the left side and the
+        other on the right (``pure_side``)."""
+        return _pure_on_opposite_sides(self.pure_side, a, b)
 
     def tau(self, state) -> complex:
         return self.scale * self.functional.tau(state)
@@ -148,7 +163,11 @@ def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, max_n: int):
 
     Letters that the candidate declares independent (``xi.independent``)
     commute as operators, so words that differ by swapping adjacent
-    independent letters are one operator.  Only the lexicographic normal
+    independent letters are one operator: on a Fock space, letters pure on
+    opposite sides act on opposite ends of every word; in a matrix lift,
+    swapping a left and a right generator keeps the chi-order, hence every
+    index chain, and only swaps their base sub-words, which are pure on
+    opposite sides in the base model.  Only the lexicographic normal
     form of each such class is walked: with letters ordered as in the
     alphabet, ``f w`` is skipped when some letter ``a < f`` of ``w`` is
     independent of ``f`` and of every letter before it, since ``a`` could
@@ -327,20 +346,44 @@ class MatrixLift:
         ``table`` maps 1-based ``(i, j)`` to a list of ``(coeff, base_word)``
         with ``base_word`` a tuple of base generators.  The adjoint symbol is
         registered alongside with the conjugate-transposed table.
+        Registering a symbol again with the same table changes nothing; with
+        another table it raises ``ValueError``, since the functional keeps
+        the moments already read and the tables decide which letters commute.
         """
         clean: dict = {}
         for (i, j), terms in table.items():
             if not (1 <= i <= self.d and 1 <= j <= self.d):
                 raise ValueError(f"entry ({i},{j}) outside 1..{self.d}")
             clean[(i, j)] = tuple((complex(c), tuple(w)) for c, w in terms)
-        self.tables[sym] = clean
         adj: dict = {}
         for (i, j), terms in clean.items():
             adj[(j, i)] = tuple(
                 (c.conjugate(), tuple(g.star() for g in reversed(w))) for c, w in terms
             )
+        for key, tab in ((sym, clean), (sym.star(), adj)):
+            if self.tables.get(key, tab) != tab:
+                raise ValueError(f"symbol {key!r} is already registered with another table")
+        self.tables[sym] = clean
         self.tables[sym.star()] = adj
         return sym
+
+    def pure_side(self, f, model: FockModel) -> str | None:
+        """The side whose operators alone make up the lifted letter ``f``, or
+        None.
+
+        ``model`` is the Fock model behind the base functional.  A lifted
+        generator is pure on its own side when every base letter of its table
+        is pure on that side (``FockModel.pure_side``); two generators pure
+        on opposite sides then commute (see ``_relation_walk``).  Any other
+        letter is pure on no side.
+        """
+        if model.functional is not self.base:
+            raise ValueError("model does not back this lift's base functional")
+        table = self.tables.get(f)
+        if table is None:
+            return None
+        letters = (g for terms in table.values() for _, w in terms for g in w)
+        return f.side if all(model.pure_side(g) == f.side for g in letters) else None
 
     def _entry_options(self, factor, i: int, j: int):
         if isinstance(factor, BCoeff):
@@ -609,19 +652,21 @@ def semicircular_perturbation():
     return family
 
 
-def lifted_candidates(F: MomentFunctional, z, w, scale: float = 1.0):
+def lifted_candidates(model: FockModel, z, w, scale: float = 1.0):
     """Conjugate candidates of the lifted carriers of a circular pair.
 
-    Each self-adjoint carrier is its own conjugate variable up to ``scale``
-    and is tested in the presence of the other.  Returns the candidates for
-    X and Y, which carry the lift's trace functional, and their presence
-    contexts.
+    The pair ``z``, ``w`` are symbols of ``model``, whose functional the lift
+    reads.  Each self-adjoint carrier is its own conjugate variable up to
+    ``scale`` and is tested in the presence of the other.  Returns the
+    candidates for X and Y, which carry the lift's trace functional and the
+    lift's pure sides over ``model``, and their presence contexts.
     """
-    pair = matrix_lift(F, z, w)
+    pair = matrix_lift(model.functional, z, w)
     tau2 = pair.lift.functional
+    side = functools.partial(pair.lift.pure_side, model=model)
     cands = [
-        WordCandidate(pair.X, Monomial([pair.X]), tau2, scale),
-        WordCandidate(pair.Y, Monomial([pair.Y]), tau2, scale),
+        WordCandidate(pair.X, Monomial([pair.X]), tau2, side, scale),
+        WordCandidate(pair.Y, Monomial([pair.Y]), tau2, side, scale),
     ]
     ctxs = [PresenceContext((), (pair.Y,)), PresenceContext((pair.X,), ())]
     return cands, ctxs
@@ -657,7 +702,7 @@ def fisher_minimization_experiment(max_n: int = 6) -> dict:
     """
     cp = CircularPairModel()
     cands, ctxs = circular_candidates(cp.model, cp.c_l, cp.c_r)
-    lifted, lifted_ctxs = lifted_candidates(cp.functional, cp.c_l, cp.c_r)
+    lifted, lifted_ctxs = lifted_candidates(cp.model, cp.c_l, cp.c_r)
     max_resid = _worst_residual(cands + lifted, ctxs + lifted_ctxs, max_n)
     lhs = fisher_info(cands)
     rhs = fisher_info(lifted)
@@ -737,7 +782,7 @@ def circular_entropy_experiment() -> dict:
     )
     # Lifted side: the perturbed carriers are the lift of the perturbed pair.
     resid_lift, lift_report = _verify_then_integrate(
-        lambda t: lifted_candidates(cp.functional, *perturbed(t), scale=1.0 / (1.0 + t)),
+        lambda t: lifted_candidates(model, *perturbed(t), scale=1.0 / (1.0 + t)),
         2.0, (0.0, 1.0), 4,
     )
     max_resid = worst_at((resid_pair, resid_lift))[0]

@@ -639,7 +639,7 @@ def conjugate_rhs(word, target, eta, F):
 
 
 def full_walk_residual(xi, eta, ctx, F, max_n):
-    """Conjugate residual of a state candidate over every test word.
+    """Conjugate residual of a candidate over every test word.
 
     Visits every word of up to ``max_n`` letters, with no two words merged
     as one operator, applies each letter to its parent word's full state
@@ -658,9 +658,9 @@ def full_walk_residual(xi, eta, ctx, F, max_n):
         if depth == max_n:
             return
         for f in alphabet:
-            walk((f,) + word, xi.model.apply_symbol(f, state), depth + 1)
+            walk((f,) + word, xi.extend(f, state), depth + 1)
 
-    walk((), xi.vector, 0)
+    walk((), xi.initial_state(), 0)
     return worst
 
 

@@ -311,15 +311,21 @@ def test_fisher_run(capsys):
 
 
 def test_entropy_run(capsys):
+    # max_residual comes from the residual walks at fixed times, with d=1
+    # Python complex arithmetic only, so it is pinned exactly; the other
+    # fields read quadrature nodes built by LAPACK.
     log_2pi_e = math.log(2.0 * math.pi * math.e)
-    for experiment, expected in (("semicircular-max", 0.5 * log_2pi_e),
-                                 ("circular-pair", 2.0 * log_2pi_e)):
+    for experiment, expected, residual in (
+        ("semicircular-max", 0.5 * log_2pi_e, 1.1368683772161603e-13),
+        ("circular-pair", 2.0 * log_2pi_e, 8.881784197001252e-16),
+    ):
         code, out = run_cli(capsys, "entropy", "run", "--experiment", experiment)
         assert code == 0
         rep = _strict_json(out)
         assert rep["pass"] is True
         assert abs(rep["lhs"] - expected) <= rep["bracket_width"] + 1e-12
         assert abs(rep["lhs"] - expected) <= 1e-12
+        assert rep["max_residual"] == residual
 
 
 def test_invalid_chi_is_computation_error(capsys):

@@ -221,7 +221,7 @@ def test_models_and_candidates_share_one_functional():
     assert cp.functional is cp.model.functional
     cands, _ = circular_candidates(cp.model, cp.c_l, cp.c_r)
     assert all(c.functional is cp.functional for c in cands)
-    lifted, _ = lifted_candidates(cp.functional, cp.c_l, cp.c_r)
+    lifted, _ = lifted_candidates(cp.model, cp.c_l, cp.c_r)
     assert lifted[0].functional is lifted[1].functional
     assert lifted[0].functional.dim == 1
 
@@ -249,6 +249,24 @@ def test_candidates_derive_adjoints():
     pair = matrix_lift(cp.functional, cp.c_l, cp.c_r)
     assert pair.lift.tables[pair.X][(2, 1)] == ((1.0, (cp.c_l_star,)),)
     assert pair.lift.tables[pair.Y][(2, 1)] == ((1.0, (cp.c_r_star,)),)
+
+
+def test_lift_symbol_registered_again():
+    # The functional keeps the moments it has read, and the tables decide
+    # which letters commute: the same table again changes nothing, another
+    # one is an error, for the symbol and for its adjoint.
+    cp = make_circular_pair()
+    lift = MatrixLift(cp.functional)
+    table = {(1, 2): [(1.0, (cp.c_l,))], (2, 1): [(1.0, (cp.c_l_star,))]}
+    X = lift.add_symbol(GeneratorSymbol("X", "l"), table)
+    assert abs(lift.functional.tau(Monomial([X, X])) - 1.0) < 1e-12
+    assert lift.add_symbol(GeneratorSymbol("X", "l"), table) == X
+    assert lift.add_symbol(X.star(), lift.tables[X.star()]) == X.star()
+    doubled = {k: [(2.0, w) for _, w in terms] for k, terms in table.items()}
+    for sym in (X, X.star()):
+        with pytest.raises(ValueError):
+            lift.add_symbol(sym, doubled)
+    assert abs(lift.functional.tau(Monomial([X] * 4)) - 2.0) < 1e-12
 
 
 def test_lift_parity_and_half_sum_formula():

@@ -11,6 +11,7 @@ solver, which reads the same walk, against the breadth-first solver that
 applies every test word from the vacuum.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -18,8 +19,10 @@ import pytest
 
 from bifree.balgebra import CPMap, matrix_units, random_belement, trace_d
 from bifree.conjvar import (
+    MatrixLift,
     PresenceContext,
     VectorCandidate,
+    WordCandidate,
     _Lockstep,
     _relation_walk,
     _worst_residual,
@@ -142,22 +145,94 @@ def test_scalar_rhs_summation_order():
     _check_walk(xi, eta, ctx, MomentFunctional(vacuum_expectation(model.model), 1), 6)
 
 
+def _lift_trace(lift):
+    """The lift's trace through a moment cache of its own."""
+    return MomentFunctional(lambda w: np.array([[trace_d(lift.expect(w))]]), 1)
+
+
+def _check_lifted(xi, ctx, fresh, max_n, independent=_opposite_sides):
+    """The lifted walk visits the normal forms under ``independent``, and its
+    residual is the full walk's up to roundoff in the largest term."""
+    _check_walk(xi, ONE, ctx, fresh, max_n, independent)
+    got = conj_residual(xi, ONE, ctx, max_n)
+    want = full_walk_residual(xi, ONE, ctx, fresh, max_n)
+    assert abs(got - want) <= 1e-15 * max(1.0, want), (xi.target, max_n)
+    return want
+
+
 @pytest.mark.parametrize("scale", [1.0, 1.5])
 def test_lifted_rhs_and_residual_match_oracle(scale):
     cp = CircularPairModel()
-    cands, ctxs = lifted_candidates(cp.functional, cp.c_l, cp.c_r, scale=scale)
+    cands, ctxs = lifted_candidates(cp.model, cp.c_l, cp.c_r, scale=scale)
     # A second lift of the same pair, read through a moment cache of its own.
-    lift = matrix_lift(cp.functional, cp.c_l, cp.c_r).lift
-    fresh = MomentFunctional(lambda w: np.array([[trace_d(lift.expect(w))]]), 1)
+    fresh = _lift_trace(matrix_lift(cp.functional, cp.c_l, cp.c_r).lift)
     for xi, ctx in zip(cands, ctxs):
-        # A lifted candidate declares no commuting letters: every word is walked.
-        nodes = _check_walk(xi, ONE, ctx, fresh, 6, lambda a, b: False)
-        want = max(
-            abs(xi.tau(Monomial(word) * xi.word) - rhs) for word, _, rhs in nodes
+        # X is made of left letters of the base and Y of right ones, so the
+        # lift's rule lets them commute, as opposite sides do.
+        for max_n in (4, 6):
+            want = _check_lifted(xi, ctx, fresh, max_n)
+            if scale != 1.0:
+                assert want > 0.1
+
+
+def test_lifted_generators_over_impure_base_letters_commute_with_nothing():
+    # Left lifted generators that are not pure on the left, because of a
+    # base symbol acting on both sides, a right base letter, or a right base
+    # letter in a later word of an entry.  A swap with Y would swap base
+    # letters that do not commute (D1 and D2 are free), so the walk must
+    # keep them apart, while X and Y commute.
+    m = make_bisemicircular([ONE], [ONE, ONE])
+    s, d1, d2 = m.symbol("S1"), m.symbol("D1"), m.symbol("D2")
+    mixed = m.model.register_symbol(
+        GeneratorSymbol("M", "l"), [(1.0, ("l", "S1")), (0.5, ("r", "D1"))]
+    )
+    lift = MatrixLift(m.functional, d=2)
+
+    def lifted(name, side, word, *more):
+        # Entry (1, 2) holds every base word, entry (2, 1) the first.
+        terms = [(1.0, word)] + [(0.5, w) for w in more]
+        return lift.add_symbol(GeneratorSymbol(name, side), {(1, 2): terms, (2, 1): terms[:1]})
+
+    X, Y = lifted("X", "l", (s,)), lifted("Y", "r", (d2,))
+    side = functools.partial(lift.pure_side, model=m.model)
+    assert (side(X), side(Y)) == ("l", "r")
+    with pytest.raises(ValueError):
+        lift.pure_side(X, make_bisemicircular([ONE], []).model)
+    fresh = _lift_trace(lift)
+    impure = (
+        lifted("A", "l", (mixed,)),
+        lifted("B", "l", (d1,)),
+        lifted("C", "l", (s,), (s, s), (s, d1)),
+    )
+    for A in impure:
+        assert side(A) is None
+        xi = WordCandidate(A, Monomial([A]), lift.functional, side, 1.5)
+        alphabet = (A, X, Y)
+        assert not any(xi.independent(A, f) or xi.independent(f, A) for f in alphabet)
+        assert xi.independent(X, Y) and xi.independent(Y, X)
+        ctx = PresenceContext((X,), (Y,))
+        _check_lifted(
+            xi, ctx, fresh, 4, lambda a, b, A=A: A not in (a, b) and a.side != b.side
         )
-        assert conj_residual(xi, ONE, ctx, 6) == want
-        if scale != 1.0:
-            assert want > 0.1
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.5])
+def test_perturbed_lifted_carriers_match_full_walk(scale):
+    # The entropy experiment's lifted carriers at t = 1: combinations of two
+    # circular pairs, registered as combination symbols of the base model,
+    # are pure on their sides, so their walks are pruned as the pair's are.
+    cp = CircularPairModel(n_pairs=2)
+    (cl, cls, cr, crs), (c2l, c2ls, c2r, c2rs) = cp.pairs
+    mk = cp.model.combination_symbol
+    z = mk("z[1.0]", "l", [(1.0, cl), (1.0, c2l)], family="z")
+    mk("z[1.0]", "l", [(1.0, cls), (1.0, c2ls)], family="z", adjoint=True)
+    w = mk("w[1.0]", "r", [(1.0, cr), (1.0, c2r)], family="z")
+    mk("w[1.0]", "r", [(1.0, crs), (1.0, c2rs)], family="z", adjoint=True)
+    cands, ctxs = lifted_candidates(cp.model, z, w, scale=scale)
+    fresh = _lift_trace(matrix_lift(cp.functional, z, w).lift)
+    for xi, ctx in zip(cands, ctxs):
+        want = _check_lifted(xi, ctx, fresh, 4)
+        assert (want > 0.1) == (scale != 0.5)
 
 
 def test_walk_visits_one_word_per_operator():
@@ -176,6 +251,12 @@ def test_walk_visits_one_word_per_operator():
     xi = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
     walk = _relation_walk(xi, flip, PresenceContext((), (d1,)), 5)
     assert sum(1 for _ in walk) == 22461
+    # Lifted carriers: X (left) and Y (right) commute, so an operator is
+    # X^a Y^b, (n + 1) of them at length n: 28 words in place of 127 for
+    # n <= 6, and 15 in place of 31 for n <= 4.
+    for max_n, want in ((6, 28), (4, 15)):
+        for xi, ctx in zip(*lifted_candidates(cp.model, cp.c_l, cp.c_r)):
+            assert sum(1 for _ in _relation_walk(xi, ONE, ctx, max_n)) == want
 
 
 def test_walk_keeps_letters_of_mixed_action_apart():
