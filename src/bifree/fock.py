@@ -279,6 +279,10 @@ class FockModel:
                 raise ValueError("covariance dimension mismatch")
         self._ar = _arithmetic(dim)
         self._cov = {k: self._ar.covariance(eta) for k, eta in self.covariances.items()}
+        # The indices a right operator acts on, which only ``norm_sq`` reads
+        # at d > 1: the right ones and those of a registered symbol's right
+        # factors.
+        self._right_acted: set = set(self.right_indices)
         self.max_depth = max_depth
         self.symbol_actions: dict[GeneratorSymbol, tuple[tuple[complex, tuple], ...]] = {}
         self._suffix_states: dict[tuple, FockVector] = {}
@@ -319,6 +323,8 @@ class FockModel:
             if self.symbol_actions.get(key, terms) != terms:
                 raise ValueError(f"symbol {key!r} is already registered with another action")
         self.symbol_actions.update(dict.fromkeys(keys, terms))
+        if self.dim > 1:
+            self._right_acted.update(k for _, (op, k) in terms if op in ("r", "r*"))
         return sym
 
     def combination_symbol(
@@ -509,8 +515,26 @@ class FockModel:
         return complex(np.trace(self.inner_B(u, v))) / self.dim
 
     def norm_sq(self, u: FockVector) -> float:
+        """tau of ``inner_B(u, u)``, the squared GNS norm tau(w* w) of
+        u = w Omega over scalars, and at d > 1 when every covariance map is
+        trace-symmetric (tau(eta(a) b) = tau(a eta(b))) or no component of u
+        is on an index that a right operator acts on.  Otherwise, where the
+        left-contracted pairing is not tau(w* w), it raises ``ValueError``."""
+        if (
+            self.dim > 1
+            and any(k in self._right_acted for ks in u.terms for k in ks)
+            and not self._trace_symmetric
+        ):
+            raise ValueError(
+                "norm_sq of a state with right-side structure needs trace-symmetric "
+                "covariance maps at d > 1"
+            )
         val = self.inner(u, u)
         return float(val.real)
+
+    @functools.cached_property
+    def _trace_symmetric(self) -> bool:
+        return all(eta.is_trace_symmetric() for eta in self.covariances.values())
 
     def vector_of(self, word) -> FockVector:
         """The GNS vector of an operator word (word applied to the vacuum)."""

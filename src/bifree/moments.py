@@ -34,9 +34,9 @@ from .bnc import (
     lattice_leq,
     lower_interval,
     mobius_bnc,
-    mobius_top_table,
     one_partition,
     s_chi,
+    top_block_index,
     zero_partition,
 )
 from .words import Lb, Monomial, MomentFunctional, Rb, as_monomial
@@ -351,8 +351,13 @@ def bifree_test(
     order two, so ``max_order`` must lie in 2..8; ``tol`` must be positive
     and finite.  At d > 1 each top cumulant is ``cumulant_pi``, which
     reduces only the partitions with no block equal to a chi-interval of
-    zero value (their moments are zero by bi-multiplicativity); at d = 1 it
-    is ``_scalar_top_cumulant``.
+    zero value (their moments are zero by bi-multiplicativity).  At d = 1 it
+    is ``_scalar_top_cumulant``, which walks the block index of the
+    per-length Moebius table, clears every partition with a block whose
+    value is exactly 0 and reads each block's sub-word once per call, in a
+    memo that ends with it.  That scan leaves out a zero block even next to
+    a NaN block, where ``cumulant_pi`` at d = 1 reduces every partition and
+    multiplies 0 by NaN.
     """
     if not 2 <= max_order <= 8:
         raise ValueError("max_order must be in 2..8")
@@ -373,13 +378,14 @@ def bifree_test(
     residuals = []
     words = []
     violations = []
+    values: dict = {}
     for n in range(2, max_order + 1):
         for word in product(syms, repeat=n):
             if len({fam[s] for s in word}) < 2:
                 continue
             chi = ChiWord(s.side for s in word)
             if F.dim == 1:
-                r = abs(_scalar_top_cumulant(F, word, chi))
+                r = abs(_scalar_top_cumulant(F, word, chi, values))
             else:
                 val = cumulant_pi(F, one_partition(chi), [Monomial([s]) for s in word])
                 r = maxabs(val)
@@ -410,35 +416,48 @@ def bifree_test(
     }
 
 
-def _scalar_top_cumulant(F: MomentFunctional, word, chi: ChiWord) -> complex:
+def _scalar_top_cumulant(F: MomentFunctional, word, chi: ChiWord, values: dict) -> complex:
     """Top cumulant of a word of generators over scalar coefficients.
 
     Scalar moments factor over blocks, so the sum runs over the per-length
-    table ``mobius_top_table(n)``; each NC block is resolved to positions
-    once per word.  A partition with a block whose value is exactly 0 adds
-    an exact zero and is skipped; the others multiply mu by their block
-    values in order of smallest position, as ``enumerate_bnc(chi)`` lists
-    the blocks.
+    table ``mobius_top_table(n)`` through its block index
+    ``top_block_index(n)``: the set bits of a mask of live entries are
+    walked in table order, and each NC block is resolved to its positions
+    the first time an entry needs it.  Its value is read from ``values``,
+    keyed by the block's sub-word in position order, or else from ``F`` and
+    kept there.  A block whose value is exactly 0 (a NaN is not) clears at
+    once every entry that has it: those entries add exact zeros.  Every
+    other entry multiplies mu by its block values in order of smallest
+    position, as ``enumerate_bnc(chi)`` lists the blocks, and is added in
+    table order: the terms and the order of a scan of every entry.
     """
     s = s_chi(chi)
-    # NC block -> (smallest position, value), or None when the value is 0.
+    index = top_block_index(chi.n)
+    # Block id -> (smallest position, value) for the blocks read so far.
     factor: dict = {}
+    alive = (1 << len(index.sigmas)) - 1
     total = 0.0 + 0.0j
-    for sigma, mu in mobius_top_table(chi.n):
-        for b in sigma:
-            try:
-                f = factor[b]
-            except KeyError:
-                pos = sorted(s[x - 1] for x in b)
-                v = complex(F.expect(Monomial([word[k - 1] for k in pos]))[0, 0])
-                f = factor[b] = (pos[0], v) if v != 0 else None
+    while alive:
+        i = (alive & -alive).bit_length() - 1
+        ids, mu = index.sigmas[i]
+        for b in ids:
+            f = factor.get(b)
             if f is None:
+                pos = sorted(s[x - 1] for x in index.blocks[b])
+                sub = tuple(word[k - 1] for k in pos)
+                v = values.get(sub)
+                if v is None:
+                    v = values[sub] = complex(F.expect(Monomial(sub))[0, 0])
+                f = factor[b] = (pos[0], v)
+            if f[1] == 0:
+                alive &= ~index.contains[b]
                 break
         else:
             # Disjoint blocks have distinct smallest positions, so the sort
             # never compares two values.
             term = mu
-            for _, v in sorted(factor[b] for b in sigma):
+            for _, v in sorted(factor[b] for b in ids):
                 term *= v
             total += term
+            alive &= alive - 1
     return total

@@ -18,11 +18,12 @@ and a fresh numeric-label reduction for every partition below its argument;
 a second one reduces every partition through the package's reduction, as the
 scan did before it left out partitions with a zero chi-interval block.  The
 product-expansion oracle runs a full cumulant scan for each partition on its
-right-hand side.  The scalar top-cumulant oracle relabels every partition of
+right-hand side.  One scalar top-cumulant oracle relabels every partition of
 the per-length Moebius table to positions for its side word and multiplies
-block values in position order.  The interval oracle rebuilds a lower
-interval from relabelled factor tables on every call, and the
-table-transform oracles add one term at a time over it.
+block values in position order; another visits every entry of the table in
+NC coordinates, as the scan did before it indexed the table by block.  The
+interval oracle rebuilds a lower interval from relabelled factor tables on
+every call, and the table-transform oracles add one term at a time over it.
 """
 
 import itertools
@@ -360,6 +361,34 @@ def scalar_top_cumulant_by_positions(F, word, chi):
             if term == 0:
                 break
         total += term
+    return total
+
+
+def scalar_top_cumulant_table_loop(F, word, chi):
+    """Top cumulant of a word of generators over scalar coefficients, one
+    entry of ``mobius_top_table(n)`` after another: each NC block resolved
+    to positions and read from ``F`` once per word, an entry left out at its
+    first block whose value is exactly 0, and the others' block values
+    multiplied into mu in order of smallest position."""
+    s = s_chi(chi)
+    # NC block -> (smallest position, value), or None when the value is 0.
+    factor = {}
+    total = 0.0 + 0.0j
+    for sigma, mu in mobius_top_table(chi.n):
+        for b in sigma:
+            try:
+                f = factor[b]
+            except KeyError:
+                pos = sorted(s[x - 1] for x in b)
+                v = complex(F.expect(Monomial([word[k - 1] for k in pos]))[0, 0])
+                f = factor[b] = (pos[0], v) if v != 0 else None
+            if f is None:
+                break
+        else:
+            term = mu
+            for _, v in sorted(factor[b] for b in sigma):
+                term *= v
+            total += term
     return total
 
 

@@ -500,6 +500,30 @@ def test_pinned_d2_scan_stdout_sha256(argv, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SCAN_SHA256[argv]
 
 
+# sha256 of the exact stdout of two d=1 scans, recorded before the d=1 scan
+# indexed the Moebius table by block.  "M" is a model with scalar maps of
+# Kraus operators 0.7 (left) and 1.3 (right), written to a file for --model.
+PINNED_D1_SCAN_SHA256 = {
+    ("--max-order", "8", "bifree", "test"):
+        "86c518da16310751065dc2e08e2f7d0f3712c1e2bdefd57d1c7109d25da7131c",
+    ("--max-order", "7", "bifree", "test", "--model", "M"):
+        "082ee9a61fb04481bb34839e4c21cd4d2ee3ce58a3bcb7a220086626dfa10804",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_D1_SCAN_SHA256, ids=" ".join)
+def test_pinned_d1_scan_stdout_sha256(argv, tmp_path, capsys):
+    from bifree.balgebra import CPMap
+    from bifree.fock import make_bisemicircular
+
+    model = tmp_path / "model.json"
+    spec = make_bisemicircular([CPMap([[[0.7]]])], [CPMap([[[1.3]]])]).to_json()
+    model.write_text(json.dumps(spec))
+    code, out = run_cli(capsys, *(str(model) if a == "M" else a for a in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_D1_SCAN_SHA256[argv]
+
+
 def test_mc_reads_table_from_stdin(capsys, monkeypatch):
     code, out = run_cli(capsys, "bnc", "enum", "--chi", "lr")
     table = {

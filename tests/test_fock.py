@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from oracles import apply_symbol_by_factors, word_norm_sq
 
-from bifree.balgebra import CPMap, maxabs, random_belement
+from bifree.balgebra import CPMap, maxabs, random_belement, random_cpmap
 from bifree.bnc import ChiWord, enumerate_bnc, one_partition
+from bifree.conjvar import eta_flip
 from bifree.fock import (
     BisemicircularModel,
     CircularPairModel,
@@ -122,6 +123,89 @@ def test_right_adjointness_scalar_and_trace_norm():
     s2 = m2.symbol("S1")
     for w in (Monomial([s2]), Monomial([s2, Lb(random_belement(2, rng)), s2])):
         assert abs(m2.model.norm_sq(m2.model.vector_of(w)) - word_norm_sq(m2.model, w)) < 1e-10
+
+
+def _trace_symmetric_cpmap(rng, d=2):
+    v = random_belement(d, rng) / (2.0 * d)
+    return CPMap([v, v.conj().T])
+
+
+def _norm_sq_models(rng):
+    """(name, model, symbols) at d = 2: non-symmetric maps, trace-symmetric
+    ones, the flip, and a right symbol acting on a left index under either
+    kind of map."""
+    out = []
+    for name, maps in (
+        ("random", ([random_cpmap(2, rng)], [random_cpmap(2, rng)])),
+        ("symmetric", ([_trace_symmetric_cpmap(rng)] * 2, [_trace_symmetric_cpmap(rng)])),
+        ("flip", ([eta_flip()], [eta_flip()])),
+    ):
+        m = make_bisemicircular(*maps)
+        out.append((name, m.model, m.symbols))
+    for name, draw in (
+        ("right-on-left", lambda: random_cpmap(2, rng)),
+        ("symmetric-right-on-left", lambda: _trace_symmetric_cpmap(rng)),
+    ):
+        fm = FockModel(2, ("k",), ("j",), {"k": draw(), "j": draw()})
+        A = fm.register_symbol(
+            GeneratorSymbol("A", "l"), [(1.0, ("l", "k")), (1.0, ("l*", "k"))], self_adjoint=True
+        )
+        B = fm.register_symbol(
+            GeneratorSymbol("B", "r"), [(1.0, ("r", "k")), (1.0, ("r*", "k"))], self_adjoint=True
+        )
+        out.append((name, fm, (A, B)))
+    return out
+
+
+def test_norm_sq_is_trace_norm_or_raises():
+    # The pairing contracts from the left.  At d = 2 under maps that are not
+    # trace-symmetric it is not tau(w* w) for right-side structure: with
+    # the maps below, D1 Rb(b) read 3.1705 against 4.2437 and S1 D1 2.2982
+    # against 1.8970, so those states raise.  Every state that is allowed
+    # equals the trace norm within 1e-12 relative, a right symbol on a
+    # left index included.
+    rng = np.random.default_rng(5)
+    m = make_bisemicircular([random_cpmap(2, rng)], [random_cpmap(2, rng)])
+    S, D = m.symbol("S1"), m.symbol("D1")
+    b = np.array([[1.0, 2.0], [0.0, 1.0]])
+    for w in (Monomial([D, Rb(b)]), Monomial([S, D]), Monomial([D])):
+        with pytest.raises(ValueError, match="trace-symmetric"):
+            m.model.norm_sq(m.model.vector_of(w))
+    w = Monomial([S, Lb(b)])
+    want = word_norm_sq(m.model, w)
+    assert abs(m.model.norm_sq(m.model.vector_of(w)) - want) <= 1e-12 * max(1.0, want)
+    allowed = {}
+    for name, model, symbols in _norm_sq_models(np.random.default_rng(51)):
+        allowed[name] = 0
+        for _ in range(150):
+            w = []
+            for _ in range(int(rng.integers(1, 5))):
+                s = symbols[rng.integers(len(symbols))]
+                w.append(s)
+                if rng.integers(3) == 0:
+                    w.append((Lb if s.side == "l" else Rb)(random_belement(2, rng)))
+            w = Monomial(w)
+            try:
+                got = model.norm_sq(model.vector_of(w))
+            except ValueError:
+                continue
+            want = word_norm_sq(model, w)
+            assert abs(got - want) <= 1e-12 * max(1.0, want), (name, w)
+            allowed[name] += 1
+    for name in ("symmetric", "flip", "symmetric-right-on-left"):
+        assert allowed[name] == 150
+    assert 0 < allowed["random"] < 150 and allowed["right-on-left"] == 0
+
+
+def test_norm_sq_at_d1_never_raises():
+    # Over scalars the pairing is the full GNS geometry under any map.
+    rng = np.random.default_rng(52)
+    m = make_bisemicircular([CPMap([[[0.7]]])], [CPMap([[[1.3]]])])
+    S, D = m.symbol("S1"), m.symbol("D1")
+    for _ in range(50):
+        w = Monomial([(S, D)[i] for i in rng.integers(2, size=int(rng.integers(1, 6)))])
+        want = word_norm_sq(m.model, w)
+        assert abs(m.model.norm_sq(m.model.vector_of(w)) - want) <= 1e-12 * max(1.0, want)
 
 
 def test_left_right_commutation():

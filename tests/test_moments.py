@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from oracles import (
     nc_pair_partition_count,
     product_cumulant_expand_nested,
     scalar_top_cumulant_by_positions,
+    scalar_top_cumulant_table_loop,
     vacuum_expectation,
 )
 
@@ -359,6 +361,40 @@ def test_scan_lattice_counts_pinned(monkeypatch):
     assert calls["mobius_bnc"] > 0 and calls["lattice_leq"] > 0
 
 
+def test_scalar_scan_work_pinned(monkeypatch):
+    # On the default d=1 model at order 7 each distinct sub-word is read
+    # once per scan: 250 moments, where reading the blocks of each word's
+    # partitions made 14,193 calls.  A block whose value is 0 clears every
+    # partition that has it, so the scan visits 7,011 table entries of the
+    # 63,728 that the 240 words' tables hold.
+    class Counting:
+        def __init__(self, F):
+            self.F, self.dim, self.calls = F, F.dim, 0
+
+        def expect(self, word):
+            self.calls += 1
+            return self.F.expect(word)
+
+    visits = [0]
+
+    class Entries(tuple):
+        def __getitem__(self, i):
+            visits[0] += 1
+            return tuple.__getitem__(self, i)
+
+    index = bifree.moments.top_block_index
+    monkeypatch.setattr(
+        bifree.moments,
+        "top_block_index",
+        lambda n: index(n)._replace(sigmas=Entries(index(n).sigmas)),
+    )
+    m = make_bisemicircular([CPMap.identity(1)], [CPMap.identity(1)])
+    F = Counting(m.functional)
+    rep = bifree_test(F, m.symbols, max_order=7)
+    assert rep["pass"] and rep["tested"] == 240 and rep["max_residual"] == 0.0
+    assert F.calls == 250 and visits[0] == 7011
+
+
 def _nan_model(d, rng):
     if d == 1:
         return make_bisemicircular([CPMap([[[math.nan]]])], [CPMap.identity(1)])
@@ -400,13 +436,14 @@ def _scalar_scans(model, symbols, max_order):
     """``(word, scan, position-coordinate scan)`` for every mixed word; the
     oracle reads its own moment functional."""
     F, F_ref = model.functional, MomentFunctional(vacuum_expectation(model), 1)
+    values = {}
     for n in range(2, max_order + 1):
         for word in itertools.product(symbols, repeat=n):
             if len({s.family for s in word}) > 1:
                 chi = ChiWord(s.side for s in word)
                 yield (
                     word,
-                    _scalar_top_cumulant(F, word, chi),
+                    _scalar_top_cumulant(F, word, chi, values),
                     scalar_top_cumulant_by_positions(F_ref, word, chi),
                 )
 
@@ -439,6 +476,71 @@ def test_scalar_scan_non_finite_on_nan_model():
             assert not cmath.isfinite(want), [s.display for s in word]
             bad += 1
     assert bad > 0
+
+
+def _zero_symbol_model():
+    """Scalar S1 and D1 (variances 0.49 and 1.69) and a right symbol ``z``
+    that cancels to the zero operator: every block that holds ``z`` is
+    exactly 0, even blocks too."""
+    m = make_bisemicircular([CPMap([[[0.7]]])], [CPMap([[[1.3]]])])
+    D1 = m.symbol("D1")
+    gone = m.model.combination_symbol("z", "r", [(1.0, D1), (-1.0, D1)], family="z")
+    return m.model, [m.symbol("S1"), D1, gone]
+
+
+def _scan_models(name):
+    if name == "default":
+        m = make_bisemicircular([CPMap.identity(1)], [CPMap.identity(1)])
+        return m.model, list(m.symbols)
+    if name == "nan":
+        m = _nan_model(1, np.random.default_rng(83))
+        return m.model, list(m.symbols)
+    if name == "zero-symbol":
+        return _zero_symbol_model()
+    return _three_family_model(np.random.default_rng(int(name)))
+
+
+def _packed(z):
+    """The bytes of a complex number: the sign of a zero and a NaN's bits
+    count, which ``==`` does not see."""
+    return struct.pack("<dd", z.real, z.imag)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("name", ["default", "84", "85", "nan", "zero-symbol"])
+def test_block_index_scan_bytes_match_table_loop(name):
+    # Clearing every entry with a zero block and reading each sub-word once
+    # per scan changes no bit: every mixed word up to order 7 and 64 seeded
+    # mixed words of order 8 give the bytes of the loop over every entry,
+    # which reads its own moment functional.
+    model, symbols = _scan_models(name)
+    F, F_ref = model.functional, MomentFunctional(vacuum_expectation(model), 1)
+    words = [
+        w
+        for n in range(2, 8)
+        for w in itertools.product(symbols, repeat=n)
+        if len({s.family for s in w}) > 1
+    ]
+    rng = np.random.default_rng(86)
+    eights = 0
+    while eights < 64:
+        w = tuple(symbols[i] for i in rng.integers(len(symbols), size=8))
+        if len({s.family for s in w}) > 1:
+            words.append(w)
+            eights += 1
+    values = {}
+    kinds = set()
+    for word in words:
+        chi = ChiWord(s.side for s in word)
+        got = _scalar_top_cumulant(F, word, chi, values)
+        want = scalar_top_cumulant_table_loop(F_ref, word, chi)
+        assert _packed(got) == _packed(want), [s.display for s in word]
+        kinds.add("nan" if cmath.isnan(got) else "zero" if got == 0 else "other")
+    # Each model reaches the values it was chosen for.
+    assert kinds == {
+        "default": {"zero"},
+        "nan": {"zero", "nan"},
+    }.get(name, {"zero", "other"}), kinds
 
 
 def test_order_one_cumulant_is_expectation(flip_model):
@@ -789,5 +891,5 @@ def test_bifree_scan_matrix_path_agrees_with_scalar():
         via_matrix = cumulant_pi(F, one_partition(chi), [Monomial([w]) for w in word])
         from bifree.moments import _scalar_top_cumulant
 
-        via_scalar = _scalar_top_cumulant(F, word, chi)
+        via_scalar = _scalar_top_cumulant(F, word, chi, {})
         assert abs(via_matrix[0, 0] - via_scalar) < 1e-12
