@@ -147,13 +147,13 @@ class CPMap:
         w = np.linalg.eigvalsh(self.choi())
         return bool(np.min(w) >= -tol)
 
-    def is_trace_symmetric(self, tol: float = 1e-12) -> bool:
+    def is_trace_symmetric(self) -> bool:
         """tau(eta(a) b) = tau(a eta(b)) for all a, b: the map equals its
         trace adjoint b -> sum_i V_i* b V_i on every matrix unit, within
-        ``tol`` times the larger of 1 and its largest entry there."""
+        1e-12 times the larger of 1 and its largest entry there."""
         fwd = sum(np.einsum("pi,qj->ijpq", v, v.conj()) for v in self.kraus)
         adj = sum(np.einsum("ip,jq->ijpq", v.conj(), v) for v in self.kraus)
-        return bool(maxabs(fwd - adj) <= tol * max(1.0, maxabs(fwd)))
+        return bool(maxabs(fwd - adj) <= 1e-12 * max(1.0, maxabs(fwd)))
 
     def to_json(self) -> dict:
         return {

@@ -280,8 +280,8 @@ class FockModel:
         self._ar = _arithmetic(dim)
         self._cov = {k: self._ar.covariance(eta) for k, eta in self.covariances.items()}
         # The indices a right operator acts on, which only ``norm_sq`` reads
-        # at d > 1: the right ones and those of a registered symbol's right
-        # factors.
+        # at d > 1: the right ones and those of every right factor registered
+        # in a symbol or applied on its own.
         self._right_acted: set = set(self.right_indices)
         self.max_depth = max_depth
         self.symbol_actions: dict[GeneratorSymbol, tuple[tuple[complex, tuple], ...]] = {}
@@ -383,6 +383,8 @@ class FockModel:
             payload = self._ar.entry(as_belement(payload, self.dim))
         elif kind in _CREATORS + _ANNIHILATORS:
             self._check_index(payload)
+            if self.dim > 1 and kind in ("r", "r*"):
+                self._right_acted.add(payload)
         else:
             raise ValueError(f"unknown factor kind {kind!r}")
         return self._act(((None, (kind, payload)),), vec, keep_depth)

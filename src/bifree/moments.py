@@ -354,8 +354,8 @@ def bifree_test(
     zero value (their moments are zero by bi-multiplicativity).  At d = 1 it
     is ``_scalar_top_cumulant``, which walks the block index of the
     per-length Moebius table, clears every partition with a block whose
-    value is exactly 0 and reads each block's sub-word once per call, in a
-    memo that ends with it.  That scan leaves out a zero block even next to
+    value is exactly 0 and asks the moment functional for each block's
+    value once per word.  That scan leaves out a zero block even next to
     a NaN block, where ``cumulant_pi`` at d = 1 reduces every partition and
     multiplies 0 by NaN.
     """
@@ -378,14 +378,13 @@ def bifree_test(
     residuals = []
     words = []
     violations = []
-    values: dict = {}
     for n in range(2, max_order + 1):
         for word in product(syms, repeat=n):
             if len({fam[s] for s in word}) < 2:
                 continue
             chi = ChiWord(s.side for s in word)
             if F.dim == 1:
-                r = abs(_scalar_top_cumulant(F, word, chi, values))
+                r = abs(_scalar_top_cumulant(F, word, chi))
             else:
                 val = cumulant_pi(F, one_partition(chi), [Monomial([s]) for s in word])
                 r = maxabs(val)
@@ -416,16 +415,15 @@ def bifree_test(
     }
 
 
-def _scalar_top_cumulant(F: MomentFunctional, word, chi: ChiWord, values: dict) -> complex:
+def _scalar_top_cumulant(F: MomentFunctional, word, chi: ChiWord) -> complex:
     """Top cumulant of a word of generators over scalar coefficients.
 
     Scalar moments factor over blocks, so the sum runs over the per-length
     table ``mobius_top_table(n)`` through its block index
     ``top_block_index(n)``: the set bits of a mask of live entries are
     walked in table order, and each NC block is resolved to its positions
-    the first time an entry needs it.  Its value is read from ``values``,
-    keyed by the block's sub-word in position order, or else from ``F`` and
-    kept there.  A block whose value is exactly 0 (a NaN is not) clears at
+    the first time an entry needs it, and its value is read from ``F``
+    once per word.  A block whose value is exactly 0 (a NaN is not) clears at
     once every entry that has it: those entries add exact zeros.  Every
     other entry multiplies mu by its block values in order of smallest
     position, as ``enumerate_bnc(chi)`` lists the blocks, and is added in
@@ -444,10 +442,7 @@ def _scalar_top_cumulant(F: MomentFunctional, word, chi: ChiWord, values: dict) 
             f = factor.get(b)
             if f is None:
                 pos = sorted(s[x - 1] for x in index.blocks[b])
-                sub = tuple(word[k - 1] for k in pos)
-                v = values.get(sub)
-                if v is None:
-                    v = values[sub] = complex(F.expect(Monomial(sub))[0, 0])
+                v = complex(F.expect(Monomial([word[k - 1] for k in pos]))[0, 0])
                 f = factor[b] = (pos[0], v)
             if f[1] == 0:
                 alive &= ~index.contains[b]

@@ -197,6 +197,24 @@ def test_norm_sq_is_trace_norm_or_raises():
     assert 0 < allowed["random"] < 150 and allowed["right-on-left"] == 0
 
 
+def test_norm_sq_guard_sees_right_factors_applied_alone():
+    # A right factor applied through ``apply_factor`` on a left index builds
+    # the states of a registered right symbol on that index, whose norms
+    # the left-contracted pairing gets wrong under these maps: from then on
+    # a state on that index raises, as one on a right index does.
+    rng = np.random.default_rng(53)
+    fm = FockModel(2, ("k",), ("j",), {"k": random_cpmap(2, rng), "j": random_cpmap(2, rng)})
+    u = fm.apply_factor(("l", "k"), FockVector.vacuum(2))
+    assert fm.norm_sq(u) > 0
+    v = fm.apply_factor(("r*", "k"), fm.apply_factor(("r", "k"), u))
+    for state in (u, v):
+        with pytest.raises(ValueError, match="trace-symmetric"):
+            fm.norm_sq(state)
+    flip = FockModel(2, ("k",), ("j",), {"k": eta_flip(), "j": eta_flip()})
+    w = flip.apply_factor(("r", "k"), flip.apply_factor(("l", "k"), FockVector.vacuum(2)))
+    assert flip.norm_sq(w) > 0
+
+
 def test_norm_sq_at_d1_never_raises():
     # Over scalars the pairing is the full GNS geometry under any map.
     rng = np.random.default_rng(52)

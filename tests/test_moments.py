@@ -362,18 +362,25 @@ def test_scan_lattice_counts_pinned(monkeypatch):
 
 
 def test_scalar_scan_work_pinned(monkeypatch):
-    # On the default d=1 model at order 7 each distinct sub-word is read
-    # once per scan: 250 moments, where reading the blocks of each word's
-    # partitions made 14,193 calls.  A block whose value is 0 clears every
-    # partition that has it, so the scan visits 7,011 table entries of the
-    # 63,728 that the 240 words' tables hold.
-    class Counting:
-        def __init__(self, F):
-            self.F, self.dim, self.calls = F, F.dim, 0
+    # On the default d=1 model at order 7 a block whose value is 0 clears
+    # every partition that has it, so the scan visits 7,011 table entries
+    # of the 63,728 that the 240 words' tables hold and asks the functional
+    # for 7,801 block moments, where reading the blocks of each word's
+    # partitions made 14,193 calls.  The functional's cache computes 250 of
+    # them, each distinct sub-word once.
+    m = make_bisemicircular([CPMap.identity(1)], [CPMap.identity(1)])
+    oracle, computed = vacuum_expectation(m.model), [0]
+
+    def counted(word):
+        computed[0] += 1
+        return oracle(word)
+
+    class Counting(MomentFunctional):
+        calls = 0
 
         def expect(self, word):
             self.calls += 1
-            return self.F.expect(word)
+            return super().expect(word)
 
     visits = [0]
 
@@ -388,11 +395,10 @@ def test_scalar_scan_work_pinned(monkeypatch):
         "top_block_index",
         lambda n: index(n)._replace(sigmas=Entries(index(n).sigmas)),
     )
-    m = make_bisemicircular([CPMap.identity(1)], [CPMap.identity(1)])
-    F = Counting(m.functional)
+    F = Counting(counted, 1)
     rep = bifree_test(F, m.symbols, max_order=7)
     assert rep["pass"] and rep["tested"] == 240 and rep["max_residual"] == 0.0
-    assert F.calls == 250 and visits[0] == 7011
+    assert (visits[0], F.calls, computed[0]) == (7011, 7801, 250)
 
 
 def _nan_model(d, rng):
@@ -436,14 +442,13 @@ def _scalar_scans(model, symbols, max_order):
     """``(word, scan, position-coordinate scan)`` for every mixed word; the
     oracle reads its own moment functional."""
     F, F_ref = model.functional, MomentFunctional(vacuum_expectation(model), 1)
-    values = {}
     for n in range(2, max_order + 1):
         for word in itertools.product(symbols, repeat=n):
             if len({s.family for s in word}) > 1:
                 chi = ChiWord(s.side for s in word)
                 yield (
                     word,
-                    _scalar_top_cumulant(F, word, chi, values),
+                    _scalar_top_cumulant(F, word, chi),
                     scalar_top_cumulant_by_positions(F_ref, word, chi),
                 )
 
@@ -509,8 +514,7 @@ def _packed(z):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("name", ["default", "84", "85", "nan", "zero-symbol"])
 def test_block_index_scan_bytes_match_table_loop(name):
-    # Clearing every entry with a zero block and reading each sub-word once
-    # per scan changes no bit: every mixed word up to order 7 and 64 seeded
+    # Clearing every entry with a zero block changes no bit: every mixed word up to order 7 and 64 seeded
     # mixed words of order 8 give the bytes of the loop over every entry,
     # which reads its own moment functional.
     model, symbols = _scan_models(name)
@@ -528,11 +532,10 @@ def test_block_index_scan_bytes_match_table_loop(name):
         if len({s.family for s in w}) > 1:
             words.append(w)
             eights += 1
-    values = {}
     kinds = set()
     for word in words:
         chi = ChiWord(s.side for s in word)
-        got = _scalar_top_cumulant(F, word, chi, values)
+        got = _scalar_top_cumulant(F, word, chi)
         want = scalar_top_cumulant_table_loop(F_ref, word, chi)
         assert _packed(got) == _packed(want), [s.display for s in word]
         kinds.add("nan" if cmath.isnan(got) else "zero" if got == 0 else "other")
@@ -891,5 +894,5 @@ def test_bifree_scan_matrix_path_agrees_with_scalar():
         via_matrix = cumulant_pi(F, one_partition(chi), [Monomial([w]) for w in word])
         from bifree.moments import _scalar_top_cumulant
 
-        via_scalar = _scalar_top_cumulant(F, word, chi, {})
+        via_scalar = _scalar_top_cumulant(F, word, chi)
         assert abs(via_matrix[0, 0] - via_scalar) < 1e-12
