@@ -450,7 +450,9 @@ def top_block_index(n: int) -> TopBlockIndex:
 def _interval_blocks(n: int) -> tuple[int, ...]:
     """For each sigma of ``enumerate_nc(n)``, once per length, a bitmask of
     its blocks that are intervals: the block ``(lo, lo + 1, ..., hi)`` sets
-    bit ``(lo - 1) * n + hi - 1``."""
+    bit ``(lo - 1) * n + hi - 1``.  Reading them from ``top_block_index(n)``
+    instead would cost 3.2 s and +157 MB at n = 12, where this table takes
+    0.2 s and +11 MB (after ``enumerate_nc(12)``, 2-vCPU VM)."""
     return tuple(
         sum(1 << ((b[0] - 1) * n + b[-1] - 1) for b in sigma if b[-1] - b[0] + 1 == len(b))
         for sigma in enumerate_nc(n)

@@ -12,11 +12,11 @@ parent word.  Left-type and right-type letters commute (Charlesworth-Nelson-
 Skoufranis, CMP 2015), and words that differ by such swaps are one operator
 with one right-hand side, so the walk visits one word per operator: the
 lexicographic normal form of the partially commutative monoid (Diekert-
-Rozenberg, *The Book of Traces*).  The candidate says which letters commute:
-letters pure on opposite sides, for a Fock-backed state under its model's
-``FockModel.pure_side`` and for a lifted word under ``MatrixLift.pure_side``,
-which derives a lifted generator's side from the base letters of its table.
-Its residual is the residual over every word, up to roundoff.  Every
+Rozenberg, *The Book of Traces*).  Letters commute when the candidate's
+``pure_side`` puts them on opposite sides: its model's ``FockModel.pure_side``
+for a Fock-backed state, and for a lifted word ``MatrixLift.pure_side``, which
+derives a lifted generator's side from the base letters of its table.  Its
+residual is the residual over every word, up to roundoff.  Every
 candidate carries the moment functional that backs its relations (its
 model's, or its lift's), so the walk reads no other.
 ``conj_residual`` reports the worst violation along that walk, and
@@ -68,16 +68,9 @@ class PresenceContext:
         return tuple(self.left_gens) + tuple(self.right_gens)
 
 
-def _pure_on_opposite_sides(pure_side, a, b) -> bool:
-    """Whether ``pure_side`` puts one letter on the left and the other on the
-    right; such letters commute."""
-    sa, sb = pure_side(a), pure_side(b)
-    return sa is not None and sb is not None and sa != sb
-
-
 class VectorCandidate:
-    """Conjugate candidate given as a state of a Fock-backed model; its
-    relations read the model's moment functional."""
+    """Conjugate candidate given as a state of a Fock-backed model; it takes
+    the model's moment functional and ``pure_side``."""
 
     def __init__(self, target: GeneratorSymbol, vector: FockVector, model: FockModel):
         if vector.dim != model.dim:
@@ -86,6 +79,7 @@ class VectorCandidate:
         self.vector = vector
         self.model = model
         self.functional = model.functional
+        self.pure_side = model.pure_side
 
     def initial_state(self):
         return self.vector
@@ -93,11 +87,6 @@ class VectorCandidate:
     def extend(self, factor, state, keep_depth: int | None = None):
         """Apply a factor, keeping components up to ``keep_depth`` only."""
         return self.model.apply_symbol(factor, state, keep_depth)
-
-    def independent(self, a, b) -> bool:
-        """Whether two letters commute as operators of the model: one is pure
-        on the left side and the other on the right (``FockModel.pure_side``)."""
-        return _pure_on_opposite_sides(self.model.pure_side, a, b)
 
     def tau(self, state) -> complex:
         if self.model.dim == 1:
@@ -113,8 +102,8 @@ class WordCandidate:
     """Conjugate candidate given as a scaled operator word (its GNS vector).
 
     ``pure_side`` maps a letter to the side whose operators alone make it
-    up, or None; letters pure on opposite sides commute.  For a lifted word
-    it is ``MatrixLift.pure_side`` over the model behind the lift's base.
+    up, or None, as on every candidate.  For a lifted word it is
+    ``MatrixLift.pure_side`` over the model behind the lift's base.
     """
 
     def __init__(
@@ -137,11 +126,6 @@ class WordCandidate:
     def extend(self, factor, state, keep_depth: int | None = None):
         return factor * state
 
-    def independent(self, a, b) -> bool:
-        """Whether two letters commute: one is pure on the left side and the
-        other on the right (``pure_side``)."""
-        return _pure_on_opposite_sides(self.pure_side, a, b)
-
     def tau(self, state) -> complex:
         return self.scale * self.functional.tau(state)
 
@@ -161,10 +145,10 @@ def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, max_n: int):
     extensions and only keeps the components that the longest extension can
     still bring back to depth 0.
 
-    Letters that the candidate declares independent (``xi.independent``)
-    commute as operators, so words that differ by swapping adjacent
-    independent letters are one operator: on a Fock space, letters pure on
-    opposite sides act on opposite ends of every word; in a matrix lift,
+    Letters that the candidate's ``pure_side`` puts on opposite sides are
+    independent: they commute as operators, so words that differ by
+    swapping adjacent independent letters are one operator.  On a Fock
+    space they act on opposite ends of every word; in a matrix lift,
     swapping a left and a right generator keeps the chi-order, hence every
     index chain, and only swaps their base sub-words, which are pure on
     opposite sides in the base model.  Only the lexicographic normal
@@ -198,11 +182,12 @@ def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, max_n: int):
         for e in matrix_units(F.dim):
             alphabet.append(Lb(e))
             alphabet.append(Rb(e))
-    # Per letter: the bit masks of the letters independent of it, and of
-    # those among them that come earlier in the alphabet.
+    # Per letter: the bit masks of the letters pure on the side opposite to
+    # its own, and of those among them that come earlier in the alphabet.
+    sides = [xi.pure_side(f) for f in alphabet]
     letters = []
-    for i, f in enumerate(alphabet):
-        indep = sum(1 << j for j, a in enumerate(alphabet) if xi.independent(f, a))
+    for i, (f, s) in enumerate(zip(alphabet, sides)):
+        indep = sum(1 << j for j, t in enumerate(sides) if s and t and s != t)
         letters.append((f, 1 << i, indep, indep & ((1 << i) - 1)))
     coeffs: dict = {}  # tail -> its spliced coefficient, eta(E(tail))
 
@@ -266,7 +251,7 @@ class _Lockstep:
         self.cands = cands
         self.target = cands[0].target
         self.functional = cands[0].functional
-        self.independent = cands[0].independent
+        self.pure_side = cands[0].pure_side
 
     def initial_state(self):
         return tuple(c.initial_state() for c in self.cands)

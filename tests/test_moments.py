@@ -295,7 +295,8 @@ def test_interval_skip_bit_exact(d):
     # equal those of the scan that reduces every partition.  The models: at
     # d > 1 two left pairs and a right one with combination symbols, one of
     # which cancels to the zero operator; at d < 3 the NaN-Kraus model.  At
-    # d=1 nothing is left out: a zero block times a NaN block is NaN.
+    # every d some partitions are left out: a zero block makes the moment
+    # zero even next to a NaN block.
     rng = np.random.default_rng(90 + d)
     m = make_bisemicircular([random_cpmap(d, rng) for _ in "ab"], [random_cpmap(d, rng)])
     S1, S2, D1 = m.symbol("S1"), m.symbol("S2"), m.symbol("D1")
@@ -323,7 +324,7 @@ def test_interval_skip_bit_exact(d):
                     skipped += len(parts) - len(
                         bifree.moments._candidates(F, chi, bifree.moments._chi_ordered(chi, ops))
                     )
-    assert (skipped == 0) == (d == 1)
+    assert skipped > 0
 
 
 def test_scan_report_equals_full_scan(monkeypatch):
@@ -335,11 +336,9 @@ def test_scan_report_equals_full_scan(monkeypatch):
     assert got == want and got["tested"] == 114 and got["max_residual"] > 0
 
 
-def test_scan_lattice_counts_pinned(monkeypatch):
-    # Only the partitions with no zero chi-interval block are reduced and
-    # compared with the top, and Moebius values are taken only for those
-    # whose moment is not zero.  The lattice layer is still reached (the
-    # benchmark's own check needs both lattice counts above 0).
+def _count_lattice_calls(monkeypatch):
+    """Counts of the calls that ``bifree.moments`` makes to ``mobius_bnc``,
+    ``lattice_leq`` and ``_moment_pi`` from now on."""
     calls = {"mobius_bnc": 0, "lattice_leq": 0, "_moment_pi": 0}
     for name in calls:
         real = getattr(bifree.moments, name)
@@ -349,6 +348,15 @@ def test_scan_lattice_counts_pinned(monkeypatch):
             return _real(*a)
 
         monkeypatch.setattr(bifree.moments, name, counted)
+    return calls
+
+
+def test_scan_lattice_counts_pinned(monkeypatch):
+    # Only the partitions with no zero chi-interval block are reduced and
+    # compared with the top, and Moebius values are taken only for those
+    # whose moment is not zero.  The lattice layer is still reached (the
+    # benchmark's own check needs both lattice counts above 0).
+    calls = _count_lattice_calls(monkeypatch)
     rng = np.random.default_rng(82)
     m = make_bisemicircular([random_cpmap(2, rng)], [random_cpmap(2, rng)])
     rep = bifree_test(m.functional, m.symbols, max_order=5)
@@ -359,6 +367,20 @@ def test_scan_lattice_counts_pinned(monkeypatch):
     # Taking a Moebius value for every reduced partition would make this 60.
     assert calls["mobius_bnc"] == 12
     assert calls["mobius_bnc"] > 0 and calls["lattice_leq"] > 0
+
+
+def test_scalar_cumulant_chi_lattice_counts_pinned(monkeypatch):
+    # At d=1 too, cumulant_chi reduces only the partitions with no zero
+    # chi-interval block: over the 1,364 words of order <= 5 in the circular
+    # pair's four letters, 860 partitions, where reducing every partition
+    # made 46,948.  84 of them have a moment that is not zero.
+    calls = _count_lattice_calls(monkeypatch)
+    cp = make_circular_pair()
+    words = [w for n in range(1, 6) for w in itertools.product(cp.symbols, repeat=n)]
+    for word in words:
+        cumulant_chi(cp.functional, ChiWord(s.side for s in word), [Monomial([s]) for s in word])
+    assert len(words) == 1364
+    assert (calls["_moment_pi"], calls["lattice_leq"], calls["mobius_bnc"]) == (860, 860, 84)
 
 
 def test_scalar_scan_work_pinned(monkeypatch):
@@ -418,6 +440,43 @@ def test_bifree_scan_fails_on_nan(d):
     assert not rep["pass"] and math.isnan(rep["max_residual"])
     assert rep["worst_word"] is not None and rep["violation_count"] > 0
     assert math.isnan(rep["violations"][0]["residual"])
+
+
+def test_scalar_cumulant_chi_follows_the_scan_on_nan_model():
+    # cumulant_chi at d=1 leaves out a zero block next to a NaN block, as
+    # the mixed-cumulant scan does: on every mixed word up to order 6 both
+    # are non-finite at the same words, and elsewhere agree to roundoff
+    # (they multiply the same factors in another order).
+    m = _nan_model(1, np.random.default_rng(83))
+    F, bad = m.functional, 0
+    words = [
+        w for n in range(2, 7) for w in itertools.product(m.symbols, repeat=n)
+        if len({s.family for s in w}) > 1
+    ]
+    for word in words:
+        chi = ChiWord(s.side for s in word)
+        got = complex(cumulant_chi(F, chi, [Monomial([s]) for s in word])[0, 0])
+        want = _scalar_top_cumulant(F, word, chi)
+        names = [s.display for s in word]
+        assert cmath.isfinite(got) == cmath.isfinite(want), names
+        if cmath.isfinite(want):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), names
+        bad += not cmath.isfinite(want)
+    assert len(words) == 114 and 0 < bad < 114
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_zero_block_ends_the_moment_at_every_d(d):
+    # {S1 S1}{D1}: E(S1 S1) is NaN on this model and E(D1) is exactly zero,
+    # so the moment is the +0 matrix, over scalars as over matrices.  A NaN
+    # block is not zero: {S1 S1}{D1 D1} stays NaN.
+    m = _nan_model(d, np.random.default_rng(87))
+    S1, D1 = Monomial([m.symbol("S1")]), Monomial([m.symbol("D1")])
+    pi = BncPartition([[1, 2], [3]], ChiWord("llr"))
+    got = eval_moment_pi(m.functional, pi, [S1, S1, D1])
+    assert got.tobytes() == np.zeros((d, d), dtype=complex).tobytes()
+    pi = BncPartition([[1, 2], [3, 4]], ChiWord("llrr"))
+    assert np.isnan(eval_moment_pi(m.functional, pi, [S1, S1, D1, D1])).any()
 
 
 def _three_family_model(rng):

@@ -207,9 +207,8 @@ def test_lifted_generators_over_impure_base_letters_commute_with_nothing():
     for A in impure:
         assert side(A) is None
         xi = WordCandidate(A, Monomial([A]), lift.functional, side, 1.5)
-        alphabet = (A, X, Y)
-        assert not any(xi.independent(A, f) or xi.independent(f, A) for f in alphabet)
-        assert xi.independent(X, Y) and xi.independent(Y, X)
+        assert xi.pure_side(A) is None
+        assert (xi.pure_side(X), xi.pure_side(Y)) == ("l", "r")
         ctx = PresenceContext((X,), (Y,))
         _check_lifted(
             xi, ctx, fresh, 4, lambda a, b, A=A: A not in (a, b) and a.side != b.side
