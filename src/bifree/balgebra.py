@@ -1,8 +1,8 @@
 """Finite-dimensional coefficient algebra: d x d matrices, trace, CP maps.
 
 Coefficient values are plain complex numpy arrays of shape ``(d, d)``.
-Completely positive maps are kept in Kraus form, with a Choi-matrix
-constructor for maps supplied some other way.
+Completely positive maps are kept in Kraus form and read through one
+coefficient tensor, ``CPMap.kernel``, with a Choi-matrix constructor.
 """
 
 from __future__ import annotations
@@ -81,20 +81,22 @@ def worst_at(values: Iterable[float]) -> tuple[float, int | None]:
 class CPMap:
     """Completely positive map b -> sum_i V_i b V_i* in Kraus form."""
 
-    __slots__ = ("dim", "kraus")
+    __slots__ = ("dim", "kraus", "_kernel")
 
     def __init__(self, kraus: Sequence, dim: int | None = None):
-        mats = [as_belement(v) for v in kraus]
+        mats = [as_belement(v).copy() for v in kraus]
         if not mats:
             raise ValueError("CPMap needs at least one Kraus matrix")
         d = mats[0].shape[0]
         for v in mats:
             if v.shape[0] != d:
                 raise ValueError("Kraus matrices must share one dimension")
+            v.flags.writeable = False  # the kept kernel is built from them
         if dim is not None and dim != d:
             raise ValueError(f"dimension mismatch: expected {dim}, got {d}")
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "kraus", tuple(mats))
+        object.__setattr__(self, "_kernel", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("CPMap is immutable")
@@ -106,6 +108,16 @@ class CPMap:
             out += v @ a @ v.conj().T
         return out
 
+    @property
+    def kernel(self) -> np.ndarray:
+        """K[p, q, a, b] = sum_i V_i[p, a] conj(V_i[q, b]), so that eta(b)[p, q]
+        = sum_ab K[p, q, a, b] b[a, b]; built on first read, kept, read-only."""
+        if self._kernel is None:
+            k = sum(np.einsum("pa,qb->pqab", v, v.conj()) for v in self.kraus)
+            k.flags.writeable = False
+            object.__setattr__(self, "_kernel", k)
+        return self._kernel
+
     @classmethod
     def identity(cls, d: int) -> "CPMap":
         return cls([identity(d)])
@@ -115,45 +127,34 @@ class CPMap:
         """Kraus decomposition of a Choi matrix, dropping eigenvalues below tol.
 
         The Choi matrix convention is C = sum_{ij} E_ij (x) eta(E_ij), shape
-        (d*d, d*d); a negative eigenvalue beyond tolerance is an error.
+        (d*d, d*d); C - C* or a negative eigenvalue beyond tolerance is an error.
         """
         c = np.asarray(choi, dtype=complex)
         d2 = c.shape[0]
         d = int(round(np.sqrt(d2)))
         if d * d != d2 or c.shape != (d2, d2):
             raise ValueError("Choi matrix must be (d*d) x (d*d)")
+        if not (skew := maxabs(c - c.conj().T)) <= tol:
+            raise ValueError(f"Choi matrix not Hermitian: max |C - C*| {skew:.3e}")
         w, vecs = np.linalg.eigh((c + c.conj().T) / 2)
         if np.min(w) < -tol:
             raise ValueError(f"Choi matrix not PSD: min eigenvalue {np.min(w):.3e}")
-        kraus = []
-        for lam, vec in zip(w, vecs.T):
-            if lam > tol:
-                kraus.append(np.sqrt(lam) * vec.reshape(d, d).T)
-        if not kraus:
-            kraus = [np.zeros((d, d), dtype=complex)]
-        return cls(kraus)
+        kraus = [np.sqrt(lam) * vec.reshape(d, d).T for lam, vec in zip(w, vecs.T) if lam > tol]
+        return cls(kraus or [np.zeros((d, d), dtype=complex)])
 
     def choi(self) -> np.ndarray:
-        d = self.dim
-        c = np.zeros((d * d, d * d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[i, j] = 1.0
-                c += np.kron(e, self(e))
-        return c
+        """C[(i, p), (j, q)] = K[p, q, i, j], a new array each call."""
+        return self.kernel.transpose(2, 0, 3, 1).reshape(self.dim ** 2, -1).copy()
 
     def is_positive(self, tol: float = DEFAULT_TOL) -> bool:
         w = np.linalg.eigvalsh(self.choi())
         return bool(np.min(w) >= -tol)
 
     def is_trace_symmetric(self) -> bool:
-        """tau(eta(a) b) = tau(a eta(b)) for all a, b: the map equals its
-        trace adjoint b -> sum_i V_i* b V_i on every matrix unit, within
-        1e-12 times the larger of 1 and its largest entry there."""
-        fwd = sum(np.einsum("pi,qj->ijpq", v, v.conj()) for v in self.kraus)
-        adj = sum(np.einsum("ip,jq->ijpq", v.conj(), v) for v in self.kraus)
-        return bool(maxabs(fwd - adj) <= 1e-12 * max(1.0, maxabs(fwd)))
+        """tau(eta(a) b) = tau(a eta(b)) for all a, b: K[a, b, p, q] equals the
+        trace adjoint's kernel conj(K[p, q, a, b]) within 1e-12 max(1, max|K|)."""
+        k = self.kernel
+        return bool(maxabs(k.transpose(2, 3, 0, 1) - k.conj()) <= 1e-12 * max(1.0, maxabs(k)))
 
     def to_json(self) -> dict:
         return {

@@ -11,10 +11,10 @@ its neighbour.  Components with different index sequences are therefore
 orthogonal.
 
 The index, depth and covariance bookkeeping is written once for every
-coefficient dimension.  The per-component arithmetic (create, contract
+coefficient dimension; the per-component arithmetic (create, contract
 through a covariance, multiply by a coefficient, zero test, depth-0 matrix,
-pairing) is chosen once per dimension: plain Python complex numbers at
-d = 1, where every tensor has a single entry, and numpy tensors at d > 1.
+pairing) once per dimension: Python complex numbers and eta(1) at d = 1,
+numpy tensors and one einsum through ``CPMap.kernel`` at d > 1.
 Components are never changed in place, so states may share them.
 
 Word actions carry a depth budget: a caller that reads only components up
@@ -93,18 +93,14 @@ class _Scalars:
 
 class _Tensors:
     """d > 1: a depth-m component is a tensor with 2(m+1) axes of length d;
-    a covariance is its Kraus list with its pairing kernel."""
+    a covariance is the map's kernel ``CPMap.kernel``, read by every einsum."""
 
     def __init__(self, d: int):
         self.one = identity(d)
         self.one.flags.writeable = False  # every vacuum shares it
 
-    def covariance(self, eta: CPMap):
-        d = eta.dim
-        ker = np.zeros((d, d, d, d), dtype=complex)
-        for v in eta.kraus:
-            ker += np.einsum("pa,qb->pqab", v, v.conj())
-        return eta.kraus, ker
+    def covariance(self, eta: CPMap) -> np.ndarray:
+        return eta.kernel
 
     def entry(self, a: np.ndarray) -> np.ndarray:
         return a
@@ -114,14 +110,9 @@ class _Tensors:
 
     def contract(self, t, cov, left: bool):
         # b0 Z b1 ... -> eta(b0) b1 ...  (mirrored on the right)
-        out = np.zeros_like(t)
         if left:
-            for v in cov[0]:
-                out += np.einsum("ia,ab...,jb->ij...", v, t, v.conj())
-            return np.einsum("iccj...->ij...", out)
-        for v in cov[0]:
-            out += np.einsum("ia,...ac,jc->...ij", v, t, v.conj())
-        return np.einsum("...iccj->...ij", out)
+            return np.einsum("icab,abcj...->ij...", cov, t)
+        return np.einsum("...icab,cjab->...ij", t, cov)
 
     def multiply(self, t, b, left: bool):
         if left:
@@ -154,7 +145,7 @@ class _Tensors:
             sub_v += [vi[t], vj[t]]
         operands = [tu, sub_u, sv.conj(), sub_v]
         for t in range(1, m + 1):
-            operands += [covs[t - 1][1], [vi[t], ui[t], vj[t - 1], uj[t - 1]]]
+            operands += [covs[t - 1], [vi[t], ui[t], vj[t - 1], uj[t - 1]]]
         operands.append([vj[m], uj[m]])
         return np.einsum(*operands, optimize=True)
 
@@ -599,11 +590,15 @@ class BisemicircularModel:
 
     @classmethod
     def from_json(cls, obj: dict | str, max_depth: int | None = None) -> "BisemicircularModel":
+        """The maps fix the dimension; a ``"d"`` other than theirs raises ``ValueError``."""
         if isinstance(obj, str):
             obj = json.loads(obj)
         left = [CPMap.from_json(e) for e in obj.get("left", [])]
         right = [CPMap.from_json(e) for e in obj.get("right", [])]
-        return cls(left, right, max_depth=max_depth)
+        model = cls(left, right, max_depth=max_depth)
+        if obj.get("d", model.dim) != model.dim:
+            raise ValueError(f"model says d={obj['d']!r}, its maps have d={model.dim}")
+        return model
 
     def to_json(self) -> dict:
         n = len(self.left_symbols)

@@ -13,7 +13,11 @@ side from its word alone, walk every test word with no two merged as one
 operator, find a word's commutation class by closing it under swaps, and fit
 the least-squares candidate over breadth-first test words applied from the
 vacuum.  The matrix-lift oracle finds the index chains first and resolves
-every entry again for each chain.  The cumulant oracle takes a Moebius value
+every entry again for each chain.  The CP-map oracles read Kraus operators
+only: a d > 1 contraction sums the map over each Kraus operator and then
+traces the merged slot, the Choi matrix sums Kronecker products of matrix
+units and their images, and trace symmetry compares the map with its
+Kraus-built trace adjoint.  The cumulant oracle takes a Moebius value
 and a fresh numeric-label reduction for every partition below its argument;
 a second one reduces every partition through the package's reduction, as the
 scan did before it left out partitions with a zero chi-interval block.  The
@@ -503,6 +507,39 @@ def eval_moment_pi_random(F, pi, operands, rng):
     return _eval_pi_random(F, pi.chi.labels, pi.blocks, ops, rng)
 
 
+# --- CP maps from their Kraus operators ---------------------------------------
+
+def contract_by_kraus(eta, t, left):
+    """b0 Z b1 ... -> eta(b0) b1 ... (mirrored on the right) for a d > 1
+    component: the map applied Kraus operator by Kraus operator to the end
+    slot, then the merged slot traced."""
+    out = np.zeros_like(t)
+    if left:
+        for v in eta.kraus:
+            out += np.einsum("ia,ab...,jb->ij...", v, t, v.conj())
+        return np.einsum("iccj...->ij...", out)
+    for v in eta.kraus:
+        out += np.einsum("ia,...ac,jc->...ij", v, t, v.conj())
+    return np.einsum("...iccj->...ij", out)
+
+
+def choi_by_kron(eta):
+    """C = sum_ij E_ij (x) eta(E_ij), with eta applied through its Kraus sum."""
+    d = eta.dim
+    c = np.zeros((d * d, d * d), dtype=complex)
+    for e in matrix_units(d):
+        c += np.kron(e, eta(e))
+    return c
+
+
+def is_trace_symmetric_by_kraus(eta):
+    """The map equals its trace adjoint b -> sum_i V_i* b V_i on every matrix
+    unit, within 1e-12 times the larger of 1 and its largest entry there."""
+    fwd = sum(np.einsum("pi,qj->ijpq", v, v.conj()) for v in eta.kraus)
+    adj = sum(np.einsum("ip,jq->ijpq", v.conj(), v) for v in eta.kraus)
+    return bool(np.max(np.abs(fwd - adj)) <= 1e-12 * max(1.0, np.max(np.abs(fwd))))
+
+
 # --- Fock action, one elementary factor at a time ----------------------------
 
 def _apply_factor(model, kind, arg, vec, keep):
@@ -527,11 +564,9 @@ def _apply_factor(model, kind, arg, vec, keep):
             if d == 1:
                 x = complex(eta(np.eye(1))[0, 0]) * t
             elif kind == "l*":
-                x = sum(np.einsum("ia,ab...,jb->ij...", v, t, v.conj()) for v in eta.kraus)
-                x = np.einsum("iccj...->ij...", x)
+                x = np.einsum("icab,abcj...->ij...", eta.kernel, t)
             else:
-                x = sum(np.einsum("ia,...ac,jc->...ij", v, t, v.conj()) for v in eta.kraus)
-                x = np.einsum("...iccj->...ij", x)
+                x = np.einsum("...icab,cjab->...ij", t, eta.kernel)
         else:
             if m > keep:
                 continue

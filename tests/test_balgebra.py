@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import choi_by_kron, is_trace_symmetric_by_kraus
 
 from bifree.balgebra import (
     CPMap,
@@ -11,11 +12,13 @@ from bifree.balgebra import (
     belement_to_json,
     diag_expectation,
     matrix_unit,
+    maxabs,
     random_belement,
     random_cpmap,
     trace_d,
     worst_at,
 )
+from bifree.conjvar import eta_flip
 
 
 def random_psd(d, rng):
@@ -98,12 +101,83 @@ def test_choi_round_trip():
     back = CPMap.from_choi(eta.choi())
     b = random_belement(2, rng)
     assert np.allclose(eta(b), back(b))
+    for d in (1, 2, 3):
+        for n in (1, 2, 3):
+            c = random_cpmap(d, rng, n_kraus=n).choi()
+            assert maxabs(CPMap.from_choi(c).choi() - c) <= 1e-12
 
 
 def test_from_choi_rejects_negative():
     bad = -np.eye(4)
     with pytest.raises(ValueError):
         CPMap.from_choi(bad)
+
+
+def test_from_choi_rejects_non_hermitian():
+    # Its Hermitian part is PSD (eigenvalues 0 and 2), so symmetrising it
+    # would accept it and put 1 at both (0, 3) and (3, 0).
+    c = np.zeros((4, 4))
+    c[0, 0] = c[3, 3] = 1.0
+    c[0, 3] = 2.0
+    with pytest.raises(ValueError, match="Hermitian"):
+        CPMap.from_choi(c)
+
+
+def _seeded_maps(rng):
+    for d in (1, 2, 3):
+        for n in (1, 2, 3):
+            yield random_cpmap(d, rng, n_kraus=n)
+
+
+def test_kernel_applies_the_map():
+    rng = np.random.default_rng(41)
+    for eta in _seeded_maps(rng):
+        b = random_belement(eta.dim, rng)
+        want = eta(b)
+        got = np.einsum("pqab,ab->pq", eta.kernel, b)
+        assert maxabs(got - want) <= 1e-14 * maxabs(want)
+
+
+def test_choi_matches_kronecker_sum():
+    rng = np.random.default_rng(42)
+    for eta in _seeded_maps(rng):
+        want = choi_by_kron(eta)
+        assert maxabs(eta.choi() - want) <= 1e-15 * max(1.0, maxabs(want))
+
+
+def test_trace_symmetry_verdicts_match_kraus_test():
+    rng = np.random.default_rng(43)
+    h = random_belement(2, rng)
+    maps = [eta_flip(), CPMap.identity(2), CPMap.identity(3), CPMap([h + h.conj().T])]
+    maps += [random_cpmap(int(rng.integers(1, 4)), rng, n_kraus=int(rng.integers(1, 4)))
+             for _ in range(15)]
+    verdicts = [eta.is_trace_symmetric() for eta in maps]
+    assert verdicts == [is_trace_symmetric_by_kraus(eta) for eta in maps]
+    # Every scalar map is trace-symmetric; the matrix draws are not.
+    assert verdicts == [True] * 4 + [eta.dim == 1 for eta in maps[4:]]
+
+
+def test_kernel_is_kept_and_read_only():
+    rng = np.random.default_rng(44)
+    for eta in (CPMap.identity(1), random_cpmap(2, rng)):
+        k = eta.kernel
+        before = k.copy()
+        assert eta.kernel is k and not k.flags.writeable
+        with pytest.raises(ValueError):
+            k[0, 0, 0, 0] = 2.0
+        c = eta.choi()
+        c[0, 0] = 5.0  # the Choi matrix is the caller's own array
+        assert np.array_equal(eta.kernel, before) and eta.choi()[0, 0] != 5.0
+
+
+def test_kraus_operators_are_the_maps_own():
+    v = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
+    eta = CPMap([v])
+    k = eta.kernel.copy()
+    v[0, 1] = 7.0  # the caller's array, not the map's
+    assert not eta.kraus[0].flags.writeable
+    assert np.array_equal(eta.kernel, k)
+    assert np.array_equal(eta(np.eye(2)), np.array([[5.0, 2.0], [2.0, 1.0]]))
 
 
 def test_json_round_trips():

@@ -218,6 +218,19 @@ def test_bifree_test_fails_on_nan_model(tmp_path, capsys):
     assert not rep["pass"] and rep["max_residual"] is None and rep["violation_count"] > 0
 
 
+def test_model_file_with_another_d_fails(tmp_path, capsys):
+    from bifree.balgebra import random_cpmap
+    from bifree.fock import make_bisemicircular
+
+    spec = make_bisemicircular([random_cpmap(2, np.random.default_rng(4))], []).to_json()
+    spec["d"] = 3
+    path = tmp_path / "d3.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(capsys, "fock", "moment", "--model", str(path), "--word", "S1 S1")
+    assert code == 1
+    assert json.loads(out)["error"].startswith("ValueError: ")
+
+
 def test_fock_moment(capsys):
     code, out = run_cli(capsys, "fock", "moment", "--word", "S1 S1 D1 D1")
     assert code == 0
@@ -481,10 +494,13 @@ def test_mc_prints_nan_as_null(d, tmp_path, capsys):
 
 # sha256 of the exact stdout of two d=2 scans, recorded before the scan left
 # out the partitions with a zero chi-interval block.  "M" is pool model 3 of
-# bench/fock_reference.json, written to a file for --model.
+# bench/fock_reference.json, written to a file for --model; its pin was
+# recorded again when the d>1 contraction went through each map's kernel,
+# which moved "max_residual" (2.1531856260285095e-14 -> 2.842455870641863e-14)
+# and "worst_word" (D1 S1 S1 S1 S1 D1 -> S1 D1 D1 S1 S1 S1) and nothing else.
 PINNED_SCAN_SHA256 = {
     ("bifree", "test", "--max-order", "7", "--model", "M"):
-        "a45411219fbcd63bb719cdf1e1d9b30a6b556cc367a226d014744a1192546b56",
+        "b25400683d2451a381e0cdd7e344309b25eb5513d49d1e69ac03c281f5995771",
     ("--d", "2", "--max-order", "6", "bifree", "test"):
         "c7e80af6cf293e78328d52f10e2c697ac6eeee76373d2560bbde7d8604432880",
 }

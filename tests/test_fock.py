@@ -1,12 +1,14 @@
 """Fock-space models: exact word actions, expectations, pairings."""
 
 import gc
+import json
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import apply_symbol_by_factors, word_norm_sq
+from oracles import apply_symbol_by_factors, contract_by_kraus, word_norm_sq
 
 from bifree.balgebra import CPMap, maxabs, random_belement, random_cpmap
 from bifree.bnc import ChiWord, enumerate_bnc, one_partition
@@ -323,6 +325,17 @@ def test_model_json_round_trip():
     assert maxabs(m.functional.expect(w) - m2.functional.expect(w2)) < 1e-12
 
 
+def test_model_file_dimension_must_match_its_maps():
+    rng = np.random.default_rng(6)
+    spec = make_bisemicircular([_psd_cpmap(rng)], []).to_json()
+    assert BisemicircularModel.from_json(spec).to_json() == spec
+    del spec["d"]
+    assert BisemicircularModel.from_json(spec).dim == 2
+    spec["d"] = 3
+    with pytest.raises(ValueError, match="d=3"):
+        BisemicircularModel.from_json(spec)
+
+
 def test_registered_symbol_validation():
     fm = FockModel(1, ("a",), (), {"a": CPMap.identity(1)})
     with pytest.raises(ValueError):
@@ -482,3 +495,40 @@ def test_one_pass_action_matches_factor_by_factor_matrix(keep):
         for f in alphabet:
             got = model.apply_symbol(f, vec, keep)
             _assert_same_state(got, apply_symbol_by_factors(model, f, vec, keep))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_kernel_contraction_matches_kraus_loop(d):
+    # Both annihilators on one index: l* contracts the first slot, r* the last.
+    rng = np.random.default_rng(50 + d)
+    for n_kraus in (1, 2, 3):
+        eta = random_cpmap(d, rng, n_kraus=n_kraus)
+        model = FockModel(d, ("k",), (), {"k": eta})
+        for m in (1, 2, 3, 4):
+            ks = ("k",) * m
+            shape = (d,) * (2 * (m + 1))
+            t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            vec = FockVector(d, {ks: t})
+            for kind, left in (("l*", True), ("r*", False)):
+                got = model.apply_factor((kind, "k"), vec).terms[ks[1:]]
+                want = contract_by_kraus(eta, t, left)
+                assert maxabs(got - want) <= 1e-14 * max(1.0, maxabs(want)), (n_kraus, m, kind)
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "fock_reference.json"
+
+
+def test_pool_moments_match_the_benchmark_reference():
+    # S1 and D1 commute, so every word with a letters S1 has the recorded moment.
+    pool = json.loads(REFERENCE.read_text())["pool"]
+    assert len(pool) == 8
+    rng = np.random.default_rng(60)
+    for entry in pool:
+        m = BisemicircularModel.from_json(entry["model"])
+        for a in range(9):
+            ref = entry["moments_by_s_count"][str(a)]
+            ref = np.asarray(ref["re"]) + 1j * np.asarray(ref["im"])
+            word = ["S1"] * a + ["D1"] * (8 - a)
+            for letters in (word, rng.permutation(word)):
+                got = m.functional.expect(Monomial([m.symbol(x) for x in letters]))
+                assert maxabs(got - ref) <= 1e-12 * max(1.0, maxabs(ref)), (a, list(letters))
