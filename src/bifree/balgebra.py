@@ -166,7 +166,7 @@ class CPMap:
     def from_json(cls, obj: dict | str) -> "CPMap":
         if isinstance(obj, str):
             obj = json.loads(obj)
-        return cls([belement_from_json(v) for v in obj["kraus"]], dim=obj.get("d"))
+        return cls([belement_from_json(v) for v in obj["kraus"]], dim=json_dim(obj))
 
     def __repr__(self):
         return f"CPMap(dim={self.dim}, kraus={len(self.kraus)})"
@@ -185,7 +185,16 @@ def belement_from_json(obj: dict | str) -> np.ndarray:
     if isinstance(obj, str):
         obj = json.loads(obj)
     a = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    return as_belement(a, obj.get("d"))
+    return as_belement(a, json_dim(obj))
+
+
+def json_dim(obj: dict) -> int | None:
+    """The ``"d"`` of a serialized coefficient, CP map or model, if any; one
+    that is not an ``int`` (JSON ``true``, ``2.0``, ``"2"``) raises ``ValueError``."""
+    d = obj.get("d")
+    if d is not None and (not isinstance(d, int) or isinstance(d, bool)):
+        raise ValueError(f'field "d" must be an integer, got {d!r}')
+    return d
 
 
 def random_belement(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -72,9 +72,10 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, complex):
-        if abs(obj.imag) < 1e-15:
-            return obj.real
-        return {"re": obj.real, "im": obj.imag}
+        # Relative, so that a large value's roundoff does not flip its type.
+        if abs(obj.imag) < 1e-15 * max(1.0, abs(obj.real)):
+            return _jsonable(obj.real)
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     if isinstance(obj, float) and obj != obj:  # NaN guard for JSON
         return None
     return obj

@@ -14,7 +14,7 @@ The index, depth and covariance bookkeeping is written once for every
 coefficient dimension; the per-component arithmetic (create, contract
 through a covariance, multiply by a coefficient, zero test, depth-0 matrix,
 pairing) once per dimension: Python complex numbers and eta(1) at d = 1,
-numpy tensors and one einsum through ``CPMap.kernel`` at d > 1.
+numpy tensors contracted against ``CPMap.kernel`` at d > 1.
 Components are never changed in place, so states may share them.
 
 Word actions carry a depth budget: a caller that reads only components up
@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .balgebra import CPMap, as_belement, identity
+from .balgebra import CPMap, as_belement, identity, json_dim
 from .bnc import LEFT, RIGHT
 from .words import BCoeff, GeneratorSymbol, MomentFunctional, as_monomial
 
@@ -92,8 +92,10 @@ class _Scalars:
 
 
 class _Tensors:
-    """d > 1: a depth-m component is a tensor with 2(m+1) axes of length d;
-    a covariance is the map's kernel ``CPMap.kernel``, read by every einsum."""
+    """d > 1: a depth-m component is a tensor with 2(m+1) axes of length d,
+    (row, column) per slot; a covariance is the map's kernel ``CPMap.kernel``.
+    The pairing v_m* eta_m(... eta_1(v_0* u_0) ...) u_m folds the kernels
+    slot by slot, as the d = 1 product does."""
 
     def __init__(self, d: int):
         self.one = identity(d)
@@ -126,28 +128,13 @@ class _Tensors:
         return t.copy()
 
     def pair(self, covs, tu, sv) -> np.ndarray:
-        m = len(covs)
-        if m == 0:
-            return sv.conj().T @ tu
-        # One big contraction.  Labels: shared first left-slot index c; for
-        # each depth t >= 1 a covariance kernel K_t couples (v_t i, u_t i,
-        # v_{t-1} j, u_{t-1} j); the output axes are (v_m j, u_m j).
-        nxt = iter(range(4 * m + 3))
-        c = next(nxt)
-        uj = [next(nxt) for _ in range(m + 1)]
-        vj = [next(nxt) for _ in range(m + 1)]
-        ui = [None] + [next(nxt) for _ in range(m)]
-        vi = [None] + [next(nxt) for _ in range(m)]
-        sub_u = [c, uj[0]]
-        sub_v = [c, vj[0]]
-        for t in range(1, m + 1):
-            sub_u += [ui[t], uj[t]]
-            sub_v += [vi[t], vj[t]]
-        operands = [tu, sub_u, sv.conj(), sub_v]
-        for t in range(1, m + 1):
-            operands += [covs[t - 1], [vi[t], ui[t], vj[t - 1], uj[t - 1]]]
-        operands.append([vj[m], uj[m]])
-        return np.einsum(*operands, optimize=True)
+        # Each kernel trades u's (column t-1, row t) for v's: x keeps u's size.
+        x = tu
+        for k in covs:
+            x = np.tensordot(x, k, axes=([1, 2], [3, 1])).swapaxes(-2, -1)
+        # x: (row 0, u's last column, v's inner axes); close against conj(v).
+        n = 2 * len(covs) + 1
+        return np.tensordot(np.moveaxis(sv.conj(), -1, 0), np.moveaxis(x, 1, -1), n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -590,14 +577,15 @@ class BisemicircularModel:
 
     @classmethod
     def from_json(cls, obj: dict | str, max_depth: int | None = None) -> "BisemicircularModel":
-        """The maps fix the dimension; a ``"d"`` other than theirs raises ``ValueError``."""
+        """The maps fix the dimension; a ``"d"`` other than theirs, or one that is
+        not an ``int``, raises ``ValueError``."""
         if isinstance(obj, str):
             obj = json.loads(obj)
         left = [CPMap.from_json(e) for e in obj.get("left", [])]
         right = [CPMap.from_json(e) for e in obj.get("right", [])]
         model = cls(left, right, max_depth=max_depth)
-        if obj.get("d", model.dim) != model.dim:
-            raise ValueError(f"model says d={obj['d']!r}, its maps have d={model.dim}")
+        if (d := json_dim(obj)) not in (None, model.dim):
+            raise ValueError(f"model says d={d}, its maps have d={model.dim}")
         return model
 
     def to_json(self) -> dict:

@@ -66,26 +66,22 @@ def _eval_pi(F: MomentFunctional, pos, side, blk, ops) -> np.ndarray:
     lo, hi = blk.index(v), n - blk[::-1].index(v)
     if lo == 0 and hi == n:
         # The block of the last entry spans the whole chi-range: strip the
-        # first run of foreign positions between two of its elements and
-        # splice its value into the element of that block on the run's side.
+        # first run of foreign positions between two of its elements, for the
+        # element of that block on its side (chi-order lists left ranks first).
         a = next(i for i, x in enumerate(blk) if x != v)
         b = blk.index(v, a)
-        sub = _eval_pi(F, pos[a:b], side[a:b], blk[a:b], ops[a:b])
-        if not np.count_nonzero(sub):
-            return np.zeros(sub.shape, dtype=complex)
-        if side[a] == LEFT:
-            ops[a - 1] = ops[a - 1] * Lb(sub)
-        else:
-            ops[b] = ops[b] * Rb(sub)
+        q = a - 1 if side[a] == LEFT else b
     else:
         # Otherwise reduce the chi-interval hull of that block first and feed
-        # the value to the surviving operand with the last position.
-        a, b = lo, hi
-        sub = _eval_pi(F, pos[a:b], side[a:b], blk[a:b], ops[a:b])
-        if not np.count_nonzero(sub):
-            return np.zeros(sub.shape, dtype=complex)
+        # the value to the surviving operand with the last position, found
+        # only if the value is not zero (many are).
+        a, b, q = lo, hi, None
+    sub = _eval_pi(F, pos[a:b], side[a:b], blk[a:b], ops[a:b])
+    if not np.count_nonzero(sub):
+        return np.zeros(sub.shape, dtype=complex)
+    if q is None:
         q = max(chain(range(a), range(b, n)), key=pos.__getitem__)
-        ops[q] = ops[q] * (Lb(sub) if side[q] == LEFT else Rb(sub))
+    ops[q] = ops[q] * (Lb if side[q] == LEFT else Rb)(sub)
     return _eval_pi(
         F, pos[:a] + pos[b:], side[:a] + side[b:], blk[:a] + blk[b:], ops[:a] + ops[b:]
     )

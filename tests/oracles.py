@@ -17,8 +17,10 @@ every entry again for each chain.  The CP-map oracles read Kraus operators
 only: a d > 1 contraction sums the map over each Kraus operator and then
 traces the merged slot, the Choi matrix sums Kronecker products of matrix
 units and their images, and trace symmetry compares the map with its
-Kraus-built trace adjoint.  The cumulant oracle takes a Moebius value
-and a fresh numeric-label reduction for every partition below its argument;
+Kraus-built trace adjoint.  The d > 1 pairing oracle contracts both states
+and every covariance kernel of an index sequence in one einsum.  The
+cumulant oracle takes a Moebius value and a fresh numeric-label reduction
+for every partition below its argument;
 a second one reduces every partition through the package's reduction, as the
 scan did before it left out partitions with a zero chi-interval block.  The
 product-expansion oracle runs a full cumulant scan for each partition on its
@@ -617,6 +619,32 @@ def word_norm_sq(model, word):
     word = as_monomial(word)
     full = word.adjoint() * word
     return float((np.trace(vacuum_expectation(model)(full)) / model.dim).real)
+
+
+def inner_B_by_einsum(model, u, v):
+    """<u, v>_B of a d > 1 Fock model as one einsum per common index
+    sequence k1..km: conj(v), u and the kernels of eta_{k1}, ..., eta_{km}
+    are contracted together, with the path left to ``optimize``."""
+    total = np.zeros((model.dim, model.dim), dtype=complex)
+    for ks, tu in u.terms.items():
+        if ks not in v.terms:
+            continue
+        m = len(ks)
+        # Labels: the shared row c of slot 0; u's and v's (row i, column j)
+        # of every slot; the kernel of slot t couples (v_t i, u_t i,
+        # v_{t-1} j, u_{t-1} j); the output is (v_m j, u_m j).
+        labels = iter(range(4 * m + 3))
+        c = next(labels)
+        uj = [next(labels) for _ in range(m + 1)]
+        vj = [next(labels) for _ in range(m + 1)]
+        ui = [c] + [next(labels) for _ in range(m)]
+        vi = [c] + [next(labels) for _ in range(m)]
+        operands = [tu, [x for t in range(m + 1) for x in (ui[t], uj[t])],
+                    v.terms[ks].conj(), [x for t in range(m + 1) for x in (vi[t], vj[t])]]
+        for t, k in enumerate(ks, start=1):
+            operands += [model.covariances[k].kernel, [vi[t], ui[t], vj[t - 1], uj[t - 1]]]
+        total += np.einsum(*operands, [vj[m], uj[m]], optimize=True)
+    return total
 
 
 # --- matrix lift in two phases -------------------------------------------------

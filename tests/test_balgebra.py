@@ -190,6 +190,21 @@ def test_json_round_trips():
     assert np.allclose(eta(x), eta2(x))
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, "2"], ids=repr)
+def test_json_readers_reject_a_d_that_is_not_an_int(bad):
+    rng = np.random.default_rng(6)
+    b = belement_to_json(random_belement(2, rng))
+    eta = random_cpmap(2, rng).to_json()
+    with pytest.raises(ValueError, match='field "d"'):
+        belement_from_json({**b, "d": bad})
+    with pytest.raises(ValueError, match='field "d"'):
+        CPMap.from_json({**eta, "d": bad})
+    # A reader without "d" takes the dimension from the data.
+    del b["d"], eta["d"]
+    assert belement_from_json(b).shape == (2, 2)
+    assert CPMap.from_json(eta).dim == 2
+
+
 # --- the verdict fold ------------------------------------------------------------
 
 def test_worst_at_first_non_finite_wins_and_stops_reading():

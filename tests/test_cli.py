@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import re
+import shlex
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +232,74 @@ def test_model_file_with_another_d_fails(tmp_path, capsys):
     code, out = run_cli(capsys, "fock", "moment", "--model", str(path), "--word", "S1 S1")
     assert code == 1
     assert json.loads(out)["error"].startswith("ValueError: ")
+
+
+def test_model_file_d_true_fails(tmp_path, capsys):
+    # JSON true equals 1 in Python; the model, its map and its coefficient
+    # must each still be rejected.
+    spec = make_standard_semicircular(1, 0).to_json()
+    spec["d"] = spec["left"][0]["d"] = spec["left"][0]["kraus"][0]["d"] = True
+    path = tmp_path / "d_true.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(capsys, "fock", "moment", "--model", str(path), "--word", "S1 S1")
+    assert code == 1
+    assert json.loads(out)["error"].startswith('ValueError: field "d" must be an integer')
+
+
+def test_large_trace_prints_as_a_number_despite_roundoff(tmp_path, capsys):
+    # Its imaginary part is about -9e-15, roundoff relative to a real part
+    # of about 476.
+    pool = json.loads((ROOT / "bench" / "fock_reference.json").read_text())["pool"]
+    path = tmp_path / "pool2.json"
+    path.write_text(json.dumps(pool[2]["model"]))
+    word = " ".join(["D1"] * 8)
+    code, out = run_cli(capsys, "fock", "moment", "--model", str(path), "--word", word)
+    assert code == 0
+    trace = json.loads(out)["trace"]
+    assert isinstance(trace, float) and abs(trace - 475.74224905779533) < 1e-9
+
+
+def test_complex_values_keep_a_visible_imaginary_part():
+    assert bifree.cli._jsonable(complex(2.0, 1e-3)) == {"re": 2.0, "im": 1e-3}
+    assert bifree.cli._jsonable(complex(0.5, 2e-15)) == {"re": 0.5, "im": 2e-15}
+    assert bifree.cli._jsonable(complex(0.5, 5e-16)) == 0.5
+
+
+def test_fock_moment_prints_a_nan_trace_as_null(tmp_path, capsys):
+    spec = make_standard_semicircular(1, 0).to_json()
+    spec["left"][0]["kraus"][0]["re"][0][0] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(capsys, "fock", "moment", "--model", str(path), "--word", "S1 S1")
+    assert code == 0
+    rep = _strict_json(out)
+    assert rep["trace"] == {"re": None, "im": None}
+    assert rep["value"]["re"] == [[None]]
+
+
+def _readme_commands():
+    """Every ``bifree ...`` line of README's command-line block, comments
+    stripped, once for each choice of its ``[--...]`` parts present or absent."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        line = re.sub(r"\s+#.*$", "", line).strip()
+        if not line.startswith("bifree "):
+            continue
+        optional = re.findall(r"\[(--[^\]]*)\]", line)
+        for keep in product((False, True), repeat=len(optional)):
+            variant = line
+            for part, present in zip(optional, keep):
+                variant = variant.replace(f"[{part}]", part if present else "", 1)
+            yield shlex.split(variant)[1:]
+
+
+def test_readme_command_block_parses():
+    commands = list(_readme_commands())
+    assert len(commands) >= 14
+    for argv in commands:
+        args = bifree.cli.build_parser().parse_args(argv)
+        assert callable(args.func), argv
 
 
 def test_fock_moment(capsys):

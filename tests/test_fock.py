@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import apply_symbol_by_factors, contract_by_kraus, word_norm_sq
+from oracles import apply_symbol_by_factors, contract_by_kraus, inner_B_by_einsum, word_norm_sq
 
 from bifree.balgebra import CPMap, maxabs, random_belement, random_cpmap
 from bifree.bnc import ChiWord, enumerate_bnc, one_partition
@@ -336,6 +336,13 @@ def test_model_file_dimension_must_match_its_maps():
         BisemicircularModel.from_json(spec)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, "2"], ids=repr)
+def test_model_file_d_must_be_an_int(bad):
+    spec = make_bisemicircular([_psd_cpmap(np.random.default_rng(6))], []).to_json()
+    with pytest.raises(ValueError, match='field "d"'):
+        BisemicircularModel.from_json({**spec, "d": bad})
+
+
 def test_registered_symbol_validation():
     fm = FockModel(1, ("a",), (), {"a": CPMap.identity(1)})
     with pytest.raises(ValueError):
@@ -513,6 +520,65 @@ def test_kernel_contraction_matches_kraus_loop(d):
                 got = model.apply_factor((kind, "k"), vec).terms[ks[1:]]
                 want = contract_by_kraus(eta, t, left)
                 assert maxabs(got - want) <= 1e-14 * max(1.0, maxabs(want)), (n_kraus, m, kind)
+
+
+def _random_component(rng, d, m):
+    shape = (d,) * (2 * (m + 1))
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_pairing_fold_matches_one_einsum(d):
+    # Random Kraus maps are not trace-symmetric; below depth 4 u holds one
+    # sequence that v lacks, so orthogonality is read too.
+    rng = np.random.default_rng(70 + d)
+    checked = 0
+    for n_kraus in (1, 2, 3):
+        covs = {"a": random_cpmap(d, rng, n_kraus=n_kraus), "b": random_cpmap(d, rng, n_kraus)}
+        model = FockModel(d, ("a",), ("b",), covs)
+        assert not all(eta.is_trace_symmetric() for eta in covs.values())
+        for m in range(5):
+            seqs = {tuple(rng.choice(["a", "b"], size=m).tolist()) for _ in range(3)}
+            u = FockVector(d, {ks: _random_component(rng, d, m) for ks in seqs})
+            v = FockVector(d, {ks: _random_component(rng, d, m) for ks in seqs})
+            if m < 4:
+                u = u + FockVector(d, {("a",) * (m + 1): _random_component(rng, d, m + 1)})
+            got, want = model.inner_B(u, v), inner_B_by_einsum(model, u, v)
+            assert maxabs(got - want) <= 1e-14 * max(1.0, maxabs(want)), (n_kraus, m)
+            checked += 1
+    assert checked == 15
+
+
+def test_pairing_keeps_every_intermediate_within_the_component(monkeypatch):
+    # Contracting conj(v) with u before the kernels would build d^(4m+2)
+    # entries (3^18 here); each result's size is checked before it is built.
+    d, m = 3, 4
+    rng = np.random.default_rng(75)
+    model = FockModel(d, ("k",), (), {"k": random_cpmap(d, rng, n_kraus=2)})
+    ks = ("k",) * m
+    u = FockVector(d, {ks: _random_component(rng, d, m)})
+    v = FockVector(d, {ks: _random_component(rng, d, m)})
+    limit = d ** (2 * (m + 1))
+    tensordot, sizes = np.tensordot, []
+
+    def bounded(a, b, axes=2):
+        a, b = np.asarray(a), np.asarray(b)
+        if isinstance(axes, int):
+            ia, ib = range(a.ndim - axes, a.ndim), range(axes)
+        else:
+            ia, ib = ([x] if isinstance(x, int) else x for x in axes)
+        ia, ib = {i % a.ndim for i in ia}, {i % b.ndim for i in ib}
+        kept = [n for i, n in enumerate(a.shape) if i not in ia]
+        kept += [n for i, n in enumerate(b.shape) if i not in ib]
+        sizes.append(math.prod(kept))
+        assert sizes[-1] <= limit, f"tensordot result of {sizes[-1]} entries"
+        return tensordot(a, b, axes)
+
+    monkeypatch.setattr(np, "tensordot", bounded)
+    got = model.inner_B(u, v)
+    monkeypatch.undo()
+    assert len(sizes) == m + 1
+    assert maxabs(got - inner_B_by_einsum(model, u, v)) <= 1e-14 * max(1.0, maxabs(got))
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "fock_reference.json"
