@@ -18,7 +18,7 @@ import json
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import product
-from math import comb, prod
+from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 LEFT = "l"
@@ -33,9 +33,10 @@ Blocks = tuple[Block, ...]
 
 
 class ChiWord:
-    """Immutable word of side tags, positions 1-based."""
+    """Immutable word of side tags, positions 1-based.  Its permutation
+    ``s_chi`` and the inverse are computed once, with the word."""
 
-    __slots__ = ("labels",)
+    __slots__ = ("labels", "_s", "_s_inv")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(str(x).lower() for x in labels)
@@ -44,7 +45,12 @@ class ChiWord:
         for x in labels:
             if x not in (LEFT, RIGHT):
                 raise ValueError(f"side tag must be {LEFT!r} or {RIGHT!r}, got {x!r}")
+        n = len(labels)
+        # A right position k sorts as 2n + 1 - k: after every left, decreasing.
+        s = tuple(sorted(range(1, n + 1), key=lambda k: k if labels[k - 1] == LEFT else 2 * n + 1 - k))
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_s", s)
+        object.__setattr__(self, "_s_inv", tuple(sorted(range(1, n + 1), key=lambda r: s[r - 1])))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ChiWord is immutable")
@@ -81,19 +87,12 @@ def s_chi(chi: ChiWord) -> tuple[int, ...]:
 
     Entry ``k-1`` of the result is the position visited k-th.
     """
-    ks = range(1, chi.n + 1)
-    return tuple(k for k in ks if chi.labels[k - 1] == LEFT) + tuple(
-        k for k in reversed(ks) if chi.labels[k - 1] == RIGHT
-    )
+    return chi._s
 
 
 def s_chi_inverse(chi: ChiWord) -> tuple[int, ...]:
     """Inverse permutation: entry ``i-1`` is the visiting rank of position ``i``."""
-    s = s_chi(chi)
-    inv = [0] * chi.n
-    for rank, pos in enumerate(s, start=1):
-        inv[pos - 1] = rank
-    return tuple(inv)
+    return chi._s_inv
 
 
 def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
@@ -515,6 +514,16 @@ def find_bnc(blocks: Iterable[Iterable[int]], chi: ChiWord) -> BncPartition:
     return BncPartition(blocks, chi)
 
 
+# Every block of a partition of 1..n for n <= 8: the non-empty subsets of 1..8.
+@lru_cache(maxsize=255)
+def _block_factors(V: Block) -> tuple[tuple[int, int], ...]:
+    """``(code, mu)`` for each entry of ``mobius_top_table(len(V))``, its
+    partition relabelled onto the block ``V`` and kept as its ``_code``."""
+    return tuple(
+        (_code(tuple(V[x - 1] for x in b) for b in s), mu) for s, mu in mobius_top_table(len(V))
+    )
+
+
 # Catalan(8) entries: every interval of every partition up to n = 8.
 @lru_cache(maxsize=1430)
 def _interval_table(n: int, nc: Blocks) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -523,20 +532,15 @@ def _interval_table(n: int, nc: Blocks) -> tuple[tuple[int, ...], tuple[int, ...
 
     The interval is the product, over the blocks V of nc, of NC(|V|)
     relabelled onto V, and mu is the product of the factors' mu(sigma|V,
-    1_V) (Nica-Speicher, Lectures 9-10).  A factor entry is kept as its
-    ``_code``, so a product entry's code is the sum of its factors' codes.
+    1_V) (Nica-Speicher, Lectures 9-10).  Each block's factor entries are
+    read as ``_code``s from the per-block cache ``_block_factors``, so a
+    product entry's code is the sum of its factors' codes.
     """
-    factors = [
-        [(_code(tuple(V[x - 1] for x in b) for b in s), mu) for s, mu in mobius_top_table(len(V))]
-        for V in nc
-    ]
+    found = [(0, 1)]
+    for V in nc:
+        found = [(c + code, m * mu) for c, m in found for code, mu in _block_factors(V)]
     index = _nc_index(n)
-    found = []
-    for combo in product(*factors):
-        codes, mus = zip(*combo)
-        found.append((index[sum(codes)], prod(mus)))
-    found.sort()
-    indices, mus = zip(*found)
+    indices, mus = zip(*sorted((index[c], m) for c, m in found))
     return indices, mus
 
 

@@ -59,6 +59,8 @@ _depth = _checked(int, lambda n: n >= 0, "must be >= 0")
 
 
 def _jsonable(obj):
+    if isinstance(obj, (int, str)):  # a bool is an int
+        return obj
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

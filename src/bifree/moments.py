@@ -351,7 +351,8 @@ def bifree_test(
     is ``_scalar_top_cumulant``, which walks the block index of the
     per-length Moebius table, clears every partition with a block whose
     value is exactly 0 and asks the moment functional for each block's
-    value once per word.  Both apply one zero-block rule; the direct call
+    value once per scan, from a dict made per call and keyed by the
+    block's letters.  Both apply one zero-block rule; the direct call
     stays because routing d = 1 through ``cumulant_pi`` cost +30% to +38%
     ``lattice-scan`` CPU (0.094-0.098 s -> 0.127-0.129 s, three pairs).
     """
@@ -374,13 +375,14 @@ def bifree_test(
     residuals = []
     words = []
     violations = []
+    values: dict = {}
     for n in range(2, max_order + 1):
         for word in product(syms, repeat=n):
             if len({fam[s] for s in word}) < 2:
                 continue
             chi = ChiWord(s.side for s in word)
             if F.dim == 1:
-                r = abs(_scalar_top_cumulant(F, word, chi))
+                r = abs(_scalar_top_cumulant(F, word, chi, values))
             else:
                 val = cumulant_pi(F, one_partition(chi), [Monomial([s]) for s in word])
                 r = maxabs(val)
@@ -411,22 +413,25 @@ def bifree_test(
     }
 
 
-def _scalar_top_cumulant(F: MomentFunctional, word, chi: ChiWord) -> complex:
+def _scalar_top_cumulant(F: MomentFunctional, word, chi: ChiWord, values=None) -> complex:
     """Top cumulant of a word of generators over scalar coefficients.
 
     Scalar moments factor over blocks, so the sum runs over the per-length
     table ``mobius_top_table(n)`` through its block index
     ``top_block_index(n)``: the set bits of a mask of live entries are
     walked in table order, and each NC block is resolved to its positions
-    the first time an entry needs it, and its value is read from ``F``
-    once per word.  A block whose value is exactly 0 (a NaN is not) clears at
-    once every entry that has it: those entries add exact zeros.  Every
-    other entry multiplies mu by its block values in order of smallest
-    position, as ``enumerate_bnc(chi)`` lists the blocks, and is added in
-    table order: the terms and the order of a scan of every entry.
+    the first time an entry needs it.  Its value is read from ``F`` only
+    if ``values`` (keyed by the block's letters in position order, and kept
+    by ``bifree_test`` over one scan) lacks it.  A block whose value is
+    exactly 0 (a NaN is not) clears at once every entry that has it: those
+    entries add exact zeros.  Every other entry multiplies mu by its block
+    values in order of smallest position, as ``enumerate_bnc(chi)`` lists
+    the blocks, and is added in table order: the terms and the order of a
+    scan of every entry.
     """
     s = s_chi(chi)
     index = top_block_index(chi.n)
+    values = {} if values is None else values
     # Block id -> (smallest position, value) for the blocks read so far.
     factor: dict = {}
     alive = (1 << len(index.sigmas)) - 1
@@ -438,7 +443,10 @@ def _scalar_top_cumulant(F: MomentFunctional, word, chi: ChiWord) -> complex:
             f = factor.get(b)
             if f is None:
                 pos = sorted(s[x - 1] for x in index.blocks[b])
-                v = complex(F.expect(Monomial([word[k - 1] for k in pos]))[0, 0])
+                letters = tuple(word[k - 1] for k in pos)
+                v = values.get(letters)
+                if v is None:
+                    v = values[letters] = complex(F.expect(Monomial(letters))[0, 0])
                 f = factor[b] = (pos[0], v)
             if f[1] == 0:
                 alive &= ~index.contains[b]

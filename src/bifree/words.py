@@ -9,7 +9,7 @@ oracle assigning a ``(d, d)`` expectation matrix to every monomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable
 
@@ -46,7 +46,7 @@ class GeneratorSymbol:
         return self._hash
 
     def star(self) -> "GeneratorSymbol":
-        return replace(self, adjoint=not self.adjoint)
+        return GeneratorSymbol(self.name, self.side, not self.adjoint, self.family)
 
     @property
     def display(self) -> str:

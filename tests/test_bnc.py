@@ -17,6 +17,7 @@ from oracles import (
 from bifree.bnc import (
     MAX_ENUM_N,
     BncPartition,
+    _block_factors,
     _interval_table,
     _nc_all,
     ChiWord,
@@ -404,6 +405,12 @@ def test_lower_interval_matches_scan_sampled():
 def test_interval_cache_is_bounded():
     info = _interval_table.cache_info()
     assert info.maxsize is not None and info.maxsize >= catalan(8)
+
+
+def test_block_factor_cache_is_bounded():
+    # room for every block of a partition of 1..n up to n = 8
+    info = _block_factors.cache_info()
+    assert info.maxsize is not None and info.maxsize >= 2**8 - 1
 
 
 def test_lower_interval_sizes():

@@ -374,13 +374,6 @@ def test_conj_check_evaluates_each_moment_once(capsys, monkeypatch):
     assert seen and len(seen) == len(set(seen))
 
 
-def _strict_json(text: str) -> dict:
-    def reject(name):
-        raise ValueError(f"non-finite JSON constant {name}")
-
-    return json.loads(text, parse_constant=reject)
-
-
 # The fisher and entropy tests below also apply the output checks of the
 # benchmark's conj-laws workload, so a renamed or non-finite field fails here.
 

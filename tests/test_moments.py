@@ -386,10 +386,10 @@ def test_scalar_cumulant_chi_lattice_counts_pinned(monkeypatch):
 def test_scalar_scan_work_pinned(monkeypatch):
     # On the default d=1 model at order 7 a block whose value is 0 clears
     # every partition that has it, so the scan visits 7,011 table entries
-    # of the 63,728 that the 240 words' tables hold and asks the functional
-    # for 7,801 block moments, where reading the blocks of each word's
-    # partitions made 14,193 calls.  The functional's cache computes 250 of
-    # them, each distinct sub-word once.
+    # of the 63,728 that the 240 words' tables hold.  Block values are kept
+    # for the whole scan, so the functional is asked once for each of the
+    # 250 distinct sub-words, where asking once per word made 7,801 calls
+    # and reading the blocks of each word's partitions 14,193.
     m = make_bisemicircular([CPMap.identity(1)], [CPMap.identity(1)])
     oracle, computed = vacuum_expectation(m.model), [0]
 
@@ -420,7 +420,23 @@ def test_scalar_scan_work_pinned(monkeypatch):
     F = Counting(counted, 1)
     rep = bifree_test(F, m.symbols, max_order=7)
     assert rep["pass"] and rep["tested"] == 240 and rep["max_residual"] == 0.0
-    assert (visits[0], F.calls, computed[0]) == (7011, 7801, 250)
+    assert (visits[0], F.calls, computed[0]) == (7011, 250, 250)
+
+
+def test_scan_block_values_live_one_call():
+    # The two models' symbols compare equal but their moments differ.  A
+    # right symbol z = D1 of its own family plants var(D1) as the mixed
+    # cumulant k(D1, z): 1 in the first model, 1.3 ** 2 in the second; every
+    # other mixed cumulant is 0.  A block value kept from an earlier call
+    # would give a later one the other model's report.
+    models = [(CPMap.identity(1), CPMap.identity(1)), (CPMap([[[0.7]]]), CPMap([[[1.3]]]))]
+    for (left, right), var in zip(models * 2, (1.0, 1.3**2) * 2):
+        m = make_bisemicircular([left], [right])
+        D1 = m.symbol("D1")
+        z = m.model.combination_symbol("z", "r", [(1.0, D1)], family="z")
+        rep = bifree_test(m.functional, [m.symbol("S1"), D1, z], max_order=4)
+        assert rep["max_residual"] == pytest.approx(var, rel=1e-12)
+        assert [v["word"] for v in rep["violations"]] == [["D1", "z"], ["z", "D1"]]
 
 
 def _nan_model(d, rng):
