@@ -18,6 +18,7 @@ from bifree.conjvar import (
     _gauss_legendre,
     aaf_check,
     circular_candidates,
+    circular_entropy_experiment,
     conj_residual,
     entropy_chi_star,
     eta_flip,
@@ -29,7 +30,7 @@ from bifree.conjvar import (
     semicircular_entropy_experiment,
     solve_conjugate,
 )
-from bifree.fock import FockVector, make_bisemicircular, make_circular_pair
+from bifree.fock import FockModel, FockVector, make_bisemicircular, make_circular_pair
 from bifree.words import GeneratorSymbol, Lb, Monomial, MomentFunctional, Rb
 
 ONE = CPMap.identity(1)
@@ -574,3 +575,20 @@ def test_semicircular_entropy_quick():
     assert rep["pass"]
     assert rep["max_integrand_abs"] <= 1e-9
     assert abs(rep["value"] - 0.5 * math.log(2 * math.pi * math.e)) <= 1e-3
+
+
+def test_circular_entropy_registers_each_node_once(monkeypatch):
+    # The pair curve and the lift curve read the same 96 nodes and 2 spots,
+    # and each of the 98 times registers its four perturbed symbols once:
+    # 392 plus the two-pair model's 16.  800 when each curve registered its
+    # own, the second time as a check that the tables are equal.
+    calls = []
+    register_symbol = FockModel.register_symbol
+
+    def counted(self, sym, *args, **kwargs):
+        calls.append(sym)
+        return register_symbol(self, sym, *args, **kwargs)
+
+    monkeypatch.setattr(FockModel, "register_symbol", counted)
+    circular_entropy_experiment()
+    assert len(calls) == 408

@@ -6,7 +6,9 @@ each word under such swaps.  The walk carries each test word's right-hand
 side from its parent word; the oracle rebuilds it from the word alone,
 through a functional with its own moment cache.  They must agree exactly
 (``==``): the walk builds the same monomials and sums them in the same
-order.  Its residual is checked against the walk over every word, and the
+order, except that it leaves out each spliced monomial whose coefficient is
+exactly zero, whose trace ``+0j`` adds no bit to a sum that starts at
+``+0``.  Its residual is checked against the walk over every word, and the
 solver, which reads the same walk, against the breadth-first solver that
 applies every test word from the vacuum.
 """
@@ -17,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from bifree.balgebra import CPMap, matrix_units, random_belement, trace_d
+from bifree.balgebra import CPMap, matrix_unit, matrix_units, random_belement, trace_d
 from bifree.conjvar import (
     MatrixLift,
     PresenceContext,
@@ -256,6 +258,65 @@ def test_walk_visits_one_word_per_operator():
     for max_n, want in ((6, 28), (4, 15)):
         for xi, ctx in zip(*lifted_candidates(cp.model, cp.c_l, cp.c_r)):
             assert sum(1 for _ in _relation_walk(xi, ONE, ctx, max_n)) == want
+
+
+def _spliced_terms(xi, eta, ctx, max_n, monkeypatch):
+    """The walk's nodes, and the spliced terms it evaluates: its calls of
+    ``tau`` on the candidate's functional."""
+    calls = []
+    tau = MomentFunctional.tau
+
+    def counted(self, word):
+        if self is xi.functional:
+            calls.append(word)
+        return tau(self, word)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MomentFunctional, "tau", counted)
+        nodes = list(_relation_walk(xi, eta, ctx, max_n))
+    return nodes, calls
+
+
+def test_walk_leaves_out_zero_splices(monkeypatch):
+    # 564 of the 1,023 spliced terms of a circular candidate at length 6
+    # have a coefficient that is exactly zero, and so do 22 of the 56 of a
+    # lifted carrier.
+    cp = CircularPairModel()
+    for family, want in ((circular_candidates, 459), (lifted_candidates, 34)):
+        for xi, ctx in zip(*family(cp.model, cp.c_l, cp.c_r)):
+            _, calls = _spliced_terms(xi, ONE, ctx, 6, monkeypatch)
+            assert len(calls) == want, xi.target
+
+
+def test_nan_coefficient_is_spliced():
+    # A covariance map that returns NaN makes every spliced coefficient NaN,
+    # and NaN is not zero: the right-hand sides, hence the residual, are NaN.
+    m = make_bisemicircular([ONE], [])
+    s = m.symbol("S1")
+    xi = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
+    eta = CPMap([np.array([[math.nan]])])
+    assert math.isnan(conj_residual(xi, eta, PresenceContext(), 2))
+
+
+def test_zero_matrix_splices_match_oracle(monkeypatch):
+    # d=2: eta keeps the diagonal only, so the coefficient of the tail
+    # Lb(E12) is zero although its moment is not, and the tails S1 and
+    # Lb(E12) S1 have the zero matrix as moment.  Left out, they change no
+    # right-hand side.
+    e11, e12, e22 = (matrix_unit(2, i, j) for i, j in ((1, 1), (1, 2), (2, 2)))
+    eta = CPMap([e11, e22 / 2.0])
+    model = make_bisemicircular([eta], [eta])
+    s, d1 = model.symbol("S1"), model.symbol("D1")
+    fresh = MomentFunctional(vacuum_expectation(model.model), model.dim)
+    assert np.count_nonzero(fresh.expect(Monomial([Lb(e12)])))
+    assert not np.count_nonzero(eta(e12))
+    for tail in ((s,), (Lb(e12), s)):
+        assert not np.count_nonzero(fresh.expect(Monomial(tail)))
+    xi = VectorCandidate(s, model.model.vector_of(Monomial([s])), model.model)
+    ctx = PresenceContext((), (d1,))
+    nodes, calls = _spliced_terms(xi, eta, ctx, 3, monkeypatch)
+    assert len(calls) < sum(word.count(s) for word, _, _ in nodes)
+    _check_walk(xi, eta, ctx, fresh, 3)
 
 
 def test_walk_keeps_letters_of_mixed_action_apart():
