@@ -9,7 +9,7 @@ factor-two relation between a circular pair and its matrix carriers.
 """
 
 from bifree import (
-    conj_residual,
+    check_candidates,
     fisher_info,
     fisher_minimization_experiment,
     h_closed_form,
@@ -18,19 +18,17 @@ from bifree import (
 from bifree.balgebra import CPMap
 from bifree.conjvar import scaled_semicircular, semicircular_perturbation
 
-one = CPMap.identity(1)
-
 print("the standard semicircular element is its own conjugate variable:")
 (cand,), (ctx,) = scaled_semicircular(1.0)
-r = conj_residual(cand, one, ctx, 6)
-print(f"  residual over words up to length 6: {r:.2e}")
-print(f"  Fisher information: {fisher_info([cand]):g}")
+chk = check_candidates([cand], [ctx], 6)
+print(f"  residual over words up to length 6: {chk['max_residual']:.2e}")
+print(f"  Fisher information: {chk['fisher']:g}")
 
 print("\nscaling by lambda scales the conjugate by 1/lambda:")
 for lam in (0.5, 2.0):
-    cands, ctxs = scaled_semicircular(lam)
-    r = conj_residual(cands[0], one, ctxs[0], 6)
-    print(f"  lambda={lam}: residual {r:.2e}, Fisher {fisher_info(cands):g} = 1/lambda^2")
+    chk = check_candidates(*scaled_semicircular(lam), 6)
+    r, phi = chk["max_residual"], chk["fisher"]
+    print(f"  lambda={lam}: residual {r:.2e}, Fisher {phi:g} = 1/lambda^2")
 
 print("\nperturbing by an independent semicircular decays the information:")
 family = semicircular_perturbation()
@@ -39,7 +37,7 @@ for t in (0.0, 0.5, 1.0, 2.0, 10.0):
     print(f"  t={t:>4}: Fisher {phi:.6f}   closed form {h_closed_form(t, 1, 1):.6f}")
 
 print("\nthe least-squares solver finds the same candidate from scratch:")
-solved, resid = solve_conjugate(cand.model, cand.target, one, ctx, max_n=4)
+solved, resid = solve_conjugate(cand.model, cand.target, CPMap.identity(1), ctx, max_n=4)
 print(f"  solver residual {resid:.2e}, Fisher {fisher_info([solved]):.6f}")
 
 print("\nminimization experiment: circular pair vs its self-adjoint carriers")

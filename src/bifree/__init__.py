@@ -30,6 +30,7 @@ from .conjvar import (
     VectorCandidate,
     WordCandidate,
     aaf_check,
+    check_candidates,
     circular_entropy_experiment,
     conj_residual,
     entropy_chi_star,

@@ -22,10 +22,9 @@ from .balgebra import CPMap, maxabs, random_belement, random_cpmap, worst_at
 from .bnc import BncPartition, ChiWord, catalan, enumerate_bnc, mobius_bnc
 from .conjvar import (
     aaf_check,
+    check_candidates,
     circular_entropy_experiment,
-    conj_residual,
     eta_flip,
-    fisher_info,
     fisher_minimization_experiment,
     h_closed_form,
     matrix_lift,
@@ -266,35 +265,29 @@ def criterion_6_bifree_detector(seed: int = 0):
 
 @_criterion("conjugate variables (scalings, Fisher, Cramer-Rao)")
 def criterion_7_conjugate_variables(seed: int = 0):
-    one = CPMap.identity(1)
-    runs = {}  # lam -> (candidate, residual, Fisher information)
-    for lam in (1.0, 0.5, 2.0):
-        cands, ctxs = scaled_semicircular(lam)
-        runs[lam] = (cands[0], conj_residual(cands[0], one, ctxs[0], 6), fisher_info(cands))
-    ok = all(r <= 1e-9 and abs(phi - 1.0 / lam**2) <= 1e-9 for lam, (_, r, phi) in runs.items())
-    cand, r, phi = runs.pop(1.0)
-    cr = phi * cand.functional.tau(Monomial([cand.target] * 2)).real
+    runs = {lam: check_candidates(*scaled_semicircular(lam), 6) for lam in (1.0, 0.5, 2.0)}
+    ok = all(
+        c["max_residual"] <= 1e-9 and abs(c["fisher"] - 1.0 / lam**2) <= 1e-9
+        for lam, c in runs.items()
+    )
+    base = runs.pop(1.0)
+    r, phi, cr = base["max_residual"], base["fisher"], base["cramer_rao_product"]
     ok = ok and abs(cr - 1.0) <= 1e-9
     details = [f"xi=S residual {r:.2e}"]
-    for lam, (_, r_lam, phi_lam) in runs.items():
-        details.append(f"lam={lam}: residual {r_lam:.2e}, Fisher {phi_lam:.6f}")
+    for lam, c in runs.items():
+        details.append(f"lam={lam}: residual {c['max_residual']:.2e}, Fisher {c['fisher']:.6f}")
     details.append(f"Fisher(s)={phi:.9f}, Cramer-Rao product {cr:.9f}")
     return ok, "; ".join(details)
 
 
 @_criterion("perturbation law h(t) = 1/(1+t)")
 def criterion_8_perturbation_law(seed: int = 0):
-    one = CPMap.identity(1)
     family = semicircular_perturbation()
     times = (0.0, 0.5, 1.0, 2.0, 10.0)
-    residuals = []
-    values = []
-    for t in times:
-        cands, ctxs = family(t)
-        residuals.append(conj_residual(cands[0], one, ctxs[0], 6))
-        values.append(fisher_info(cands))
+    checks = [check_candidates(*family(t), 6) for t in times]
+    values = [c["fisher"] for c in checks]
     worst, _ = worst_at(abs(phi - h_closed_form(t, 1.0, 1.0)) for t, phi in zip(times, values))
-    worst_resid, _ = worst_at(residuals)
+    worst_resid, _ = worst_at(c["max_residual"] for c in checks)
     decreasing = all(values[i] > values[i + 1] for i in range(len(values) - 1))
     ok = worst <= 1e-9 and worst_resid <= 1e-9 and decreasing
     return ok, (

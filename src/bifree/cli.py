@@ -23,8 +23,8 @@ from . import acceptance
 from .balgebra import CPMap, as_belement, belement_from_json, belement_to_json
 from .bnc import BncPartition, ChiWord, enumerate_bnc, find_bnc, mobius_bnc
 from .conjvar import (
+    check_candidates,
     circular_entropy_experiment,
-    conj_residual,
     fisher_info,
     fisher_minimization_experiment,
     scaled_semicircular,
@@ -194,21 +194,13 @@ def _cmd_fock_moment(args) -> int:
 
 
 def _cmd_conj_check(args) -> int:
-    one = CPMap.identity(1)
     (cand,), (ctx,) = scaled_semicircular(args.lam)
-    resid = conj_residual(cand, one, ctx, args.max_n)
-    phi = fisher_info([cand])
-    tau_sq = cand.functional.tau(Monomial([cand.target] * 2)).real
-    rep = {
-        "target": f"{args.lam:g}*semicircular",
-        "max_residual": resid,
-        "fisher": phi,
-        "cramer_rao_product": phi * tau_sq,
-        "pass": bool(resid <= args.tolerance),
-    }
+    rep = check_candidates([cand], [ctx], args.max_n)
+    rep["target"] = f"{args.lam:g}*semicircular"
+    rep["pass"] = bool(rep["max_residual"] <= args.tolerance)
     if args.solve:
         solved, solved_resid = solve_conjugate(
-            cand.model, cand.target, one, ctx, max_n=min(args.max_n, 4)
+            cand.model, cand.target, CPMap.identity(1), ctx, max_n=min(args.max_n, 4)
         )
         rep["solver_residual"] = solved_resid
         rep["solver_fisher"] = fisher_info([solved])
@@ -216,17 +208,18 @@ def _cmd_conj_check(args) -> int:
     return 0 if rep["pass"] else 1
 
 
-def _cmd_fisher_run(args) -> int:
-    rep = fisher_minimization_experiment()
-    _emit(rep, args)
-    return 0 if rep["pass"] else 1
+# ``fisher run`` and ``entropy run``: group -> experiment name -> experiment.
+_EXPERIMENTS = {
+    "fisher": {"circular-min": fisher_minimization_experiment},
+    "entropy": {
+        "semicircular-max": semicircular_entropy_experiment,
+        "circular-pair": circular_entropy_experiment,
+    },
+}
 
 
-def _cmd_entropy_run(args) -> int:
-    if args.experiment == "semicircular-max":
-        rep = semicircular_entropy_experiment()
-    else:
-        rep = circular_entropy_experiment()
+def _cmd_experiment(args) -> int:
+    rep = _EXPERIMENTS[args.group][args.experiment]()
     _emit(rep, args)
     return 0 if rep["pass"] else 1
 
@@ -327,23 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_options(p)
     p.set_defaults(func=_cmd_conj_check)
 
-    p_fisher = sub.add_parser("fisher", help="Fisher information").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = p_fisher.add_parser("run", help="run a Fisher experiment")
-    p.add_argument("--experiment", required=True, choices=("circular-min",))
-    _add_config_options(p)
-    p.set_defaults(func=_cmd_fisher_run)
-
-    p_ent = sub.add_parser("entropy", help="entropy").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = p_ent.add_parser("run", help="run an entropy experiment")
-    p.add_argument(
-        "--experiment", required=True, choices=("semicircular-max", "circular-pair")
-    )
-    _add_config_options(p)
-    p.set_defaults(func=_cmd_entropy_run)
+    for group, about, run_help in (
+        ("fisher", "Fisher information", "run a Fisher experiment"),
+        ("entropy", "entropy", "run an entropy experiment"),
+    ):
+        p_run = sub.add_parser(group, help=about).add_subparsers(dest="cmd", required=True)
+        p = p_run.add_parser("run", help=run_help)
+        p.add_argument("--experiment", required=True, choices=tuple(_EXPERIMENTS[group]))
+        _add_config_options(p)
+        p.set_defaults(func=_cmd_experiment)
 
     p_ver = sub.add_parser("verify", help="acceptance suite").add_subparsers(
         dest="cmd", required=True

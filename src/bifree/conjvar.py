@@ -23,6 +23,9 @@ model's, or its lift's), so the walk reads no other.
 ``solve_conjugate`` reads its least-squares rows from the same walk;
 everything downstream (Fisher information, the perturbation law, entropy
 integrals, the minimization experiments) consumes verified candidates.
+``check_candidates`` computes a system's verdict numbers (worst residual,
+Fisher information, Cramer-Rao product) for ``conj check``, acceptance
+criteria 7 and 8, ``fisher_minimization_experiment`` and demo 04.
 """
 
 from __future__ import annotations
@@ -670,6 +673,22 @@ def _worst_residual(cands: Sequence, ctxs: Sequence, max_n: int) -> float:
     return worst_at(conj_residual(c, eta1, x, max_n) for c, x in zip(cands, ctxs))[0]
 
 
+def check_candidates(cands: Sequence, ctxs: Sequence, max_n: int) -> dict:
+    """The verdict numbers of a conjugate system, each computed here only.
+
+    ``max_residual`` is ``_worst_residual`` over test words of up to
+    ``max_n`` letters, ``fisher`` is ``fisher_info(cands)`` and
+    ``cramer_rao_product`` is that times the sum over the targets x of
+    ``tau(x x)``: for K self-adjoint targets at least K^2, with equality for
+    free semicirculars of one variance (Voiculescu, *Analogues of entropy V*,
+    1998).
+    """
+    resid = _worst_residual(cands, ctxs, max_n)
+    phi = fisher_info(cands)
+    tau_sq = sum(c.functional.tau(Monomial([c.target] * 2)).real for c in cands)
+    return {"max_residual": resid, "fisher": phi, "cramer_rao_product": phi * tau_sq}
+
+
 def _verify_then_integrate(family, K: float, spots: Sequence[float], max_n: int):
     """Check a perturbation family's candidates, then integrate its Fisher values.
 
@@ -693,17 +712,12 @@ def fisher_minimization_experiment(max_n: int = 6) -> dict:
     Cramer-Rao product on the lifted side (expected: exactly K^2 = 4).
     """
     cp = CircularPairModel()
-    cands, ctxs = circular_candidates(cp.model, cp.c_l, cp.c_r)
-    lifted, lifted_ctxs = lifted_candidates(cp.model, cp.c_l, cp.c_r)
-    max_resid = _worst_residual(cands + lifted, ctxs + lifted_ctxs, max_n)
-    lhs = fisher_info(cands)
-    rhs = fisher_info(lifted)
-
+    pair = check_candidates(*circular_candidates(cp.model, cp.c_l, cp.c_r), max_n)
+    lift = check_candidates(*lifted_candidates(cp.model, cp.c_l, cp.c_r), max_n)
+    max_resid = worst_at((pair["max_residual"], lift["max_residual"]))[0]
+    lhs, rhs = pair["fisher"], lift["fisher"]
     ratio = lhs / rhs
-    tau2 = lifted[0].functional
-    X, Y = (c.target for c in lifted)
-    tau_sq = (tau2.tau(Monomial([X, X])) + tau2.tau(Monomial([Y, Y]))).real
-    cramer_rao = rhs * tau_sq
+    cramer_rao = lift["cramer_rao_product"]
     ok = abs(ratio - 2.0) <= 1e-6 and max_resid <= 1e-9
     return {
         "lhs": lhs,

@@ -278,10 +278,8 @@ def hat_embed(pi: BncPartition, group_sizes: Sequence[int], chi_hat: ChiWord) ->
     """
     if pi.n != len(group_sizes):
         raise ValueError("group count does not match the partition size")
+    grouped_chi = chi_of_groups(chi_hat, group_sizes)  # validates the grouping
     ranges = group_offsets(group_sizes)
-    if ranges[-1][1] - 1 != chi_hat.n:
-        raise ValueError("group sizes do not sum to the expanded word length")
-    grouped_chi = chi_of_groups(chi_hat, group_sizes)  # validates constancy
     for p in range(1, pi.n):
         if grouped_chi.side(p) != pi.chi.side(p):
             raise ValueError(
@@ -341,11 +339,12 @@ def bifree_test(
     Words run over all sequences of the given generators whose family tags
     are not all equal; the side word is forced by the generators.  The report
     carries the worst offenders, which for a genuinely correlated family
-    exhibit the planted covariance at order two.  A residual that is not
-    finite fails the scan: the first one is reported as the maximum, and
-    such violations are listed first.  Mixed cumulants start at
-    order two, so ``max_order`` must lie in 2..8; ``tol`` must be positive
-    and finite.  At d > 1 each top cumulant is ``cumulant_pi``, which
+    exhibit the planted covariance at order two; a family with one family
+    tag is vacuous, tests no word and gets a report of the same shape.  A
+    residual that is not finite fails the scan: the first one is reported
+    as the maximum, and such violations are listed first.  Mixed cumulants
+    start at order two, so ``max_order`` must lie in 2..8; ``tol`` must be
+    positive and finite.  At d > 1 each top cumulant is ``cumulant_pi``, which
     reduces only the partitions with no block equal to a chi-interval of
     zero value (their moments are zero by bi-multiplicativity).  At d = 1 it
     is ``_scalar_top_cumulant``, which walks the block index of the
@@ -362,21 +361,12 @@ def bifree_test(
         raise ValueError("tol must be positive and finite")
     syms = list(symbols)
     fam = {s: s.family for s in syms}
-    if len({fam[s] for s in syms}) < 2:
-        return {
-            "pass": True,
-            "vacuous": True,
-            "max_residual": 0.0,
-            "tested": 0,
-            "tolerance": tol,
-            "max_order": max_order,
-            "violations": [],
-        }
+    vacuous = len(set(fam.values())) < 2
     residuals = []
     words = []
     violations = []
     values: dict = {}
-    for n in range(2, max_order + 1):
+    for n in () if vacuous else range(2, max_order + 1):  # a vacuous scan has no mixed word
         for word in product(syms, repeat=n):
             if len({fam[s] for s in word}) < 2:
                 continue
@@ -402,7 +392,7 @@ def bifree_test(
     worst, at = worst_at(residuals)
     return {
         "pass": not violations,
-        "vacuous": False,
+        "vacuous": vacuous,
         "max_residual": worst,
         "worst_word": None if at is None else [s.display for s in words[at]],
         "tested": len(residuals),

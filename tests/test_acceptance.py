@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from bifree import acceptance
+from bifree import acceptance, conjvar
 
 SEED = 0
 
@@ -62,8 +62,15 @@ def test_pinned_verdicts(suite):
     assert digest == CRITERIA_SHA256, criteria
 
 
+def test_criterion_7_fails_on_nan_residual(monkeypatch):
+    monkeypatch.setattr(conjvar, "conj_residual", lambda *args: math.nan)
+    result = acceptance.criterion_7_conjugate_variables(SEED)
+    assert not result.passed
+    assert "xi=S residual nan" in result.detail
+
+
 def test_criterion_8_fails_on_nan_residual(monkeypatch):
-    monkeypatch.setattr(acceptance, "conj_residual", lambda *args: math.nan)
+    monkeypatch.setattr(conjvar, "conj_residual", lambda *args: math.nan)
     result = acceptance.criterion_8_perturbation_law(SEED)
     assert not result.passed
     assert "residuals nan" in result.detail

@@ -17,7 +17,8 @@ from bifree.balgebra import belement_from_json, belement_to_json
 from bifree.bnc import BncPartition, ChiWord, enumerate_bnc
 from bifree.acceptance import CriterionResult
 from bifree.cli import main
-from bifree.fock import FockModel, make_standard_semicircular
+from bifree.conjvar import check_candidates, lifted_candidates, scaled_semicircular
+from bifree.fock import CircularPairModel, FockModel, make_standard_semicircular
 from bifree.moments import cumulants_from_moments, eval_moment_pi
 from bifree.words import Monomial
 
@@ -349,6 +350,21 @@ def test_conj_check(capsys):
     assert rep["pass"]
     assert abs(rep["fisher"] - 0.25) < 1e-9
     assert abs(rep["cramer_rao_product"] - 1.0) < 1e-9
+
+
+def test_cli_verdict_numbers_are_check_candidates(capsys):
+    # ``conj check`` and ``fisher run`` print check_candidates' numbers bit
+    # for bit: no CLI site computes a residual fold, Fisher sum or
+    # Cramer-Rao product of its own.
+    code, out = run_cli(capsys, "conj", "check", "--lam", "2.0", "--max-n", "6")
+    assert code == 0
+    want = check_candidates(*scaled_semicircular(2.0), 6)
+    assert {key: json.loads(out)[key] for key in want} == want
+    code, out = run_cli(capsys, "fisher", "run", "--experiment", "circular-min")
+    assert code == 0
+    cp = CircularPairModel()
+    lift = check_candidates(*lifted_candidates(cp.model, cp.c_l, cp.c_r), 6)
+    assert json.loads(out)["cramer_rao_product"] == lift["cramer_rao_product"]
 
 
 def test_conj_check_solver(capsys):

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from oracles import lift_expect_two_phase
 
+import bifree.conjvar
 from bifree.balgebra import CPMap, matrix_unit, maxabs, random_belement, trace_d
-from bifree.bnc import ChiWord, s_chi
+from bifree.bnc import RIGHT, ChiWord, s_chi
 from bifree.conjvar import (
     MatrixLift,
     PresenceContext,
     VectorCandidate,
+    WordCandidate,
     _gauss_legendre,
     aaf_check,
     circular_candidates,
@@ -560,6 +562,17 @@ def test_entropy_error_estimate_covers_the_error(a2, b2):
 
 
 # --- experiments ------------------------------------------------------------------------
+
+def test_fisher_minimization_residual_fold_keeps_nan(monkeypatch):
+    # Only the last candidate of the lifted side (the carrier Y) gives NaN:
+    # ``max`` would drop it in each side's fold and in the fold of the sides.
+    def resid(xi, *args):
+        return math.nan if isinstance(xi, WordCandidate) and xi.target.side == RIGHT else 0.0
+
+    monkeypatch.setattr(bifree.conjvar, "conj_residual", resid)
+    rep = fisher_minimization_experiment(max_n=2)
+    assert math.isnan(rep["max_residual"]) and rep["pass"] is False
+
 
 def test_fisher_minimization_quick():
     rep = fisher_minimization_experiment(max_n=4)

@@ -931,6 +931,20 @@ def test_bifree_scan_vacuous_single_family(scalar_model):
     assert rep["pass"] and rep["vacuous"]
 
 
+def test_bifree_scan_vacuous_report_has_full_shape(scalar_model, monkeypatch):
+    # A vacuous scan enumerates no word, yet reports the keys of a real one.
+    full = bifree_test(scalar_model.functional, scalar_model.symbols, max_order=3)
+
+    def no_words(*args, **kwargs):
+        raise AssertionError("a vacuous scan enumerated words")
+
+    monkeypatch.setattr(bifree.moments, "product", no_words)
+    rep = bifree_test(scalar_model.functional, [scalar_model.symbol("S1")], max_order=3)
+    assert rep.keys() == full.keys()
+    assert rep["vacuous"] and not full["vacuous"]
+    assert (rep["tested"], rep["violation_count"], rep["worst_word"]) == (0, 0, None)
+
+
 def test_bifree_scan_bounds(scalar_model):
     # Mixed cumulants start at order two; a NaN tolerance would pass anything.
     for max_order in (-1, 0, 1, 9):
