@@ -26,7 +26,6 @@ from .bnc import (
 from .conjvar import (
     LiftedPair,
     MatrixLift,
-    PresenceContext,
     VectorCandidate,
     WordCandidate,
     aaf_check,

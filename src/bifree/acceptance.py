@@ -265,7 +265,7 @@ def criterion_6_bifree_detector(seed: int = 0):
 
 @_criterion("conjugate variables (scalings, Fisher, Cramer-Rao)")
 def criterion_7_conjugate_variables(seed: int = 0):
-    runs = {lam: check_candidates(*scaled_semicircular(lam), 6) for lam in (1.0, 0.5, 2.0)}
+    runs = {lam: check_candidates(scaled_semicircular(lam), 6) for lam in (1.0, 0.5, 2.0)}
     ok = all(
         c["max_residual"] <= 1e-9 and abs(c["fisher"] - 1.0 / lam**2) <= 1e-9
         for lam, c in runs.items()
@@ -284,7 +284,7 @@ def criterion_7_conjugate_variables(seed: int = 0):
 def criterion_8_perturbation_law(seed: int = 0):
     family = semicircular_perturbation()
     times = (0.0, 0.5, 1.0, 2.0, 10.0)
-    checks = [check_candidates(*family(t), 6) for t in times]
+    checks = [check_candidates(family(t), 6) for t in times]
     values = [c["fisher"] for c in checks]
     worst, _ = worst_at(abs(phi - h_closed_form(t, 1.0, 1.0)) for t, phi in zip(times, values))
     worst_resid, _ = worst_at(c["max_residual"] for c in checks)

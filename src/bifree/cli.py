@@ -194,13 +194,13 @@ def _cmd_fock_moment(args) -> int:
 
 
 def _cmd_conj_check(args) -> int:
-    (cand,), (ctx,) = scaled_semicircular(args.lam)
-    rep = check_candidates([cand], [ctx], args.max_n)
+    (cand,) = cands = scaled_semicircular(args.lam)
+    rep = check_candidates(cands, args.max_n)
     rep["target"] = f"{args.lam:g}*semicircular"
     rep["pass"] = bool(rep["max_residual"] <= args.tolerance)
     if args.solve:
         solved, solved_resid = solve_conjugate(
-            cand.model, cand.target, CPMap.identity(1), ctx, max_n=min(args.max_n, 4)
+            cand.model, cand.target, CPMap.identity(1), (), max_n=min(args.max_n, 4)
         )
         rep["solver_residual"] = solved_resid
         rep["solver_fisher"] = fisher_info([solved])

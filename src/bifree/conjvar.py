@@ -23,9 +23,9 @@ model's, or its lift's), so the walk reads no other.
 ``solve_conjugate`` reads its least-squares rows from the same walk;
 everything downstream (Fisher information, the perturbation law, entropy
 integrals, the minimization experiments) consumes verified candidates.
-``check_candidates`` computes a system's verdict numbers (worst residual,
-Fisher information, Cramer-Rao product) for ``conj check``, acceptance
-criteria 7 and 8, ``fisher_minimization_experiment`` and demo 04.
+A conjugate system is a list of candidates; ``check_candidates`` tests
+each among the other candidates' targets and computes the system's verdict
+numbers for ``conj check``, criteria 7 and 8, the experiments and demo 04.
 """
 
 from __future__ import annotations
@@ -50,25 +50,6 @@ from .words import (
     Rb,
     as_monomial,
 )
-
-
-@dataclass(frozen=True)
-class PresenceContext:
-    """Generators adjoined to the two faces beyond the coefficient algebra."""
-
-    left_gens: tuple = ()
-    right_gens: tuple = ()
-
-    def __post_init__(self):
-        for g in self.left_gens:
-            if g.side != LEFT:
-                raise ValueError(f"{g!r} is not a left generator")
-        for g in self.right_gens:
-            if g.side != RIGHT:
-                raise ValueError(f"{g!r} is not a right generator")
-
-    def generators(self) -> tuple:
-        return tuple(self.left_gens) + tuple(self.right_gens)
 
 
 class VectorCandidate:
@@ -137,16 +118,16 @@ class WordCandidate:
         return float(abs(self.scale) ** 2 * raw)
 
 
-def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, max_n: int):
+def _relation_walk(xi, eta: CPMap, others: Sequence, max_n: int):
     """One test word per operator, with the candidate's state and the
     relation's right side.
 
     Yields ``(word, state, rhs)`` for words of up to ``max_n`` letters over
-    the target, the presence generators and, when the coefficient algebra is
-    nontrivial, left/right insertions of its matrix unit basis.  Words grow
-    from the left, depth first, so each state is reused across all its
-    extensions and only keeps the components that the longest extension can
-    still bring back to depth 0.
+    the target, the generators ``others`` present beside it (in that order)
+    and, for a nontrivial coefficient algebra, left/right insertions of its
+    matrix unit basis.  Words grow from the left, depth first, so each state
+    is reused across all its extensions and only keeps the components that
+    the longest extension can still bring back to depth 0.
 
     Letters that the candidate's ``pure_side`` puts on opposite sides are
     independent: they commute as operators, so words that differ by
@@ -186,7 +167,7 @@ def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, max_n: int):
         raise ValueError("max_n must be in 0..8")
     target, F = xi.target, xi.functional
     coeff = Lb if target.side == LEFT else Rb
-    alphabet: list = [target] + list(ctx.generators())
+    alphabet: list = [target, *others]
     if F.dim > 1:
         for e in matrix_units(F.dim):
             alphabet.append(Lb(e))
@@ -230,7 +211,7 @@ def _relation_walk(xi, eta: CPMap, ctx: PresenceContext, max_n: int):
     yield from walk((), xi.initial_state(), [], 0)
 
 
-def conj_residual(xi, eta: CPMap, ctx: PresenceContext, max_n: int) -> float:
+def conj_residual(xi, eta: CPMap, others: Sequence, max_n: int) -> float:
     """Worst violation of the conjugate-variable moment relations.
 
     The maximum, over the test words of ``_relation_walk``, of the distance
@@ -239,7 +220,7 @@ def conj_residual(xi, eta: CPMap, ctx: PresenceContext, max_n: int) -> float:
     returned as it is.  Both sides read the moment functional that the
     candidate carries.
     """
-    walk = _relation_walk(xi, eta, ctx, max_n)
+    walk = _relation_walk(xi, eta, others, max_n)
     return worst_at(abs(xi.tau(state) - rhs) for _, state, rhs in walk)[0]
 
 
@@ -274,7 +255,7 @@ def solve_conjugate(
     model: FockModel,
     target: GeneratorSymbol,
     eta: CPMap,
-    ctx: PresenceContext,
+    others: Sequence,
     max_n: int = 4,
 ):
     """Least-squares conjugate candidate over the words of up to three letters.
@@ -287,7 +268,7 @@ def solve_conjugate(
     candidate together with its verified residual; the residual is
     reported, never trusted silently.
     """
-    alphabet = [target] + list(ctx.generators())
+    alphabet = [target, *others]
     basis_words = [()]
     frontier = [()]
     for _ in range(3):
@@ -297,7 +278,7 @@ def solve_conjugate(
 
     cands = [VectorCandidate(target, v, model) for v in basis]
     rows, rhs_vec = [], []
-    for _, states, rhs in _relation_walk(_Lockstep(cands), eta, ctx, max_n):
+    for _, states, rhs in _relation_walk(_Lockstep(cands), eta, others, max_n):
         rows.append([c.tau(state) for c, state in zip(cands, states)])
         rhs_vec.append(rhs)
     sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs_vec), rcond=None)
@@ -305,7 +286,7 @@ def solve_conjugate(
     for c, v in zip(sol, basis):
         vec = vec + v.scaled(c)
     cand = VectorCandidate(target, vec.prune(1e-14), model)
-    return cand, conj_residual(cand, eta, ctx, max_n)
+    return cand, conj_residual(cand, eta, others, max_n)
 
 
 # --- matrix lift --------------------------------------------------------------
@@ -594,46 +575,38 @@ def entropy_chi_star(fisher_of_t: Callable[[float], float], K: float) -> dict:
 # --- experiments ---------------------------------------------------------------
 
 def circular_candidates(model: FockModel, z, w, scale: float = 1.0):
-    """Conjugate candidates of a circular pair, with their presence contexts.
+    """Conjugate candidates of a circular pair: for z, z*, w and w*.
 
     The candidate for each element is ``scale`` times the state of its
     adjoint: the real and imaginary parts are variance-1/2 semicircular,
     whose conjugate variables are twice themselves, and the
-    non-self-adjoint recombination lands on the adjoint state.  Each
-    element is tested in the presence of the other three.
+    non-self-adjoint recombination lands on the adjoint state.
     """
-    z_star, w_star = z.star(), w.star()
 
     def cand(target, partner):
         vec = model.vector_of(Monomial([partner])).scaled(scale)
         return VectorCandidate(target, vec, model)
 
-    cands = [cand(z, z_star), cand(z_star, z), cand(w, w_star), cand(w_star, w)]
-    ctxs = [
-        PresenceContext((z_star,), (w, w_star)),
-        PresenceContext((z,), (w, w_star)),
-        PresenceContext((z, z_star), (w_star,)),
-        PresenceContext((z, z_star), (w,)),
-    ]
-    return cands, ctxs
+    return [cand(z, z.star()), cand(z.star(), z), cand(w, w.star()), cand(w.star(), w)]
 
 
 def scaled_semicircular(lam: float):
-    """Candidate for ``lam * S1`` on a fresh scalar model: the state of
-    ``S1`` over ``lam`` (Fisher information ``1/lam^2``), with its empty
-    presence context, each in a one-element list."""
+    """Candidate for ``lam * S1`` on a fresh scalar model, in a one-element
+    list: the state of ``S1`` over ``lam`` (Fisher information
+    ``1/lam^2``).  The target is self-adjoint, since ``lam`` is real."""
     m = make_bisemicircular([CPMap.identity(1)], [])
     s = m.symbol("S1")
     target = m.model.combination_symbol(f"{lam!r}*S1", s.side, [(lam, s)])
+    m.model.register_symbol(target, m.model.symbol_actions[target], self_adjoint=True)
     vec = m.model.vector_of(Monomial([s])).scaled(1.0 / lam)
-    return [VectorCandidate(target, vec, m.model)], [PresenceContext()]
+    return [VectorCandidate(target, vec, m.model)]
 
 
 def semicircular_perturbation():
     """The family t -> candidates for ``u[t] = S1 + sqrt(t) S2``, free
     semicircular of variance ``1 + t`` on one scalar model: the state of
-    ``u[t]`` over ``1 + t`` (Fisher information ``1/(1 + t)``), with its
-    empty presence context, each in a one-element list."""
+    self-adjoint ``u[t]`` over ``1 + t`` (Fisher information
+    ``1/(1 + t)``), in a one-element list."""
     m = make_bisemicircular([CPMap.identity(1)] * 2, [])
     s, s2 = m.symbol("S1"), m.symbol("S2")
 
@@ -641,8 +614,9 @@ def semicircular_perturbation():
         u = m.model.combination_symbol(
             f"u[{t!r}]", LEFT, [(1.0, s), (math.sqrt(t), s2)], family="u"
         )
+        m.model.register_symbol(u, m.model.symbol_actions[u], self_adjoint=True)
         vec = m.model.vector_of(Monomial([u])).scaled(1.0 / (1.0 + t))
-        return [VectorCandidate(u, vec, m.model)], [PresenceContext()]
+        return [VectorCandidate(u, vec, m.model)]
 
     return family
 
@@ -652,54 +626,56 @@ def lifted_candidates(model: FockModel, z, w, scale: float = 1.0):
 
     The pair ``z``, ``w`` are symbols of ``model``, whose functional the lift
     reads.  Each self-adjoint carrier is its own conjugate variable up to
-    ``scale`` and is tested in the presence of the other.  Returns the
-    candidates for X and Y, which carry the lift's trace functional and the
-    lift's pure sides over ``model``, and their presence contexts.
+    ``scale``.  Returns the candidates for X and Y, which carry the lift's
+    trace functional and the lift's pure sides over ``model``.
     """
     pair = matrix_lift(model.functional, z, w)
     tau2 = pair.lift.functional
     side = functools.partial(pair.lift.pure_side, model=model)
-    cands = [
+    return [
         WordCandidate(pair.X, Monomial([pair.X]), tau2, side, scale),
         WordCandidate(pair.Y, Monomial([pair.Y]), tau2, side, scale),
     ]
-    ctxs = [PresenceContext((), (pair.Y,)), PresenceContext((pair.X,), ())]
-    return cands, ctxs
 
 
-def _worst_residual(cands: Sequence, ctxs: Sequence, max_n: int) -> float:
-    """Worst conjugate residual (eta = id) of candidates in their contexts."""
+def _worst_residual(cands: Sequence, max_n: int) -> float:
+    """Worst conjugate residual (eta = id) of a conjugate system: each
+    candidate among the other candidates' targets, in system order, since a
+    system's conjugate variables are relative to the algebra that all its
+    variables generate (Voiculescu, *Analogues of entropy V*, 1998)."""
     eta1 = CPMap.identity(1)
-    return worst_at(conj_residual(c, eta1, x, max_n) for c, x in zip(cands, ctxs))[0]
+    ts = [c.target for c in cands]
+    others = (ts[:i] + ts[i + 1:] for i in range(len(ts)))
+    return worst_at(conj_residual(c, eta1, x, max_n) for c, x in zip(cands, others))[0]
 
 
-def check_candidates(cands: Sequence, ctxs: Sequence, max_n: int) -> dict:
+def check_candidates(cands: Sequence, max_n: int) -> dict:
     """The verdict numbers of a conjugate system, each computed here only.
 
     ``max_residual`` is ``_worst_residual`` over test words of up to
     ``max_n`` letters, ``fisher`` is ``fisher_info(cands)`` and
     ``cramer_rao_product`` is that times the sum over the targets x of
-    ``tau(x x)``: for K self-adjoint targets at least K^2, with equality for
+    ``tau(x* x)``: for K self-adjoint targets at least K^2, with equality for
     free semicirculars of one variance (Voiculescu, *Analogues of entropy V*,
-    1998).
+    1998); the four elements of a circular pair read K^2 = 16 as well.
     """
-    resid = _worst_residual(cands, ctxs, max_n)
+    resid = _worst_residual(cands, max_n)
     phi = fisher_info(cands)
-    tau_sq = sum(c.functional.tau(Monomial([c.target] * 2)).real for c in cands)
+    tau_sq = sum(c.functional.tau(Monomial([c.target.star(), c.target])).real for c in cands)
     return {"max_residual": resid, "fisher": phi, "cramer_rao_product": phi * tau_sq}
 
 
 def _verify_then_integrate(family, K: float, spots: Sequence[float], max_n: int):
     """Check a perturbation family's candidates, then integrate its Fisher values.
 
-    ``family`` maps a time t to conjugate candidates and their presence
-    contexts.  Returns the worst residual over the candidates at the times
-    ``spots``, and the ``entropy_chi_star`` report (96 Fisher evaluations on
-    two Gauss-Legendre panels, with an error estimate) of t -> the Fisher
-    information of the candidates at t.
+    ``family`` maps a time t to a conjugate system.  Returns the worst
+    residual over the candidates at the times ``spots``, and the
+    ``entropy_chi_star`` report (96 Fisher evaluations on two Gauss-Legendre
+    panels, with an error estimate) of t -> the Fisher information of the
+    candidates at t.
     """
-    worst = worst_at(_worst_residual(*family(t), max_n) for t in spots)[0]
-    report = entropy_chi_star(lambda t: fisher_info(family(t)[0]), K)
+    worst = worst_at(_worst_residual(family(t), max_n) for t in spots)[0]
+    report = entropy_chi_star(lambda t: fisher_info(family(t)), K)
     return worst, report
 
 
@@ -712,8 +688,8 @@ def fisher_minimization_experiment(max_n: int = 6) -> dict:
     Cramer-Rao product on the lifted side (expected: exactly K^2 = 4).
     """
     cp = CircularPairModel()
-    pair = check_candidates(*circular_candidates(cp.model, cp.c_l, cp.c_r), max_n)
-    lift = check_candidates(*lifted_candidates(cp.model, cp.c_l, cp.c_r), max_n)
+    pair = check_candidates(circular_candidates(cp.model, cp.c_l, cp.c_r), max_n)
+    lift = check_candidates(lifted_candidates(cp.model, cp.c_l, cp.c_r), max_n)
     max_resid = worst_at((pair["max_residual"], lift["max_residual"]))[0]
     lhs, rhs = pair["fisher"], lift["fisher"]
     ratio = lhs / rhs

@@ -37,7 +37,6 @@ from .bnc import (
     one_partition,
     s_chi,
     top_block_index,
-    zero_partition,
 )
 from .words import Lb, Monomial, MomentFunctional, Rb, as_monomial
 
@@ -313,9 +312,11 @@ def product_cumulant_expand(
     word = _chi_ordered(chi_hat, operands)
     ops = word.ops
     chi_m = chi_of_groups(chi_hat, group_sizes)
-    grouped = [Monomial.concat(ops[a - 1:b - 1]) for a, b in group_offsets(group_sizes)]
+    ranges = group_offsets(group_sizes)
+    grouped = [Monomial.concat(ops[a - 1:b - 1]) for a, b in ranges]
     lhs = cumulant_pi(F, one_partition(chi_m), grouped)
-    zero_hat = hat_embed(zero_partition(chi_m), group_sizes, chi_hat)
+    # The embedded minimum: the interval partition of the groups.
+    zero_hat = BncPartition([range(a, b) for a, b in ranges], chi_hat)
     top = one_partition(chi_hat)
     parts = enumerate_bnc(chi_hat)
     moments = {tau: _moment_pi(F, tau, word) for tau in parts}

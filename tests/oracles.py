@@ -8,7 +8,8 @@ re-ranking every level in chi-order and one stripping admissible runs in
 random order, and the Fock oracle applies a symbol one elementary factor at
 a time, with its own copy of the scalar and tensor arithmetic.  The vacuum
 expectation oracle applies every word to the vacuum, with no state kept from
-an earlier word.  The conjugate-relation oracles rebuild each right-hand
+an earlier word.  The conjugate-relation oracles list by hand the
+generators present beside each target of a system, rebuild each right-hand
 side from its word alone, walk every test word with no two merged as one
 operator, find a word's commutation class by closing it under swaps, and fit
 the least-squares candidate over breadth-first test words applied from the
@@ -711,6 +712,19 @@ def lift_expect_two_phase(lift, word):
 
 # --- conjugate relations, one word at a time -------------------------------------
 
+def circular_presence(z, w):
+    """The generators present beside each of ``circular_candidates``'
+    targets z, z*, w and w*, written out by hand: left ones, then right ones."""
+    zs, ws = z.star(), w.star()
+    return [(zs, w, ws), (z, w, ws), (z, zs, ws), (z, zs, w)]
+
+
+def lifted_presence(cands):
+    """The generator present beside each lifted carrier: the other one."""
+    X, Y = (c.target for c in cands)
+    return [(Y,), (X,)]
+
+
 def conjugate_rhs(word, target, eta, F):
     """Right-hand side of the conjugate relation tested against ``word``.
 
@@ -730,7 +744,7 @@ def conjugate_rhs(word, target, eta, F):
     return total
 
 
-def full_walk_residual(xi, eta, ctx, F, max_n):
+def full_walk_residual(xi, eta, others, F, max_n):
     """Conjugate residual of a candidate over every test word.
 
     Visits every word of up to ``max_n`` letters, with no two words merged
@@ -738,7 +752,7 @@ def full_walk_residual(xi, eta, ctx, F, max_n):
     (no depth budget) and rebuilds each right-hand side from its word alone.
     """
     target = xi.target
-    alphabet = [target] + list(ctx.generators())
+    alphabet = [target, *others]
     if F.dim > 1:
         for e in matrix_units(F.dim):
             alphabet += [Lb(e), Rb(e)]
@@ -778,7 +792,7 @@ def is_lex_normal_form(word, alphabet, independent):
     return start == min(seen)
 
 
-def solve_conjugate_bfs(model, target, eta, ctx, max_n=4, basis_len=3):
+def solve_conjugate_bfs(model, target, eta, others, max_n=4, basis_len=3):
     """Least-squares conjugate candidate with breadth-first test words.
 
     Each row applies its test word to each basis vector from the vacuum, and
@@ -787,7 +801,7 @@ def solve_conjugate_bfs(model, target, eta, ctx, max_n=4, basis_len=3):
     d = 1 only.
     """
     F = MomentFunctional(vacuum_expectation(model), model.dim)
-    alphabet = [target] + list(ctx.generators())
+    alphabet = [target, *others]
     basis_words = [()]
     frontier = [()]
     for _ in range(basis_len):

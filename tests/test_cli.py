@@ -358,12 +358,12 @@ def test_cli_verdict_numbers_are_check_candidates(capsys):
     # Cramer-Rao product of its own.
     code, out = run_cli(capsys, "conj", "check", "--lam", "2.0", "--max-n", "6")
     assert code == 0
-    want = check_candidates(*scaled_semicircular(2.0), 6)
+    want = check_candidates(scaled_semicircular(2.0), 6)
     assert {key: json.loads(out)[key] for key in want} == want
     code, out = run_cli(capsys, "fisher", "run", "--experiment", "circular-min")
     assert code == 0
     cp = CircularPairModel()
-    lift = check_candidates(*lifted_candidates(cp.model, cp.c_l, cp.c_r), 6)
+    lift = check_candidates(lifted_candidates(cp.model, cp.c_l, cp.c_r), 6)
     assert json.loads(out)["cramer_rao_product"] == lift["cramer_rao_product"]
 
 

@@ -7,18 +7,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import lift_expect_two_phase
+from oracles import circular_presence, lift_expect_two_phase, lifted_presence
 
 import bifree.conjvar
 from bifree.balgebra import CPMap, matrix_unit, maxabs, random_belement, trace_d
 from bifree.bnc import RIGHT, ChiWord, s_chi
 from bifree.conjvar import (
     MatrixLift,
-    PresenceContext,
     VectorCandidate,
     WordCandidate,
     _gauss_legendre,
+    _worst_residual,
     aaf_check,
+    check_candidates,
     circular_candidates,
     circular_entropy_experiment,
     conj_residual,
@@ -29,7 +30,9 @@ from bifree.conjvar import (
     h_closed_form,
     lifted_candidates,
     matrix_lift,
+    scaled_semicircular,
     semicircular_entropy_experiment,
+    semicircular_perturbation,
     solve_conjugate,
 )
 from bifree.fock import FockModel, FockVector, make_bisemicircular, make_circular_pair
@@ -44,14 +47,14 @@ def test_semicircular_conjugate_is_itself():
     m = make_bisemicircular([ONE], [])
     s = m.symbol("S1")
     cand = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
-    assert conj_residual(cand, ONE, PresenceContext(), 6) <= 1e-12
+    assert conj_residual(cand, ONE, (), 6) <= 1e-12
 
 
 def test_zero_candidate_fails_at_first_relation():
     m = make_bisemicircular([ONE], [])
     s = m.symbol("S1")
     cand = VectorCandidate(s, FockVector(1), m.model)
-    r = conj_residual(cand, ONE, PresenceContext(), 2)
+    r = conj_residual(cand, ONE, (), 2)
     assert abs(r - 1.0) < 1e-12  # tau(S S) = 1 is the first broken relation
 
 
@@ -63,7 +66,7 @@ def test_scaling_law():
         cand = VectorCandidate(
             scaled, m.model.vector_of(Monomial([s])).scaled(1 / lam), m.model
         )
-        assert conj_residual(cand, ONE, PresenceContext(), 6) <= 1e-12
+        assert conj_residual(cand, ONE, (), 6) <= 1e-12
         assert abs(fisher_info([cand]) - 1 / lam**2) < 1e-12
 
 
@@ -85,14 +88,6 @@ def test_candidate_tau_matches_the_trace_bit_for_bit(entry):
     assert repr(cand.tau(state)) == repr(want)
 
 
-def test_presence_context_validation():
-    m = make_bisemicircular([ONE], [ONE])
-    s, d = m.symbol("S1"), m.symbol("D1")
-    with pytest.raises(ValueError):
-        PresenceContext((d,), ())
-    PresenceContext((s,), (d,))
-
-
 def test_uniqueness_up_to_orthogonal_part():
     # Two candidates passing the same relations differ by a state orthogonal
     # to every test word.
@@ -103,7 +98,7 @@ def test_uniqueness_up_to_orthogonal_part():
     other = base + model.vector_of(Monomial([s2])).scaled(0.3)
     c1 = VectorCandidate(s1, base, model)
     c2 = VectorCandidate(s1, other, model)
-    ctx = PresenceContext()
+    ctx = ()
     assert conj_residual(c1, ONE, ctx, 5) <= 1e-12
     assert conj_residual(c2, ONE, ctx, 5) <= 1e-12
     diff = other - base
@@ -121,10 +116,10 @@ def test_projection_monotonicity():
     u = m.model.combination_symbol("u", "l", [(1.0, s1), (1.0, s2)], family="u")
     # full context: the extra generator s1 is present; conjugate is s2
     full = VectorCandidate(u, m.model.vector_of(Monomial([s2])), m.model)
-    assert conj_residual(full, ONE, PresenceContext((s1,), ()), 5) <= 1e-10
+    assert conj_residual(full, ONE, (s1,), 5) <= 1e-10
     # reduced context: scalar coefficients only; conjugate is u/2
     reduced = VectorCandidate(u, m.model.vector_of(Monomial([u])).scaled(0.5), m.model)
-    assert conj_residual(reduced, ONE, PresenceContext(), 5) <= 1e-10
+    assert conj_residual(reduced, ONE, (), 5) <= 1e-10
     assert fisher_info([reduced]) <= fisher_info([full]) + 1e-12
     assert abs(fisher_info([reduced]) - 0.5) < 1e-12
     assert abs(fisher_info([full]) - 1.0) < 1e-12
@@ -139,8 +134,8 @@ def test_two_sided_fisher_additivity():
     s, d = m.symbol("S1"), m.symbol("D1")
     cs = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
     cd = VectorCandidate(d, m.model.vector_of(Monomial([d])), m.model)
-    assert conj_residual(cs, ONE, PresenceContext((), (d,)), 5) <= 1e-10
-    assert conj_residual(cd, ONE, PresenceContext((s,), ()), 5) <= 1e-10
+    assert conj_residual(cs, ONE, (d,), 5) <= 1e-10
+    assert conj_residual(cd, ONE, (s,), 5) <= 1e-10
     assert abs(fisher_info([cs, cd]) - 2.0) < 1e-12
     assert fisher_info([cs, None]) == math.inf
 
@@ -152,14 +147,14 @@ def test_matrix_coefficient_insertions_in_relations():
     m = make_bisemicircular([flip], [flip])
     S, D = m.symbol("S1"), m.symbol("D1")
     cand = VectorCandidate(S, m.model.vector_of(Monomial([S])), m.model)
-    r = conj_residual(cand, flip, PresenceContext((), (D,)), 4)
+    r = conj_residual(cand, flip, (D,), 4)
     assert r <= 1e-10
 
 
 def test_solver_recovers_semicircular_conjugate():
     m = make_bisemicircular([ONE], [])
     s = m.symbol("S1")
-    cand, resid = solve_conjugate(m.model, s, ONE, PresenceContext(), max_n=4)
+    cand, resid = solve_conjugate(m.model, s, ONE, (), max_n=4)
     assert resid <= 1e-9
     assert abs(fisher_info([cand]) - 1.0) < 1e-6
 
@@ -222,9 +217,9 @@ def test_models_and_candidates_share_one_functional():
     assert m.model.functional is m.model.functional
     cp = make_circular_pair()
     assert cp.functional is cp.model.functional
-    cands, _ = circular_candidates(cp.model, cp.c_l, cp.c_r)
+    cands = circular_candidates(cp.model, cp.c_l, cp.c_r)
     assert all(c.functional is cp.functional for c in cands)
-    lifted, _ = lifted_candidates(cp.model, cp.c_l, cp.c_r)
+    lifted = lifted_candidates(cp.model, cp.c_l, cp.c_r)
     assert lifted[0].functional is lifted[1].functional
     assert lifted[0].functional.dim == 1
 
@@ -234,7 +229,7 @@ def test_residual_after_solve_reads_the_filled_cache():
     # second check of the same relations finds every moment cached.
     m = make_bisemicircular([ONE, ONE], [ONE])
     s1, d1 = m.symbol("S1"), m.symbol("D1")
-    ctx = PresenceContext((), (d1,))
+    ctx = (d1,)
     cand, resid = solve_conjugate(m.model, s1, ONE, ctx, max_n=4)
     assert cand.functional is m.functional
     cached = len(m.functional._cache)
@@ -246,12 +241,45 @@ def test_residual_after_solve_reads_the_filled_cache():
 def test_candidates_derive_adjoints():
     cp = make_circular_pair()
     assert cp.c_l.star() == cp.c_l_star and hash(cp.c_l.star()) == hash(cp.c_l_star)
-    cands, ctxs = circular_candidates(cp.model, cp.c_l, cp.c_r)
+    cands = circular_candidates(cp.model, cp.c_l, cp.c_r)
     assert [c.target for c in cands] == [cp.c_l, cp.c_l_star, cp.c_r, cp.c_r_star]
-    assert ctxs[0] == PresenceContext((cp.c_l_star,), (cp.c_r, cp.c_r_star))
     pair = matrix_lift(cp.functional, cp.c_l, cp.c_r)
     assert pair.lift.tables[pair.X][(2, 1)] == ((1.0, (cp.c_l_star,)),)
     assert pair.lift.tables[pair.Y][(2, 1)] == ((1.0, (cp.c_r_star,)),)
+
+
+def test_presence_sets_are_the_other_targets(monkeypatch):
+    # Each candidate of a system is checked among the other candidates'
+    # targets, in system order: for every builder, the sets written out by
+    # hand in the oracles (left generators first), and none for a system of
+    # one candidate.
+    seen = []
+
+    def resid(xi, eta, others, max_n):
+        seen.append(tuple(others))
+        return 0.0
+
+    monkeypatch.setattr(bifree.conjvar, "conj_residual", resid)
+    cp = make_circular_pair()
+    circular = circular_candidates(cp.model, cp.c_l, cp.c_r)
+    lifted = lifted_candidates(cp.model, cp.c_l, cp.c_r)
+    for cands, want in (
+        (circular, circular_presence(cp.c_l, cp.c_r)),
+        (lifted, lifted_presence(lifted)),
+        (scaled_semicircular(2.0), [()]),
+        (semicircular_perturbation()(0.5), [()]),
+    ):
+        seen.clear()
+        assert _worst_residual(cands, 2) == 0.0
+        assert seen == want
+
+
+def test_circular_pair_cramer_rao_reads_k_squared():
+    # The second moment of a target x is tau(x* x), 1 for each of z, z*, w
+    # and w*, so the product is 4 * 4 = K^2 (tau(z z) would read 0).
+    cp = make_circular_pair()
+    rep = check_candidates(circular_candidates(cp.model, cp.c_l, cp.c_r), 4)
+    assert abs(rep["cramer_rao_product"] - 16.0) <= 1e-12
 
 
 def test_lift_symbol_registered_again():

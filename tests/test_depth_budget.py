@@ -12,7 +12,6 @@ import pytest
 
 from bifree.balgebra import CPMap, random_belement
 from bifree.conjvar import (
-    PresenceContext,
     VectorCandidate,
     circular_candidates,
     conj_residual,
@@ -24,7 +23,7 @@ from bifree.fock import (
     make_bisemicircular,
 )
 from bifree.words import Lb, Monomial, Rb
-from oracles import full_walk_residual
+from oracles import circular_presence, full_walk_residual
 
 
 def _unpruned(model, word, vec=None):
@@ -93,7 +92,8 @@ def test_circular_residuals_match_unpruned_walk():
     cp = CircularPairModel()
     F = cp.functional
     eta = CPMap.identity(1)
-    for cand, ctx in zip(*circular_candidates(cp.model, cp.c_l, cp.c_r)):
+    cands = circular_candidates(cp.model, cp.c_l, cp.c_r)
+    for cand, ctx in zip(cands, circular_presence(cp.c_l, cp.c_r)):
         # The true candidates leave only roundoff; the rescaled ones do not.
         off = VectorCandidate(cand.target, cand.vector.scaled(1.5), cand.model)
         for xi in (cand, off):
@@ -106,7 +106,7 @@ def test_matrix_residual_matches_unpruned_walk():
     model, _ = _matrix_model(24)
     s, d1 = model.symbol("S1"), model.symbol("D1")
     eta = model.model.covariances["S1"]
-    ctx = PresenceContext((), (d1,))
+    ctx = (d1,)
     vec = model.model.vector_of(Monomial([s]))
     for scale in (1.0, 1.5):
         xi = VectorCandidate(s, vec.scaled(scale), model.model)

@@ -1,0 +1,147 @@
+"""Every input check of the package raises its own exception and message.
+
+Each case builds one bad input and names the exception type and the exact
+message (its first argument) that the check raises for it.
+"""
+
+import numpy as np
+import pytest
+
+from bifree.balgebra import CPMap, as_belement
+from bifree.bnc import ChiWord, zero_partition
+from bifree.conjvar import MatrixLift, VectorCandidate, h_closed_form, matrix_lift
+from bifree.fock import BisemicircularModel, FockModel, FockVector, make_bisemicircular
+from bifree.moments import chi_of_groups, group_offsets, hat_embed
+from bifree.words import BCoeff, GeneratorSymbol, Monomial, MomentFunctional, as_monomial
+
+ONE = CPMap.identity(1)
+
+
+def _pair():
+    """A scalar model with one left symbol S1 and one right symbol D1."""
+    return make_bisemicircular([ONE], [ONE])
+
+
+def _lift():
+    return MatrixLift(_pair().functional, d=2)
+
+
+def _unregistered_lift_symbol():
+    _lift().expect(GeneratorSymbol("X", "l"))
+
+
+def _wrong_sides():
+    m = _pair()
+    matrix_lift(m.functional, m.symbol("D1"), m.symbol("S1"))
+
+
+def _mixed_combination():
+    m = _pair()
+    m.model.combination_symbol("u", "l", [(1.0, m.symbol("D1"))])
+
+
+def _apply(f):
+    _pair().model.apply_symbol(f, FockVector.vacuum(1))
+
+
+CASES = {
+    "as_belement not square": (
+        lambda: as_belement(np.zeros((2, 3))),
+        ValueError, "coefficient must be a square matrix, got shape (2, 3)",
+    ),
+    "CPMap no Kraus matrix": (
+        lambda: CPMap([]), ValueError, "CPMap needs at least one Kraus matrix",
+    ),
+    "CPMap mixed dimensions": (
+        lambda: CPMap([np.eye(1), np.eye(2)]),
+        ValueError, "Kraus matrices must share one dimension",
+    ),
+    "CPMap dim mismatch": (
+        lambda: CPMap([np.eye(2)], dim=3), ValueError, "dimension mismatch: expected 3, got 2",
+    ),
+    "from_choi bad shape": (
+        lambda: CPMap.from_choi(np.eye(3)), ValueError, "Choi matrix must be (d*d) x (d*d)",
+    ),
+    "ChiWord empty": (lambda: ChiWord([]), ValueError, "chi word must have length >= 1"),
+    "ChiWord.side out of range": (
+        lambda: ChiWord("lr").side(3), IndexError, "position 3 out of range 1..2",
+    ),
+    "VectorCandidate dimension": (
+        lambda: VectorCandidate(GeneratorSymbol("S1", "l"), FockVector(2), _pair().model),
+        ValueError, "vector dimension does not match the model",
+    ),
+    "MatrixLift non-scalar base": (
+        lambda: MatrixLift(MomentFunctional(lambda w: np.eye(2), 2)),
+        ValueError, "base functional must be scalar",
+    ),
+    "MatrixLift entry out of range": (
+        lambda: _lift().add_symbol(GeneratorSymbol("X", "l"), {(3, 1): []}),
+        ValueError, "entry (3,1) outside 1..2",
+    ),
+    "MatrixLift unregistered symbol": (
+        _unregistered_lift_symbol, KeyError, "symbol <X:l> not registered with this lift",
+    ),
+    "matrix_lift wrong sides": (
+        _wrong_sides, ValueError, "expected a left generator and a right generator",
+    ),
+    "h_closed_form bad K": (
+        lambda: h_closed_form(0.0, 1.0, 0.0), ValueError, "need K1 >= 0 and K2 > 0",
+    ),
+    "FockVector sum of dimensions": (
+        lambda: FockVector(1) + FockVector(2), ValueError, "dimension mismatch",
+    ),
+    "FockModel overlapping indices": (
+        lambda: FockModel(1, ["a"], ["a"], {"a": ONE}),
+        ValueError, "left and right index sets must be disjoint",
+    ),
+    "combination_symbol mixes sides": (
+        _mixed_combination, ValueError, "combination mixes sides",
+    ),
+    "apply_factor unknown kind": (
+        lambda: _pair().model.apply_factor(("x", "S1"), FockVector.vacuum(1)),
+        ValueError, "unknown factor kind 'x'",
+    ),
+    "apply_symbol unregistered": (
+        lambda: _apply(GeneratorSymbol("Q", "l")),
+        KeyError, "symbol <Q:l> not registered with this model",
+    ),
+    "apply_symbol non-factor": (
+        lambda: _apply(("l", "S1")), TypeError, "cannot apply ('l', 'S1')",
+    ),
+    "BisemicircularModel no maps": (
+        lambda: BisemicircularModel([], []), ValueError, "need at least one covariance map",
+    ),
+    "BisemicircularModel.symbol unknown": (lambda: _pair().symbol("Z9"), KeyError, "Z9"),
+    "group_offsets empty group": (
+        lambda: group_offsets([1, 0]), ValueError, "group sizes must be >= 1",
+    ),
+    "chi_of_groups sizes": (
+        lambda: chi_of_groups(ChiWord("ll"), [1]),
+        ValueError, "group sizes do not sum to the word length",
+    ),
+    "hat_embed group count": (
+        lambda: hat_embed(zero_partition(ChiWord("ll")), [1], ChiWord("l")),
+        ValueError, "group count does not match the partition size",
+    ),
+    "hat_embed group side": (
+        lambda: hat_embed(zero_partition(ChiWord("lr")), [1, 1], ChiWord("rr")),
+        ValueError, "group 1 has side 'r' but the base word says 'l'",
+    ),
+    "GeneratorSymbol side": (
+        lambda: GeneratorSymbol("x", "q"), ValueError, "side must be 'l' or 'r'",
+    ),
+    "BCoeff side": (lambda: BCoeff("q", np.eye(1)), ValueError, "side must be 'l' or 'r'"),
+    "Monomial bad factor": (lambda: Monomial([1]), TypeError, "bad factor 1"),
+    "as_monomial bad input": (
+        lambda: as_monomial(1), TypeError, "cannot build a monomial from 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_input_check_raises(case):
+    build, exc, message = CASES[case]
+    with pytest.raises(exc) as err:
+        build()
+    assert type(err.value) is exc
+    assert err.value.args[0] == message

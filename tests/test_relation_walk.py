@@ -22,7 +22,6 @@ import pytest
 from bifree.balgebra import CPMap, matrix_unit, matrix_units, random_belement, trace_d
 from bifree.conjvar import (
     MatrixLift,
-    PresenceContext,
     VectorCandidate,
     WordCandidate,
     _Lockstep,
@@ -38,9 +37,11 @@ from bifree.conjvar import (
 from bifree.fock import CircularPairModel, make_bisemicircular
 from bifree.words import GeneratorSymbol, Lb, Monomial, MomentFunctional, Rb
 from oracles import (
+    circular_presence,
     conjugate_rhs,
     full_walk_residual,
     is_lex_normal_form,
+    lifted_presence,
     solve_conjugate_bfs,
     vacuum_expectation,
 )
@@ -60,7 +61,7 @@ def _dfs_words(alphabet, max_n):
 
 
 def _alphabet(xi, ctx):
-    alphabet = [xi.target] + list(ctx.generators())
+    alphabet = [xi.target, *ctx]
     d = xi.functional.dim
     if d > 1:
         for e in matrix_units(d):
@@ -95,17 +96,18 @@ def test_negative_max_n_is_an_error():
     s = m.symbol("S1")
     cand = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
     with pytest.raises(ValueError):
-        next(_relation_walk(cand, ONE, PresenceContext(), -1))
+        next(_relation_walk(cand, ONE, (), -1))
     with pytest.raises(ValueError):
-        conj_residual(cand, ONE, PresenceContext(), -1)
+        conj_residual(cand, ONE, (), -1)
     with pytest.raises(ValueError):
-        solve_conjugate(m.model, s, ONE, PresenceContext(), max_n=-1)
+        solve_conjugate(m.model, s, ONE, (), max_n=-1)
 
 
 def test_circular_rhs_matches_oracle():
     cp = CircularPairModel()
-    cands, ctxs = circular_candidates(cp.model, cp.c_l, cp.c_r)
-    off, _ = circular_candidates(cp.model, cp.c_l, cp.c_r, scale=1.5)
+    cands = circular_candidates(cp.model, cp.c_l, cp.c_r)
+    off = circular_candidates(cp.model, cp.c_l, cp.c_r, scale=1.5)
+    ctxs = circular_presence(cp.c_l, cp.c_r)
     fresh = MomentFunctional(vacuum_expectation(cp.model), 1)
     for xi, ctx in zip(cands + off, ctxs + ctxs):
         _check_walk(xi, ONE, ctx, fresh, 4)
@@ -124,8 +126,8 @@ def test_matrix_rhs_matches_oracle(scale):
     s, d1 = model.symbol("S1"), model.symbol("D1")
     fresh = MomentFunctional(vacuum_expectation(model.model), model.dim)
     for target, partner, ctx in (
-        (s, "S1", PresenceContext((), (d1,))),
-        (d1, "D1", PresenceContext((s,), ())),
+        (s, "S1", (d1,)),
+        (d1, "D1", (s,)),
     ):
         vec = model.model.vector_of(Monomial([model.symbol(partner)])).scaled(scale)
         xi = VectorCandidate(target, vec, model.model)
@@ -142,7 +144,7 @@ def test_scalar_rhs_summation_order():
     s1, s2, d1 = model.symbol("S1"), model.symbol("S2"), model.symbol("D1")
     u = model.model.combination_symbol("u", "l", [(0.3, s1), (1.7, s2)], family="u")
     xi = VectorCandidate(u, model.model.vector_of(Monomial([s2])), model.model)
-    ctx = PresenceContext((s1,), (d1,))
+    ctx = (s1, d1)
     eta = CPMap([np.array([[0.9]])])
     _check_walk(xi, eta, ctx, MomentFunctional(vacuum_expectation(model.model), 1), 6)
 
@@ -165,10 +167,10 @@ def _check_lifted(xi, ctx, fresh, max_n, independent=_opposite_sides):
 @pytest.mark.parametrize("scale", [1.0, 1.5])
 def test_lifted_rhs_and_residual_match_oracle(scale):
     cp = CircularPairModel()
-    cands, ctxs = lifted_candidates(cp.model, cp.c_l, cp.c_r, scale=scale)
+    cands = lifted_candidates(cp.model, cp.c_l, cp.c_r, scale=scale)
     # A second lift of the same pair, read through a moment cache of its own.
     fresh = _lift_trace(matrix_lift(cp.functional, cp.c_l, cp.c_r).lift)
-    for xi, ctx in zip(cands, ctxs):
+    for xi, ctx in zip(cands, lifted_presence(cands)):
         # X is made of left letters of the base and Y of right ones, so the
         # lift's rule lets them commute, as opposite sides do.
         for max_n in (4, 6):
@@ -211,7 +213,7 @@ def test_lifted_generators_over_impure_base_letters_commute_with_nothing():
         xi = WordCandidate(A, Monomial([A]), lift.functional, side, 1.5)
         assert xi.pure_side(A) is None
         assert (xi.pure_side(X), xi.pure_side(Y)) == ("l", "r")
-        ctx = PresenceContext((X,), (Y,))
+        ctx = (X, Y)
         _check_lifted(
             xi, ctx, fresh, 4, lambda a, b, A=A: A not in (a, b) and a.side != b.side
         )
@@ -229,9 +231,9 @@ def test_perturbed_lifted_carriers_match_full_walk(scale):
     mk("z[1.0]", "l", [(1.0, cls), (1.0, c2ls)], family="z", adjoint=True)
     w = mk("w[1.0]", "r", [(1.0, cr), (1.0, c2r)], family="z")
     mk("w[1.0]", "r", [(1.0, crs), (1.0, c2rs)], family="z", adjoint=True)
-    cands, ctxs = lifted_candidates(cp.model, z, w, scale=scale)
+    cands = lifted_candidates(cp.model, z, w, scale=scale)
     fresh = _lift_trace(matrix_lift(cp.functional, z, w).lift)
-    for xi, ctx in zip(cands, ctxs):
+    for xi, ctx in zip(cands, lifted_presence(cands)):
         want = _check_lifted(xi, ctx, fresh, 4)
         assert (want > 0.1) == (scale != 0.5)
 
@@ -241,7 +243,8 @@ def test_walk_visits_one_word_per_operator():
     # each, so an operator is a pair of one-sided words: sum over n <= 6 of
     # (n + 1) 2^n = 769 of them, out of 5,461 words.
     cp = CircularPairModel()
-    for xi, ctx in zip(*circular_candidates(cp.model, cp.c_l, cp.c_r)):
+    cands = circular_candidates(cp.model, cp.c_l, cp.c_r)
+    for xi, ctx in zip(cands, circular_presence(cp.c_l, cp.c_r)):
         assert sum(1 for _ in _relation_walk(xi, ONE, ctx, 6)) == 769
     # d=2, flip covariance, S1 with D1 present: five letters a side (the
     # generator and four matrix-unit insertions), sum over n <= 5 of
@@ -250,13 +253,14 @@ def test_walk_visits_one_word_per_operator():
     m = make_bisemicircular([flip], [flip])
     s, d1 = m.symbol("S1"), m.symbol("D1")
     xi = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
-    walk = _relation_walk(xi, flip, PresenceContext((), (d1,)), 5)
+    walk = _relation_walk(xi, flip, (d1,), 5)
     assert sum(1 for _ in walk) == 22461
     # Lifted carriers: X (left) and Y (right) commute, so an operator is
     # X^a Y^b, (n + 1) of them at length n: 28 words in place of 127 for
     # n <= 6, and 15 in place of 31 for n <= 4.
     for max_n, want in ((6, 28), (4, 15)):
-        for xi, ctx in zip(*lifted_candidates(cp.model, cp.c_l, cp.c_r)):
+        cands = lifted_candidates(cp.model, cp.c_l, cp.c_r)
+        for xi, ctx in zip(cands, lifted_presence(cands)):
             assert sum(1 for _ in _relation_walk(xi, ONE, ctx, max_n)) == want
 
 
@@ -282,8 +286,13 @@ def test_walk_leaves_out_zero_splices(monkeypatch):
     # have a coefficient that is exactly zero, and so do 22 of the 56 of a
     # lifted carrier.
     cp = CircularPairModel()
-    for family, want in ((circular_candidates, 459), (lifted_candidates, 34)):
-        for xi, ctx in zip(*family(cp.model, cp.c_l, cp.c_r)):
+    circular = circular_candidates(cp.model, cp.c_l, cp.c_r)
+    lifted = lifted_candidates(cp.model, cp.c_l, cp.c_r)
+    for cands, ctxs, want in (
+        (circular, circular_presence(cp.c_l, cp.c_r), 459),
+        (lifted, lifted_presence(lifted), 34),
+    ):
+        for xi, ctx in zip(cands, ctxs):
             _, calls = _spliced_terms(xi, ONE, ctx, 6, monkeypatch)
             assert len(calls) == want, xi.target
 
@@ -295,7 +304,7 @@ def test_nan_coefficient_is_spliced():
     s = m.symbol("S1")
     xi = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
     eta = CPMap([np.array([[math.nan]])])
-    assert math.isnan(conj_residual(xi, eta, PresenceContext(), 2))
+    assert math.isnan(conj_residual(xi, eta, (), 2))
 
 
 def test_zero_matrix_splices_match_oracle(monkeypatch):
@@ -313,7 +322,7 @@ def test_zero_matrix_splices_match_oracle(monkeypatch):
     for tail in ((s,), (Lb(e12), s)):
         assert not np.count_nonzero(fresh.expect(Monomial(tail)))
     xi = VectorCandidate(s, model.model.vector_of(Monomial([s])), model.model)
-    ctx = PresenceContext((), (d1,))
+    ctx = (d1,)
     nodes, calls = _spliced_terms(xi, eta, ctx, 3, monkeypatch)
     assert len(calls) < sum(word.count(s) for word, _, _ in nodes)
     _check_walk(xi, eta, ctx, fresh, 3)
@@ -333,7 +342,7 @@ def test_walk_keeps_letters_of_mixed_action_apart():
         # A left creator on a right index, a right creator on a left one.
         odd = m.model.register_symbol(GeneratorSymbol(name, "l"), [(1.0, action)])
         assert m.model.pure_side(odd) is None
-    ctx = PresenceContext((s,), (d1,))
+    ctx = (s, d1)
     xi = VectorCandidate(mixed, m.model.vector_of(Monomial([s])), m.model)
 
     def independent(a, b):
@@ -356,8 +365,8 @@ def test_pruned_residual_equals_full_walk(d, seed):
     model = make_bisemicircular([cp(), cp()], [cp()])
     s1, s2, d1 = model.symbol("S1"), model.symbol("S2"), model.symbol("D1")
     for target, ctx in (
-        (s1, PresenceContext((s2,), (d1,))),
-        (d1, PresenceContext((s1,), ())),
+        (s1, (s2, d1)),
+        (d1, (s1,)),
     ):
         eta = model.model.covariances[target.name]
         vec = model.model.vector_of(Monomial([target]))
@@ -375,7 +384,7 @@ def test_solver_walks_the_words_of_the_residual():
     # words of the residual check, with their right-hand sides.
     m = make_bisemicircular([ONE, ONE], [ONE])
     s1, s2, d1 = m.symbol("S1"), m.symbol("S2"), m.symbol("D1")
-    ctx = PresenceContext((s2,), (d1,))
+    ctx = (s2, d1)
     cands = [
         VectorCandidate(s1, m.model.vector_of(Monomial(w)), m.model)
         for w in ((s1,), (d1, s2))
@@ -393,13 +402,12 @@ def _nan_candidate(m):
 def test_nan_candidate_fails_the_residual_check():
     m = make_bisemicircular([ONE], [])
     bad = _nan_candidate(m)
-    r = conj_residual(bad, ONE, PresenceContext(), 4)
+    r = conj_residual(bad, ONE, (), 4)
     assert not math.isfinite(r) and not r <= 1e-9
     s = m.symbol("S1")
     good = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
-    ctx = PresenceContext()
     for cands in ((good, bad), (bad, good)):
-        worst = _worst_residual(cands, (ctx, ctx), 4)
+        worst = _worst_residual(cands, 4)
         assert not math.isfinite(worst) and not worst <= 1e-9
 
 
@@ -415,8 +423,8 @@ def test_solver_equals_breadth_first_solver_one_letter(lam):
     target = s
     if lam != 1.0:
         target = m.model.combination_symbol("target", s.side, [(lam, s)])
-    got, _ = solve_conjugate(m.model, target, ONE, PresenceContext(), max_n=4)
-    want = solve_conjugate_bfs(m.model, target, ONE, PresenceContext(), max_n=4)
+    got, _ = solve_conjugate(m.model, target, ONE, (), max_n=4)
+    want = solve_conjugate_bfs(m.model, target, ONE, (), max_n=4)
     assert got.vector.terms.keys() == want.vector.terms.keys()
     for ks, t in want.vector.terms.items():
         assert np.array_equal(got.vector.terms[ks], t), ks
@@ -427,8 +435,8 @@ def test_solver_matches_breadth_first_solver_multi_letter():
     s1, s2, d1 = m.symbol("S1"), m.symbol("S2"), m.symbol("D1")
     u = m.model.combination_symbol("u", "l", [(1.0, s1), (0.5, s2)], family="u")
     for target, ctx in (
-        (s1, PresenceContext((), (d1,))),
-        (u, PresenceContext((s1,), (d1,))),
+        (s1, (d1,)),
+        (u, (s1, d1)),
     ):
         got, resid = solve_conjugate(m.model, target, ONE, ctx, max_n=4)
         want = solve_conjugate_bfs(m.model, target, ONE, ctx, max_n=4)
@@ -441,7 +449,7 @@ def test_solver_fits_insertion_relations_at_d2():
     flip = eta_flip()
     m = make_bisemicircular([flip], [])
     s = m.symbol("S1")
-    cand, resid = solve_conjugate(m.model, s, flip, PresenceContext(), max_n=3)
+    cand, resid = solve_conjugate(m.model, s, flip, (), max_n=3)
     assert resid <= 1e-9
     assert _max_diff(cand.vector, m.model.vector_of(Monomial([s]))) <= 1e-9
 
