@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Fock-space models: the source of every ground-truth expectation.
 
-States are words with matrix coefficients between symbols; creation
-prepends or appends a symbol, annihilation feeds a coefficient through the
-covariance map of the matching index.  The moment of an operator word of
-length n never needs depth beyond n/2, so all moments are exact.
+Every builder returns a ``FockModel``: its moment functional, its symbols
+(looked up by name) and its word actions.  States are words with matrix
+coefficients between symbols; creation prepends or appends a symbol,
+annihilation feeds a coefficient through the covariance map of the matching
+index.  The moment of an operator word of length n never needs depth beyond
+n/2, so all moments are exact.
 """
 
 import numpy as np
@@ -43,8 +45,8 @@ print("  covariance map of b =\n", np.round(flip(b), 3))
 
 print("\nleft and right operators commute:", end=" ")
 vac = FockVector.vacuum(2)
-sd = m2.model.apply_word(Monomial([S, D]), vac)
-ds = m2.model.apply_word(Monomial([D, S]), vac)
+sd = m2.apply_word(Monomial([S, D]), vac)
+ds = m2.apply_word(Monomial([D, S]), vac)
 diff = sd - ds
 print("max |[S,D] vacuum| =", max((abs(np.asarray(t)).max() for t in diff.terms.values()), default=0.0))
 
@@ -64,7 +66,8 @@ print(f"  pass={rep['pass']}; worst: order {worst['order']} word {worst['word']}
 
 print("\nthe circular pair: (s1 + i s2)/sqrt(2) against its right analogue")
 cp = make_circular_pair()
-cl, cls, cr, crs = cp.symbols
+cl, cr = cp.symbol("cl"), cp.symbol("cr")
+cls = cl.star()
 phi = lambda *w: cp.functional.expect(Monomial(list(w)))[0, 0].real
 print(f"  phi(c* c) = {phi(cls, cl):g},  phi(c c) = {phi(cl, cl):g}")
 print(f"  phi(c c* c c*) = {phi(cl, cls, cl, cls):g}")

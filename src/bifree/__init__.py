@@ -42,11 +42,10 @@ from .conjvar import (
     solve_conjugate,
 )
 from .fock import (
-    BisemicircularModel,
-    CircularPairModel,
     FockModel,
     FockVector,
     TruncationError,
+    bisemicircular_from_json,
     make_bisemicircular,
     make_circular_pair,
     make_standard_semicircular,

@@ -254,8 +254,8 @@ def criterion_6_bifree_detector(seed: int = 0):
     cov = 1.0
     sm = make_bisemicircular([one], [])
     s = sm.symbol("S1")
-    A = sm.model.combination_symbol("A", s.side, [(1.0, s)], family="a")
-    B = sm.model.combination_symbol("B", s.side, [(1.0, s)], family="b")
+    A = sm.combination_symbol("A", s.side, [(1.0, s)], family="a")
+    B = sm.combination_symbol("B", s.side, [(1.0, s)], family="b")
     rep2 = bifree_test(sm.functional, [A, B], max_order=3)
     planted = [v for v in rep2["violations"] if v["order"] == 2]
     ok2 = (not rep2["pass"]) and any(abs(v["residual"] - cov) <= 1e-9 for v in planted)
@@ -298,7 +298,8 @@ def criterion_8_perturbation_law(seed: int = 0):
 @_criterion("matrix lift + alternating adjoint flip + Fisher minimization")
 def criterion_9_lift_experiment(seed: int = 0):
     cp = make_circular_pair()
-    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r)
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
+    pair = matrix_lift(cp.functional, cl, cr)
     tau2 = pair.lift.functional
     semicirc = {1: 0.0, 2: 1.0, 3: 0.0, 4: 2.0, 5: 0.0, 6: 5.0}
     worst, _ = worst_at(
@@ -306,7 +307,7 @@ def criterion_9_lift_experiment(seed: int = 0):
         for Z in (pair.X, pair.Y)
         for k, want in semicirc.items()
     )
-    aaf = aaf_check(cp.functional, cp.c_l, cp.c_r, 6)
+    aaf = aaf_check(cp.functional, cl, cr, 6)
     fm = fisher_minimization_experiment(max_n=6)
     ok = (
         worst <= 1e-9
@@ -358,7 +359,7 @@ def criterion_11_product_expansion(seed: int = 0):
         ops = []
         for k in range(1, n + 1):
             side = chi_hat.side(k)
-            pool = model.left_symbols if side == "l" else model.right_symbols
+            pool = [s for s in model.symbols if s.side == side]
             sym = pool[rng.integers(len(pool))]
             w = Monomial([sym])
             if rng.integers(3) == 0:

@@ -7,7 +7,6 @@ coefficient tensor, ``CPMap.kernel``, with a Choi-matrix constructor.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Iterable, Sequence
 
@@ -163,9 +162,7 @@ class CPMap:
         }
 
     @classmethod
-    def from_json(cls, obj: dict | str) -> "CPMap":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+    def from_json(cls, obj: dict) -> "CPMap":
         return cls([belement_from_json(v) for v in obj["kraus"]], dim=json_dim(obj))
 
     def __repr__(self):
@@ -181,9 +178,7 @@ def belement_to_json(b) -> dict:
     }
 
 
-def belement_from_json(obj: dict | str) -> np.ndarray:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+def belement_from_json(obj: dict) -> np.ndarray:
     a = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
     return as_belement(a, json_dim(obj))
 

@@ -14,7 +14,6 @@ intervals and its integer Moebius function.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import product
@@ -248,9 +247,7 @@ class BncPartition:
         }
 
     @classmethod
-    def from_json(cls, obj: dict | str) -> "BncPartition":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+    def from_json(cls, obj: dict) -> "BncPartition":
         chi = ChiWord(obj["chi"])
         return cls(obj["blocks"], chi)
 

@@ -31,7 +31,7 @@ from .conjvar import (
     semicircular_entropy_experiment,
     solve_conjugate,
 )
-from .fock import BisemicircularModel, make_bisemicircular
+from .fock import FockModel, bisemicircular_from_json, make_bisemicircular
 from .moments import bifree_test, cumulants_from_moments, moments_from_cumulants
 from .words import Monomial
 
@@ -96,10 +96,10 @@ def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
         sys.stdout.write(json.dumps(_jsonable(report), sort_keys=True) + "\n")
 
 
-def _load_model(args) -> BisemicircularModel:
+def _load_model(args) -> FockModel:
     if args.model:
         with open(args.model) as fh:
-            return BisemicircularModel.from_json(json.load(fh), max_depth=args.truncation)
+            return bisemicircular_from_json(json.load(fh), max_depth=args.truncation)
     eye = CPMap.identity(args.d)
     return make_bisemicircular([eye], [eye], max_depth=args.truncation)
 

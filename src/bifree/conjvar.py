@@ -40,7 +40,7 @@ import numpy as np
 
 from .balgebra import CPMap, matrix_unit, matrix_units, trace_d, worst_at
 from .bnc import LEFT, RIGHT, ChiWord, s_chi
-from .fock import CircularPairModel, FockModel, FockVector, make_bisemicircular
+from .fock import FockModel, FockVector, make_bisemicircular, make_circular_pair
 from .words import (
     BCoeff,
     GeneratorSymbol,
@@ -125,9 +125,10 @@ def _relation_walk(xi, eta: CPMap, others: Sequence, max_n: int):
     Yields ``(word, state, rhs)`` for words of up to ``max_n`` letters over
     the target, the generators ``others`` present beside it (in that order)
     and, for a nontrivial coefficient algebra, left/right insertions of its
-    matrix unit basis.  Words grow from the left, depth first, so each state
-    is reused across all its extensions and only keeps the components that
-    the longest extension can still bring back to depth 0.
+    matrix unit basis, each letter once.  Words grow from the left, depth
+    first, so each state is reused across all its extensions and only keeps
+    the components that the longest extension can still bring back to
+    depth 0.
 
     Letters that the candidate's ``pure_side`` puts on opposite sides are
     independent: they commute as operators, so words that differ by
@@ -172,6 +173,9 @@ def _relation_walk(xi, eta: CPMap, others: Sequence, max_n: int):
         for e in matrix_units(F.dim):
             alphabet.append(Lb(e))
             alphabet.append(Rb(e))
+    # A letter equal to an earlier one would walk the same operators again,
+    # and a copy of the target would miss its splices in the right side.
+    alphabet = list(dict.fromkeys(alphabet))
     # Per letter: the bit masks of the letters pure on the side opposite to
     # its own, and of those among them that come earlier in the alphabet.
     sides = [xi.pure_side(f) for f in alphabet]
@@ -268,7 +272,7 @@ def solve_conjugate(
     candidate together with its verified residual; the residual is
     reported, never trusted silently.
     """
-    alphabet = [target, *others]
+    alphabet = list(dict.fromkeys([target, *others]))
     basis_words = [()]
     frontier = [()]
     for _ in range(3):
@@ -596,10 +600,10 @@ def scaled_semicircular(lam: float):
     ``1/lam^2``).  The target is self-adjoint, since ``lam`` is real."""
     m = make_bisemicircular([CPMap.identity(1)], [])
     s = m.symbol("S1")
-    target = m.model.combination_symbol(f"{lam!r}*S1", s.side, [(lam, s)])
-    m.model.register_symbol(target, m.model.symbol_actions[target], self_adjoint=True)
-    vec = m.model.vector_of(Monomial([s])).scaled(1.0 / lam)
-    return [VectorCandidate(target, vec, m.model)]
+    target = m.combination_symbol(f"{lam!r}*S1", s.side, [(lam, s)])
+    m.register_symbol(target, m.symbol_actions[target], self_adjoint=True)
+    vec = m.vector_of(Monomial([s])).scaled(1.0 / lam)
+    return [VectorCandidate(target, vec, m)]
 
 
 def semicircular_perturbation():
@@ -611,12 +615,10 @@ def semicircular_perturbation():
     s, s2 = m.symbol("S1"), m.symbol("S2")
 
     def family(t: float):
-        u = m.model.combination_symbol(
-            f"u[{t!r}]", LEFT, [(1.0, s), (math.sqrt(t), s2)], family="u"
-        )
-        m.model.register_symbol(u, m.model.symbol_actions[u], self_adjoint=True)
-        vec = m.model.vector_of(Monomial([u])).scaled(1.0 / (1.0 + t))
-        return [VectorCandidate(u, vec, m.model)]
+        u = m.combination_symbol(f"u[{t!r}]", LEFT, [(1.0, s), (math.sqrt(t), s2)], family="u")
+        m.register_symbol(u, m.symbol_actions[u], self_adjoint=True)
+        vec = m.vector_of(Monomial([u])).scaled(1.0 / (1.0 + t))
+        return [VectorCandidate(u, vec, m)]
 
     return family
 
@@ -687,9 +689,10 @@ def fisher_minimization_experiment(max_n: int = 6) -> dict:
     candidates, and reports their ratio (expected: exactly 2), plus the
     Cramer-Rao product on the lifted side (expected: exactly K^2 = 4).
     """
-    cp = CircularPairModel()
-    pair = check_candidates(circular_candidates(cp.model, cp.c_l, cp.c_r), max_n)
-    lift = check_candidates(lifted_candidates(cp.model, cp.c_l, cp.c_r), max_n)
+    model = make_circular_pair()
+    cl, cr = model.symbol("cl"), model.symbol("cr")
+    pair = check_candidates(circular_candidates(model, cl, cr), max_n)
+    lift = check_candidates(lifted_candidates(model, cl, cr), max_n)
     max_resid = worst_at((pair["max_residual"], lift["max_residual"]))[0]
     lhs, rhs = pair["fisher"], lift["fisher"]
     ratio = lhs / rhs
@@ -743,9 +746,9 @@ def circular_entropy_experiment() -> dict:
     semicircular) perturbations, and checks the factor-2 relation within the
     quadratures' error estimates.
     """
-    cp = CircularPairModel(n_pairs=2)
-    model = cp.model
-    (cl, cls, cr, crs), (c2l, c2ls, c2r, c2rs) = cp.pairs
+    model = make_circular_pair(n_pairs=2)
+    cl, cr, c2l, c2r = map(model.symbol, ("cl", "cr", "cl2", "cr2"))
+    cls, crs, c2ls, c2rs = (s.star() for s in (cl, cr, c2l, c2r))
 
     @functools.lru_cache(maxsize=None)  # both curves read the same nodes
     def perturbed(t: float):

@@ -26,13 +26,18 @@ coefficient factors count for nothing.  Components beyond the remaining
 budget are never built, so an expectation of a word with s symbols never
 builds depth beyond floor(s/2) and is exact, up to float roundoff, for any
 truncation at or above floor(s/2).
+
+Every builder returns a ``FockModel``: ``make_bisemicircular`` (one CP map
+per generator, symbols S1.. and D1..), ``make_standard_semicircular`` and
+``make_circular_pair`` (symbols cl, cr, ... as combinations of those
+generators).  ``bisemicircular_from_json`` reads the form that
+``FockModel.to_json`` writes.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
-import json
 import math
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -324,6 +329,26 @@ class FockModel:
         out = GeneratorSymbol(name, side, adjoint, fam or name)
         return self.register_symbol(out, action)
 
+    @property
+    def symbols(self) -> tuple[GeneratorSymbol, ...]:
+        """The registered generators in registration order, adjoints left out."""
+        return tuple(s for s in self.symbol_actions if not s.adjoint)
+
+    def symbol(self, name: str) -> GeneratorSymbol:
+        """The registered generator called ``name``, not its adjoint."""
+        for s in self.symbols:
+            if s.name == name:
+                return s
+        raise KeyError(name)
+
+    def to_json(self) -> dict:
+        cov = self.covariances
+        return {
+            "d": self.dim,
+            "left": [cov[k].to_json() for k in self.left_indices],
+            "right": [cov[k].to_json() for k in self.right_indices],
+        }
+
     def pure_side(self, f) -> str | None:
         """The side whose operators alone make up ``f``, or None.
 
@@ -523,128 +548,71 @@ class FockModel:
 
 # --- model builders ---------------------------------------------------------
 
-class BisemicircularModel:
+def make_bisemicircular(eta_left: Sequence[CPMap], eta_right: Sequence[CPMap],
+                        max_depth: int | None = None) -> FockModel:
     """Self-adjoint sums creation+annihilation on both sides, one CP map each.
 
-    Exposes left symbols S1..Sn, right symbols D1..Dm, and the Fock
-    model's moment functional (the same object).  Each symbol is its own
-    family: the pair generated by S_i on the left (resp. D_j on the right)
-    together with the opposite copy of the coefficient algebra is bi-free
-    from the others over the coefficient algebra.
+    Registers the left symbols S1..Sn, then the right symbols D1..Dm.  Each
+    symbol is its own family: the pair generated by S_i on the left (resp.
+    D_j on the right) together with the opposite copy of the coefficient
+    algebra is bi-free from the others over the coefficient algebra.
     """
-
-    def __init__(self, eta_left: Sequence[CPMap], eta_right: Sequence[CPMap],
-                 max_depth: int | None = None):
-        etas = list(eta_left) + list(eta_right)
-        if not etas:
-            raise ValueError("need at least one covariance map")
-        d = etas[0].dim
-        for eta in etas:
-            if eta.dim != d:
-                raise ValueError("covariance maps must share one dimension")
-        lidx = tuple(f"S{i+1}" for i in range(len(eta_left)))
-        ridx = tuple(f"D{j+1}" for j in range(len(eta_right)))
-        cov = dict(zip(lidx + ridx, etas))
-        self.model = FockModel(d, lidx, ridx, cov, max_depth=max_depth)
-        self.dim = d
-        self.left_symbols = tuple(
-            self.model.register_symbol(
-                GeneratorSymbol(k, LEFT, family=k),
-                [(1.0, ("l", k)), (1.0, ("l*", k))],
+    etas = list(eta_left) + list(eta_right)
+    if not etas:
+        raise ValueError("need at least one covariance map")
+    lidx = tuple(f"S{i+1}" for i in range(len(eta_left)))
+    ridx = tuple(f"D{j+1}" for j in range(len(eta_right)))
+    model = FockModel(etas[0].dim, lidx, ridx, dict(zip(lidx + ridx, etas)), max_depth)
+    for side, idx in ((LEFT, lidx), (RIGHT, ridx)):
+        create, annihilate = ("l", "l*") if side == LEFT else ("r", "r*")
+        for k in idx:
+            model.register_symbol(
+                GeneratorSymbol(k, side, family=k),
+                [(1.0, (create, k)), (1.0, (annihilate, k))],
                 self_adjoint=True,
             )
-            for k in lidx
-        )
-        self.right_symbols = tuple(
-            self.model.register_symbol(
-                GeneratorSymbol(k, RIGHT, family=k),
-                [(1.0, ("r", k)), (1.0, ("r*", k))],
-                self_adjoint=True,
-            )
-            for k in ridx
-        )
-        self.functional = self.model.functional
-
-    @property
-    def symbols(self) -> tuple[GeneratorSymbol, ...]:
-        return self.left_symbols + self.right_symbols
-
-    def symbol(self, name: str) -> GeneratorSymbol:
-        for s in self.symbols:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
-    @classmethod
-    def from_json(cls, obj: dict | str, max_depth: int | None = None) -> "BisemicircularModel":
-        """The maps fix the dimension; a ``"d"`` other than theirs, or one that is
-        not an ``int``, raises ``ValueError``."""
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        left = [CPMap.from_json(e) for e in obj.get("left", [])]
-        right = [CPMap.from_json(e) for e in obj.get("right", [])]
-        model = cls(left, right, max_depth=max_depth)
-        if (d := json_dim(obj)) not in (None, model.dim):
-            raise ValueError(f"model says d={d}, its maps have d={model.dim}")
-        return model
-
-    def to_json(self) -> dict:
-        n = len(self.left_symbols)
-        keys = self.model.left_indices + self.model.right_indices
-        etas = [self.model.covariances[k].to_json() for k in keys]
-        return {"d": self.dim, "left": etas[:n], "right": etas[n:]}
+    return model
 
 
-def make_bisemicircular(eta_left: Sequence[CPMap], eta_right: Sequence[CPMap],
-                        max_depth: int | None = None) -> BisemicircularModel:
-    return BisemicircularModel(eta_left, eta_right, max_depth=max_depth)
+def bisemicircular_from_json(obj: dict, max_depth: int | None = None) -> FockModel:
+    """The bi-semicircular model of ``FockModel.to_json``'s form.  The maps fix
+    the dimension; a ``"d"`` other than theirs, or one that is not an ``int``,
+    raises ``ValueError``."""
+    left = [CPMap.from_json(e) for e in obj.get("left", [])]
+    right = [CPMap.from_json(e) for e in obj.get("right", [])]
+    model = make_bisemicircular(left, right, max_depth=max_depth)
+    if (d := json_dim(obj)) not in (None, model.dim):
+        raise ValueError(f"model says d={d}, its maps have d={model.dim}")
+    return model
 
 
-def make_standard_semicircular(n_left: int = 1, n_right: int = 0) -> BisemicircularModel:
+def make_standard_semicircular(n_left: int = 1, n_right: int = 0) -> FockModel:
     """Scalar variance-1 semicircular generators (identity covariance)."""
     one = CPMap.identity(1)
-    return BisemicircularModel([one] * n_left, [one] * n_right)
+    return make_bisemicircular([one] * n_left, [one] * n_right)
 
 
-class CircularPairModel:
+def make_circular_pair(n_pairs: int = 1) -> FockModel:
     """Left/right pairs of circular elements over scalar coefficients.
 
     Each pair is built from two left and two right scalar variance-1
-    semicircular generators of one ``BisemicircularModel``: the left element
-    is (S1 + i S2)/sqrt(2), its adjoint (S1 - i S2)/sqrt(2), and the right
-    ones the same combinations of D1 and D2 (S3, S4, D3, D4 for the second
-    pair, and so on).  The four symbols of a pair share one family tag (they
-    form a single two-faced pair); distinct pairs are bi-free from each other.
+    semicircular generators of one bi-semicircular model: the left element
+    ``cl`` is (S1 + i S2)/sqrt(2), the right one ``cr`` is (D1 + i D2)/sqrt(2),
+    and their adjoints, found by ``star()``, are the combinations with -i.
+    The second pair, ``cl2`` and ``cr2``, is built from S3, S4, D3 and D4,
+    and so on.  The four symbols of a pair share one family tag (they form a
+    single two-faced pair); distinct pairs are bi-free from each other.
     """
-
-    def __init__(self, n_pairs: int = 1):
-        if n_pairs < 1:
-            raise ValueError(f"n_pairs must be >= 1, got {n_pairs!r}")
-        one = CPMap.identity(1)
-        bs = BisemicircularModel([one] * (2 * n_pairs), [one] * (2 * n_pairs))
-        self.model = bs.model
-        self.dim = 1
-        isq = 1.0 / np.sqrt(2.0)
-        mk = self.model.combination_symbol
-        self.pairs: list[tuple[GeneratorSymbol, ...]] = []
-        for p in range(n_pairs):
-            tag = "" if p == 0 else str(p + 1)
-            pair = []
-            for name, (s1, s2) in (
-                (f"cl{tag}", bs.left_symbols[2 * p:2 * p + 2]),
-                (f"cr{tag}", bs.right_symbols[2 * p:2 * p + 2]),
-            ):
-                for adjoint, phase in ((False, 1j), (True, -1j)):
-                    pair.append(mk(name, s1.side, [(isq, s1), (phase * isq, s2)],
-                                   family=f"c{p + 1}", adjoint=adjoint))
-            self.pairs.append(tuple(pair))
-        self.c_l, self.c_l_star, self.c_r, self.c_r_star = self.pairs[0]
-        self.functional = self.model.functional
-
-    @property
-    def symbols(self) -> tuple[GeneratorSymbol, ...]:
-        return tuple(s for pair in self.pairs for s in pair)
-
-
-def make_circular_pair() -> CircularPairModel:
-    return CircularPairModel()
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs!r}")
+    one = CPMap.identity(1)
+    model = make_bisemicircular([one] * (2 * n_pairs), [one] * (2 * n_pairs))
+    isq = 1.0 / np.sqrt(2.0)
+    for p in range(n_pairs):
+        tag = "" if p == 0 else str(p + 1)
+        for name, base in ((f"cl{tag}", "S"), (f"cr{tag}", "D")):
+            s1, s2 = model.symbol(f"{base}{2 * p + 1}"), model.symbol(f"{base}{2 * p + 2}")
+            for adjoint, phase in ((False, 1j), (True, -1j)):
+                model.combination_symbol(name, s1.side, [(isq, s1), (phase * isq, s2)],
+                                         family=f"c{p + 1}", adjoint=adjoint)
+    return model

@@ -31,6 +31,7 @@ block values in position order; another visits every entry of the table in
 NC coordinates, as the scan did before it indexed the table by block.  The
 interval oracle rebuilds a lower interval from relabelled factor tables on
 every call, and the table-transform oracles add one term at a time over it.
+The circular-pair symbol table is written out by hand, entry by entry.
 """
 
 import itertools
@@ -710,6 +711,47 @@ def lift_expect_two_phase(lift, word):
     return out
 
 
+# --- the circular-pair symbols, written out ------------------------------------
+
+_R = 1.0 / math.sqrt(2.0)
+
+# The symbols that ``make_circular_pair(2)`` registers after its eight
+# semicircular generators, in registration order: (name, side, adjoint,
+# family, action).  Each circular element is (S1 + i S2)/sqrt(2) on the left
+# and (D1 + i D2)/sqrt(2) on the right, its adjoint the same with -i; the
+# second pair is built from S3, S4, D3 and D4.
+CIRCULAR_PAIRS_2 = (
+    ("cl", "l", False, "c1",
+     ((_R, ("l", "S1")), (_R, ("l*", "S1")), (1j * _R, ("l", "S2")), (1j * _R, ("l*", "S2")))),
+    ("cl", "l", True, "c1",
+     ((_R, ("l", "S1")), (_R, ("l*", "S1")), (-1j * _R, ("l", "S2")), (-1j * _R, ("l*", "S2")))),
+    ("cr", "r", False, "c1",
+     ((_R, ("r", "D1")), (_R, ("r*", "D1")), (1j * _R, ("r", "D2")), (1j * _R, ("r*", "D2")))),
+    ("cr", "r", True, "c1",
+     ((_R, ("r", "D1")), (_R, ("r*", "D1")), (-1j * _R, ("r", "D2")), (-1j * _R, ("r*", "D2")))),
+    ("cl2", "l", False, "c2",
+     ((_R, ("l", "S3")), (_R, ("l*", "S3")), (1j * _R, ("l", "S4")), (1j * _R, ("l*", "S4")))),
+    ("cl2", "l", True, "c2",
+     ((_R, ("l", "S3")), (_R, ("l*", "S3")), (-1j * _R, ("l", "S4")), (-1j * _R, ("l*", "S4")))),
+    ("cr2", "r", False, "c2",
+     ((_R, ("r", "D3")), (_R, ("r*", "D3")), (1j * _R, ("r", "D4")), (1j * _R, ("r*", "D4")))),
+    ("cr2", "r", True, "c2",
+     ((_R, ("r", "D3")), (_R, ("r*", "D3")), (-1j * _R, ("r", "D4")), (-1j * _R, ("r*", "D4")))),
+)
+
+
+def circular_letters(model, n_pairs=1):
+    """A circular-pair model's elements and their adjoints, pair by pair:
+    cl, cl*, cr, cr*, then cl2, cl2*, cr2, cr2*, and so on."""
+    letters = []
+    for p in range(n_pairs):
+        tag = "" if p == 0 else str(p + 1)
+        for name in (f"cl{tag}", f"cr{tag}"):
+            s = model.symbol(name)
+            letters += [s, s.star()]
+    return letters
+
+
 # --- conjugate relations, one word at a time -------------------------------------
 
 def circular_presence(z, w):
@@ -735,7 +777,7 @@ def conjugate_rhs(word, target, eta, F):
     total = 0.0 + 0.0j
     n = len(word)
     for k in range(n):
-        if word[k] is not target:
+        if word[k] != target:
             continue
         tail = [m for m in range(k + 1, n) if word[m].side == target.side]
         inner = eta(F.expect(Monomial([word[m] for m in tail])))

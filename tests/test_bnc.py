@@ -442,4 +442,4 @@ def test_json_round_trip():
     p = BncPartition([[1, 4], [2, 5], [3, 6]], chi)
     obj = p.to_json()
     assert obj == {"n": 6, "chi": "lllrrl", "blocks": [[1, 4], [2, 5], [3, 6]]}
-    assert BncPartition.from_json(json.dumps(obj)) == p
+    assert BncPartition.from_json(json.loads(json.dumps(obj))) == p

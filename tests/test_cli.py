@@ -18,7 +18,7 @@ from bifree.bnc import BncPartition, ChiWord, enumerate_bnc
 from bifree.acceptance import CriterionResult
 from bifree.cli import main
 from bifree.conjvar import check_candidates, lifted_candidates, scaled_semicircular
-from bifree.fock import CircularPairModel, FockModel, make_standard_semicircular
+from bifree.fock import FockModel, make_circular_pair, make_standard_semicircular
 from bifree.moments import cumulants_from_moments, eval_moment_pi
 from bifree.words import Monomial
 
@@ -362,8 +362,9 @@ def test_cli_verdict_numbers_are_check_candidates(capsys):
     assert {key: json.loads(out)[key] for key in want} == want
     code, out = run_cli(capsys, "fisher", "run", "--experiment", "circular-min")
     assert code == 0
-    cp = CircularPairModel()
-    lift = check_candidates(lifted_candidates(cp.model, cp.c_l, cp.c_r), 6)
+    cp = make_circular_pair()
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
+    lift = check_candidates(lifted_candidates(cp, cl, cr), 6)
     assert json.loads(out)["cramer_rao_product"] == lift["cramer_rao_product"]
 
 

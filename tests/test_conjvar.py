@@ -46,14 +46,14 @@ ONE = CPMap.identity(1)
 def test_semicircular_conjugate_is_itself():
     m = make_bisemicircular([ONE], [])
     s = m.symbol("S1")
-    cand = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
+    cand = VectorCandidate(s, m.vector_of(Monomial([s])), m)
     assert conj_residual(cand, ONE, (), 6) <= 1e-12
 
 
 def test_zero_candidate_fails_at_first_relation():
     m = make_bisemicircular([ONE], [])
     s = m.symbol("S1")
-    cand = VectorCandidate(s, FockVector(1), m.model)
+    cand = VectorCandidate(s, FockVector(1), m)
     r = conj_residual(cand, ONE, (), 2)
     assert abs(r - 1.0) < 1e-12  # tau(S S) = 1 is the first broken relation
 
@@ -62,9 +62,9 @@ def test_scaling_law():
     for lam in (0.5, 2.0):
         m = make_bisemicircular([ONE], [])
         s = m.symbol("S1")
-        scaled = m.model.combination_symbol("scaled", s.side, [(lam, s)])
+        scaled = m.combination_symbol("scaled", s.side, [(lam, s)])
         cand = VectorCandidate(
-            scaled, m.model.vector_of(Monomial([s])).scaled(1 / lam), m.model
+            scaled, m.vector_of(Monomial([s])).scaled(1 / lam), m
         )
         assert conj_residual(cand, ONE, (), 6) <= 1e-12
         assert abs(fisher_info([cand]) - 1 / lam**2) < 1e-12
@@ -82,7 +82,7 @@ def test_candidate_tau_matches_the_trace_bit_for_bit(entry):
     # with the same signed zeros; a state without a depth-0 part reads 0.
     m = make_bisemicircular([ONE], [])
     s = m.symbol("S1")
-    cand = VectorCandidate(s, FockVector(1, {} if entry is None else {(): [[entry]]}), m.model)
+    cand = VectorCandidate(s, FockVector(1, {} if entry is None else {(): [[entry]]}), m)
     state = cand.initial_state()
     want = complex(np.trace(state.depth0())) / 1
     assert repr(cand.tau(state)) == repr(want)
@@ -91,9 +91,8 @@ def test_candidate_tau_matches_the_trace_bit_for_bit(entry):
 def test_uniqueness_up_to_orthogonal_part():
     # Two candidates passing the same relations differ by a state orthogonal
     # to every test word.
-    m = make_bisemicircular([ONE, ONE], [])
-    s1, s2 = m.symbol("S1"), m.symbol("S2")
-    model = m.model
+    model = make_bisemicircular([ONE, ONE], [])
+    s1, s2 = model.symbol("S1"), model.symbol("S2")
     base = model.vector_of(Monomial([s1]))
     other = base + model.vector_of(Monomial([s2])).scaled(0.3)
     c1 = VectorCandidate(s1, base, model)
@@ -113,12 +112,12 @@ def test_projection_monotonicity():
     # Fisher information in a reduced presence context can only shrink.
     m = make_bisemicircular([ONE, ONE], [])
     s1, s2 = m.symbol("S1"), m.symbol("S2")
-    u = m.model.combination_symbol("u", "l", [(1.0, s1), (1.0, s2)], family="u")
+    u = m.combination_symbol("u", "l", [(1.0, s1), (1.0, s2)], family="u")
     # full context: the extra generator s1 is present; conjugate is s2
-    full = VectorCandidate(u, m.model.vector_of(Monomial([s2])), m.model)
+    full = VectorCandidate(u, m.vector_of(Monomial([s2])), m)
     assert conj_residual(full, ONE, (s1,), 5) <= 1e-10
     # reduced context: scalar coefficients only; conjugate is u/2
-    reduced = VectorCandidate(u, m.model.vector_of(Monomial([u])).scaled(0.5), m.model)
+    reduced = VectorCandidate(u, m.vector_of(Monomial([u])).scaled(0.5), m)
     assert conj_residual(reduced, ONE, (), 5) <= 1e-10
     assert fisher_info([reduced]) <= fisher_info([full]) + 1e-12
     assert abs(fisher_info([reduced]) - 0.5) < 1e-12
@@ -132,8 +131,8 @@ def test_projection_monotonicity():
 def test_two_sided_fisher_additivity():
     m = make_bisemicircular([ONE], [ONE])
     s, d = m.symbol("S1"), m.symbol("D1")
-    cs = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
-    cd = VectorCandidate(d, m.model.vector_of(Monomial([d])), m.model)
+    cs = VectorCandidate(s, m.vector_of(Monomial([s])), m)
+    cd = VectorCandidate(d, m.vector_of(Monomial([d])), m)
     assert conj_residual(cs, ONE, (d,), 5) <= 1e-10
     assert conj_residual(cd, ONE, (s,), 5) <= 1e-10
     assert abs(fisher_info([cs, cd]) - 2.0) < 1e-12
@@ -146,7 +145,7 @@ def test_matrix_coefficient_insertions_in_relations():
     flip = eta_flip()
     m = make_bisemicircular([flip], [flip])
     S, D = m.symbol("S1"), m.symbol("D1")
-    cand = VectorCandidate(S, m.model.vector_of(Monomial([S])), m.model)
+    cand = VectorCandidate(S, m.vector_of(Monomial([S])), m)
     r = conj_residual(cand, flip, (D,), 4)
     assert r <= 1e-10
 
@@ -154,7 +153,7 @@ def test_matrix_coefficient_insertions_in_relations():
 def test_solver_recovers_semicircular_conjugate():
     m = make_bisemicircular([ONE], [])
     s = m.symbol("S1")
-    cand, resid = solve_conjugate(m.model, s, ONE, (), max_n=4)
+    cand, resid = solve_conjugate(m, s, ONE, (), max_n=4)
     assert resid <= 1e-9
     assert abs(fisher_info([cand]) - 1.0) < 1e-6
 
@@ -202,7 +201,8 @@ class TensorOracle:
 
 def test_lifted_pair_keeps_one_scalar_functional():
     cp = make_circular_pair()
-    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r)
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
+    pair = matrix_lift(cp.functional, cl, cr)
     tau2 = pair.lift.functional
     assert pair.lift.functional is tau2
     tau2.tau(Monomial([pair.X, pair.X]))
@@ -213,13 +213,12 @@ def test_models_and_candidates_share_one_functional():
     # One moment functional per model and per lift, the same object on every
     # read, and the one that every candidate of the model or lift carries.
     m = make_bisemicircular([ONE], [ONE])
-    assert m.functional is m.model.functional
-    assert m.model.functional is m.model.functional
+    assert m.functional is m.functional
     cp = make_circular_pair()
-    assert cp.functional is cp.model.functional
-    cands = circular_candidates(cp.model, cp.c_l, cp.c_r)
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
+    cands = circular_candidates(cp, cl, cr)
     assert all(c.functional is cp.functional for c in cands)
-    lifted = lifted_candidates(cp.model, cp.c_l, cp.c_r)
+    lifted = lifted_candidates(cp, cl, cr)
     assert lifted[0].functional is lifted[1].functional
     assert lifted[0].functional.dim == 1
 
@@ -230,7 +229,7 @@ def test_residual_after_solve_reads_the_filled_cache():
     m = make_bisemicircular([ONE, ONE], [ONE])
     s1, d1 = m.symbol("S1"), m.symbol("D1")
     ctx = (d1,)
-    cand, resid = solve_conjugate(m.model, s1, ONE, ctx, max_n=4)
+    cand, resid = solve_conjugate(m, s1, ONE, ctx, max_n=4)
     assert cand.functional is m.functional
     cached = len(m.functional._cache)
     assert cached > 0
@@ -240,12 +239,14 @@ def test_residual_after_solve_reads_the_filled_cache():
 
 def test_candidates_derive_adjoints():
     cp = make_circular_pair()
-    assert cp.c_l.star() == cp.c_l_star and hash(cp.c_l.star()) == hash(cp.c_l_star)
-    cands = circular_candidates(cp.model, cp.c_l, cp.c_r)
-    assert [c.target for c in cands] == [cp.c_l, cp.c_l_star, cp.c_r, cp.c_r_star]
-    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r)
-    assert pair.lift.tables[pair.X][(2, 1)] == ((1.0, (cp.c_l_star,)),)
-    assert pair.lift.tables[pair.Y][(2, 1)] == ((1.0, (cp.c_r_star,)),)
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
+    cls = next(s for s in cp.symbol_actions if s.name == "cl" and s.adjoint)
+    assert cl.star() == cls and hash(cl.star()) == hash(cls)
+    cands = circular_candidates(cp, cl, cr)
+    assert [c.target for c in cands] == [cl, cl.star(), cr, cr.star()]
+    pair = matrix_lift(cp.functional, cl, cr)
+    assert pair.lift.tables[pair.X][(2, 1)] == ((1.0, (cl.star(),)),)
+    assert pair.lift.tables[pair.Y][(2, 1)] == ((1.0, (cr.star(),)),)
 
 
 def test_presence_sets_are_the_other_targets(monkeypatch):
@@ -261,10 +262,11 @@ def test_presence_sets_are_the_other_targets(monkeypatch):
 
     monkeypatch.setattr(bifree.conjvar, "conj_residual", resid)
     cp = make_circular_pair()
-    circular = circular_candidates(cp.model, cp.c_l, cp.c_r)
-    lifted = lifted_candidates(cp.model, cp.c_l, cp.c_r)
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
+    circular = circular_candidates(cp, cl, cr)
+    lifted = lifted_candidates(cp, cl, cr)
     for cands, want in (
-        (circular, circular_presence(cp.c_l, cp.c_r)),
+        (circular, circular_presence(cl, cr)),
         (lifted, lifted_presence(lifted)),
         (scaled_semicircular(2.0), [()]),
         (semicircular_perturbation()(0.5), [()]),
@@ -278,7 +280,8 @@ def test_circular_pair_cramer_rao_reads_k_squared():
     # The second moment of a target x is tau(x* x), 1 for each of z, z*, w
     # and w*, so the product is 4 * 4 = K^2 (tau(z z) would read 0).
     cp = make_circular_pair()
-    rep = check_candidates(circular_candidates(cp.model, cp.c_l, cp.c_r), 4)
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
+    rep = check_candidates(circular_candidates(cp, cl, cr), 4)
     assert abs(rep["cramer_rao_product"] - 16.0) <= 1e-12
 
 
@@ -287,8 +290,9 @@ def test_lift_symbol_registered_again():
     # which letters commute: the same table again changes nothing, another
     # one is an error, for the symbol and for its adjoint.
     cp = make_circular_pair()
+    cl = cp.symbol("cl")
     lift = MatrixLift(cp.functional)
-    table = {(1, 2): [(1.0, (cp.c_l,))], (2, 1): [(1.0, (cp.c_l_star,))]}
+    table = {(1, 2): [(1.0, (cl,))], (2, 1): [(1.0, (cl.star(),))]}
     X = lift.add_symbol(GeneratorSymbol("X", "l"), table)
     assert abs(lift.functional.tau(Monomial([X, X])) - 1.0) < 1e-12
     assert lift.add_symbol(GeneratorSymbol("X", "l"), table) == X
@@ -302,7 +306,8 @@ def test_lift_symbol_registered_again():
 
 def test_lift_parity_and_half_sum_formula():
     cp = make_circular_pair()
-    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r)
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
+    pair = matrix_lift(cp.functional, cl, cr)
     tau2 = pair.lift.functional
     phi = cp.functional.tau
     rng = np.random.default_rng(11)
@@ -321,7 +326,7 @@ def test_lift_parity_and_half_sum_formula():
                 pflags[pos - 1] = rank % 2 == 0
             zp, zq = [], []
             for k in range(n):
-                z = cp.c_l if labels[k] == "l" else cp.c_r
+                z = cl if labels[k] == "l" else cr
                 zp.append(z.star() if pflags[k] else z)
                 zq.append(z if pflags[k] else z.star())
             want = 0.5 * (phi(Monomial(zp)) + phi(Monomial(zq)))
@@ -330,12 +335,13 @@ def test_lift_parity_and_half_sum_formula():
 
 def test_lift_matches_tensor_oracle_d2():
     cp = make_circular_pair()
-    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r)
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
+    pair = matrix_lift(cp.functional, cl, cr)
     tables = {
         pair.X: (pair.lift.tables[pair.X], "l"),
         pair.Y: (pair.lift.tables[pair.Y], "r"),
     }
-    oracle = TensorOracle(cp.model, 2)
+    oracle = TensorOracle(cp, 2)
     rng = np.random.default_rng(12)
     for n in range(1, 7):
         for _ in range(4):
@@ -347,11 +353,12 @@ def test_lift_matches_tensor_oracle_d2():
 
 def test_lift_general_d_matches_tensor_oracle():
     cp = make_circular_pair()
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
     rng = np.random.default_rng(13)
     d = 3
     lift = MatrixLift(cp.functional, d=d)
-    base_left = (cp.c_l, cp.c_l_star)
-    base_right = (cp.c_r, cp.c_r_star)
+    base_left = (cl, cl.star())
+    base_right = (cr, cr.star())
     tables = {}
     for name, side, pool in (("A", "l", base_left), ("B", "r", base_right)):
         table = {}
@@ -364,7 +371,7 @@ def test_lift_general_d_matches_tensor_oracle():
         tables[sym] = (lift.tables[sym], side)
     A = next(s for s in tables if s.name == "A")
     B = next(s for s in tables if s.name == "B")
-    oracle = TensorOracle(cp.model, d)
+    oracle = TensorOracle(cp, d)
     # The lift's trace through a moment cache of its own.
     trace = MomentFunctional(lambda w: np.array([[trace_d(lift.expect(w))]]), 1)
     for n in range(1, 5):
@@ -379,13 +386,14 @@ def test_lift_expect_matches_two_phase_oracle():
     # Exact: the same base words, coefficient products and sums in the same
     # order as the two-phase expansion.
     cp = make_circular_pair()
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
     rng = np.random.default_rng(14)
     nonzero = 0
     for d in (2, 3):
         lift = MatrixLift(cp.functional, d=d)
         symbols = []
-        for name, side, pool in (("A", "l", (cp.c_l, cp.c_l_star)),
-                                 ("B", "r", (cp.c_r, cp.c_r_star))):
+        for name, side, pool in (("A", "l", (cl, cl.star())),
+                                 ("B", "r", (cr, cr.star()))):
             table = {}
             for i in range(1, d + 1):
                 for j in range(1, d + 1):
@@ -417,7 +425,8 @@ def test_lift_coefficient_size():
     # A coefficient is d x d, or 1 x 1 for a multiple of the identity;
     # any other size is an error, not a cut to its top-left block.
     cp = make_circular_pair()
-    pair = matrix_lift(cp.functional, cp.c_l, cp.c_r)
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
+    pair = matrix_lift(cp.functional, cl, cr)
     X, Y = pair.X, pair.Y
     for word, want in (
         ([X, Lb(np.array([[2.0]])), X], 2.0 * np.eye(2)),
@@ -440,7 +449,8 @@ def test_eta_flip_properties():
 
 def test_aaf_circular_pair_passes():
     cp = make_circular_pair()
-    rep = aaf_check(cp.functional, cp.c_l, cp.c_r, 6)
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
+    rep = aaf_check(cp.functional, cl, cr, 6)
     assert rep["pass"] and rep["max_discrepancy"] <= 1e-12
 
 
@@ -498,8 +508,9 @@ def test_aaf_max_n_bounds(max_n):
     # Below 2 no word pair would be tested, and the check must not pass
     # vacuously; above 8 is the cap.
     cp = make_circular_pair()
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
     with pytest.raises(ValueError, match="2..8"):
-        aaf_check(cp.functional, cp.c_l, cp.c_r, max_n)
+        aaf_check(cp.functional, cl, cr, max_n)
 
 
 # --- closed forms and entropy -----------------------------------------------------------

@@ -16,14 +16,9 @@ from bifree.conjvar import (
     circular_candidates,
     conj_residual,
 )
-from bifree.fock import (
-    CircularPairModel,
-    FockVector,
-    TruncationError,
-    make_bisemicircular,
-)
+from bifree.fock import FockVector, TruncationError, make_bisemicircular, make_circular_pair
 from bifree.words import Lb, Monomial, Rb
-from oracles import circular_presence, full_walk_residual
+from oracles import circular_letters, circular_presence, full_walk_residual
 
 
 def _unpruned(model, word, vec=None):
@@ -59,12 +54,12 @@ def _matrix_model(seed):
 
 
 def test_scalar_expectation_matches_unpruned_depth0():
-    cp = CircularPairModel(n_pairs=2)
+    cp = make_circular_pair(n_pairs=2)
     rng = np.random.default_rng(20)
-    alphabet = list(cp.symbols) + [Lb(np.array([[0.5 - 0.25j]]))]
+    alphabet = circular_letters(cp, 2) + [Lb(np.array([[0.5 - 0.25j]]))]
     for word in _random_words(rng, alphabet, 8, 12):
-        got = cp.model.expectation(word)
-        assert np.array_equal(got, _unpruned(cp.model, word).depth0()), word
+        got = cp.expectation(word)
+        assert np.array_equal(got, _unpruned(cp, word).depth0()), word
 
 
 def test_matrix_expectation_matches_unpruned_depth0():
@@ -72,28 +67,30 @@ def test_matrix_expectation_matches_unpruned_depth0():
     rng = np.random.default_rng(22)
     alphabet = list(model.symbols) + coeffs
     for word in _random_words(rng, alphabet, 8, 2):
-        got = model.model.expectation(word)
-        assert np.array_equal(got, _unpruned(model.model, word).depth0()), word
+        got = model.expectation(word)
+        assert np.array_equal(got, _unpruned(model, word).depth0()), word
 
 
 @pytest.mark.parametrize("keep", [0, 1, 2, 3])
 def test_apply_word_keeps_every_component_within_budget(keep):
-    cp = CircularPairModel()
+    cp = make_circular_pair()
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
     rng = np.random.default_rng(23)
-    start = cp.model.vector_of(Monomial([cp.c_l, cp.c_r_star]))
-    for word in _random_words(rng, list(cp.symbols), 6, 6):
-        full = _unpruned(cp.model, word, start)
-        pruned = cp.model.apply_word(word, start, keep_depth=keep)
+    start = cp.vector_of(Monomial([cl, cr.star()]))
+    for word in _random_words(rng, circular_letters(cp), 6, 6):
+        full = _unpruned(cp, word, start)
+        pruned = cp.apply_word(word, start, keep_depth=keep)
         want = {ks: t for ks, t in full.terms.items() if len(ks) <= keep}
         assert pruned.terms == want
 
 
 def test_circular_residuals_match_unpruned_walk():
-    cp = CircularPairModel()
+    cp = make_circular_pair()
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
     F = cp.functional
     eta = CPMap.identity(1)
-    cands = circular_candidates(cp.model, cp.c_l, cp.c_r)
-    for cand, ctx in zip(cands, circular_presence(cp.c_l, cp.c_r)):
+    cands = circular_candidates(cp, cl, cr)
+    for cand, ctx in zip(cands, circular_presence(cl, cr)):
         # The true candidates leave only roundoff; the rescaled ones do not.
         off = VectorCandidate(cand.target, cand.vector.scaled(1.5), cand.model)
         for xi in (cand, off):
@@ -105,11 +102,11 @@ def test_matrix_residual_matches_unpruned_walk():
     # d=2: the alphabet carries the matrix-unit insertions (Lb/Rb factors).
     model, _ = _matrix_model(24)
     s, d1 = model.symbol("S1"), model.symbol("D1")
-    eta = model.model.covariances["S1"]
+    eta = model.covariances["S1"]
     ctx = (d1,)
-    vec = model.model.vector_of(Monomial([s]))
+    vec = model.vector_of(Monomial([s]))
     for scale in (1.0, 1.5):
-        xi = VectorCandidate(s, vec.scaled(scale), model.model)
+        xi = VectorCandidate(s, vec.scaled(scale), model)
         got = conj_residual(xi, eta, ctx, 3)
         assert got == full_walk_residual(xi, eta, ctx, model.functional, 3)
 
@@ -118,9 +115,9 @@ def test_truncation_raised_only_for_reachable_components():
     tight = make_bisemicircular([CPMap.identity(1)], [], max_depth=2)
     s = tight.symbol("S1")
     # S1^4 needs depth 2 only: the depth-3 components cannot return to 0.
-    assert tight.model.expectation(Monomial([s] * 4))[0, 0] == 2.0
+    assert tight.expectation(Monomial([s] * 4))[0, 0] == 2.0
     with pytest.raises(TruncationError):
-        tight.model.expectation(Monomial([s] * 6))
+        tight.expectation(Monomial([s] * 6))
 
 
 def test_coefficient_factors_do_not_count_towards_the_budget():
@@ -129,6 +126,6 @@ def test_coefficient_factors_do_not_count_towards_the_budget():
     tight = make_bisemicircular([CPMap.identity(1)], [], max_depth=2)
     s, one = tight.symbol("S1"), Lb(np.eye(1))
     word = Monomial([one, s, one, s, s, s])
-    assert tight.model.expectation(word)[0, 0] == 2.0
-    pruned = tight.model.apply_word(word, FockVector.vacuum(1), keep_depth=0)
+    assert tight.expectation(word)[0, 0] == 2.0
+    pruned = tight.apply_word(word, FockVector.vacuum(1), keep_depth=0)
     assert pruned.depth0()[0, 0] == 2.0

@@ -8,17 +8,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import apply_symbol_by_factors, contract_by_kraus, inner_B_by_einsum, word_norm_sq
+from oracles import (
+    CIRCULAR_PAIRS_2,
+    apply_symbol_by_factors,
+    circular_letters,
+    contract_by_kraus,
+    inner_B_by_einsum,
+    word_norm_sq,
+)
 
 from bifree.balgebra import CPMap, maxabs, random_belement, random_cpmap
 from bifree.bnc import ChiWord, enumerate_bnc, one_partition
 from bifree.conjvar import eta_flip
 from bifree.fock import (
-    BisemicircularModel,
-    CircularPairModel,
     FockModel,
     FockVector,
     TruncationError,
+    bisemicircular_from_json,
     make_bisemicircular,
     make_circular_pair,
     make_standard_semicircular,
@@ -34,15 +40,15 @@ def _psd_cpmap(rng, d=2, n=2):
 
 def test_creation_on_vacuum():
     m = make_standard_semicircular()
-    v = m.model.apply_factor(("l", "S1"), FockVector.vacuum(1))
+    v = m.apply_factor(("l", "S1"), FockVector.vacuum(1))
     assert set(v.terms) == {("S1",)}
     assert v.terms[("S1",)] == 1.0
 
 
 def test_annihilation_kills_vacuum():
     m = make_standard_semicircular(1, 1)
-    assert not m.model.apply_factor(("l*", "S1"), FockVector.vacuum(1)).terms
-    assert not m.model.apply_factor(("r*", "D1"), FockVector.vacuum(1)).terms
+    assert not m.apply_factor(("l*", "S1"), FockVector.vacuum(1)).terms
+    assert not m.apply_factor(("r*", "D1"), FockVector.vacuum(1)).terms
 
 
 def test_left_annihilation_display_formula():
@@ -52,10 +58,10 @@ def test_left_annihilation_display_formula():
     b0, b1 = random_belement(2, rng), random_belement(2, rng)
     # build b0 Z b1 then annihilate: expect eta(b0) @ b1 at depth 0
     v = FockVector.vacuum(2)
-    v = m.model.apply_factor(("Rb", b1), v)
-    v = m.model.apply_factor(("l", "S1"), v)
-    v = m.model.apply_factor(("Lb", b0), v)
-    out = m.model.apply_factor(("l*", "S1"), v)
+    v = m.apply_factor(("Rb", b1), v)
+    v = m.apply_factor(("l", "S1"), v)
+    v = m.apply_factor(("Lb", b0), v)
+    out = m.apply_factor(("l*", "S1"), v)
     assert maxabs(out.depth0() - eta(b0) @ b1) < 1e-12
 
 
@@ -82,16 +88,15 @@ def test_truncation_independence_and_error():
 def test_unknown_index_rejected():
     m = make_standard_semicircular()
     with pytest.raises(KeyError):
-        m.model.apply_factor(("l", "nope"), FockVector.vacuum(1))
+        m.apply_factor(("l", "nope"), FockVector.vacuum(1))
 
 
 def test_left_creation_annihilation_adjoint_under_pairing():
     rng = np.random.default_rng(1)
     eta = _psd_cpmap(rng)
-    m = make_bisemicircular([eta], [eta])
-    model = m.model
-    s = m.symbol("S1")
-    d = m.symbol("D1")
+    model = make_bisemicircular([eta], [eta])
+    s = model.symbol("S1")
+    d = model.symbol("D1")
     # random vectors built from words keep us inside the reachable space
     words = [
         Monomial([s]),
@@ -111,9 +116,8 @@ def test_right_adjointness_scalar_and_trace_norm():
     # Over scalar coefficients the pairing is the full GNS geometry, so the
     # right pair is adjoint too; for matrix coefficients the trace route and
     # the pairing agree on left-generated states.
-    m = make_standard_semicircular(1, 1)
-    model = m.model
-    s, d = m.symbol("S1"), m.symbol("D1")
+    model = make_standard_semicircular(1, 1)
+    s, d = model.symbol("S1"), model.symbol("D1")
     vecs = [model.vector_of(w) for w in (Monomial([s]), Monomial([d, s]), Monomial([d, d]))]
     for u in vecs:
         for v in vecs:
@@ -124,7 +128,7 @@ def test_right_adjointness_scalar_and_trace_norm():
     m2 = make_bisemicircular([_psd_cpmap(rng)], [])
     s2 = m2.symbol("S1")
     for w in (Monomial([s2]), Monomial([s2, Lb(random_belement(2, rng)), s2])):
-        assert abs(m2.model.norm_sq(m2.model.vector_of(w)) - word_norm_sq(m2.model, w)) < 1e-10
+        assert abs(m2.norm_sq(m2.vector_of(w)) - word_norm_sq(m2, w)) < 1e-10
 
 
 def _trace_symmetric_cpmap(rng, d=2):
@@ -143,7 +147,7 @@ def _norm_sq_models(rng):
         ("flip", ([eta_flip()], [eta_flip()])),
     ):
         m = make_bisemicircular(*maps)
-        out.append((name, m.model, m.symbols))
+        out.append((name, m, m.symbols))
     for name, draw in (
         ("right-on-left", lambda: random_cpmap(2, rng)),
         ("symmetric-right-on-left", lambda: _trace_symmetric_cpmap(rng)),
@@ -172,10 +176,10 @@ def test_norm_sq_is_trace_norm_or_raises():
     b = np.array([[1.0, 2.0], [0.0, 1.0]])
     for w in (Monomial([D, Rb(b)]), Monomial([S, D]), Monomial([D])):
         with pytest.raises(ValueError, match="trace-symmetric"):
-            m.model.norm_sq(m.model.vector_of(w))
+            m.norm_sq(m.vector_of(w))
     w = Monomial([S, Lb(b)])
-    want = word_norm_sq(m.model, w)
-    assert abs(m.model.norm_sq(m.model.vector_of(w)) - want) <= 1e-12 * max(1.0, want)
+    want = word_norm_sq(m, w)
+    assert abs(m.norm_sq(m.vector_of(w)) - want) <= 1e-12 * max(1.0, want)
     allowed = {}
     for name, model, symbols in _norm_sq_models(np.random.default_rng(51)):
         allowed[name] = 0
@@ -224,8 +228,8 @@ def test_norm_sq_at_d1_never_raises():
     S, D = m.symbol("S1"), m.symbol("D1")
     for _ in range(50):
         w = Monomial([(S, D)[i] for i in rng.integers(2, size=int(rng.integers(1, 6)))])
-        want = word_norm_sq(m.model, w)
-        assert abs(m.model.norm_sq(m.model.vector_of(w)) - want) <= 1e-12 * max(1.0, want)
+        want = word_norm_sq(m, w)
+        assert abs(m.norm_sq(m.vector_of(w)) - want) <= 1e-12 * max(1.0, want)
 
 
 def test_left_right_commutation():
@@ -235,12 +239,12 @@ def test_left_right_commutation():
     s, d = m.symbol("S1"), m.symbol("D1")
     vectors = [
         FockVector.vacuum(2),
-        m.model.vector_of(Monomial([s, d])),
-        m.model.vector_of(Monomial([d, s])),
+        m.vector_of(Monomial([s, d])),
+        m.vector_of(Monomial([d, s])),
     ]
     for v in vectors:
-        sd = m.model.apply_symbol(d, m.model.apply_symbol(s, v))
-        ds = m.model.apply_symbol(s, m.model.apply_symbol(d, v))
+        sd = m.apply_symbol(d, m.apply_symbol(s, v))
+        ds = m.apply_symbol(s, m.apply_symbol(d, v))
         diff = sd - ds
         assert all(maxabs(np.asarray(t)) < 1e-12 for t in diff.terms.values())
 
@@ -275,7 +279,8 @@ def test_bisemicircular_requires_matching_dims():
 
 def test_circular_pair_moments():
     cp = make_circular_pair()
-    cl, cls, cr, crs = cp.symbols
+    cl = cp.symbol("cl")
+    cls = cl.star()
     phi = lambda *w: cp.functional.expect(Monomial(list(w)))[0, 0]
     assert abs(phi(cls, cl) - 1) < 1e-12
     assert abs(phi(cl, cl)) < 1e-12
@@ -295,7 +300,52 @@ def test_circular_pair_moments():
 @pytest.mark.parametrize("n_pairs", [0, -1])
 def test_circular_pair_needs_a_pair(n_pairs):
     with pytest.raises(ValueError, match="n_pairs"):
-        CircularPairModel(n_pairs)
+        make_circular_pair(n_pairs)
+
+
+def test_circular_pair_symbol_table():
+    # Eight semicircular generators, each with its adjoint, then the
+    # combination symbols of the two pairs, exactly as written out.
+    model = make_circular_pair(2)
+    semis = [
+        GeneratorSymbol(k, side, adjoint, k)
+        for side, base in (("l", "S"), ("r", "D"))
+        for k in (f"{base}{i}" for i in range(1, 5))
+        for adjoint in (False, True)
+    ]
+    table = [GeneratorSymbol(name, side, adj, fam) for name, side, adj, fam, _ in CIRCULAR_PAIRS_2]
+    assert list(model.symbol_actions) == semis + table
+    for sym, (*_, action) in zip(table, CIRCULAR_PAIRS_2):
+        assert model.symbol_actions[sym] == action, sym
+    assert circular_letters(model, 2) == table
+    assert model.symbols == tuple(semis[::2]) + tuple(table[::2])
+
+
+def test_symbols_are_the_registered_generators_without_adjoints():
+    one = CPMap.identity(1)
+    model = make_bisemicircular([one, one], [one, one])
+    want = [GeneratorSymbol(k, "l") for k in ("S1", "S2")]
+    want += [GeneratorSymbol(k, "r") for k in ("D1", "D2")]
+    assert list(model.symbols) == want
+    assert [model.symbol(s.name) for s in want] == want
+    u = model.combination_symbol("u", "l", [(1.0, want[0])], adjoint=True)
+    assert model.symbols == tuple(want) and u.adjoint
+    with pytest.raises(KeyError):
+        model.symbol("u")
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_model_json_round_trip_keeps_every_map(d):
+    rng = np.random.default_rng(40 + d)
+    maps = [random_cpmap(d, rng) for _ in range(3)]
+    m = make_bisemicircular(maps[:2], maps[2:], max_depth=5)
+    obj = json.loads(json.dumps(m.to_json()))
+    assert obj["d"] == d and len(obj["left"]) == 2 and len(obj["right"]) == 1
+    m2 = bisemicircular_from_json(obj, max_depth=5)
+    assert m2.to_json() == m.to_json()
+    assert m2.symbols == m.symbols and m2.max_depth == 5
+    for k, eta in m.covariances.items():
+        assert np.array_equal(m2.covariances[k].kraus, eta.kraus), k
 
 
 def test_expectation_compatible_with_coefficients():
@@ -317,7 +367,7 @@ def test_expectation_compatible_with_coefficients():
 def test_model_json_round_trip():
     rng = np.random.default_rng(4)
     m = make_bisemicircular([_psd_cpmap(rng)], [_psd_cpmap(rng)])
-    m2 = BisemicircularModel.from_json(m.to_json())
+    m2 = bisemicircular_from_json(json.loads(json.dumps(m.to_json())))
     s1, d1 = m.symbol("S1"), m.symbol("D1")
     t1, e1 = m2.symbol("S1"), m2.symbol("D1")
     w = Monomial([s1, d1, s1, d1])
@@ -328,19 +378,19 @@ def test_model_json_round_trip():
 def test_model_file_dimension_must_match_its_maps():
     rng = np.random.default_rng(6)
     spec = make_bisemicircular([_psd_cpmap(rng)], []).to_json()
-    assert BisemicircularModel.from_json(spec).to_json() == spec
+    assert bisemicircular_from_json(spec).to_json() == spec
     del spec["d"]
-    assert BisemicircularModel.from_json(spec).dim == 2
+    assert bisemicircular_from_json(spec).dim == 2
     spec["d"] = 3
     with pytest.raises(ValueError, match="d=3"):
-        BisemicircularModel.from_json(spec)
+        bisemicircular_from_json(spec)
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, "2"], ids=repr)
 def test_model_file_d_must_be_an_int(bad):
     spec = make_bisemicircular([_psd_cpmap(np.random.default_rng(6))], []).to_json()
     with pytest.raises(ValueError, match='field "d"'):
-        BisemicircularModel.from_json({**spec, "d": bad})
+        bisemicircular_from_json({**spec, "d": bad})
 
 
 def test_registered_symbol_validation():
@@ -354,18 +404,18 @@ def test_registered_symbol_validation():
 def test_rebinding_a_symbol_to_another_action_rejected():
     m = make_standard_semicircular()
     s = m.symbol("S1")
-    target = m.model.combination_symbol("target", "l", [(2.0, s)])
+    target = m.combination_symbol("target", "l", [(2.0, s)])
     tt = Monomial([target, target])
     assert m.functional.expect(tt)[0, 0] == 4.0
     # The same action again is a no-op; another one would leave the cached
     # moment stale.
-    assert m.model.combination_symbol("target", "l", [(2.0, s)]) == target
+    assert m.combination_symbol("target", "l", [(2.0, s)]) == target
     with pytest.raises(ValueError, match="another action"):
-        m.model.combination_symbol("target", "l", [(3.0, s)])
+        m.combination_symbol("target", "l", [(3.0, s)])
     assert m.functional.expect(tt)[0, 0] == 4.0
-    assert m.model.norm_sq(m.model.vector_of(Monomial([target]))) == 4.0
+    assert m.norm_sq(m.vector_of(Monomial([target]))) == 4.0
     with pytest.raises(ValueError, match="another action"):
-        m.model.register_symbol(s.star(), [(1.0, ("l", "S1"))])
+        m.register_symbol(s.star(), [(1.0, ("l", "S1"))])
 
 
 def test_model_and_lift_freed_without_the_cycle_collector():
@@ -377,7 +427,7 @@ def test_model_and_lift_freed_without_the_cycle_collector():
         s = m.symbol("S1")
         F = m.functional
         assert F.expect(Monomial([s, s]))[0, 0] == 1.0
-        model = weakref.ref(m.model)
+        model = weakref.ref(m)
         del m
         assert model() is None
         # The functional keeps what its oracle reads.
@@ -454,10 +504,10 @@ def test_matrix_arithmetic_on_scalar_multiples_matches_scalar_arithmetic():
                 w1.append(side([[z]]))
                 w2.append(side(z * np.eye(2)))
         w1, w2 = Monomial(w1), Monomial(w2)
-        e1 = m1.model.expectation(w1)[0, 0]
-        assert maxabs(m2.model.expectation(w2) - e1 * np.eye(2)) < 1e-12
-        n1 = m1.model.norm_sq(m1.model.vector_of(w1))
-        assert abs(m2.model.norm_sq(m2.model.vector_of(w2)) - n1) < 1e-12
+        e1 = m1.expectation(w1)[0, 0]
+        assert maxabs(m2.expectation(w2) - e1 * np.eye(2)) < 1e-12
+        n1 = m1.norm_sq(m1.vector_of(w1))
+        assert abs(m2.norm_sq(m2.vector_of(w2)) - n1) < 1e-12
 
 
 def _seeded_states(model, alphabet, rng, count):
@@ -479,10 +529,9 @@ def _assert_same_state(got, want):
 
 @pytest.mark.parametrize("keep", [None, 0, 1, 2])
 def test_one_pass_action_matches_factor_by_factor_scalar(keep):
-    cp = make_circular_pair()
-    model = cp.model
+    model = make_circular_pair()
     rng = np.random.default_rng(31)
-    alphabet = list(cp.symbols) + [Lb([[0.5 - 0.25j]]), Rb([[1.5j]])]
+    alphabet = circular_letters(model) + [Lb([[0.5 - 0.25j]]), Rb([[1.5j]])]
     for vec in _seeded_states(model, alphabet, rng, 12):
         for f in alphabet:
             got = model.apply_symbol(f, vec, keep)
@@ -492,9 +541,8 @@ def test_one_pass_action_matches_factor_by_factor_scalar(keep):
 @pytest.mark.parametrize("keep", [None, 0, 1, 2])
 def test_one_pass_action_matches_factor_by_factor_matrix(keep):
     rng = np.random.default_rng(32)
-    m = make_bisemicircular([_psd_cpmap(rng), _psd_cpmap(rng)], [_psd_cpmap(rng)])
-    model = m.model
-    s1, s2, d1 = m.symbol("S1"), m.symbol("S2"), m.symbol("D1")
+    model = make_bisemicircular([_psd_cpmap(rng), _psd_cpmap(rng)], [_psd_cpmap(rng)])
+    s1, s2, d1 = model.symbol("S1"), model.symbol("S2"), model.symbol("D1")
     u = model.combination_symbol("u", "l", [(0.3 + 0.2j, s1), (-1.1, s2)])
     v = model.combination_symbol("v", d1.side, [(-0.7j, d1)])
     alphabet = [s1, s2, d1, u, v, Lb(random_belement(2, rng)), Rb(random_belement(2, rng))]
@@ -590,7 +638,7 @@ def test_pool_moments_match_the_benchmark_reference():
     assert len(pool) == 8
     rng = np.random.default_rng(60)
     for entry in pool:
-        m = BisemicircularModel.from_json(entry["model"])
+        m = bisemicircular_from_json(entry["model"])
         for a in range(9):
             ref = entry["moments_by_s_count"][str(a)]
             ref = np.asarray(ref["re"]) + 1j * np.asarray(ref["im"])

@@ -10,7 +10,7 @@ import pytest
 from bifree.balgebra import CPMap, as_belement
 from bifree.bnc import ChiWord, zero_partition
 from bifree.conjvar import MatrixLift, VectorCandidate, h_closed_form, matrix_lift
-from bifree.fock import BisemicircularModel, FockModel, FockVector, make_bisemicircular
+from bifree.fock import FockModel, FockVector, make_bisemicircular
 from bifree.moments import chi_of_groups, group_offsets, hat_embed
 from bifree.words import BCoeff, GeneratorSymbol, Monomial, MomentFunctional, as_monomial
 
@@ -37,11 +37,11 @@ def _wrong_sides():
 
 def _mixed_combination():
     m = _pair()
-    m.model.combination_symbol("u", "l", [(1.0, m.symbol("D1"))])
+    m.combination_symbol("u", "l", [(1.0, m.symbol("D1"))])
 
 
 def _apply(f):
-    _pair().model.apply_symbol(f, FockVector.vacuum(1))
+    _pair().apply_symbol(f, FockVector.vacuum(1))
 
 
 CASES = {
@@ -67,7 +67,7 @@ CASES = {
         lambda: ChiWord("lr").side(3), IndexError, "position 3 out of range 1..2",
     ),
     "VectorCandidate dimension": (
-        lambda: VectorCandidate(GeneratorSymbol("S1", "l"), FockVector(2), _pair().model),
+        lambda: VectorCandidate(GeneratorSymbol("S1", "l"), FockVector(2), _pair()),
         ValueError, "vector dimension does not match the model",
     ),
     "MatrixLift non-scalar base": (
@@ -98,7 +98,7 @@ CASES = {
         _mixed_combination, ValueError, "combination mixes sides",
     ),
     "apply_factor unknown kind": (
-        lambda: _pair().model.apply_factor(("x", "S1"), FockVector.vacuum(1)),
+        lambda: _pair().apply_factor(("x", "S1"), FockVector.vacuum(1)),
         ValueError, "unknown factor kind 'x'",
     ),
     "apply_symbol unregistered": (
@@ -108,10 +108,14 @@ CASES = {
     "apply_symbol non-factor": (
         lambda: _apply(("l", "S1")), TypeError, "cannot apply ('l', 'S1')",
     ),
-    "BisemicircularModel no maps": (
-        lambda: BisemicircularModel([], []), ValueError, "need at least one covariance map",
+    "make_bisemicircular no maps": (
+        lambda: make_bisemicircular([], []), ValueError, "need at least one covariance map",
     ),
-    "BisemicircularModel.symbol unknown": (lambda: _pair().symbol("Z9"), KeyError, "Z9"),
+    "make_bisemicircular mixed dimensions": (
+        lambda: make_bisemicircular([ONE], [CPMap.identity(2)]),
+        ValueError, "covariance dimension mismatch",
+    ),
+    "FockModel.symbol unknown": (lambda: _pair().symbol("Z9"), KeyError, "Z9"),
     "group_offsets empty group": (
         lambda: group_offsets([1, 0]), ValueError, "group sizes must be >= 1",
     ),

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 from oracles import (
+    circular_letters,
     cumulant_pi_every_partition,
     cumulant_pi_scan,
     cumulants_from_moments_loop,
@@ -151,7 +152,7 @@ def test_scalar_shortcut_matches_full_recursion():
     cp = make_circular_pair()
     rng = np.random.default_rng(6)
     order_rng = np.random.default_rng(16)
-    syms = cp.symbols
+    syms = circular_letters(cp)
     for _ in range(30):
         n = int(rng.integers(2, 7))
         word = [syms[rng.integers(4)] for _ in range(n)]
@@ -194,7 +195,7 @@ def test_chi_order_slices_match_numeric_reduction(d):
     rng = np.random.default_rng(40 + d)
     m = make_bisemicircular([random_cpmap(d, rng)], [random_cpmap(d, rng)])
     S, D = m.symbol("S1"), m.symbol("D1")
-    F, F_ref = m.functional, MomentFunctional(vacuum_expectation(m.model), m.dim)
+    F, F_ref = m.functional, MomentFunctional(vacuum_expectation(m), m.dim)
     chis = [ChiWord(w) for n in range(1, 6) for w in itertools.product("lr", repeat=n)]
     chis += [ChiWord(rng.choice(["l", "r"], size=n)) for n in (6, 6, 6, 7, 7)]
     checked = 0
@@ -265,7 +266,7 @@ def test_cumulant_matches_full_scan(d):
     )
     planted, A, B = _planted_model(d, rng)
     planted_nonzero = 0
-    models = [(x.model, x.symbol("S1"), x.symbol("D1")) for x in (m, tiny)]
+    models = [(x, x.symbol("S1"), x.symbol("D1")) for x in (m, tiny)]
     for model, S, D in models + [(planted, A, B)]:
         F, F_ref = model.functional, MomentFunctional(vacuum_expectation(model), d)
         for n in range(2, 6):
@@ -300,14 +301,14 @@ def test_interval_skip_bit_exact(d):
     rng = np.random.default_rng(90 + d)
     m = make_bisemicircular([random_cpmap(d, rng) for _ in "ab"], [random_cpmap(d, rng)])
     S1, S2, D1 = m.symbol("S1"), m.symbol("S2"), m.symbol("D1")
-    mix = m.model.combination_symbol("u", "l", [(0.3, S1), (1.7 - 0.2j, S2)], family="u")
-    gone = m.model.combination_symbol("z", "r", [(1.0, D1), (-1.0, D1)], family="z")
+    mix = m.combination_symbol("u", "l", [(0.3, S1), (1.7 - 0.2j, S2)], family="u")
+    gone = m.combination_symbol("z", "r", [(1.0, D1), (-1.0, D1)], family="z")
     models = []
     if d > 1:
-        models.append((m.model, [S1, S2, mix], [D1, gone]))
+        models.append((m, [S1, S2, mix], [D1, gone]))
     if d < 3:
         nan = _nan_model(d, rng)
-        models.append((nan.model, [nan.symbol("S1")], [nan.symbol("D1")]))
+        models.append((nan, [nan.symbol("S1")], [nan.symbol("D1")]))
     skipped = 0
     for model, lefts, rights in models:
         F, F_ref = model.functional, MomentFunctional(vacuum_expectation(model), d)
@@ -332,7 +333,7 @@ def test_scan_report_equals_full_scan(monkeypatch):
     m = make_bisemicircular([random_cpmap(2, rng)], [random_cpmap(2, rng)])
     got = bifree_test(m.functional, m.symbols, max_order=6)
     monkeypatch.setattr(bifree.moments, "cumulant_pi", cumulant_pi_scan)
-    want = bifree_test(MomentFunctional(vacuum_expectation(m.model), 2), m.symbols, max_order=6)
+    want = bifree_test(MomentFunctional(vacuum_expectation(m), 2), m.symbols, max_order=6)
     assert got == want and got["tested"] == 114 and got["max_residual"] > 0
 
 
@@ -376,7 +377,7 @@ def test_scalar_cumulant_chi_lattice_counts_pinned(monkeypatch):
     # made 46,948.  84 of them have a moment that is not zero.
     calls = _count_lattice_calls(monkeypatch)
     cp = make_circular_pair()
-    words = [w for n in range(1, 6) for w in itertools.product(cp.symbols, repeat=n)]
+    words = [w for n in range(1, 6) for w in itertools.product(circular_letters(cp), repeat=n)]
     for word in words:
         cumulant_chi(cp.functional, ChiWord(s.side for s in word), [Monomial([s]) for s in word])
     assert len(words) == 1364
@@ -391,7 +392,7 @@ def test_scalar_scan_work_pinned(monkeypatch):
     # 250 distinct sub-words, where asking once per word made 7,801 calls
     # and reading the blocks of each word's partitions 14,193.
     m = make_bisemicircular([CPMap.identity(1)], [CPMap.identity(1)])
-    oracle, computed = vacuum_expectation(m.model), [0]
+    oracle, computed = vacuum_expectation(m), [0]
 
     def counted(word):
         computed[0] += 1
@@ -433,7 +434,7 @@ def test_scan_block_values_live_one_call():
     for (left, right), var in zip(models * 2, (1.0, 1.3**2) * 2):
         m = make_bisemicircular([left], [right])
         D1 = m.symbol("D1")
-        z = m.model.combination_symbol("z", "r", [(1.0, D1)], family="z")
+        z = m.combination_symbol("z", "r", [(1.0, D1)], family="z")
         rep = bifree_test(m.functional, [m.symbol("S1"), D1, z], max_order=4)
         assert rep["max_residual"] == pytest.approx(var, rel=1e-12)
         assert [v["word"] for v in rep["violations"]] == [["D1", "z"], ["z", "D1"]]
@@ -534,14 +535,14 @@ def test_scalar_scan_matches_position_scan():
     # order 7.  The default model's mixed cumulants vanish; the correlated
     # complex models' do not, and make the product order visible.
     default = make_bisemicircular([CPMap.identity(1)], [CPMap.identity(1)])
-    models = [(default.model, default.symbols)]
+    models = [(default, default.symbols)]
     models += [_three_family_model(np.random.default_rng(seed)) for seed in (84, 85)]
     for model, symbols in models:
         nonzero = 0
         for word, got, want in _scalar_scans(model, symbols, 7):
             assert got == want, [s.display for s in word]
             nonzero += got != 0
-        assert nonzero == 0 if model is default.model else nonzero > 700
+        assert nonzero == 0 if model is default else nonzero > 700
 
 
 def test_scalar_scan_non_finite_on_nan_model():
@@ -551,7 +552,7 @@ def test_scalar_scan_non_finite_on_nan_model():
     # finds non-finite the position scan finds non-finite too.
     m = _nan_model(1, np.random.default_rng(83))
     bad = 0
-    for word, got, want in _scalar_scans(m.model, m.symbols, 7):
+    for word, got, want in _scalar_scans(m, m.symbols, 7):
         if not cmath.isfinite(got):
             assert not cmath.isfinite(want), [s.display for s in word]
             bad += 1
@@ -564,17 +565,17 @@ def _zero_symbol_model():
     exactly 0, even blocks too."""
     m = make_bisemicircular([CPMap([[[0.7]]])], [CPMap([[[1.3]]])])
     D1 = m.symbol("D1")
-    gone = m.model.combination_symbol("z", "r", [(1.0, D1), (-1.0, D1)], family="z")
-    return m.model, [m.symbol("S1"), D1, gone]
+    gone = m.combination_symbol("z", "r", [(1.0, D1), (-1.0, D1)], family="z")
+    return m, [m.symbol("S1"), D1, gone]
 
 
 def _scan_models(name):
     if name == "default":
         m = make_bisemicircular([CPMap.identity(1)], [CPMap.identity(1)])
-        return m.model, list(m.symbols)
+        return m, list(m.symbols)
     if name == "nan":
         m = _nan_model(1, np.random.default_rng(83))
-        return m.model, list(m.symbols)
+        return m, list(m.symbols)
     if name == "zero-symbol":
         return _zero_symbol_model()
     return _three_family_model(np.random.default_rng(int(name)))
@@ -907,7 +908,7 @@ def test_product_expansion_matches_nested_scan(scalar_model, flip_model):
         chi_hat = ChiWord(labels)
         ops = []
         for side in labels:
-            pool = model.left_symbols if side == "l" else model.right_symbols
+            pool = [s for s in model.symbols if s.side == side]
             w = Monomial([pool[rng.integers(len(pool))]])
             if rng.integers(3) == 0:
                 b = random_belement(model.dim, rng)

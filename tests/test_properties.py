@@ -50,7 +50,8 @@ def _operands(model, chi: ChiWord, rng):
     """The square of one generator of its side per position, with a
     coefficient of that side between the two factors half of the time, so
     that no block's moment vanishes for parity."""
-    left, right = model.left_symbols, model.right_symbols
+    left = [s for s in model.symbols if s.side == "l"]
+    right = [s for s in model.symbols if s.side == "r"]
     ops = []
     for side in chi.labels:
         syms, coeff = (left, Lb) if side == "l" else (right, Rb)
@@ -85,4 +86,4 @@ def test_expectation_unchanged_at_every_truncation_from_half_the_symbols(d, labe
     # the depth.
     symbols = sum(isinstance(f, GeneratorSymbol) for f in word.factors)
     capped = _model(d, np.random.default_rng(seed), max_depth=symbols // 2 + extra)
-    assert np.array_equal(capped.model.expectation(word), full.model.expectation(word))
+    assert np.array_equal(capped.expectation(word), full.expectation(word))

@@ -32,11 +32,13 @@ from bifree.conjvar import (
     eta_flip,
     lifted_candidates,
     matrix_lift,
+    scaled_semicircular,
     solve_conjugate,
 )
-from bifree.fock import CircularPairModel, make_bisemicircular
+from bifree.fock import make_bisemicircular, make_circular_pair
 from bifree.words import GeneratorSymbol, Lb, Monomial, MomentFunctional, Rb
 from oracles import (
+    circular_letters,
     circular_presence,
     conjugate_rhs,
     full_walk_residual,
@@ -94,21 +96,22 @@ def test_negative_max_n_is_an_error():
     # Test words would otherwise grow without bound.
     m = make_bisemicircular([ONE], [])
     s = m.symbol("S1")
-    cand = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
+    cand = VectorCandidate(s, m.vector_of(Monomial([s])), m)
     with pytest.raises(ValueError):
         next(_relation_walk(cand, ONE, (), -1))
     with pytest.raises(ValueError):
         conj_residual(cand, ONE, (), -1)
     with pytest.raises(ValueError):
-        solve_conjugate(m.model, s, ONE, (), max_n=-1)
+        solve_conjugate(m, s, ONE, (), max_n=-1)
 
 
 def test_circular_rhs_matches_oracle():
-    cp = CircularPairModel()
-    cands = circular_candidates(cp.model, cp.c_l, cp.c_r)
-    off = circular_candidates(cp.model, cp.c_l, cp.c_r, scale=1.5)
-    ctxs = circular_presence(cp.c_l, cp.c_r)
-    fresh = MomentFunctional(vacuum_expectation(cp.model), 1)
+    cp = make_circular_pair()
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
+    cands = circular_candidates(cp, cl, cr)
+    off = circular_candidates(cp, cl, cr, scale=1.5)
+    ctxs = circular_presence(cl, cr)
+    fresh = MomentFunctional(vacuum_expectation(cp), 1)
     for xi, ctx in zip(cands + off, ctxs + ctxs):
         _check_walk(xi, ONE, ctx, fresh, 4)
 
@@ -124,14 +127,14 @@ def test_matrix_rhs_matches_oracle(scale):
 
     model = make_bisemicircular([cp()], [cp()])
     s, d1 = model.symbol("S1"), model.symbol("D1")
-    fresh = MomentFunctional(vacuum_expectation(model.model), model.dim)
+    fresh = MomentFunctional(vacuum_expectation(model), model.dim)
     for target, partner, ctx in (
         (s, "S1", (d1,)),
         (d1, "D1", (s,)),
     ):
-        vec = model.model.vector_of(Monomial([model.symbol(partner)])).scaled(scale)
-        xi = VectorCandidate(target, vec, model.model)
-        eta = model.model.covariances[partner]
+        vec = model.vector_of(Monomial([model.symbol(partner)])).scaled(scale)
+        xi = VectorCandidate(target, vec, model)
+        eta = model.covariances[partner]
         _check_walk(xi, eta, ctx, fresh, 3)
 
 
@@ -142,11 +145,11 @@ def test_scalar_rhs_summation_order():
     cov = [CPMap([np.array([[np.sqrt(v)]])]) for v in (0.7, 1.3, 2.9)]
     model = make_bisemicircular(cov[:2], cov[2:])
     s1, s2, d1 = model.symbol("S1"), model.symbol("S2"), model.symbol("D1")
-    u = model.model.combination_symbol("u", "l", [(0.3, s1), (1.7, s2)], family="u")
-    xi = VectorCandidate(u, model.model.vector_of(Monomial([s2])), model.model)
+    u = model.combination_symbol("u", "l", [(0.3, s1), (1.7, s2)], family="u")
+    xi = VectorCandidate(u, model.vector_of(Monomial([s2])), model)
     ctx = (s1, d1)
     eta = CPMap([np.array([[0.9]])])
-    _check_walk(xi, eta, ctx, MomentFunctional(vacuum_expectation(model.model), 1), 6)
+    _check_walk(xi, eta, ctx, MomentFunctional(vacuum_expectation(model), 1), 6)
 
 
 def _lift_trace(lift):
@@ -166,10 +169,11 @@ def _check_lifted(xi, ctx, fresh, max_n, independent=_opposite_sides):
 
 @pytest.mark.parametrize("scale", [1.0, 1.5])
 def test_lifted_rhs_and_residual_match_oracle(scale):
-    cp = CircularPairModel()
-    cands = lifted_candidates(cp.model, cp.c_l, cp.c_r, scale=scale)
+    cp = make_circular_pair()
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
+    cands = lifted_candidates(cp, cl, cr, scale=scale)
     # A second lift of the same pair, read through a moment cache of its own.
-    fresh = _lift_trace(matrix_lift(cp.functional, cp.c_l, cp.c_r).lift)
+    fresh = _lift_trace(matrix_lift(cp.functional, cl, cr).lift)
     for xi, ctx in zip(cands, lifted_presence(cands)):
         # X is made of left letters of the base and Y of right ones, so the
         # lift's rule lets them commute, as opposite sides do.
@@ -187,7 +191,7 @@ def test_lifted_generators_over_impure_base_letters_commute_with_nothing():
     # keep them apart, while X and Y commute.
     m = make_bisemicircular([ONE], [ONE, ONE])
     s, d1, d2 = m.symbol("S1"), m.symbol("D1"), m.symbol("D2")
-    mixed = m.model.register_symbol(
+    mixed = m.register_symbol(
         GeneratorSymbol("M", "l"), [(1.0, ("l", "S1")), (0.5, ("r", "D1"))]
     )
     lift = MatrixLift(m.functional, d=2)
@@ -198,10 +202,10 @@ def test_lifted_generators_over_impure_base_letters_commute_with_nothing():
         return lift.add_symbol(GeneratorSymbol(name, side), {(1, 2): terms, (2, 1): terms[:1]})
 
     X, Y = lifted("X", "l", (s,)), lifted("Y", "r", (d2,))
-    side = functools.partial(lift.pure_side, model=m.model)
+    side = functools.partial(lift.pure_side, model=m)
     assert (side(X), side(Y)) == ("l", "r")
     with pytest.raises(ValueError):
-        lift.pure_side(X, make_bisemicircular([ONE], []).model)
+        lift.pure_side(X, make_bisemicircular([ONE], []))
     fresh = _lift_trace(lift)
     impure = (
         lifted("A", "l", (mixed,)),
@@ -224,14 +228,14 @@ def test_perturbed_lifted_carriers_match_full_walk(scale):
     # The entropy experiment's lifted carriers at t = 1: combinations of two
     # circular pairs, registered as combination symbols of the base model,
     # are pure on their sides, so their walks are pruned as the pair's are.
-    cp = CircularPairModel(n_pairs=2)
-    (cl, cls, cr, crs), (c2l, c2ls, c2r, c2rs) = cp.pairs
-    mk = cp.model.combination_symbol
+    cp = make_circular_pair(n_pairs=2)
+    cl, cls, cr, crs, c2l, c2ls, c2r, c2rs = circular_letters(cp, 2)
+    mk = cp.combination_symbol
     z = mk("z[1.0]", "l", [(1.0, cl), (1.0, c2l)], family="z")
     mk("z[1.0]", "l", [(1.0, cls), (1.0, c2ls)], family="z", adjoint=True)
     w = mk("w[1.0]", "r", [(1.0, cr), (1.0, c2r)], family="z")
     mk("w[1.0]", "r", [(1.0, crs), (1.0, c2rs)], family="z", adjoint=True)
-    cands = lifted_candidates(cp.model, z, w, scale=scale)
+    cands = lifted_candidates(cp, z, w, scale=scale)
     fresh = _lift_trace(matrix_lift(cp.functional, z, w).lift)
     for xi, ctx in zip(cands, lifted_presence(cands)):
         want = _check_lifted(xi, ctx, fresh, 4)
@@ -242,9 +246,10 @@ def test_walk_visits_one_word_per_operator():
     # The letters of a circular pair split into two sides of two letters
     # each, so an operator is a pair of one-sided words: sum over n <= 6 of
     # (n + 1) 2^n = 769 of them, out of 5,461 words.
-    cp = CircularPairModel()
-    cands = circular_candidates(cp.model, cp.c_l, cp.c_r)
-    for xi, ctx in zip(cands, circular_presence(cp.c_l, cp.c_r)):
+    cp = make_circular_pair()
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
+    cands = circular_candidates(cp, cl, cr)
+    for xi, ctx in zip(cands, circular_presence(cl, cr)):
         assert sum(1 for _ in _relation_walk(xi, ONE, ctx, 6)) == 769
     # d=2, flip covariance, S1 with D1 present: five letters a side (the
     # generator and four matrix-unit insertions), sum over n <= 5 of
@@ -252,14 +257,14 @@ def test_walk_visits_one_word_per_operator():
     flip = eta_flip()
     m = make_bisemicircular([flip], [flip])
     s, d1 = m.symbol("S1"), m.symbol("D1")
-    xi = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
+    xi = VectorCandidate(s, m.vector_of(Monomial([s])), m)
     walk = _relation_walk(xi, flip, (d1,), 5)
     assert sum(1 for _ in walk) == 22461
     # Lifted carriers: X (left) and Y (right) commute, so an operator is
     # X^a Y^b, (n + 1) of them at length n: 28 words in place of 127 for
     # n <= 6, and 15 in place of 31 for n <= 4.
     for max_n, want in ((6, 28), (4, 15)):
-        cands = lifted_candidates(cp.model, cp.c_l, cp.c_r)
+        cands = lifted_candidates(cp, cl, cr)
         for xi, ctx in zip(cands, lifted_presence(cands)):
             assert sum(1 for _ in _relation_walk(xi, ONE, ctx, max_n)) == want
 
@@ -285,11 +290,12 @@ def test_walk_leaves_out_zero_splices(monkeypatch):
     # 564 of the 1,023 spliced terms of a circular candidate at length 6
     # have a coefficient that is exactly zero, and so do 22 of the 56 of a
     # lifted carrier.
-    cp = CircularPairModel()
-    circular = circular_candidates(cp.model, cp.c_l, cp.c_r)
-    lifted = lifted_candidates(cp.model, cp.c_l, cp.c_r)
+    cp = make_circular_pair()
+    cl, cr = cp.symbol("cl"), cp.symbol("cr")
+    circular = circular_candidates(cp, cl, cr)
+    lifted = lifted_candidates(cp, cl, cr)
     for cands, ctxs, want in (
-        (circular, circular_presence(cp.c_l, cp.c_r), 459),
+        (circular, circular_presence(cl, cr), 459),
         (lifted, lifted_presence(lifted), 34),
     ):
         for xi, ctx in zip(cands, ctxs):
@@ -297,12 +303,39 @@ def test_walk_leaves_out_zero_splices(monkeypatch):
             assert len(calls) == want, xi.target
 
 
+def test_walk_drops_repeated_letters():
+    # A letter listed again walks no operator twice, and a copy of the
+    # target (equal to it, another object) is the target: without the
+    # repeats dropped the walk visits 31 words in place of 5 and the copy's
+    # occurrences miss their splices, a residual of 2.0 in place of 0.0.
+    (xi,) = scaled_semicircular(1.0)
+    t = xi.target
+    twin = GeneratorSymbol(t.name, t.side, t.adjoint, t.family)
+    assert twin == t and twin is not t
+    for others in ((), (t,), (twin,), (t, twin)):
+        words = [w for w, _, _ in _relation_walk(xi, ONE, others, 4)]
+        assert words == [(t,) * n for n in range(5)], others
+        assert conj_residual(xi, ONE, others, 4) == 0.0
+    assert full_walk_residual(xi, ONE, (twin,), xi.functional, 4) == 0.0
+
+
+def test_solver_drops_repeated_letters():
+    # A repeated letter would repeat basis words, hence lstsq columns.
+    m = make_bisemicircular([ONE], [])
+    s = m.symbol("S1")
+    cand, resid = solve_conjugate(m, s, ONE, (), max_n=4)
+    twin = GeneratorSymbol(s.name, s.side, s.adjoint, s.family)
+    for others in ((s,), (twin,)):
+        again, r = solve_conjugate(m, s, ONE, others, max_n=4)
+        assert r == resid and again.vector.terms == cand.vector.terms, others
+
+
 def test_nan_coefficient_is_spliced():
     # A covariance map that returns NaN makes every spliced coefficient NaN,
     # and NaN is not zero: the right-hand sides, hence the residual, are NaN.
     m = make_bisemicircular([ONE], [])
     s = m.symbol("S1")
-    xi = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
+    xi = VectorCandidate(s, m.vector_of(Monomial([s])), m)
     eta = CPMap([np.array([[math.nan]])])
     assert math.isnan(conj_residual(xi, eta, (), 2))
 
@@ -316,12 +349,12 @@ def test_zero_matrix_splices_match_oracle(monkeypatch):
     eta = CPMap([e11, e22 / 2.0])
     model = make_bisemicircular([eta], [eta])
     s, d1 = model.symbol("S1"), model.symbol("D1")
-    fresh = MomentFunctional(vacuum_expectation(model.model), model.dim)
+    fresh = MomentFunctional(vacuum_expectation(model), model.dim)
     assert np.count_nonzero(fresh.expect(Monomial([Lb(e12)])))
     assert not np.count_nonzero(eta(e12))
     for tail in ((s,), (Lb(e12), s)):
         assert not np.count_nonzero(fresh.expect(Monomial(tail)))
-    xi = VectorCandidate(s, model.model.vector_of(Monomial([s])), model.model)
+    xi = VectorCandidate(s, model.vector_of(Monomial([s])), model)
     ctx = (d1,)
     nodes, calls = _spliced_terms(xi, eta, ctx, 3, monkeypatch)
     assert len(calls) < sum(word.count(s) for word, _, _ in nodes)
@@ -333,22 +366,22 @@ def test_walk_keeps_letters_of_mixed_action_apart():
     # letter; S1 and D1 still commute with each other.
     m = make_bisemicircular([ONE], [ONE])
     s, d1 = m.symbol("S1"), m.symbol("D1")
-    mixed = m.model.register_symbol(
+    mixed = m.register_symbol(
         GeneratorSymbol("M", "l"), [(1.0, ("l", "S1")), (0.5, ("r", "D1"))]
     )
-    assert m.model.pure_side(s) == "l" and m.model.pure_side(d1) == "r"
-    assert m.model.pure_side(mixed) is None
+    assert m.pure_side(s) == "l" and m.pure_side(d1) == "r"
+    assert m.pure_side(mixed) is None
     for name, action in (("N", ("l", "D1")), ("P", ("r", "S1"))):
         # A left creator on a right index, a right creator on a left one.
-        odd = m.model.register_symbol(GeneratorSymbol(name, "l"), [(1.0, action)])
-        assert m.model.pure_side(odd) is None
+        odd = m.register_symbol(GeneratorSymbol(name, "l"), [(1.0, action)])
+        assert m.pure_side(odd) is None
     ctx = (s, d1)
-    xi = VectorCandidate(mixed, m.model.vector_of(Monomial([s])), m.model)
+    xi = VectorCandidate(mixed, m.vector_of(Monomial([s])), m)
 
     def independent(a, b):
         return mixed not in (a, b) and a.side != b.side
 
-    _check_walk(xi, ONE, ctx, MomentFunctional(vacuum_expectation(m.model), 1), 4, independent)
+    _check_walk(xi, ONE, ctx, MomentFunctional(vacuum_expectation(m), 1), 4, independent)
 
 
 @pytest.mark.parametrize("d, seed", [(1, 41), (1, 42), (2, 43)])
@@ -368,10 +401,10 @@ def test_pruned_residual_equals_full_walk(d, seed):
         (s1, (s2, d1)),
         (d1, (s1,)),
     ):
-        eta = model.model.covariances[target.name]
-        vec = model.model.vector_of(Monomial([target]))
+        eta = model.covariances[target.name]
+        vec = model.vector_of(Monomial([target]))
         for scale in (1.0, 1.5):
-            xi = VectorCandidate(target, vec.scaled(scale), model.model)
+            xi = VectorCandidate(target, vec.scaled(scale), model)
             got = conj_residual(xi, eta, ctx, 4)
             want = full_walk_residual(xi, eta, ctx, model.functional, 4)
             assert abs(got - want) <= 1e-15 * max(1.0, want), (target, scale)
@@ -386,7 +419,7 @@ def test_solver_walks_the_words_of_the_residual():
     s1, s2, d1 = m.symbol("S1"), m.symbol("S2"), m.symbol("D1")
     ctx = (s2, d1)
     cands = [
-        VectorCandidate(s1, m.model.vector_of(Monomial(w)), m.model)
+        VectorCandidate(s1, m.vector_of(Monomial(w)), m)
         for w in ((s1,), (d1, s2))
     ]
     together = [(w, rhs) for w, _, rhs in _relation_walk(_Lockstep(cands), ONE, ctx, 4)]
@@ -396,7 +429,7 @@ def test_solver_walks_the_words_of_the_residual():
 
 def _nan_candidate(m):
     s = m.symbol("S1")
-    return VectorCandidate(s, m.model.vector_of(Monomial([s])).scaled(math.nan), m.model)
+    return VectorCandidate(s, m.vector_of(Monomial([s])).scaled(math.nan), m)
 
 
 def test_nan_candidate_fails_the_residual_check():
@@ -405,7 +438,7 @@ def test_nan_candidate_fails_the_residual_check():
     r = conj_residual(bad, ONE, (), 4)
     assert not math.isfinite(r) and not r <= 1e-9
     s = m.symbol("S1")
-    good = VectorCandidate(s, m.model.vector_of(Monomial([s])), m.model)
+    good = VectorCandidate(s, m.vector_of(Monomial([s])), m)
     for cands in ((good, bad), (bad, good)):
         worst = _worst_residual(cands, 4)
         assert not math.isfinite(worst) and not worst <= 1e-9
@@ -422,9 +455,9 @@ def test_solver_equals_breadth_first_solver_one_letter(lam):
     s = m.symbol("S1")
     target = s
     if lam != 1.0:
-        target = m.model.combination_symbol("target", s.side, [(lam, s)])
-    got, _ = solve_conjugate(m.model, target, ONE, (), max_n=4)
-    want = solve_conjugate_bfs(m.model, target, ONE, (), max_n=4)
+        target = m.combination_symbol("target", s.side, [(lam, s)])
+    got, _ = solve_conjugate(m, target, ONE, (), max_n=4)
+    want = solve_conjugate_bfs(m, target, ONE, (), max_n=4)
     assert got.vector.terms.keys() == want.vector.terms.keys()
     for ks, t in want.vector.terms.items():
         assert np.array_equal(got.vector.terms[ks], t), ks
@@ -433,13 +466,13 @@ def test_solver_equals_breadth_first_solver_one_letter(lam):
 def test_solver_matches_breadth_first_solver_multi_letter():
     m = make_bisemicircular([ONE, ONE], [ONE])
     s1, s2, d1 = m.symbol("S1"), m.symbol("S2"), m.symbol("D1")
-    u = m.model.combination_symbol("u", "l", [(1.0, s1), (0.5, s2)], family="u")
+    u = m.combination_symbol("u", "l", [(1.0, s1), (0.5, s2)], family="u")
     for target, ctx in (
         (s1, (d1,)),
         (u, (s1, d1)),
     ):
-        got, resid = solve_conjugate(m.model, target, ONE, ctx, max_n=4)
-        want = solve_conjugate_bfs(m.model, target, ONE, ctx, max_n=4)
+        got, resid = solve_conjugate(m, target, ONE, ctx, max_n=4)
+        want = solve_conjugate_bfs(m, target, ONE, ctx, max_n=4)
         assert _max_diff(got.vector, want.vector) <= 1e-12
         assert resid <= 1e-9
 
@@ -449,7 +482,7 @@ def test_solver_fits_insertion_relations_at_d2():
     flip = eta_flip()
     m = make_bisemicircular([flip], [])
     s = m.symbol("S1")
-    cand, resid = solve_conjugate(m.model, s, flip, (), max_n=3)
+    cand, resid = solve_conjugate(m, s, flip, (), max_n=3)
     assert resid <= 1e-9
-    assert _max_diff(cand.vector, m.model.vector_of(Monomial([s]))) <= 1e-9
+    assert _max_diff(cand.vector, m.vector_of(Monomial([s]))) <= 1e-9
 

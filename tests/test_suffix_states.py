@@ -56,10 +56,10 @@ def test_moments_match_the_vacuum_oracle_in_either_order(d, bound, monkeypatch):
     words = _words(alphabet, 60 + d)
     for order in (words, words[::-1]):
         model, _ = _model(d, 50 + d)  # the same model with no state kept
-        fresh = vacuum_expectation(model.model)
+        fresh = vacuum_expectation(model)
         for word in order:
-            assert np.array_equal(model.model.expectation(word), fresh(word)), word
-        assert 0 < len(model.model._suffix_states) <= bound
+            assert np.array_equal(model.expectation(word), fresh(word)), word
+        assert 0 < len(model._suffix_states) <= bound
 
 
 def test_states_are_reused_across_shared_suffixes():
@@ -73,11 +73,11 @@ def test_states_are_reused_across_shared_suffixes():
 
     s1, s2, d1, b = alphabet[:4]
     stem = [s1, b, d1, s2, b]
-    model.model.expectation(Monomial([s1, s2] + stem))
-    model.model.apply_symbol = counted.__get__(model.model)
+    model.expectation(Monomial([s1, s2] + stem))
+    model.apply_symbol = counted.__get__(model)
     # Two symbols left of the stem in both words: the second word finds the
     # stem's state at the same budget and applies only its own two letters.
-    model.model.expectation(Monomial([d1, s1] + stem))
+    model.expectation(Monomial([d1, s1] + stem))
     assert calls == [s1, d1]
 
 
@@ -86,8 +86,8 @@ def test_truncation_is_raised_again_on_a_second_call():
     s = tight.symbol("S1")
     for _ in range(2):
         with pytest.raises(TruncationError):
-            tight.model.expectation(Monomial([s] * 6))
-    assert tight.model.expectation(Monomial([s] * 4))[0, 0] == 2.0
+            tight.expectation(Monomial([s] * 6))
+    assert tight.expectation(Monomial([s] * 4))[0, 0] == 2.0
 
 
 def test_kept_states_stay_within_the_bound(monkeypatch):
