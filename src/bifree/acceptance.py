@@ -254,8 +254,8 @@ def criterion_6_bifree_detector(seed: int = 0):
     cov = 1.0
     sm = make_bisemicircular([one], [])
     s = sm.symbol("S1")
-    A = sm.combination_symbol("A", s.side, [(1.0, s)], family="a")
-    B = sm.combination_symbol("B", s.side, [(1.0, s)], family="b")
+    A = sm.combination_symbol("A", [(1.0, s)], family="a")
+    B = sm.combination_symbol("B", [(1.0, s)], family="b")
     rep2 = bifree_test(sm.functional, [A, B], max_order=3)
     planted = [v for v in rep2["violations"] if v["order"] == 2]
     ok2 = (not rep2["pass"]) and any(abs(v["residual"] - cov) <= 1e-9 for v in planted)

@@ -163,6 +163,7 @@ class CPMap:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CPMap":
+        json_fields(obj, "CP map", ("d", "kraus"))
         return cls([belement_from_json(v) for v in obj["kraus"]], dim=json_dim(obj))
 
     def __repr__(self):
@@ -190,6 +191,12 @@ def json_dim(obj: dict) -> int | None:
     if d is not None and (not isinstance(d, int) or isinstance(d, bool)):
         raise ValueError(f'field "d" must be an integer, got {d!r}')
     return d
+
+
+def json_fields(obj: dict, what: str, fields: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` on a field outside ``fields``, so none is misread as absent."""
+    if extra := [k for k in obj if k not in fields]:
+        raise ValueError(f"unknown field {extra[0]!r} in a {what}; expected {', '.join(fields)}")
 
 
 def random_belement(d: int, rng: np.random.Generator) -> np.ndarray:

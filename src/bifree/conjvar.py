@@ -597,11 +597,10 @@ def circular_candidates(model: FockModel, z, w, scale: float = 1.0):
 def scaled_semicircular(lam: float):
     """Candidate for ``lam * S1`` on a fresh scalar model, in a one-element
     list: the state of ``S1`` over ``lam`` (Fisher information
-    ``1/lam^2``).  The target is self-adjoint, since ``lam`` is real."""
+    ``1/lam^2``); ``lam`` is real, so the target's adjoint has its action."""
     m = make_bisemicircular([CPMap.identity(1)], [])
     s = m.symbol("S1")
-    target = m.combination_symbol(f"{lam!r}*S1", s.side, [(lam, s)])
-    m.register_symbol(target, m.symbol_actions[target], self_adjoint=True)
+    target = m.combination_symbol(f"{lam!r}*S1", [(lam, s)])
     vec = m.vector_of(Monomial([s])).scaled(1.0 / lam)
     return [VectorCandidate(target, vec, m)]
 
@@ -609,14 +608,13 @@ def scaled_semicircular(lam: float):
 def semicircular_perturbation():
     """The family t -> candidates for ``u[t] = S1 + sqrt(t) S2``, free
     semicircular of variance ``1 + t`` on one scalar model: the state of
-    self-adjoint ``u[t]`` over ``1 + t`` (Fisher information
-    ``1/(1 + t)``), in a one-element list."""
+    ``u[t]``, whose adjoint has its action, over ``1 + t`` (Fisher
+    information ``1/(1 + t)``), in a one-element list."""
     m = make_bisemicircular([CPMap.identity(1)] * 2, [])
     s, s2 = m.symbol("S1"), m.symbol("S2")
 
     def family(t: float):
-        u = m.combination_symbol(f"u[{t!r}]", LEFT, [(1.0, s), (math.sqrt(t), s2)], family="u")
-        m.register_symbol(u, m.symbol_actions[u], self_adjoint=True)
+        u = m.combination_symbol(f"u[{t!r}]", [(1.0, s), (math.sqrt(t), s2)], family="u")
         vec = m.vector_of(Monomial([u])).scaled(1.0 / (1.0 + t))
         return [VectorCandidate(u, vec, m)]
 
@@ -748,18 +746,13 @@ def circular_entropy_experiment() -> dict:
     """
     model = make_circular_pair(n_pairs=2)
     cl, cr, c2l, c2r = map(model.symbol, ("cl", "cr", "cl2", "cr2"))
-    cls, crs, c2ls, c2rs = (s.star() for s in (cl, cr, c2l, c2r))
 
     @functools.lru_cache(maxsize=None)  # both curves read the same nodes
     def perturbed(t: float):
         rt = math.sqrt(t)
         mk = model.combination_symbol
-        # Adjoint partners share the bare name, so that star() finds them.
-        z = mk(f"z[{t!r}]", LEFT, [(1.0, cl), (rt, c2l)], family="z")
-        mk(f"z[{t!r}]", LEFT, [(1.0, cls), (rt, c2ls)], family="z", adjoint=True)
-        w = mk(f"w[{t!r}]", RIGHT, [(1.0, cr), (rt, c2r)], family="z")
-        mk(f"w[{t!r}]", RIGHT, [(1.0, crs), (rt, c2rs)], family="z", adjoint=True)
-        return z, w
+        return (mk(f"z[{t!r}]", [(1.0, cl), (rt, c2l)], family="z"),
+                mk(f"w[{t!r}]", [(1.0, cr), (rt, c2r)], family="z"))
 
     # Residuals at two perturbation times over test words of up to 4 letters.
     resid_pair, pair_report = _verify_then_integrate(

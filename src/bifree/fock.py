@@ -30,7 +30,8 @@ truncation at or above floor(s/2).
 Every builder returns a ``FockModel``: ``make_bisemicircular`` (one CP map
 per generator, symbols S1.. and D1..), ``make_standard_semicircular`` and
 ``make_circular_pair`` (symbols cl, cr, ... as combinations of those
-generators).  ``bisemicircular_from_json`` reads the form that
+generators).  Registering a symbol registers its adjoint, derived from its
+action.  ``bisemicircular_from_json`` reads the covariance maps that
 ``FockModel.to_json`` writes.
 """
 
@@ -44,7 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .balgebra import CPMap, as_belement, identity, json_dim
+from .balgebra import CPMap, as_belement, identity, json_dim, json_fields
 from .bnc import LEFT, RIGHT
 from .words import BCoeff, GeneratorSymbol, MomentFunctional, as_monomial
 
@@ -228,6 +229,8 @@ class FockVector:
 
 _CREATORS = ("l", "r")
 _ANNIHILATORS = ("l*", "r*")
+# A creator's adjoint is the annihilator of its index and side, and back.
+_PARTNER = {"l": "l*", "l*": "l", "r": "r*", "r*": "r"}
 _COEFFICIENTS = ("Lb", "Rb")
 
 
@@ -282,51 +285,46 @@ class FockModel:
         if k not in self._cov:
             raise KeyError(f"unknown index {k!r}")
 
-    def register_symbol(
-        self,
-        sym: GeneratorSymbol,
-        action: Iterable[tuple[complex, tuple]],
-        self_adjoint: bool = False,
-    ) -> GeneratorSymbol:
+    def register_symbol(self, sym: GeneratorSymbol,
+                        action: Iterable[tuple[complex, tuple]]) -> GeneratorSymbol:
         """Attach a symbol acting as a linear combination of elementary factors.
 
-        Each action term is ``(coeff, ("l"| "l*" | "r" | "r*", index))``.
-        With ``self_adjoint`` the starred symbol resolves to the same action.
-        Registering a symbol again with the same action changes nothing; with
-        another action it raises ``ValueError``, since the moment cache keys
-        on the symbol and would keep the old moments.
+        Each action term is ``(coeff, ("l"| "l*" | "r" | "r*", index))``.  The
+        adjoint ``sym.star()`` is registered too, with the terms (conj(coeff),
+        (partner, index)), l <-> l* and r <-> r*, in the order their factors
+        first occur in the action; when that is the action, both share it.
+        Registering a symbol again with the action it has changes nothing;
+        with another action it raises ``ValueError``, since the moment cache
+        keys on the symbol and would keep the old moments.
         """
         terms = tuple((complex(c), (str(op), k)) for c, (op, k) in action)
         for _, (op, k) in terms:
-            if op not in _CREATORS + _ANNIHILATORS:
+            if op not in _PARTNER:
                 raise ValueError(f"unknown factor kind {op!r}")
             self._check_index(k)
-        keys = (sym, sym.star()) if self_adjoint else (sym,)
-        for key in keys:
-            if self.symbol_actions.get(key, terms) != terms:
-                raise ValueError(f"symbol {key!r} is already registered with another action")
-        self.symbol_actions.update(dict.fromkeys(keys, terms))
+        if sym in self.symbol_actions:
+            if self.symbol_actions[sym] != terms:
+                raise ValueError(f"symbol {sym!r} is already registered with another action")
+            return sym
+        adj = tuple((c.conjugate(), (_PARTNER[op], k)) for c, (op, k) in terms)
+        rank = {f: i for i, f in enumerate(dict.fromkeys(f for _, f in terms + adj))}
+        adj = tuple(sorted(adj, key=lambda t: rank[t[1]]))
+        self.symbol_actions[sym] = terms
+        self.symbol_actions[sym.star()] = terms if adj == terms else adj
         if self.dim > 1:
             self._right_acted.update(k for _, (op, k) in terms if op in ("r", "r*"))
         return sym
 
-    def combination_symbol(
-        self,
-        name: str,
-        side: str,
-        terms: Iterable[tuple[complex, GeneratorSymbol]],
-        family: str | None = None,
-        adjoint: bool = False,
-    ) -> GeneratorSymbol:
-        """A derived generator acting as a linear combination of existing ones."""
-        action: list[tuple[complex, tuple]] = []
-        fam = family
-        for c, sym in terms:
-            if sym.side != side:
-                raise ValueError("combination mixes sides")
-            fam = fam or sym.family
-            action.extend((c * c0, f) for c0, f in self.symbol_actions[sym])
-        out = GeneratorSymbol(name, side, adjoint, fam or name)
+    def combination_symbol(self, name: str, terms: Iterable[tuple[complex, GeneratorSymbol]],
+                           family: str | None = None) -> GeneratorSymbol:
+        """A derived generator acting as a linear combination of existing
+        ones, on their common side; its adjoint is registered with it."""
+        terms = list(terms)
+        sides = {sym.side for _, sym in terms}
+        if len(sides) != 1:
+            raise ValueError("combination mixes sides" if sides else "combination has no terms")
+        action = [(c * c0, f) for c, sym in terms for c0, f in self.symbol_actions[sym]]
+        out = GeneratorSymbol(name, sides.pop(), family=family or terms[0][1].family)
         return self.register_symbol(out, action)
 
     @property
@@ -342,6 +340,8 @@ class FockModel:
         raise KeyError(name)
 
     def to_json(self) -> dict:
+        """The covariance maps only, as ``bisemicircular_from_json`` reads
+        them: combination symbols such as cl and cr do not survive."""
         cov = self.covariances
         return {
             "d": self.dim,
@@ -384,7 +384,7 @@ class FockModel:
         kind, payload = factor
         if kind in _COEFFICIENTS:
             payload = self._ar.entry(as_belement(payload, self.dim))
-        elif kind in _CREATORS + _ANNIHILATORS:
+        elif kind in _PARTNER:
             self._check_index(payload)
             if self.dim > 1 and kind in ("r", "r*"):
                 self._right_acted.add(payload)
@@ -563,21 +563,18 @@ def make_bisemicircular(eta_left: Sequence[CPMap], eta_right: Sequence[CPMap],
     lidx = tuple(f"S{i+1}" for i in range(len(eta_left)))
     ridx = tuple(f"D{j+1}" for j in range(len(eta_right)))
     model = FockModel(etas[0].dim, lidx, ridx, dict(zip(lidx + ridx, etas)), max_depth)
-    for side, idx in ((LEFT, lidx), (RIGHT, ridx)):
-        create, annihilate = ("l", "l*") if side == LEFT else ("r", "r*")
+    for side, op, idx in ((LEFT, "l", lidx), (RIGHT, "r", ridx)):
         for k in idx:
-            model.register_symbol(
-                GeneratorSymbol(k, side, family=k),
-                [(1.0, (create, k)), (1.0, (annihilate, k))],
-                self_adjoint=True,
-            )
+            model.register_symbol(GeneratorSymbol(k, side, family=k),
+                                  [(1.0, (op, k)), (1.0, (_PARTNER[op], k))])
     return model
 
 
 def bisemicircular_from_json(obj: dict, max_depth: int | None = None) -> FockModel:
     """The bi-semicircular model of ``FockModel.to_json``'s form.  The maps fix
     the dimension; a ``"d"`` other than theirs, or one that is not an ``int``,
-    raises ``ValueError``."""
+    raises ``ValueError``, and so does a field other than d, left and right."""
+    json_fields(obj, "model", ("d", "left", "right"))
     left = [CPMap.from_json(e) for e in obj.get("left", [])]
     right = [CPMap.from_json(e) for e in obj.get("right", [])]
     model = make_bisemicircular(left, right, max_depth=max_depth)
@@ -598,7 +595,7 @@ def make_circular_pair(n_pairs: int = 1) -> FockModel:
     Each pair is built from two left and two right scalar variance-1
     semicircular generators of one bi-semicircular model: the left element
     ``cl`` is (S1 + i S2)/sqrt(2), the right one ``cr`` is (D1 + i D2)/sqrt(2),
-    and their adjoints, found by ``star()``, are the combinations with -i.
+    and their adjoints (registered with them) are the combinations with -i.
     The second pair, ``cl2`` and ``cr2``, is built from S3, S4, D3 and D4,
     and so on.  The four symbols of a pair share one family tag (they form a
     single two-faced pair); distinct pairs are bi-free from each other.
@@ -612,7 +609,5 @@ def make_circular_pair(n_pairs: int = 1) -> FockModel:
         tag = "" if p == 0 else str(p + 1)
         for name, base in ((f"cl{tag}", "S"), (f"cr{tag}", "D")):
             s1, s2 = model.symbol(f"{base}{2 * p + 1}"), model.symbol(f"{base}{2 * p + 2}")
-            for adjoint, phase in ((False, 1j), (True, -1j)):
-                model.combination_symbol(name, s1.side, [(isq, s1), (phase * isq, s2)],
-                                         family=f"c{p + 1}", adjoint=adjoint)
+            model.combination_symbol(name, [(isq, s1), (1j * isq, s2)], family=f"c{p + 1}")
     return model

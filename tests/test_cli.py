@@ -235,6 +235,21 @@ def test_model_file_with_another_d_fails(tmp_path, capsys):
     assert json.loads(out)["error"].startswith("ValueError: ")
 
 
+def test_model_file_with_a_misspelt_field_fails(tmp_path, capsys):
+    # Read as absent, "rigth" once left a model without right maps: the scan
+    # tested 0 words and exited 0.
+    spec = json.loads((ROOT / "bench" / "fock_reference.json").read_text())["pool"][0]["model"]
+    spec["rigth"] = spec.pop("right")
+    path = tmp_path / "rigth.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(capsys, "--max-order", "4", "bifree", "test", "--model", str(path))
+    assert code == 1
+    assert json.loads(out) == {
+        "schema": 1,
+        "error": "ValueError: unknown field 'rigth' in a model; expected d, left, right",
+    }
+
+
 def test_model_file_d_true_fails(tmp_path, capsys):
     # JSON true equals 1 in Python; the model, its map and its coefficient
     # must each still be rejected.

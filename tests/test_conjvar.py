@@ -62,7 +62,7 @@ def test_scaling_law():
     for lam in (0.5, 2.0):
         m = make_bisemicircular([ONE], [])
         s = m.symbol("S1")
-        scaled = m.combination_symbol("scaled", s.side, [(lam, s)])
+        scaled = m.combination_symbol("scaled", [(lam, s)])
         cand = VectorCandidate(
             scaled, m.vector_of(Monomial([s])).scaled(1 / lam), m
         )
@@ -112,7 +112,7 @@ def test_projection_monotonicity():
     # Fisher information in a reduced presence context can only shrink.
     m = make_bisemicircular([ONE, ONE], [])
     s1, s2 = m.symbol("S1"), m.symbol("S2")
-    u = m.combination_symbol("u", "l", [(1.0, s1), (1.0, s2)], family="u")
+    u = m.combination_symbol("u", [(1.0, s1), (1.0, s2)], family="u")
     # full context: the extra generator s1 is present; conjugate is s2
     full = VectorCandidate(u, m.vector_of(Monomial([s2])), m)
     assert conj_residual(full, ONE, (s1,), 5) <= 1e-10
@@ -631,9 +631,10 @@ def test_semicircular_entropy_quick():
 
 def test_circular_entropy_registers_each_node_once(monkeypatch):
     # The pair curve and the lift curve read the same 96 nodes and 2 spots,
-    # and each of the 98 times registers its four perturbed symbols once:
-    # 392 plus the two-pair model's 16.  800 when each curve registered its
-    # own, the second time as a check that the tables are equal.
+    # and each of the 98 times registers its two perturbed symbols once, each
+    # with its adjoint: 196 plus the two-pair model's 12.  408 when every
+    # adjoint was registered by hand (392 plus 16); 800 when each curve
+    # registered its own, the second time as a check that the tables are equal.
     calls = []
     register_symbol = FockModel.register_symbol
 
@@ -643,4 +644,4 @@ def test_circular_entropy_registers_each_node_once(monkeypatch):
 
     monkeypatch.setattr(FockModel, "register_symbol", counted)
     circular_entropy_experiment()
-    assert len(calls) == 408
+    assert len(calls) == 208

@@ -154,10 +154,10 @@ def _norm_sq_models(rng):
     ):
         fm = FockModel(2, ("k",), ("j",), {"k": draw(), "j": draw()})
         A = fm.register_symbol(
-            GeneratorSymbol("A", "l"), [(1.0, ("l", "k")), (1.0, ("l*", "k"))], self_adjoint=True
+            GeneratorSymbol("A", "l"), [(1.0, ("l", "k")), (1.0, ("l*", "k"))]
         )
         B = fm.register_symbol(
-            GeneratorSymbol("B", "r"), [(1.0, ("r", "k")), (1.0, ("r*", "k"))], self_adjoint=True
+            GeneratorSymbol("B", "r"), [(1.0, ("r", "k")), (1.0, ("r*", "k"))]
         )
         out.append((name, fm, (A, B)))
     return out
@@ -328,10 +328,12 @@ def test_symbols_are_the_registered_generators_without_adjoints():
     want += [GeneratorSymbol(k, "r") for k in ("D1", "D2")]
     assert list(model.symbols) == want
     assert [model.symbol(s.name) for s in want] == want
-    u = model.combination_symbol("u", "l", [(1.0, want[0])], adjoint=True)
-    assert model.symbols == tuple(want) and u.adjoint
-    with pytest.raises(KeyError):
-        model.symbol("u")
+    # A combination registers its adjoint alongside; symbols and symbol()
+    # leave the adjoint out.
+    u = model.combination_symbol("u", [(1.0, want[0])])
+    assert u.star() in model.symbol_actions and not u.adjoint
+    assert model.symbols == (*want, u)
+    assert model.symbol("u") == u
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -404,14 +406,14 @@ def test_registered_symbol_validation():
 def test_rebinding_a_symbol_to_another_action_rejected():
     m = make_standard_semicircular()
     s = m.symbol("S1")
-    target = m.combination_symbol("target", "l", [(2.0, s)])
+    target = m.combination_symbol("target", [(2.0, s)])
     tt = Monomial([target, target])
     assert m.functional.expect(tt)[0, 0] == 4.0
     # The same action again is a no-op; another one would leave the cached
     # moment stale.
-    assert m.combination_symbol("target", "l", [(2.0, s)]) == target
+    assert m.combination_symbol("target", [(2.0, s)]) == target
     with pytest.raises(ValueError, match="another action"):
-        m.combination_symbol("target", "l", [(3.0, s)])
+        m.combination_symbol("target", [(3.0, s)])
     assert m.functional.expect(tt)[0, 0] == 4.0
     assert m.norm_sq(m.vector_of(Monomial([target]))) == 4.0
     with pytest.raises(ValueError, match="another action"):
@@ -543,13 +545,56 @@ def test_one_pass_action_matches_factor_by_factor_matrix(keep):
     rng = np.random.default_rng(32)
     model = make_bisemicircular([_psd_cpmap(rng), _psd_cpmap(rng)], [_psd_cpmap(rng)])
     s1, s2, d1 = model.symbol("S1"), model.symbol("S2"), model.symbol("D1")
-    u = model.combination_symbol("u", "l", [(0.3 + 0.2j, s1), (-1.1, s2)])
-    v = model.combination_symbol("v", d1.side, [(-0.7j, d1)])
+    u = model.combination_symbol("u", [(0.3 + 0.2j, s1), (-1.1, s2)])
+    v = model.combination_symbol("v", [(-0.7j, d1)])
     alphabet = [s1, s2, d1, u, v, Lb(random_belement(2, rng)), Rb(random_belement(2, rng))]
     for vec in _seeded_states(model, alphabet, rng, 6):
         for f in alphabet:
             got = model.apply_symbol(f, vec, keep)
             _assert_same_state(got, apply_symbol_by_factors(model, f, vec, keep))
+
+
+def _scalar_model_with_combinations():
+    # Scalar covariances 1.69, 0.16, 0.49 and 2.25, with complex combinations
+    # on both sides, one of them over an adjoint.
+    maps = [CPMap([np.array([[a]])]) for a in (1.3, 0.4j, -0.7, 1.5)]
+    m = make_bisemicircular(maps[:2], maps[2:])
+    s1, s2, d1, d2 = map(m.symbol, ("S1", "S2", "D1", "D2"))
+    u = m.combination_symbol("u", [(0.3 + 0.2j, s1), (-1.1j, s2)])
+    m.combination_symbol("w", [(0.5j, u.star()), (1.0, s1)])
+    m.combination_symbol("v", [(0.7 - 0.4j, d1), (1.2, d2)])
+    return m
+
+
+def _matrix_model_with_combination():
+    rng = np.random.default_rng(33)
+    m = make_bisemicircular([_psd_cpmap(rng), _psd_cpmap(rng)], [_psd_cpmap(rng)])
+    m.combination_symbol("u", [(0.3 + 0.2j, m.symbol("S1")), (-1.1j, m.symbol("S2"))])
+    return m
+
+
+@pytest.mark.parametrize("build, sides, count", [
+    (lambda: make_circular_pair(2), "lr", 24),
+    (_scalar_model_with_combinations, "lr", 14),
+    # At d > 1 the left-contracted pairing is the GNS one for left operators.
+    (_matrix_model_with_combination, "l", 6),
+])
+def test_registered_adjoint_is_the_adjoint(build, sides, count):
+    # <x u, v> = <u, x* v> for every registered symbol x, within 1e-14 of the
+    # Cauchy-Schwarz bound of the two sides.
+    model = build()
+    rng = np.random.default_rng(34)
+    d = model.dim
+    alphabet = list(model.symbols) + [Lb(random_belement(d, rng)), Rb(random_belement(d, rng))]
+    states = list(_seeded_states(model, alphabet, rng, 6))
+    norm = lambda w: math.sqrt(abs(model.inner(w, w)))
+    xs = [x for x in model.symbol_actions if x.side in sides]
+    assert len(xs) == count
+    for x in xs:
+        for u, v in zip(states, states[1:] + states[:1]):
+            xu, xv = model.apply_symbol(x, u), model.apply_symbol(x.star(), v)
+            scale = norm(xu) * norm(v) + norm(u) * norm(xv)
+            assert abs(model.inner(xu, v) - model.inner(u, xv)) <= 1e-14 * scale, x
 
 
 @pytest.mark.parametrize("d", [2, 3])

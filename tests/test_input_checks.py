@@ -10,7 +10,7 @@ import pytest
 from bifree.balgebra import CPMap, as_belement
 from bifree.bnc import ChiWord, zero_partition
 from bifree.conjvar import MatrixLift, VectorCandidate, h_closed_form, matrix_lift
-from bifree.fock import FockModel, FockVector, make_bisemicircular
+from bifree.fock import FockModel, FockVector, bisemicircular_from_json, make_bisemicircular
 from bifree.moments import chi_of_groups, group_offsets, hat_embed
 from bifree.words import BCoeff, GeneratorSymbol, Monomial, MomentFunctional, as_monomial
 
@@ -37,7 +37,27 @@ def _wrong_sides():
 
 def _mixed_combination():
     m = _pair()
-    m.combination_symbol("u", "l", [(1.0, m.symbol("D1"))])
+    m.combination_symbol("u", [(1.0, m.symbol("S1")), (1.0, m.symbol("D1"))])
+
+
+def _hand_built_adjoint():
+    # The adjoint of u = i S1 is -i S1; registering i S1 under u* would give
+    # u* the moments of u.
+    m = _pair()
+    u = m.combination_symbol("u", [(1j, m.symbol("S1"))])
+    m.register_symbol(u.star(), [(1j, ("l", "S1")), (1j, ("l*", "S1"))])
+
+
+def _misspelt_model():
+    spec = _pair().to_json()
+    spec["rigth"] = spec.pop("right")
+    bisemicircular_from_json(spec)
+
+
+def _misspelt_map():
+    spec = ONE.to_json()
+    spec["Kraus"] = spec.pop("kraus")
+    CPMap.from_json(spec)
 
 
 def _apply(f):
@@ -96,6 +116,19 @@ CASES = {
     ),
     "combination_symbol mixes sides": (
         _mixed_combination, ValueError, "combination mixes sides",
+    ),
+    "combination_symbol no terms": (
+        lambda: _pair().combination_symbol("u", []), ValueError, "combination has no terms",
+    ),
+    "register_symbol adjoint by hand": (
+        _hand_built_adjoint, ValueError,
+        "symbol <u*:l> is already registered with another action",
+    ),
+    "bisemicircular_from_json unknown field": (
+        _misspelt_model, ValueError, "unknown field 'rigth' in a model; expected d, left, right",
+    ),
+    "CPMap.from_json unknown field": (
+        _misspelt_map, ValueError, "unknown field 'Kraus' in a CP map; expected d, kraus",
     ),
     "apply_factor unknown kind": (
         lambda: _pair().apply_factor(("x", "S1"), FockVector.vacuum(1)),

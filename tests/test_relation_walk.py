@@ -145,7 +145,7 @@ def test_scalar_rhs_summation_order():
     cov = [CPMap([np.array([[np.sqrt(v)]])]) for v in (0.7, 1.3, 2.9)]
     model = make_bisemicircular(cov[:2], cov[2:])
     s1, s2, d1 = model.symbol("S1"), model.symbol("S2"), model.symbol("D1")
-    u = model.combination_symbol("u", "l", [(0.3, s1), (1.7, s2)], family="u")
+    u = model.combination_symbol("u", [(0.3, s1), (1.7, s2)], family="u")
     xi = VectorCandidate(u, model.vector_of(Monomial([s2])), model)
     ctx = (s1, d1)
     eta = CPMap([np.array([[0.9]])])
@@ -229,12 +229,10 @@ def test_perturbed_lifted_carriers_match_full_walk(scale):
     # circular pairs, registered as combination symbols of the base model,
     # are pure on their sides, so their walks are pruned as the pair's are.
     cp = make_circular_pair(n_pairs=2)
-    cl, cls, cr, crs, c2l, c2ls, c2r, c2rs = circular_letters(cp, 2)
+    cl, _, cr, _, c2l, _, c2r, _ = circular_letters(cp, 2)
     mk = cp.combination_symbol
-    z = mk("z[1.0]", "l", [(1.0, cl), (1.0, c2l)], family="z")
-    mk("z[1.0]", "l", [(1.0, cls), (1.0, c2ls)], family="z", adjoint=True)
-    w = mk("w[1.0]", "r", [(1.0, cr), (1.0, c2r)], family="z")
-    mk("w[1.0]", "r", [(1.0, crs), (1.0, c2rs)], family="z", adjoint=True)
+    z = mk("z[1.0]", [(1.0, cl), (1.0, c2l)], family="z")
+    w = mk("w[1.0]", [(1.0, cr), (1.0, c2r)], family="z")
     cands = lifted_candidates(cp, z, w, scale=scale)
     fresh = _lift_trace(matrix_lift(cp.functional, z, w).lift)
     for xi, ctx in zip(cands, lifted_presence(cands)):
@@ -455,7 +453,7 @@ def test_solver_equals_breadth_first_solver_one_letter(lam):
     s = m.symbol("S1")
     target = s
     if lam != 1.0:
-        target = m.combination_symbol("target", s.side, [(lam, s)])
+        target = m.combination_symbol("target", [(lam, s)])
     got, _ = solve_conjugate(m, target, ONE, (), max_n=4)
     want = solve_conjugate_bfs(m, target, ONE, (), max_n=4)
     assert got.vector.terms.keys() == want.vector.terms.keys()
@@ -466,7 +464,7 @@ def test_solver_equals_breadth_first_solver_one_letter(lam):
 def test_solver_matches_breadth_first_solver_multi_letter():
     m = make_bisemicircular([ONE, ONE], [ONE])
     s1, s2, d1 = m.symbol("S1"), m.symbol("S2"), m.symbol("D1")
-    u = m.combination_symbol("u", "l", [(1.0, s1), (0.5, s2)], family="u")
+    u = m.combination_symbol("u", [(1.0, s1), (0.5, s2)], family="u")
     for target, ctx in (
         (s1, (d1,)),
         (u, (s1, d1)),
