@@ -1,8 +1,8 @@
 """Finite-dimensional coefficient algebra: d x d matrices, trace, CP maps.
 
 Coefficient values are plain complex numpy arrays of shape ``(d, d)``.
-Completely positive maps are kept in Kraus form and read through one
-coefficient tensor, ``CPMap.kernel``, with a Choi-matrix constructor.
+Completely positive maps are built from Kraus operators (or a Choi matrix) and
+read, at every d, only through one coefficient tensor, ``CPMap.kernel``.
 """
 
 from __future__ import annotations
@@ -78,9 +78,11 @@ def worst_at(values: Iterable[float]) -> tuple[float, int | None]:
 
 
 class CPMap:
-    """Completely positive map b -> sum_i V_i b V_i* in Kraus form."""
+    """Completely positive map b -> sum_i V_i b V_i*.  Every computation reads
+    its read-only kernel K[p, q, a, b] = sum_i V_i[p, a] conj(V_i[q, b]), so
+    that eta(b)[p, q] = sum_ab K[p, q, a, b] b[a, b]; ``to_json`` writes the V_i."""
 
-    __slots__ = ("dim", "kraus", "_kernel")
+    __slots__ = ("dim", "kraus", "kernel")
 
     def __init__(self, kraus: Sequence, dim: int | None = None):
         mats = [as_belement(v).copy() for v in kraus]
@@ -90,32 +92,20 @@ class CPMap:
         for v in mats:
             if v.shape[0] != d:
                 raise ValueError("Kraus matrices must share one dimension")
-            v.flags.writeable = False  # the kept kernel is built from them
+            v.flags.writeable = False  # they stay what the kernel was built from
         if dim is not None and dim != d:
             raise ValueError(f"dimension mismatch: expected {dim}, got {d}")
+        k = sum(np.einsum("pa,qb->pqab", v, v.conj()) for v in mats)
+        k.flags.writeable = False
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "kraus", tuple(mats))
-        object.__setattr__(self, "_kernel", None)
+        object.__setattr__(self, "kernel", k)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("CPMap is immutable")
 
     def __call__(self, b) -> np.ndarray:
-        a = as_belement(b, self.dim)
-        out = np.zeros_like(a)
-        for v in self.kraus:
-            out += v @ a @ v.conj().T
-        return out
-
-    @property
-    def kernel(self) -> np.ndarray:
-        """K[p, q, a, b] = sum_i V_i[p, a] conj(V_i[q, b]), so that eta(b)[p, q]
-        = sum_ab K[p, q, a, b] b[a, b]; built on first read, kept, read-only."""
-        if self._kernel is None:
-            k = sum(np.einsum("pa,qb->pqab", v, v.conj()) for v in self.kraus)
-            k.flags.writeable = False
-            object.__setattr__(self, "_kernel", k)
-        return self._kernel
+        return np.einsum("pqab,ab->pq", self.kernel, as_belement(b, self.dim))
 
     @classmethod
     def identity(cls, d: int) -> "CPMap":
@@ -180,8 +170,11 @@ def belement_to_json(b) -> dict:
 
 
 def belement_from_json(obj: dict) -> np.ndarray:
-    a = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    return as_belement(a, json_dim(obj))
+    json_fields(obj, "coefficient", ("d", "re", "im"))
+    re, im = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
+    if re.shape != im.shape:
+        raise ValueError(f"coefficient parts differ in shape: re {re.shape}, im {im.shape}")
+    return as_belement(re + 1j * im, json_dim(obj))
 
 
 def json_dim(obj: dict) -> int | None:

@@ -13,8 +13,9 @@ orthogonal.
 The index, depth and covariance bookkeeping is written once for every
 coefficient dimension; the per-component arithmetic (create, contract
 through a covariance, multiply by a coefficient, zero test, depth-0 matrix,
-pairing) once per dimension: Python complex numbers and eta(1) at d = 1,
-numpy tensors contracted against ``CPMap.kernel`` at d > 1.
+pairing) once per dimension: Python complex numbers and the kernel entry
+eta(1) at d = 1, numpy tensors contracted against ``CPMap.kernel`` at d > 1;
+one table gives each factor kind its side and its depth step.
 Components are never changed in place, so states may share them.
 
 Word actions carry a depth budget: a caller that reads only components up
@@ -40,6 +41,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+from collections import Counter
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -65,12 +67,12 @@ class TruncationError(RuntimeError):
 
 class _Scalars:
     """d = 1: a component or a coefficient is its single entry, a complex
-    number, and a covariance is the number eta(1)."""
+    number, and a covariance is the kernel's single entry eta(1)."""
 
     one = 1.0 + 0.0j
 
     def covariance(self, eta: CPMap) -> complex:
-        return complex(eta(np.eye(1))[0, 0])
+        return complex(eta.kernel[0, 0, 0, 0])
 
     def entry(self, a: np.ndarray) -> complex:
         return a.item()
@@ -227,11 +229,13 @@ class FockVector:
         return f"FockVector(d={self.dim}, terms={len(self.terms)}, depth={self.depth()})"
 
 
-_CREATORS = ("l", "r")
-_ANNIHILATORS = ("l*", "r*")
+# Every factor kind: the side it acts on and its depth step (+1 creates, -1
+# annihilates, 0 multiplies by a coefficient).
+_KINDS = {"l": (LEFT, 1), "l*": (LEFT, -1), "Lb": (LEFT, 0),
+          "r": (RIGHT, 1), "r*": (RIGHT, -1), "Rb": (RIGHT, 0)}
+_KIND_OF = {v: kind for kind, v in _KINDS.items()}  # (side, step) -> kind
 # A creator's adjoint is the annihilator of its index and side, and back.
 _PARTNER = {"l": "l*", "l*": "l", "r": "r*", "r*": "r"}
-_COEFFICIENTS = ("Lb", "Rb")
 
 
 class FockModel:
@@ -265,9 +269,9 @@ class FockModel:
                 raise ValueError("covariance dimension mismatch")
         self._ar = _arithmetic(dim)
         self._cov = {k: self._ar.covariance(eta) for k, eta in self.covariances.items()}
-        # The indices a right operator acts on, which only ``norm_sq`` reads
-        # at d > 1: the right ones and those of every right factor registered
-        # in a symbol or applied on its own.
+        # The indices a right operator acts on, which only ``norm_sq`` reads:
+        # the right ones and those of every right factor registered in a
+        # symbol or applied on its own.
         self._right_acted: set = set(self.right_indices)
         self.max_depth = max_depth
         self.symbol_actions: dict[GeneratorSymbol, tuple[tuple[complex, tuple], ...]] = {}
@@ -292,7 +296,7 @@ class FockModel:
         Each action term is ``(coeff, ("l"| "l*" | "r" | "r*", index))``.  The
         adjoint ``sym.star()`` is registered too, with the terms (conj(coeff),
         (partner, index)), l <-> l* and r <-> r*, in the order their factors
-        first occur in the action; when that is the action, both share it.
+        first occur in the action; when they hold its terms in any order, both share it.
         Registering a symbol again with the action it has changes nothing;
         with another action it raises ``ValueError``, since the moment cache
         keys on the symbol and would keep the old moments.
@@ -310,9 +314,8 @@ class FockModel:
         rank = {f: i for i, f in enumerate(dict.fromkeys(f for _, f in terms + adj))}
         adj = tuple(sorted(adj, key=lambda t: rank[t[1]]))
         self.symbol_actions[sym] = terms
-        self.symbol_actions[sym.star()] = terms if adj == terms else adj
-        if self.dim > 1:
-            self._right_acted.update(k for _, (op, k) in terms if op in ("r", "r*"))
+        self.symbol_actions[sym.star()] = terms if Counter(adj) == Counter(terms) else adj
+        self._right_acted.update(k for _, (op, k) in terms if _KINDS[op][0] == RIGHT)
         return sym
 
     def combination_symbol(self, name: str, terms: Iterable[tuple[complex, GeneratorSymbol]],
@@ -362,11 +365,8 @@ class FockModel:
         action = self.symbol_actions.get(f)
         if action is None:
             return None
-        if f.side == LEFT:
-            ops, indices = ("l", "l*"), self.left_indices
-        else:
-            ops, indices = ("r", "r*"), self.right_indices
-        if all(op in ops and k in indices for _, (op, k) in action):
+        indices = self.left_indices if f.side == LEFT else self.right_indices
+        if all(_KINDS[op][0] == f.side and k in indices for _, (op, k) in action):
             return f.side
         return None
 
@@ -382,14 +382,15 @@ class FockModel:
         ``keep_depth`` are not built.
         """
         kind, payload = factor
-        if kind in _COEFFICIENTS:
-            payload = self._ar.entry(as_belement(payload, self.dim))
-        elif kind in _PARTNER:
-            self._check_index(payload)
-            if self.dim > 1 and kind in ("r", "r*"):
-                self._right_acted.add(payload)
-        else:
+        if kind not in _KINDS:
             raise ValueError(f"unknown factor kind {kind!r}")
+        side, step = _KINDS[kind]
+        if not step:
+            payload = self._ar.entry(as_belement(payload, self.dim))
+        else:
+            self._check_index(payload)
+            if side == RIGHT:
+                self._right_acted.add(payload)
         return self._act(((None, (kind, payload)),), vec, keep_depth)
 
     def _act(self, action, vec: FockVector, keep_depth: int | None) -> FockVector:
@@ -405,18 +406,18 @@ class FockModel:
         ar, cov = self._ar, self._cov
         out: dict = {}
         for c, (kind, arg) in action:
-            left = kind in ("l", "l*", "Lb")
-            creates, annihilates = kind in _CREATORS, kind in _ANNIHILATORS
+            side, step = _KINDS[kind]
+            left = side == LEFT
             for ks, t in vec.terms.items():
                 m = len(ks)
-                if creates:
+                if step > 0:
                     if m + 1 > keep:
                         continue
                     if self.max_depth is not None and m + 1 > self.max_depth:
                         raise TruncationError(f"creation would exceed max depth {self.max_depth}")
                     nk = (arg,) + ks if left else ks + (arg,)
                     x = ar.create(t, left)
-                elif annihilates:
+                elif step < 0:
                     # annihilation kills the depth-0 summand
                     if not ks or m - 1 > keep or (ks[0] if left else ks[-1]) != arg:
                         continue
@@ -437,8 +438,7 @@ class FockModel:
     def apply_symbol(self, f, vec: FockVector, keep_depth: int | None = None) -> FockVector:
         """Apply a coefficient factor or a registered symbol's whole action."""
         if isinstance(f, BCoeff):
-            kind = "Lb" if f.side == LEFT else "Rb"
-            return self.apply_factor((kind, f.matrix), vec, keep_depth)
+            return self.apply_factor((_KIND_OF[f.side, 0], f.matrix), vec, keep_depth)
         if isinstance(f, GeneratorSymbol):
             action = self.symbol_actions.get(f)
             if action is None:
@@ -563,10 +563,10 @@ def make_bisemicircular(eta_left: Sequence[CPMap], eta_right: Sequence[CPMap],
     lidx = tuple(f"S{i+1}" for i in range(len(eta_left)))
     ridx = tuple(f"D{j+1}" for j in range(len(eta_right)))
     model = FockModel(etas[0].dim, lidx, ridx, dict(zip(lidx + ridx, etas)), max_depth)
-    for side, op, idx in ((LEFT, "l", lidx), (RIGHT, "r", ridx)):
+    for side, idx in ((LEFT, lidx), (RIGHT, ridx)):
         for k in idx:
             model.register_symbol(GeneratorSymbol(k, side, family=k),
-                                  [(1.0, (op, k)), (1.0, (_PARTNER[op], k))])
+                                  [(1.0, (_KIND_OF[side, step], k)) for step in (1, -1)])
     return model
 
 

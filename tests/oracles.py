@@ -15,10 +15,10 @@ operator, find a word's commutation class by closing it under swaps, and fit
 the least-squares candidate over breadth-first test words applied from the
 vacuum.  The matrix-lift oracle finds the index chains first and resolves
 every entry again for each chain.  The CP-map oracles read Kraus operators
-only: a d > 1 contraction sums the map over each Kraus operator and then
-traces the merged slot, the Choi matrix sums Kronecker products of matrix
-units and their images, and trace symmetry compares the map with its
-Kraus-built trace adjoint.  The d > 1 pairing oracle contracts both states
+only: the action sums V b V* over them, a d > 1 contraction sums the map
+over each Kraus operator and then traces the merged slot, the Choi matrix
+sums Kronecker products of matrix units and their Kraus-sum images, and
+trace symmetry compares the map with its Kraus-built trace adjoint.  The d > 1 pairing oracle contracts both states
 and every covariance kernel of an index sequence in one einsum.  The
 cumulant oracle takes a Moebius value and a fresh numeric-label reduction
 for every partition below its argument;
@@ -513,6 +513,11 @@ def eval_moment_pi_random(F, pi, operands, rng):
 
 # --- CP maps from their Kraus operators ---------------------------------------
 
+def cp_by_kraus(eta, b):
+    """eta(b) = sum_i V_i b V_i*, one Kraus operator at a time."""
+    return sum(v @ b @ v.conj().T for v in eta.kraus)
+
+
 def contract_by_kraus(eta, t, left):
     """b0 Z b1 ... -> eta(b0) b1 ... (mirrored on the right) for a d > 1
     component: the map applied Kraus operator by Kraus operator to the end
@@ -532,7 +537,7 @@ def choi_by_kron(eta):
     d = eta.dim
     c = np.zeros((d * d, d * d), dtype=complex)
     for e in matrix_units(d):
-        c += np.kron(e, eta(e))
+        c += np.kron(e, cp_by_kraus(eta, e))
     return c
 
 

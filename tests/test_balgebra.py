@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import choi_by_kron, is_trace_symmetric_by_kraus
+from oracles import choi_by_kron, cp_by_kraus, is_trace_symmetric_by_kraus
 
 from bifree.balgebra import (
     CPMap,
@@ -86,15 +86,6 @@ def test_cp_preserves_psd():
         assert w.min() >= -1e-9
 
 
-def test_trace_via_kraus_matches_direct():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        eta = random_cpmap(3, rng, n_kraus=3)
-        b = random_belement(3, rng)
-        direct = sum(v @ b @ v.conj().T for v in eta.kraus)
-        assert abs(trace_d(eta(b)) - trace_d(direct)) < 1e-12
-
-
 def test_choi_round_trip():
     rng = np.random.default_rng(4)
     eta = random_cpmap(2, rng, n_kraus=2)
@@ -129,13 +120,15 @@ def _seeded_maps(rng):
             yield random_cpmap(d, rng, n_kraus=n)
 
 
-def test_kernel_applies_the_map():
+def test_map_matches_kraus_sum():
+    # The action is one contraction of the kernel; the Kraus sum is its oracle.
     rng = np.random.default_rng(41)
     for eta in _seeded_maps(rng):
-        b = random_belement(eta.dim, rng)
-        want = eta(b)
-        got = np.einsum("pqab,ab->pq", eta.kernel, b)
-        assert maxabs(got - want) <= 1e-14 * maxabs(want)
+        for scale in (1.0, 1e-3, 1e3):
+            b = scale * random_belement(eta.dim, rng)
+            got, want = eta(b), cp_by_kraus(eta, b)
+            assert got.shape == want.shape == b.shape
+            assert maxabs(got - want) <= 1e-14 * max(1.0, maxabs(b))
 
 
 def test_choi_matches_kronecker_sum():

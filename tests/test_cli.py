@@ -250,6 +250,37 @@ def test_model_file_with_a_misspelt_field_fails(tmp_path, capsys):
     }
 
 
+def test_model_file_with_a_misspelt_coefficient_field_fails(tmp_path, capsys):
+    # Read as absent, "dd" once skipped the Kraus matrix's dimension check:
+    # the moment printed and the command exited 0.
+    spec = make_standard_semicircular(1, 0).to_json()
+    coeff = spec["left"][0]["kraus"][0]
+    coeff["dd"] = 5
+    del coeff["d"]
+    path = tmp_path / "dd.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(capsys, "fock", "moment", "--model", str(path), "--word", "S1 S1")
+    assert code == 1
+    assert json.loads(out) == {
+        "schema": 1,
+        "error": "ValueError: unknown field 'dd' in a coefficient; expected d, re, im",
+    }
+
+
+def test_mc_rejects_parts_of_different_shapes(tmp_path, capsys):
+    # numpy once broadcast a 1x1 "im" over a 2x2 "re": 0.5 in every entry.
+    entries = [{"partition": [list(b) for b in p.blocks], "value": belement_to_json(np.eye(2))}
+               for p in enumerate_bnc(ChiWord("lr"))]
+    entries[0]["value"]["im"] = [[0.5]]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"chi": "lr", "entries": entries}))
+    code, out = run_cli(capsys, "mc", "to-cumulants", "--table", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == (
+        "ValueError: coefficient parts differ in shape: re (2, 2), im (1, 1)"
+    )
+
+
 def test_model_file_d_true_fails(tmp_path, capsys):
     # JSON true equals 1 in Python; the model, its map and its coefficient
     # must each still be rejected.

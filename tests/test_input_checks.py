@@ -7,7 +7,7 @@ message (its first argument) that the check raises for it.
 import numpy as np
 import pytest
 
-from bifree.balgebra import CPMap, as_belement
+from bifree.balgebra import CPMap, as_belement, belement_from_json
 from bifree.bnc import ChiWord, zero_partition
 from bifree.conjvar import MatrixLift, VectorCandidate, h_closed_form, matrix_lift
 from bifree.fock import FockModel, FockVector, bisemicircular_from_json, make_bisemicircular
@@ -78,6 +78,14 @@ CASES = {
     ),
     "CPMap dim mismatch": (
         lambda: CPMap([np.eye(2)], dim=3), ValueError, "dimension mismatch: expected 3, got 2",
+    ),
+    "belement_from_json unknown field": (
+        lambda: belement_from_json({"dd": 5, "re": [[1.0]], "im": [[0.0]]}),
+        ValueError, "unknown field 'dd' in a coefficient; expected d, re, im",
+    ),
+    "belement_from_json parts of different shapes": (
+        lambda: belement_from_json({"re": np.eye(2).tolist(), "im": [[0.5]]}),
+        ValueError, "coefficient parts differ in shape: re (2, 2), im (1, 1)",
     ),
     "from_choi bad shape": (
         lambda: CPMap.from_choi(np.eye(3)), ValueError, "Choi matrix must be (d*d) x (d*d)",

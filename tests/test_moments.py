@@ -624,6 +624,21 @@ def test_block_index_scan_bytes_match_table_loop(name):
     }.get(name, {"zero", "other"}), kinds
 
 
+def test_self_adjoint_symbol_shares_its_action_with_its_adjoint():
+    # z = D1 - D1 equals z*, although the derived adjoint lists the terms of
+    # z in another order; summed in that order, E(D1 D1 z* D1 D1 D1) once
+    # read 0 where E(D1 D1 z D1 D1 D1) reads -6.3e-16.
+    model, (S1, D1, z) = _zero_symbol_model()
+    zs = z.star()
+    assert model.symbol_actions[zs] is model.symbol_actions[z]
+    for n in range(1, 7):
+        for word in itertools.product((S1, D1, z), repeat=n):
+            if z in word:
+                starred = tuple(zs if f == z else f for f in word)
+                got, want = model.expectation(Monomial(starred)), model.expectation(Monomial(word))
+                assert _packed(got.item()) == _packed(want.item()), [f.display for f in word]
+
+
 def test_order_one_cumulant_is_expectation(flip_model):
     rng = np.random.default_rng(1)
     b = random_belement(2, rng)
