@@ -86,6 +86,15 @@ def test_cp_preserves_psd():
         assert w.min() >= -1e-9
 
 
+def test_trace_via_kraus_matches_direct():
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        eta = random_cpmap(3, rng, n_kraus=3)
+        b = random_belement(3, rng)
+        direct = sum(v @ b @ v.conj().T for v in eta.kraus)
+        assert abs(trace_d(eta(b)) - trace_d(direct)) < 1e-12
+
+
 def test_choi_round_trip():
     rng = np.random.default_rng(4)
     eta = random_cpmap(2, rng, n_kraus=2)
@@ -118,6 +127,15 @@ def _seeded_maps(rng):
     for d in (1, 2, 3):
         for n in (1, 2, 3):
             yield random_cpmap(d, rng, n_kraus=n)
+
+
+def test_kernel_applies_the_map():
+    rng = np.random.default_rng(41)
+    for eta in _seeded_maps(rng):
+        b = random_belement(eta.dim, rng)
+        want = eta(b)
+        got = np.einsum("pqab,ab->pq", eta.kernel, b)
+        assert maxabs(got - want) <= 1e-14 * maxabs(want)
 
 
 def test_map_matches_kraus_sum():
