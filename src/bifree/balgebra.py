@@ -171,10 +171,20 @@ def belement_to_json(b) -> dict:
 
 def belement_from_json(obj: dict) -> np.ndarray:
     json_fields(obj, "coefficient", ("d", "re", "im"))
-    re, im = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
+    re, im = _json_part(obj, "re"), _json_part(obj, "im")
     if re.shape != im.shape:
         raise ValueError(f"coefficient parts differ in shape: re {re.shape}, im {im.shape}")
     return as_belement(re + 1j * im, json_dim(obj))
+
+
+def _json_part(obj: dict, part: str) -> np.ndarray:
+    """A coefficient's ``"re"`` or ``"im"`` as a float array.  An entry must be
+    a JSON number or ``null``, read as NaN (the CLI prints NaN as ``null``);
+    a string or a boolean (``"2"``, ``true``) raises ``ValueError``."""
+    for x in np.asarray(obj[part], dtype=object).flat:
+        if x is not None and (isinstance(x, bool) or not isinstance(x, (int, float))):
+            raise ValueError(f'coefficient part "{part}" must hold JSON numbers, got {x!r}')
+    return np.asarray(obj[part], dtype=float)
 
 
 def json_dim(obj: dict) -> int | None:

@@ -20,6 +20,8 @@ from itertools import product
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from .balgebra import json_fields
+
 LEFT = "l"
 RIGHT = "r"
 
@@ -248,7 +250,13 @@ class BncPartition:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BncPartition":
+        """The partition of ``to_json``'s form; a field other than n, chi and
+        blocks, or an ``"n"`` other than the side word's length, raises
+        ``ValueError``."""
+        json_fields(obj, "partition", ("n", "chi", "blocks"))
         chi = ChiWord(obj["chi"])
+        if "n" in obj and (type(obj["n"]) is not int or obj["n"] != chi.n):
+            raise ValueError(f'field "n" must be the length {chi.n} of chi, got {obj["n"]!r}')
         return cls(obj["blocks"], chi)
 
 

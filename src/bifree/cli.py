@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import acceptance
-from .balgebra import CPMap, as_belement, belement_from_json, belement_to_json
+from .balgebra import CPMap, as_belement, belement_from_json, belement_to_json, json_fields
 from .bnc import BncPartition, ChiWord, enumerate_bnc, find_bnc, mobius_bnc
 from .conjvar import (
     check_candidates,
@@ -109,16 +109,22 @@ def _read_table(path: str):
     of stdin for ``-``.  Each partition is found among ``enumerate_bnc(chi)``
     by ``find_bnc``, so a bad one raises the partition check's
     ``ValueError``; a partition listed twice, or a value of another size than
-    the first, is rejected too."""
+    the first, is rejected too.  The table and each entry may hold only
+    their own fields (``schema``, which the ``mc`` reports print, included),
+    and an entry's optional ``"chi"`` must be the table's."""
     if path == "-":
         data = json.load(sys.stdin)
     else:
         with open(path) as fh:
             data = json.load(fh)
+    json_fields(data, "table", ("chi", "entries", "schema"))
     chi = ChiWord(data["chi"])
     table = {}
     d = None  # every value must have the first value's size
     for entry in data["entries"]:
+        json_fields(entry, "table entry", ("chi", "partition", "value"))
+        if "chi" in entry and ChiWord(entry["chi"]) != chi:
+            raise ValueError(f"entry chi {entry['chi']!r} differs from the table's {str(chi)!r}")
         p = find_bnc(entry["partition"], chi)
         if p in table:
             raise ValueError(f"partition {list(map(list, p.blocks))} is listed twice")
@@ -164,15 +170,10 @@ def _cmd_bnc_mobius(args) -> int:
     return 0
 
 
-def _cmd_mc(args, direction: str) -> int:
+def _cmd_mc(args) -> int:
     chi, table = _read_table(args.table)
-    out = {}
-    for p in enumerate_bnc(chi):
-        if direction == "to-cumulants":
-            out[p] = cumulants_from_moments(table, p)
-        else:
-            out[p] = moments_from_cumulants(table, p)
-    _emit(_table_report(chi, out), args)
+    convert = cumulants_from_moments if args.cmd == "to-cumulants" else moments_from_cumulants
+    _emit(_table_report(chi, {p: convert(table, p) for p in enumerate_bnc(chi)}), args)
     return 0
 
 
@@ -284,14 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("mc", help="moment/cumulant tables").add_subparsers(
         dest="cmd", required=True
     )
-    p = p_mc.add_parser("to-cumulants", help="convolve a moment table")
-    p.add_argument("--table", required=True, help="JSON file or - for stdin")
-    _add_config_options(p)
-    p.set_defaults(func=lambda a: _cmd_mc(a, "to-cumulants"))
-    p = p_mc.add_parser("to-moments", help="sum a cumulant table")
-    p.add_argument("--table", required=True, help="JSON file or - for stdin")
-    _add_config_options(p)
-    p.set_defaults(func=lambda a: _cmd_mc(a, "to-moments"))
+    for direction, about in (("to-cumulants", "convolve a moment table"),
+                             ("to-moments", "sum a cumulant table")):
+        p = p_mc.add_parser(direction, help=about)
+        p.add_argument("--table", required=True, help="JSON file or - for stdin")
+        _add_config_options(p)
+        p.set_defaults(func=_cmd_mc)
 
     p_bf = sub.add_parser("bifree", help="bi-freeness checks").add_subparsers(
         dest="cmd", required=True

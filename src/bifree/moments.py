@@ -8,6 +8,7 @@ coefficient into a neighbouring operand through the left or right copy of
 the coefficient algebra; the rest is the two slices around it.  The result
 does not depend on the order in which admissible runs are stripped; the
 test-suite checks that against a reduction taking them in random order.
+The one reduction serves every coefficient dimension d.
 
 Cumulants are Moebius convolutions of the moment function over the lattice,
 and the product-entry expansion relates a cumulant of grouped products to a
@@ -42,7 +43,7 @@ from .words import Lb, Monomial, MomentFunctional, Rb, as_monomial
 
 
 def _eval_pi(F: MomentFunctional, pos, side, blk, ops) -> np.ndarray:
-    """Strip chi-order slices of a partition's NC picture (d > 1).
+    """Strip chi-order slices of a partition's NC picture.
 
     ``pos[i]``, ``side[i]`` and ``blk[i]`` are the position, side and block
     at chi-rank ``i + 1`` of the current sub-word and ``ops[i]`` its operand
@@ -121,28 +122,22 @@ def _chi_ordered(chi: ChiWord, operands: Sequence) -> _ChiOrdered:
 def eval_moment_pi(F: MomentFunctional, pi: BncPartition, operands: Sequence) -> np.ndarray:
     """Moment function at a bi-non-crossing partition.
 
-    Over scalar coefficients the value factors over the blocks; otherwise
-    the operands are listed in chi-order once and the reduction strips
-    chi-order slices of the partition's NC picture ``pi.nc``.  At every d,
-    a block or slice whose value is exactly zero ends it with the +0 matrix
-    (see ``_eval_pi``): the moment function is a bimodule map, so a zero
+    At every d the operands are listed in chi-order once and the reduction
+    strips chi-order slices of the partition's NC picture ``pi.nc`` (see
+    ``_eval_pi``).  A stripped slice whose value is exactly zero ends it
+    with the +0 matrix: the moment function is a bimodule map, so a zero
     coefficient annihilates the whole value, whatever the other blocks
-    hold.  A NaN entry is not zero.
+    hold.  Only a stripped slice is tested: a block that is not a
+    chi-interval is reduced with the values already spliced into it, so a
+    NaN spliced into a block of value zero gives NaN.  A NaN entry is not
+    zero.
     """
     return _moment_pi(F, pi, _chi_ordered(pi.chi, operands))
 
 
 def _moment_pi(F: MomentFunctional, pi: BncPartition, word: _ChiOrdered) -> np.ndarray:
     """``eval_moment_pi`` on a word that ``_chi_ordered`` resolved; only the
-    block labels are read from ``pi``."""
-    if F.dim == 1 and len(pi.blocks) > 1:
-        out = np.eye(1, dtype=complex)
-        for b in pi.blocks:
-            v = F.expect(Monomial.concat([word.ops[k - 1] for k in b]))
-            if not np.count_nonzero(v):
-                return np.zeros((1, 1), dtype=complex)
-            out = out * v
-        return out
+    NC picture ``pi.nc`` is read from ``pi``."""
     blk = [0] * len(word.pos)
     for i, b in enumerate(pi.nc):
         for r in b:
@@ -158,14 +153,17 @@ def cumulant_pi(F: MomentFunctional, pi: BncPartition, operands: Sequence) -> np
     function is bi-multiplicative (Charlesworth-Nelson-Skoufranis 2015): a
     block that is an interval in chi-order can be reduced first and spliced
     into a neighbour as ``Lb``/``Rb`` of its value, so a partition with a
-    block whose value is exactly zero has moment zero, at every d (see
-    ``eval_moment_pi``).  The value of every chi-interval of the word is
-    read once, and a partition with a block equal to a zero interval is
-    neither built nor reduced; a NaN entry is not zero.  The Moebius value
-    is taken only for a partition whose moment is not exactly zero:
-    mu(sigma, pi) is non-zero for every sigma <= pi, and adding an exact
-    zero to the sum, which starts at +0, changes no bit of it.  So the sum
-    has the terms, in the order, of a scan that reduces every partition.
+    block equal to a chi-interval whose value is exactly zero has moment
+    zero.  The value of every chi-interval of the word is read once, and
+    such a partition is neither built nor reduced, even where a NaN
+    elsewhere would reach the reduction.  Every other partition is reduced
+    by ``eval_moment_pi``, where a stripped slice of value exactly zero ends
+    the reduction; a NaN entry is not zero.  The
+    Moebius value is taken only for a partition whose moment is not exactly
+    zero: mu(sigma, pi) is non-zero for every sigma <= pi, and adding an
+    exact zero to the sum, which starts at +0, changes no bit of it.  So on
+    finite values the sum has the terms, in the order, of a scan that
+    reduces every partition.
     """
     word = _chi_ordered(pi.chi, operands)
     total = np.zeros((F.dim, F.dim), dtype=complex)
@@ -306,8 +304,9 @@ def product_cumulant_expand(
     The grouped top cumulant must equal the sum of ungrouped cumulants over
     partitions whose join with the embedded minimum is the maximum.  The
     right-hand side evaluates every partition moment of the ungrouped word
-    once and reads each of those cumulants from that one table through
-    ``cumulants_from_moments``.
+    once, by ``eval_moment_pi``'s reduction and its zero-slice rule, and
+    reads each of those cumulants from that one table through
+    ``cumulants_from_moments``; the left-hand side is ``cumulant_pi``.
     """
     word = _chi_ordered(chi_hat, operands)
     ops = word.ops
@@ -352,9 +351,11 @@ def bifree_test(
     per-length Moebius table, clears every partition with a block whose
     value is exactly 0 and asks the moment functional for each block's
     value once per scan, from a dict made per call and keyed by the
-    block's letters.  Both apply one zero-block rule; the direct call
-    stays because routing d = 1 through ``cumulant_pi`` cost +30% to +38%
-    ``lattice-scan`` CPU (0.094-0.098 s -> 0.127-0.129 s, three pairs).
+    block's letters.  Only this scan clears a partition for a zero block
+    that is not a chi-interval, as the factorization of scalar moments over
+    blocks allows.  The direct call stays because routing d = 1 through
+    ``cumulant_pi`` cost +30% to +38% ``lattice-scan`` CPU
+    (0.094-0.098 s -> 0.127-0.129 s, three pairs).
     """
     if not 2 <= max_order <= 8:
         raise ValueError("max_order must be in 2..8")

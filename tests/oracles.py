@@ -198,11 +198,6 @@ def _eval_pi_reference(F, labels, blocks, ops):
     n = len(labels)
     if len(blocks) == 1:
         return F.expect(_product(ops))
-    if F.dim == 1:
-        out = np.eye(1, dtype=complex)
-        for b in blocks:
-            out = out * F.expect(_product([ops[k - 1] for k in b]))
-        return out
     order, rank = _chi_ranks(labels)
     V = next(b for b in blocks if n in b)
     ranks_V = sorted(rank[x] for x in V)
@@ -504,8 +499,7 @@ def _eval_pi_random(F, labels, blocks, ops, rng):
 def eval_moment_pi_random(F, pi, operands, rng):
     """Moment function at ``pi``, stripping admissible runs in random order.
 
-    It never takes the scalar product shortcut of ``eval_moment_pi``; the
-    value must agree with the deterministic reduction.
+    The value must agree with the deterministic reduction.
     """
     ops = [as_monomial(z) for z in operands]
     return _eval_pi_random(F, pi.chi.labels, pi.blocks, ops, rng)

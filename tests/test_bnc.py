@@ -443,3 +443,13 @@ def test_json_round_trip():
     obj = p.to_json()
     assert obj == {"n": 6, "chi": "lllrrl", "blocks": [[1, 4], [2, 5], [3, 6]]}
     assert BncPartition.from_json(json.loads(json.dumps(obj))) == p
+
+
+@pytest.mark.parametrize("n", [True, 1.0, 2])
+def test_from_json_reads_n_as_the_word_length(n):
+    # JSON true and 1.0 equal 1 in Python; only the integer length is read,
+    # and a partition without "n" takes its word's.
+    obj = {"chi": "l", "blocks": [[1]]}
+    assert BncPartition.from_json(obj) == BncPartition([[1]], ChiWord("l"))
+    with pytest.raises(ValueError, match='field "n" must be the length 1 of chi'):
+        BncPartition.from_json({"n": n, **obj})

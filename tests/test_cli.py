@@ -281,6 +281,58 @@ def test_mc_rejects_parts_of_different_shapes(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("entry", ["2", True], ids=["string", "true"])
+def test_mc_rejects_coefficient_entries_that_are_not_numbers(entry, tmp_path, capsys):
+    # numpy read "2" as 2.0 and true as 1.0: a value of 2+1j, exit 0.  A
+    # null is NaN, as the reports print it, and is still read.
+    entries = [{"partition": [list(b) for b in p.blocks], "value": belement_to_json(np.eye(1))}
+               for p in enumerate_bnc(ChiWord("lr"))]
+    entries[0]["value"]["re"] = [[None]]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"chi": "lr", "entries": entries}))
+    assert run_cli(capsys, "mc", "to-moments", "--table", str(path))[0] == 0
+    entries[0]["value"] = {"d": 1, "re": [[2]], "im": [[entry]]}
+    path.write_text(json.dumps({"chi": "lr", "entries": entries}))
+    code, out = run_cli(capsys, "mc", "to-moments", "--table", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == (
+        f'ValueError: coefficient part "im" must hold JSON numbers, got {entry!r}'
+    )
+
+
+def _misread_table(fault):
+    """A table on ``lr`` with one schema fault: an unknown field in the
+    table or in an entry, or an entry whose ``"chi"`` is not the table's."""
+    entries = [{"chi": "lr", "partition": [list(b) for b in p.blocks],
+                "value": belement_to_json(np.eye(1))} for p in enumerate_bnc(ChiWord("lr"))]
+    table = {"schema": 1, "chi": "lr", "entries": entries}
+    if fault == "table-field":
+        table["extra"] = True
+    elif fault == "entry-field":
+        entries[1]["bogus"] = 1
+    else:
+        entries[1]["chi"] = "rl"
+    return table
+
+
+MISREAD_TABLES = {
+    "table-field": "unknown field 'extra' in a table; expected chi, entries, schema",
+    "entry-field": "unknown field 'bogus' in a table entry; expected chi, partition, value",
+    "entry-chi": "entry chi 'rl' differs from the table's 'lr'",
+}
+
+
+@pytest.mark.parametrize("fault", MISREAD_TABLES)
+def test_mc_reads_tables_against_their_schema(fault, tmp_path, capsys):
+    # Unknown fields and an entry's own "chi" were ignored: each of these
+    # tables exited 0 and printed its entries under "lr".
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_misread_table(fault)))
+    code, out = run_cli(capsys, "mc", "to-cumulants", "--table", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == f"ValueError: {MISREAD_TABLES[fault]}"
+
+
 def test_model_file_d_true_fails(tmp_path, capsys):
     # JSON true equals 1 in Python; the model, its map and its coefficient
     # must each still be rejected.
@@ -347,6 +399,36 @@ def test_readme_command_block_parses():
     for argv in commands:
         args = bifree.cli.build_parser().parse_args(argv)
         assert callable(args.func), argv
+
+
+def _readme_sh_lines():
+    """Every ``bifree ...`` line of README's ``sh`` blocks, with its comment."""
+    for block in re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S):
+        for line in block.splitlines():
+            command, _, comment = line.partition("#")
+            if command.startswith("bifree "):
+                yield command.strip(), comment.strip()
+
+
+def test_readme_sh_lines_parse_and_state_their_results(capsys):
+    # Each [--...] group is parsed present and absent; a line whose comment
+    # opens with a number prints it as its count or value.
+    lines, checked = list(_readme_sh_lines()), 0
+    assert len(lines) == 12
+    for command, comment in lines:
+        optional = re.findall(r"\[(--[^\]]*)\]", command)
+        for keep in product((False, True), repeat=len(optional)):
+            variant = command
+            for part, present in zip(optional, keep):
+                variant = variant.replace(f"[{part}]", part if present else "", 1)
+            args = bifree.cli.build_parser().parse_args(shlex.split(variant)[1:])
+            assert callable(args.func), variant
+        if stated := re.match(r"-?\d+\b", comment):
+            code, out = run_cli(capsys, *shlex.split(command)[1:])
+            rep = json.loads(out)
+            assert code == 0 and int(stated.group()) == rep.get("count", rep.get("value"))
+            checked += 1
+    assert checked == 2
 
 
 def test_fock_moment(capsys):

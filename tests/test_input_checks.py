@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bifree.balgebra import CPMap, as_belement, belement_from_json
-from bifree.bnc import ChiWord, zero_partition
+from bifree.bnc import BncPartition, ChiWord, zero_partition
 from bifree.conjvar import MatrixLift, VectorCandidate, h_closed_form, matrix_lift
 from bifree.fock import FockModel, FockVector, bisemicircular_from_json, make_bisemicircular
 from bifree.moments import chi_of_groups, group_offsets, hat_embed
@@ -86,6 +86,18 @@ CASES = {
     "belement_from_json parts of different shapes": (
         lambda: belement_from_json({"re": np.eye(2).tolist(), "im": [[0.5]]}),
         ValueError, "coefficient parts differ in shape: re (2, 2), im (1, 1)",
+    ),
+    "belement_from_json entry not a number": (
+        lambda: belement_from_json({"d": 1, "re": [["2"]], "im": [[0.0]]}),
+        ValueError, 'coefficient part "re" must hold JSON numbers, got \'2\'',
+    ),
+    "BncPartition.from_json unknown field": (
+        lambda: BncPartition.from_json({"n": 2, "chi": "lr", "blocks": [[1, 2]], "bogus": 1}),
+        ValueError, "unknown field 'bogus' in a partition; expected n, chi, blocks",
+    ),
+    "BncPartition.from_json n not the word's length": (
+        lambda: BncPartition.from_json({"n": 3, "chi": "lr", "blocks": [[1, 2]]}),
+        ValueError, 'field "n" must be the length 2 of chi, got 3',
     ),
     "from_choi bad shape": (
         lambda: CPMap.from_choi(np.eye(3)), ValueError, "Choi matrix must be (d*d) x (d*d)",

@@ -496,6 +496,46 @@ def test_zero_block_ends_the_moment_at_every_d(d):
     assert np.isnan(eval_moment_pi(m.functional, pi, [S1, S1, D1, D1])).any()
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_zero_block_beside_a_nan_slice_is_nan_at_every_d(d):
+    # S has covariance 0 and N covariance NaN.  At {1,3}{2} of S, N N, S the
+    # block {1,3} is zero but not a chi-interval: the slice {2} is stripped
+    # first, its NaN spliced into S, and the zero block is never read
+    # alone.  Over scalars the moment was once the product of block values,
+    # 0; it is NaN at every d.
+    m = make_bisemicircular([CPMap([np.zeros((d, d))]), CPMap([np.full((d, d), math.nan)])], [])
+    S, N = m.symbol("S1"), m.symbol("S2")
+    assert not np.count_nonzero(m.functional.expect(Monomial([S, S])))
+    pi = BncPartition([[1, 3], [2]], ChiWord("lll"))
+    got = eval_moment_pi(m.functional, pi, [Monomial([S]), Monomial([N, N]), Monomial([S])])
+    assert np.isnan(got).all()
+
+
+def test_scalar_moment_is_the_product_of_block_values():
+    # Over scalars the moment function factors over the blocks, which the
+    # reduction never uses.  For every side word up to 6 letters, one word
+    # of generators with Lb/Rb insertions is drawn; at every partition its
+    # moment equals the product of each block's one-block moment, the
+    # block's operands in position order.
+    checked = 0
+    for seed in (84, 85):
+        rng = np.random.default_rng(seed)
+        m, (A, B, C) = _three_family_model(rng)
+        F = m.functional
+        for chi in (ChiWord(w) for n in range(1, 7) for w in itertools.product("lr", repeat=n)):
+            letters = [(A, B)[rng.integers(2)] if s == "l" else C for s in chi.labels]
+            ops = _with_insertions([Monomial([x]) for x in letters], chi, 1, rng)
+            for pi in enumerate_bnc(chi):
+                got = eval_moment_pi(F, pi, ops)[0, 0]
+                want = math.prod(
+                    complex(F.expect(Monomial.concat([ops[k - 1] for k in b]))[0, 0])
+                    for b in pi.blocks
+                )
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (pi, ops)
+                checked += 1
+    assert checked == 2 * (1618 + 64 * 132)
+
+
 def _three_family_model(rng):
     """Two left generators and a right one (families a, b, c) over scalar
     coefficients.  Each creates and annihilates on its own index and on the
