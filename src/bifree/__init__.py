@@ -56,7 +56,6 @@ from .moments import (
     cumulant_pi,
     cumulants_from_moments,
     eval_moment_pi,
-    hat_embed,
     moments_from_cumulants,
     product_cumulant_expand,
 )

@@ -68,17 +68,17 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         if obj.ndim != 2:
             return [_jsonable(v) for v in obj]
-        # Converted once; walked again only to print a NaN entry as null.
+        # Converted once; walked again only to print a NaN or infinite entry as null.
         out = belement_to_json(obj)
-        return _jsonable(out) if np.isnan(obj).any() else out
+        return out if np.isfinite(obj).all() else _jsonable(out)
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        return _jsonable(obj.item())
     if isinstance(obj, complex):
         # Relative, so that a large value's roundoff does not flip its type.
         if abs(obj.imag) < 1e-15 * max(1.0, abs(obj.real)):
             return _jsonable(obj.real)
         return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
-    if isinstance(obj, float) and obj != obj:  # NaN guard for JSON
+    if isinstance(obj, float) and not math.isfinite(obj):  # JSON has no NaN or inf
         return None
     return obj
 
@@ -198,7 +198,8 @@ def _cmd_conj_check(args) -> int:
     (cand,) = cands = scaled_semicircular(args.lam)
     rep = check_candidates(cands, args.max_n)
     rep["target"] = f"{args.lam:g}*semicircular"
-    rep["pass"] = bool(rep["max_residual"] <= args.tolerance)
+    finite = math.isfinite(rep["fisher"]) and math.isfinite(rep["cramer_rao_product"])
+    rep["pass"] = bool(rep["max_residual"] <= args.tolerance and finite)
     if args.solve:
         solved, solved_resid = solve_conjugate(
             cand.model, cand.target, CPMap.identity(1), (), max_n=min(args.max_n, 4)

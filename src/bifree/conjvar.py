@@ -285,7 +285,10 @@ def solve_conjugate(
     for _, states, rhs in _relation_walk(_Lockstep(cands), eta, others, max_n):
         rows.append([c.tau(state) for c, state in zip(cands, states)])
         rhs_vec.append(rhs)
-    sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs_vec), rcond=None)
+    rows, rhs_vec = np.array(rows), np.array(rhs_vec)
+    if not (np.isfinite(rows).all() and np.isfinite(rhs_vec).all()):
+        raise ValueError("the fit's rows or right-hand sides are not finite")
+    sol, *_ = np.linalg.lstsq(rows, rhs_vec, rcond=None)
     vec = FockVector(model.dim)
     for c, v in zip(sol, basis):
         vec = vec + v.scaled(c)

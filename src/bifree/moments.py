@@ -267,32 +267,6 @@ def chi_of_groups(chi_hat: ChiWord, group_sizes: Sequence[int]) -> ChiWord:
     return ChiWord(labels)
 
 
-def hat_embed(pi: BncPartition, group_sizes: Sequence[int], chi_hat: ChiWord) -> BncPartition:
-    """Embed a partition of the grouped tuple by blowing each point up to its group.
-
-    Order- and Moebius-preserving; requires the expanded word to be constant
-    on every non-final group and to match the group word there.
-    """
-    if pi.n != len(group_sizes):
-        raise ValueError("group count does not match the partition size")
-    grouped_chi = chi_of_groups(chi_hat, group_sizes)  # validates the grouping
-    ranges = group_offsets(group_sizes)
-    for p in range(1, pi.n):
-        if grouped_chi.side(p) != pi.chi.side(p):
-            raise ValueError(
-                f"group {p} has side {grouped_chi.side(p)!r} but the base word says "
-                f"{pi.chi.side(p)!r}"
-            )
-    blocks = []
-    for blk in pi.blocks:
-        big = []
-        for p in blk:
-            a, b = ranges[p - 1]
-            big.extend(range(a, b))
-        blocks.append(tuple(big))
-    return BncPartition(blocks, chi_hat)
-
-
 def product_cumulant_expand(
     F: MomentFunctional,
     chi_hat: ChiWord,

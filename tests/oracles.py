@@ -42,6 +42,7 @@ import numpy as np
 
 from bifree.bnc import (
     LEFT,
+    BncPartition,
     ChiWord,
     enumerate_bnc,
     enumerate_nc,
@@ -51,7 +52,6 @@ from bifree.bnc import (
     mobius_top_table,
     one_partition,
     s_chi,
-    zero_partition,
 )
 from bifree.balgebra import matrix_units
 from bifree.conjvar import VectorCandidate
@@ -61,7 +61,6 @@ from bifree.moments import (
     cumulant_pi,
     eval_moment_pi,
     group_offsets,
-    hat_embed,
 )
 from bifree.words import BCoeff, Lb, Monomial, MomentFunctional, Rb, as_monomial
 
@@ -408,7 +407,7 @@ def product_cumulant_expand_nested(F, chi_hat, group_sizes, operands):
     chi_m = chi_of_groups(chi_hat, group_sizes)
     grouped = [_product(ops[a - 1:b - 1]) for a, b in group_offsets(group_sizes)]
     lhs = cumulant_pi(F, one_partition(chi_m), grouped)
-    zero_hat = hat_embed(zero_partition(chi_m), group_sizes, chi_hat)
+    zero_hat = BncPartition([range(a, b) for a, b in group_offsets(group_sizes)], chi_hat)
     top = one_partition(chi_hat)
     rhs = np.zeros_like(lhs)
     for sigma in enumerate_bnc(chi_hat):

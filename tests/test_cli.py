@@ -376,29 +376,31 @@ def test_fock_moment_prints_a_nan_trace_as_null(tmp_path, capsys):
     assert rep["value"]["re"] == [[None]]
 
 
-def _readme_commands():
-    """Every ``bifree ...`` line of README's command-line block, comments
-    stripped, once for each choice of its ``[--...]`` parts present or absent."""
-    text = (ROOT / "README.md").read_text()
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    for line in block.splitlines():
-        line = re.sub(r"\s+#.*$", "", line).strip()
-        if not line.startswith("bifree "):
-            continue
-        optional = re.findall(r"\[(--[^\]]*)\]", line)
-        for keep in product((False, True), repeat=len(optional)):
-            variant = line
-            for part, present in zip(optional, keep):
-                variant = variant.replace(f"[{part}]", part if present else "", 1)
-            yield shlex.split(variant)[1:]
+def test_infinities_print_as_null():
+    assert bifree.cli._jsonable([math.inf, np.float64(-math.inf), np.float64(math.nan)]) == [
+        None, None, None,
+    ]
+    assert bifree.cli._jsonable(np.array([[math.inf, 1.0], [0.0, 1.0]]))["re"] == [
+        [None, 1.0], [0.0, 1.0],
+    ]
+    assert bifree.cli._jsonable(np.array([[complex(1.0, -math.inf)]]))["im"] == [[None]]
 
 
-def test_readme_command_block_parses():
-    commands = list(_readme_commands())
-    assert len(commands) >= 14
-    for argv in commands:
-        args = bifree.cli.build_parser().parse_args(argv)
-        assert callable(args.func), argv
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--lam", "1e160", "--max-n", "4"),  # an infinite Cramer-Rao product
+        ("--lam", "1e-160", "--max-n", "4"),  # an infinite Fisher information
+        ("--lam", "1e150", "--max-n", "4", "--solve"),  # non-finite fit rows
+    ],
+    ids=["cramer-rao-inf", "fisher-inf", "solve-non-finite"],
+)
+def test_conj_check_fails_on_a_non_finite_value(argv, capfd):
+    # capfd, not capsys: LAPACK would write its warnings to file descriptor 1.
+    code, out = run_cli(capfd, "conj", "check", *argv)
+    assert code == 1
+    (line,) = out.splitlines()
+    assert _strict_json(line).get("pass") is not True
 
 
 def _readme_sh_lines():

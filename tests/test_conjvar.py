@@ -645,3 +645,62 @@ def test_circular_entropy_registers_each_node_once(monkeypatch):
     monkeypatch.setattr(FockModel, "register_symbol", counted)
     circular_entropy_experiment()
     assert len(calls) == 208
+
+
+# --- the large-t half of the entropy curves ----------------------------------------------
+# Panel B of ``entropy_chi_star`` reads candidates at t = 1/eps^2, up to about
+# 5.3e5, where a length-6 moment of u[t] is of order t^3 and a plain residual
+# reads roundoff of that size.  The conjugate variable of eps*x is xi/eps, and
+# at t = 1/eps^2 the target eps*u[t] = eps*S1 + S2 has bounded moments, so
+# each node is checked there.
+
+def _panel_b_nodes(*sizes):
+    return [float(eps) for n in sizes for eps in _gauss_legendre(n)[0]]
+
+
+def _rescaled(cands, targets, eps, factor=1.0):
+    """The vector candidates times ``factor/eps``, for the targets eps*x."""
+    return [
+        VectorCandidate(x, c.vector.scaled(factor / eps), c.model)
+        for c, x in zip(cands, targets)
+    ]
+
+
+def _scaled_target(model, x, eps):
+    return model.combination_symbol(f"{eps!r}*{x.name}", [(eps, x)])
+
+
+def test_semicircular_candidates_hold_at_every_panel_b_node():
+    family = semicircular_perturbation()
+    nodes = _panel_b_nodes(16, 32)
+    assert len(nodes) == 48
+    for eps in nodes:
+        (cand,) = family(1.0 / (eps * eps))
+        target = _scaled_target(cand.model, cand.target, eps)
+        assert _worst_residual(_rescaled([cand], [target], eps), 6) <= 1e-9, eps
+        assert _worst_residual(_rescaled([cand], [target], eps, 1.5), 6) > 1e-9, eps
+
+
+def test_circular_pair_and_lift_candidates_hold_at_every_panel_b_node():
+    # The pair as ``circular_entropy_experiment`` perturbs it; the lift of
+    # (eps z, eps w) carries eps X and eps Y, whose conjugate variables are
+    # X/((1 + t) eps) = (eps X)/((1 + t) eps^2), and likewise for Y.
+    model = make_circular_pair(n_pairs=2)
+    cl, cr, c2l, c2r = map(model.symbol, ("cl", "cr", "cl2", "cr2"))
+    for eps in _panel_b_nodes(16):
+        t = 1.0 / (eps * eps)
+        rt = math.sqrt(t)
+        z = model.combination_symbol(f"z[{t!r}]", [(1.0, cl), (rt, c2l)], family="z")
+        w = model.combination_symbol(f"w[{t!r}]", [(1.0, cr), (rt, c2r)], family="z")
+        ez, ew = _scaled_target(model, z, eps), _scaled_target(model, w, eps)
+        pair = circular_candidates(model, z, w, scale=1.0 / (1.0 + t))
+        targets = [ez, ez.star(), ew, ew.star()]
+        lift_scale = 1.0 / ((1.0 + t) * eps * eps)
+        resid = {
+            factor: (
+                _worst_residual(_rescaled(pair, targets, eps, factor), 4),
+                _worst_residual(lifted_candidates(model, ez, ew, factor * lift_scale), 4),
+            )
+            for factor in (1.0, 1.5)
+        }
+        assert max(resid[1.0]) <= 1e-9 and min(resid[1.5]) > 1e-9, (eps, resid)

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from bifree.balgebra import CPMap, as_belement, belement_from_json
-from bifree.bnc import BncPartition, ChiWord, zero_partition
+from bifree.bnc import BncPartition, ChiWord
 from bifree.conjvar import MatrixLift, VectorCandidate, h_closed_form, matrix_lift
 from bifree.fock import FockModel, FockVector, bisemicircular_from_json, make_bisemicircular
-from bifree.moments import chi_of_groups, group_offsets, hat_embed
+from bifree.moments import chi_of_groups, group_offsets
 from bifree.words import BCoeff, GeneratorSymbol, Monomial, MomentFunctional, as_monomial
 
 ONE = CPMap.identity(1)
@@ -175,14 +175,6 @@ CASES = {
     "chi_of_groups sizes": (
         lambda: chi_of_groups(ChiWord("ll"), [1]),
         ValueError, "group sizes do not sum to the word length",
-    ),
-    "hat_embed group count": (
-        lambda: hat_embed(zero_partition(ChiWord("ll")), [1], ChiWord("l")),
-        ValueError, "group count does not match the partition size",
-    ),
-    "hat_embed group side": (
-        lambda: hat_embed(zero_partition(ChiWord("lr")), [1, 1], ChiWord("rr")),
-        ValueError, "group 1 has side 'r' but the base word says 'l'",
     ),
     "GeneratorSymbol side": (
         lambda: GeneratorSymbol("x", "q"), ValueError, "side must be 'l' or 'r'",

@@ -43,7 +43,6 @@ from bifree.moments import (
     cumulant_pi,
     cumulants_from_moments,
     eval_moment_pi,
-    hat_embed,
     moments_from_cumulants,
     product_cumulant_expand,
 )
@@ -148,7 +147,7 @@ def test_reduction_order_independence(flip_model):
         assert maxabs(base - alt) < 1e-10
 
 
-def test_scalar_shortcut_matches_full_recursion():
+def test_random_order_reduction_matches_deterministic_at_d1():
     cp = make_circular_pair()
     rng = np.random.default_rng(6)
     order_rng = np.random.default_rng(16)
@@ -161,7 +160,7 @@ def test_scalar_shortcut_matches_full_recursion():
         pi = parts[rng.integers(len(parts))]
         ops = [Monomial([w]) for w in word]
         a = eval_moment_pi(cp.functional, pi, ops)
-        # the randomized reduction order never takes the scalar shortcut
+        # the same partition moment, its admissible runs stripped in random order
         b = eval_moment_pi_random(cp.functional, pi, ops, order_rng)
         assert maxabs(a - b) < 1e-12
 
@@ -873,38 +872,7 @@ def test_transforms_bit_exact_against_term_loops():
                 ), (chi, pi)
 
 
-# --- hat embedding and product expansion ----------------------------------------------
-
-def test_hat_embed_examples():
-    chi_m = ChiWord("lr")
-    chi_hat = ChiWord("llrr")
-    assert hat_embed(zero_partition(chi_m), [2, 2], chi_hat).blocks == ((1, 2), (3, 4))
-    assert hat_embed(one_partition(chi_m), [2, 2], chi_hat) == one_partition(chi_hat)
-    p = BncPartition([[1], [2]], chi_m)
-    assert hat_embed(p, [1, 1], chi_m) == p
-
-
-def test_hat_embed_preserves_order_and_mobius():
-    from bifree.bnc import lattice_leq, mobius_bnc
-
-    chi_m = ChiWord("lrl")
-    chi_hat = ChiWord("llrrl")
-    sizes = [2, 2, 1]
-    parts = enumerate_bnc(chi_m)
-    for a in parts:
-        for b in parts:
-            ha, hb = hat_embed(a, sizes, chi_hat), hat_embed(b, sizes, chi_hat)
-            assert lattice_leq(a, b) == lattice_leq(ha, hb)
-            if lattice_leq(a, b):
-                assert mobius_bnc(a, b) == mobius_bnc(ha, hb)
-
-
-def test_hat_embed_side_constancy_violated():
-    chi_m = ChiWord("lr")
-    chi_hat = ChiWord("lrrr")  # first (non-final) group mixes sides
-    with pytest.raises(ValueError):
-        hat_embed(zero_partition(chi_m), [2, 2], chi_hat)
-
+# --- product expansion ----------------------------------------------------------------
 
 def test_chi_of_groups_final_group_may_mix():
     chi_hat = ChiWord("lllr")
