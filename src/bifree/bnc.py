@@ -29,6 +29,14 @@ RIGHT = "r"
 #: is ~2e5 partitions; anything beyond that is a usage error at desk scale.
 MAX_ENUM_N = 12
 
+#: Largest order of the mixed-cumulant scan (``moments.bifree_test``,
+#: ``bifree test --max-order``).
+MAX_SCAN_ORDER = 8
+
+#: Longest test word of the conjugate-variable relations
+#: (``conjvar._relation_walk``, ``conj check --max-n``).
+MAX_WALK_N = 8
+
 Block = tuple[int, ...]
 Blocks = tuple[Block, ...]
 

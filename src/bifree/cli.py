@@ -1,10 +1,14 @@
 """Batch command-line front end with JSON/CSV reports.
 
-Subcommands: ``bnc enum``, ``bnc mobius``, ``mc to-cumulants``,
-``mc to-moments``, ``bifree test``, ``fock moment``, ``conj check``,
-``fisher run``, ``entropy run``, ``verify all``.  Usage errors exit 2
-(argparse), computation failures exit 1 with a JSON error object, success
-exits 0.  Output is deterministic for a fixed seed and configuration.
+Every subcommand is one row of ``COMMANDS``: its group and name with their
+help, its handler, its own arguments and, for ``bnc enum`` and ``verify
+all``, a CSV view of its report.  ``build_parser`` builds every leaf parser
+in one loop over the table.  A handler only computes its report; ``main``
+alone writes it (JSON with a ``"schema"`` field, or the row's CSV view
+under ``--output-format csv``) and chooses the exit code: 1 when the
+report's ``"pass"`` is false, 0 otherwise.  Usage errors exit 2 (argparse),
+computation failures exit 1 with a JSON error object.  Output is
+deterministic for a fixed seed and configuration.
 """
 
 from __future__ import annotations
@@ -16,12 +20,15 @@ import json
 import math
 import sys
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import acceptance
 from .balgebra import CPMap, as_belement, belement_from_json, belement_to_json, json_fields
-from .bnc import BncPartition, ChiWord, enumerate_bnc, find_bnc, mobius_bnc
+from .bnc import (
+    MAX_SCAN_ORDER, MAX_WALK_N, BncPartition, ChiWord, enumerate_bnc, find_bnc, mobius_bnc,
+)
 from .conjvar import (
     check_candidates,
     circular_entropy_experiment,
@@ -54,8 +61,8 @@ def _checked(convert, ok, message: str):
 _finite_nonzero = _checked(float, lambda x: 0 < abs(x) < math.inf, "must be finite and nonzero")
 _positive_finite = _checked(float, lambda x: 0 < x < math.inf, "must be positive and finite")
 _dimension = _checked(int, lambda n: 1 <= n <= 8, "must be in 1..8")
-_max_order = _checked(int, lambda n: 2 <= n <= 8, "must be in 2..8")
-_depth = _checked(int, lambda n: n >= 0, "must be >= 0")
+_max_order = _checked(int, lambda n: 2 <= n <= MAX_SCAN_ORDER, f"must be in 2..{MAX_SCAN_ORDER}")
+_non_negative = _checked(int, lambda n: n >= 0, "must be >= 0")
 
 
 def _jsonable(obj):
@@ -83,16 +90,15 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
-    report = {"schema": SCHEMA, **report}
-    if args.output_format == "csv" and csv_rows is not None:
+def _emit(report: dict, args) -> None:
+    if args.output_format == "csv" and args.csv_view is not None:
+        header, rows = args.csv_view(report)
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        csv.writer(buf).writerows([header, *rows])
         sys.stdout.write(buf.getvalue())
     else:
         # json.dumps encodes in C; json.dump to a stream never does.
+        report = {"schema": SCHEMA, **report}
         sys.stdout.write(json.dumps(_jsonable(report), sort_keys=True) + "\n")
 
 
@@ -147,54 +153,47 @@ def _table_report(chi: ChiWord, table: dict) -> dict:
     }
 
 
-# --- subcommand handlers -----------------------------------------------------
+# --- subcommand handlers: each computes its report and returns it ------------
 
-def _cmd_bnc_enum(args) -> int:
+def _cmd_bnc_enum(args) -> dict:
     chi = ChiWord(args.chi)
     parts = enumerate_bnc(chi)
-    rows = [(p.n, str(chi), json.dumps([list(b) for b in p.blocks])) for p in parts]
-    _emit(
-        {"chi": str(chi), "count": len(parts), "partitions": [p.to_json() for p in parts]},
-        args,
-        csv_rows=rows,
-        csv_header=("n", "chi", "blocks"),
-    )
-    return 0
+    return {"chi": str(chi), "count": len(parts), "partitions": [p.to_json() for p in parts]}
 
 
-def _cmd_bnc_mobius(args) -> int:
+def _bnc_enum_csv(rep: dict):
+    rows = [(q["n"], q["chi"], json.dumps(q["blocks"])) for q in rep["partitions"]]
+    return ("n", "chi", "blocks"), rows
+
+
+def _cmd_bnc_mobius(args) -> dict:
     chi = ChiWord(args.chi)
     sigma = BncPartition(json.loads(args.sigma), chi)
     pi = BncPartition(json.loads(args.pi), chi)
-    _emit({"chi": str(chi), "value": mobius_bnc(sigma, pi)}, args)
-    return 0
+    return {"chi": str(chi), "value": mobius_bnc(sigma, pi)}
 
 
-def _cmd_mc(args) -> int:
+def _cmd_mc(args) -> dict:
     chi, table = _read_table(args.table)
     convert = cumulants_from_moments if args.cmd == "to-cumulants" else moments_from_cumulants
-    _emit(_table_report(chi, {p: convert(table, p) for p in enumerate_bnc(chi)}), args)
-    return 0
+    return _table_report(chi, {p: convert(table, p) for p in enumerate_bnc(chi)})
 
 
-def _cmd_bifree_test(args) -> int:
+def _cmd_bifree_test(args) -> dict:
     model = _load_model(args)
-    rep = bifree_test(
+    return bifree_test(
         model.functional, model.symbols, max_order=args.max_order, tol=args.tolerance
     )
-    _emit(rep, args)
-    return 0 if rep["pass"] else 1
 
 
-def _cmd_fock_moment(args) -> int:
+def _cmd_fock_moment(args) -> dict:
     model = _load_model(args)
     word = Monomial([model.symbol(tok) for tok in args.word.split()])
     F = model.functional
-    _emit({"word": args.word, "value": F.expect(word), "trace": F.tau(word)}, args)
-    return 0
+    return {"word": args.word, "value": F.expect(word), "trace": F.tau(word)}
 
 
-def _cmd_conj_check(args) -> int:
+def _cmd_conj_check(args) -> dict:
     (cand,) = cands = scaled_semicircular(args.lam)
     rep = check_candidates(cands, args.max_n)
     rep["target"] = f"{args.lam:g}*semicircular"
@@ -206,8 +205,7 @@ def _cmd_conj_check(args) -> int:
         )
         rep["solver_residual"] = solved_resid
         rep["solver_fisher"] = fisher_info([solved])
-    _emit(rep, args)
-    return 0 if rep["pass"] else 1
+    return rep
 
 
 # ``fisher run`` and ``entropy run``: group -> experiment name -> experiment.
@@ -220,29 +218,75 @@ _EXPERIMENTS = {
 }
 
 
-def _cmd_experiment(args) -> int:
-    rep = _EXPERIMENTS[args.group][args.experiment]()
-    _emit(rep, args)
-    return 0 if rep["pass"] else 1
+def _cmd_experiment(args) -> dict:
+    return _EXPERIMENTS[args.group][args.experiment]()
 
 
-def _cmd_verify_all(args) -> int:
+def _cmd_verify_all(args) -> dict:
     # Progress lines (with timings) go to stderr; stdout carries only the
     # byte-stable summary.
     results, ok = acceptance.run_all(
         seed=args.seed, emit=lambda line: print(line, file=sys.stderr)
     )
-    summary = {
-        "pass": ok,
-        "seed": args.seed,
-        "criteria": [
-            {"id": r.cid, "name": r.name, "pass": r.passed, "detail": r.detail}
-            for r in results
-        ],
-    }
-    rows = [(r.cid, r.name, r.passed, r.detail) for r in results]
-    _emit(summary, args, csv_rows=rows, csv_header=("id", "name", "pass", "detail"))
-    return 0 if ok else 1
+    criteria = [
+        {"id": r.cid, "name": r.name, "pass": r.passed, "detail": r.detail} for r in results
+    ]
+    return {"pass": ok, "seed": args.seed, "criteria": criteria}
+
+
+def _verify_all_csv(rep: dict):
+    rows = [(c["id"], c["name"], c["pass"], c["detail"]) for c in rep["criteria"]]
+    return ("id", "name", "pass", "detail"), rows
+
+
+class Command(NamedTuple):
+    """One leaf subcommand, ``bifree GROUP NAME``: its handler, its own
+    arguments as (flag, ``add_argument`` keywords) and, where the report is
+    a table, the view that turns it into the (header, rows) printed under
+    ``--output-format csv``."""
+
+    group: str
+    group_help: str
+    name: str
+    help: str
+    handler: Callable[[argparse.Namespace], dict]
+    arguments: tuple = ()
+    csv_view: Callable[[dict], tuple] | None = None
+
+
+_MODEL = ("--model", dict(default=None, help="model spec JSON file"))
+_TABLE = ("--table", dict(required=True, help="JSON file or - for stdin"))
+_BLOCKS = dict(required=True, help="JSON block list")
+
+COMMANDS = (
+    Command("bnc", "bi-non-crossing lattice", "enum", "enumerate BNC(chi)", _cmd_bnc_enum,
+            (("--chi", dict(required=True)),), csv_view=_bnc_enum_csv),
+    Command("bnc", "bi-non-crossing lattice", "mobius", "Moebius function value",
+            _cmd_bnc_mobius,
+            (("--chi", dict(required=True)), ("--sigma", _BLOCKS), ("--pi", _BLOCKS))),
+    Command("mc", "moment/cumulant tables", "to-cumulants", "convolve a moment table",
+            _cmd_mc, (_TABLE,)),
+    Command("mc", "moment/cumulant tables", "to-moments", "sum a cumulant table",
+            _cmd_mc, (_TABLE,)),
+    Command("bifree", "bi-freeness checks", "test", "scan mixed cumulants",
+            _cmd_bifree_test, (_MODEL,)),
+    Command("fock", "Fock-space models", "moment", "expectation of an operator word",
+            _cmd_fock_moment,
+            (("--word", dict(required=True, help='e.g. "S1 S1 D1 D1"')), _MODEL)),
+    Command("conj", "conjugate variables", "check", "verify the semicircular conjugate variable",
+            _cmd_conj_check, (
+                ("--lam", dict(type=_finite_nonzero, default=1.0, help="scale of the target")),
+                ("--max-n", dict(type=int, choices=range(MAX_WALK_N + 1), default=6,
+                                 help="longest test word")),
+                ("--solve", dict(action="store_true", help="also run the least-squares solver")),
+            )),
+    Command("fisher", "Fisher information", "run", "run a Fisher experiment", _cmd_experiment,
+            (("--experiment", dict(required=True, choices=tuple(_EXPERIMENTS["fisher"]))),)),
+    Command("entropy", "entropy", "run", "run an entropy experiment", _cmd_experiment,
+            (("--experiment", dict(required=True, choices=tuple(_EXPERIMENTS["entropy"]))),)),
+    Command("verify", "acceptance suite", "all", "run every acceptance criterion",
+            _cmd_verify_all, csv_view=_verify_all_csv),
+)
 
 
 def _add_config_options(p: argparse.ArgumentParser, default: bool = False) -> None:
@@ -251,11 +295,11 @@ def _add_config_options(p: argparse.ArgumentParser, default: bool = False) -> No
     d = (lambda v: v) if default else (lambda v: argparse.SUPPRESS)
     p.add_argument("--output-format", choices=("json", "csv"), default=d("json"))
     p.add_argument("--tolerance", type=_positive_finite, default=d(1e-9))
-    p.add_argument("--seed", type=int, default=d(0))
+    p.add_argument("--seed", type=_non_negative, default=d(0))
     p.add_argument("--d", type=_dimension, default=d(1), help="coefficient dimension, 1..8")
-    p.add_argument("--max-order", type=_max_order, default=d(4), help="2..8")
+    p.add_argument("--max-order", type=_max_order, default=d(4), help=f"2..{MAX_SCAN_ORDER}")
     p.add_argument(
-        "--truncation", type=_depth, default=d(None),
+        "--truncation", type=_non_negative, default=d(None),
         help="Fock depth cap; an expectation fails only if a component that "
         "could still return to depth 0 would exceed it",
     )
@@ -268,75 +312,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_config_options(parser, default=True)
     sub = parser.add_subparsers(dest="group", required=True)
-
-    p_bnc = sub.add_parser("bnc", help="bi-non-crossing lattice").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = p_bnc.add_parser("enum", help="enumerate BNC(chi)")
-    p.add_argument("--chi", required=True)
-    _add_config_options(p)
-    p.set_defaults(func=_cmd_bnc_enum)
-    p = p_bnc.add_parser("mobius", help="Moebius function value")
-    p.add_argument("--chi", required=True)
-    p.add_argument("--sigma", required=True, help="JSON block list")
-    p.add_argument("--pi", required=True, help="JSON block list")
-    _add_config_options(p)
-    p.set_defaults(func=_cmd_bnc_mobius)
-
-    p_mc = sub.add_parser("mc", help="moment/cumulant tables").add_subparsers(
-        dest="cmd", required=True
-    )
-    for direction, about in (("to-cumulants", "convolve a moment table"),
-                             ("to-moments", "sum a cumulant table")):
-        p = p_mc.add_parser(direction, help=about)
-        p.add_argument("--table", required=True, help="JSON file or - for stdin")
+    groups = {}
+    for c in COMMANDS:
+        if c.group not in groups:
+            groups[c.group] = sub.add_parser(c.group, help=c.group_help).add_subparsers(
+                dest="cmd", required=True
+            )
+        p = groups[c.group].add_parser(c.name, help=c.help)
+        for flag, options in c.arguments:
+            p.add_argument(flag, **options)
         _add_config_options(p)
-        p.set_defaults(func=_cmd_mc)
-
-    p_bf = sub.add_parser("bifree", help="bi-freeness checks").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = p_bf.add_parser("test", help="scan mixed cumulants")
-    p.add_argument("--model", default=None, help="model spec JSON file")
-    _add_config_options(p)
-    p.set_defaults(func=_cmd_bifree_test)
-
-    p_fock = sub.add_parser("fock", help="Fock-space models").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = p_fock.add_parser("moment", help="expectation of an operator word")
-    p.add_argument("--word", required=True, help='e.g. "S1 S1 D1 D1"')
-    p.add_argument("--model", default=None, help="model spec JSON file")
-    _add_config_options(p)
-    p.set_defaults(func=_cmd_fock_moment)
-
-    p_conj = sub.add_parser("conj", help="conjugate variables").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = p_conj.add_parser("check", help="verify the semicircular conjugate variable")
-    p.add_argument("--lam", type=_finite_nonzero, default=1.0, help="scale of the target")
-    p.add_argument("--max-n", type=int, choices=range(9), default=6, help="longest test word")
-    p.add_argument("--solve", action="store_true", help="also run the least-squares solver")
-    _add_config_options(p)
-    p.set_defaults(func=_cmd_conj_check)
-
-    for group, about, run_help in (
-        ("fisher", "Fisher information", "run a Fisher experiment"),
-        ("entropy", "entropy", "run an entropy experiment"),
-    ):
-        p_run = sub.add_parser(group, help=about).add_subparsers(dest="cmd", required=True)
-        p = p_run.add_parser("run", help=run_help)
-        p.add_argument("--experiment", required=True, choices=tuple(_EXPERIMENTS[group]))
-        _add_config_options(p)
-        p.set_defaults(func=_cmd_experiment)
-
-    p_ver = sub.add_parser("verify", help="acceptance suite").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = p_ver.add_parser("all", help="run every acceptance criterion")
-    _add_config_options(p)
-    p.set_defaults(func=_cmd_verify_all)
-
+        p.set_defaults(func=c.handler, csv_view=c.csv_view)
     return parser
 
 
@@ -350,7 +336,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
+        _emit(report, args)
     except BrokenPipeError:  # pragma: no cover
         return 1
     except Exception as exc:  # computation failure -> exit 1 with JSON error
@@ -359,6 +346,7 @@ def main(argv=None) -> int:
         )
         sys.stdout.write("\n")
         return 1
+    return 0 if report.get("pass", True) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

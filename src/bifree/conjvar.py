@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .balgebra import CPMap, matrix_unit, matrix_units, trace_d, worst_at
-from .bnc import LEFT, RIGHT, ChiWord, s_chi
+from .bnc import LEFT, MAX_WALK_N, RIGHT, ChiWord, s_chi
 from .fock import FockModel, FockVector, make_bisemicircular, make_circular_pair
 from .words import (
     BCoeff,
@@ -164,8 +164,8 @@ def _relation_walk(xi, eta: CPMap, others: Sequence, max_n: int):
     coefficient is kept.  A circular candidate at ``max_n=6`` evaluates 459
     spliced terms in place of 1,023, a lifted carrier 34 in place of 56.
     """
-    if not 0 <= max_n <= 8:
-        raise ValueError("max_n must be in 0..8")
+    if not 0 <= max_n <= MAX_WALK_N:
+        raise ValueError(f"max_n must be in 0..{MAX_WALK_N}")
     target, F = xi.target, xi.functional
     coeff = Lb if target.side == LEFT else Rb
     alphabet: list = [target, *others]

@@ -27,6 +27,7 @@ import numpy as np
 from .balgebra import maxabs, worst_at
 from .bnc import (
     LEFT,
+    MAX_SCAN_ORDER,
     BncPartition,
     ChiWord,
     enumerate_bnc,
@@ -331,8 +332,8 @@ def bifree_test(
     ``cumulant_pi`` cost +30% to +38% ``lattice-scan`` CPU
     (0.094-0.098 s -> 0.127-0.129 s, three pairs).
     """
-    if not 2 <= max_order <= 8:
-        raise ValueError("max_order must be in 2..8")
+    if not 2 <= max_order <= MAX_SCAN_ORDER:
+        raise ValueError(f"max_order must be in 2..{MAX_SCAN_ORDER}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
     syms = list(symbols)

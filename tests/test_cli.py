@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -433,6 +434,25 @@ def test_readme_sh_lines_parse_and_state_their_results(capsys):
     assert checked == 2
 
 
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _parser_leaves():
+    """Every (group, command) leaf that ``build_parser`` builds, in order."""
+    for group, group_parser in _subcommands(bifree.cli.build_parser()).items():
+        for command in _subcommands(group_parser):
+            yield group, command
+
+
+def test_readme_names_every_leaf_and_no_other():
+    # A command table row without a README line, or a README line naming no
+    # leaf, fails here.
+    named = {tuple(shlex.split(command)[1:3]) for command, _ in _readme_sh_lines()}
+    assert named == set(_parser_leaves())
+
+
 def test_fock_moment(capsys):
     code, out = run_cli(capsys, "fock", "moment", "--word", "S1 S1 D1 D1")
     assert code == 0
@@ -593,8 +613,11 @@ REJECTED_CONFIG = [
     ("--tolerance", "0"), ("--tolerance", "-1"), ("--tolerance", "nan"),
     ("--tolerance", "inf"), ("--tolerance", "-inf"),
     ("--truncation", "-1"),
+    ("--seed", "-1"),
 ]
-VALID_CONFIG = {"--d": "1", "--max-order": "4", "--tolerance": "1e-9", "--truncation": "3"}
+VALID_CONFIG = {
+    "--d": "1", "--max-order": "4", "--tolerance": "1e-9", "--truncation": "3", "--seed": "0",
+}
 
 
 @pytest.mark.parametrize("flag, value", REJECTED_CONFIG)
@@ -815,6 +838,38 @@ def test_verify_all_output_formats(fmt, capsys, monkeypatch):
         assert rep["criteria"][0] == {
             "id": 1, "name": "lattice counts", "pass": True, "detail": "exact, 2 words"
         }
+
+
+@pytest.mark.parametrize("experiment", [("fisher", "circular-min"), ("entropy", "circular-pair")])
+def test_failing_experiment_exits_1_and_prints_its_report(experiment, capsys, monkeypatch):
+    group, name = experiment
+    report = {"pass": False, "lhs": 1.5, "rhs": 2.0}
+    monkeypatch.setitem(bifree.cli._EXPERIMENTS[group], name, lambda: report)
+    code, out = run_cli(capsys, group, "run", "--experiment", name)
+    assert code == 1
+    (line,) = out.splitlines(keepends=True)
+    assert line == '{"lhs": 1.5, "pass": false, "rhs": 2.0, "schema": 1}\n'
+
+
+# sha256 of the --help text of all 19 parsers (the top level, then each group,
+# then each leaf, in table order) at 80 columns, recorded before the leaf
+# parsers were built from one command table.  argparse lays help out
+# differently across Python versions; this is the layout of Python 3.11.
+PINNED_HELP_SHA256 = "73be127a4f49174b2baffd217ba0c2c7e359cb63b04654044e94978c4b2571ef"
+
+
+def test_pinned_help_sha256(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    leaves = list(_parser_leaves())
+    argvs = [(), *dict.fromkeys((group,) for group, _ in leaves), *leaves]
+    assert len(argvs) == 19
+    digest = hashlib.sha256()
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == PINNED_HELP_SHA256
 
 
 def test_help_available_on_subcommands(capsys):
