@@ -24,7 +24,6 @@ from .bnc import (
     zero_partition,
 )
 from .conjvar import (
-    LiftedPair,
     MatrixLift,
     VectorCandidate,
     WordCandidate,
@@ -37,7 +36,6 @@ from .conjvar import (
     fisher_info,
     fisher_minimization_experiment,
     h_closed_form,
-    matrix_lift,
     semicircular_entropy_experiment,
     solve_conjugate,
 )

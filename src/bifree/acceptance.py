@@ -21,13 +21,13 @@ from . import bnc
 from .balgebra import CPMap, maxabs, random_belement, random_cpmap, worst_at
 from .bnc import BncPartition, ChiWord, catalan, enumerate_bnc, mobius_bnc
 from .conjvar import (
+    MatrixLift,
     aaf_check,
     check_candidates,
     circular_entropy_experiment,
     eta_flip,
     fisher_minimization_experiment,
     h_closed_form,
-    matrix_lift,
     scaled_semicircular,
     semicircular_entropy_experiment,
     semicircular_perturbation,
@@ -299,12 +299,12 @@ def criterion_8_perturbation_law(seed: int = 0):
 def criterion_9_lift_experiment(seed: int = 0):
     cp = make_circular_pair()
     cl, cr = cp.symbol("cl"), cp.symbol("cr")
-    pair = matrix_lift(cp.functional, cl, cr)
-    tau2 = pair.lift.functional
+    lift = MatrixLift(cp, cl, cr)
+    tau2 = lift.functional
     semicirc = {1: 0.0, 2: 1.0, 3: 0.0, 4: 2.0, 5: 0.0, 6: 5.0}
     worst, _ = worst_at(
         abs(tau2.tau(Monomial([Z] * k)) - want)
-        for Z in (pair.X, pair.Y)
+        for Z in (lift.X, lift.Y)
         for k, want in semicirc.items()
     )
     aaf = aaf_check(cp.functional, cl, cr, 6)

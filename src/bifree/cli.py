@@ -201,7 +201,7 @@ def _cmd_conj_check(args) -> dict:
     rep["pass"] = bool(rep["max_residual"] <= args.tolerance and finite)
     if args.solve:
         solved, solved_resid = solve_conjugate(
-            cand.model, cand.target, CPMap.identity(1), (), max_n=min(args.max_n, 4)
+            cand.model, cand.target, CPMap.identity(1), (), max_n=args.max_n
         )
         rep["solver_residual"] = solved_resid
         rep["solver_fisher"] = fisher_info([solved])

@@ -15,10 +15,12 @@ lexicographic normal form of the partially commutative monoid (Diekert-
 Rozenberg, *The Book of Traces*).  Letters commute when the candidate's
 ``pure_side`` puts them on opposite sides: its model's ``FockModel.pure_side``
 for a Fock-backed state, and for a lifted word ``MatrixLift.pure_side``, which
-derives a lifted generator's side from the base letters of its table.  Its
-residual is the residual over every word, up to roundoff.  Every
-candidate carries the moment functional that backs its relations (its
-model's, or its lift's), so the walk reads no other.
+derives a carrier's side from its two base letters.  Its residual is the
+residual over every word, up to roundoff.  Every candidate carries the
+moment functional that backs its relations (its model's, or its lift's), so
+the walk reads no other.  The lift is the off-diagonal 2x2 lift of a
+left/right pair of a scalar model; each of its moments is a closed form,
+one index chain per starting index.
 ``conj_residual`` reports the worst violation along that walk, and
 ``solve_conjugate`` reads its least-squares rows from the same walk;
 everything downstream (Fisher information, the perturbation law, entropy
@@ -33,7 +35,6 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,25 +84,14 @@ class VectorCandidate:
 
 
 class WordCandidate:
-    """Conjugate candidate given as a scaled operator word (its GNS vector).
+    """Conjugate candidate given as a scaled word of a matrix lift (its GNS
+    vector); it takes the lift's moment functional and ``pure_side``."""
 
-    ``pure_side`` maps a letter to the side whose operators alone make it
-    up, or None, as on every candidate.  For a lifted word it is
-    ``MatrixLift.pure_side`` over the model behind the lift's base.
-    """
-
-    def __init__(
-        self,
-        target: GeneratorSymbol,
-        word,
-        functional: MomentFunctional,
-        pure_side: Callable[[object], str | None],
-        scale: complex = 1.0,
-    ):
+    def __init__(self, target: GeneratorSymbol, word, lift: MatrixLift, scale: complex = 1.0):
         self.target = target
         self.word = as_monomial(word)
-        self.functional = functional
-        self.pure_side = pure_side
+        self.functional = lift.functional
+        self.pure_side = lift.pure_side
         self.scale = complex(scale)
 
     def initial_state(self):
@@ -299,152 +289,94 @@ def solve_conjugate(
 # --- matrix lift --------------------------------------------------------------
 
 class MatrixLift:
-    """Moment oracle for matrix-coefficient words over a scalar base state.
+    """The off-diagonal 2x2 lift of a left generator x and a right generator
+    y of a scalar Fock model: the self-adjoint carriers X = [[0, x], [x*, 0]]
+    (left) and Y = [[0, y], [y*, 0]] (right), which ``X`` and ``Y`` name.
 
-    Each lifted generator carries a table mapping a matrix position to a
-    linear combination of base words; the expectation of a product expands
-    as a sum over index chains read in chi-order, evaluating the base state
-    on the concatenation in numeric order.  Coefficient insertions from
-    either side are one-entry tables, so the same expansion covers them.
-    ``functional`` is the normalized trace of the expectation, built once,
-    so every reader of the lift shares its moment cache.
+    ``expect`` is a closed form: from each starting index one index chain
+    runs through the factors in chi-order.  A carrier (X, Y or an adjoint,
+    which has the same entries) flips the index 1 <-> 2 and reads its base
+    letter x when it leaves index 1 and x* when it leaves index 2; a 1x1
+    coefficient keeps the index and multiplies, and a zero one ends the
+    chain.  The chain's coefficients (from ``1+0j``) and base letters are
+    then read in position order.  ``functional`` is the normalized trace of
+    the expectation, built once, so every reader of the lift shares its
+    moment cache.
     """
 
-    def __init__(self, base: MomentFunctional, d: int = 2):
-        if base.dim != 1:
-            raise ValueError("base functional must be scalar")
-        self.base = base
-        self.d = d
-        self.tables: dict[GeneratorSymbol, dict] = {}
-        # The oracle reads a shallow copy that shares the tables but not the
-        # functional, so lift and functional form no reference cycle.
+    def __init__(self, model: FockModel, x: GeneratorSymbol, y: GeneratorSymbol):
+        if model.dim != 1:
+            raise ValueError("base model must be scalar")
+        if x.side != LEFT or y.side != RIGHT:
+            raise ValueError("expected a left generator and a right generator")
+        for g in (x, y):
+            if g not in model.symbol_actions:
+                raise ValueError(f"base symbol {g!r} is not registered with the model")
+        self.model = model
+        self.X = GeneratorSymbol("X", LEFT, family="X")
+        self.Y = GeneratorSymbol("Y", RIGHT, family="Y")
+        # Each carrier's base letters on leaving index 1 and index 2.
+        self._letters = {}
+        for Z, z in ((self.X, x), (self.Y, y)):
+            self._letters[Z] = self._letters[Z.star()] = (z, z.star())
+        # The oracle reads a shallow copy that shares the model and letters
+        # but not the functional, so lift and functional form no reference
+        # cycle.
         view = copy.copy(self)
         self.functional = MomentFunctional(
             lambda word: np.array([[trace_d(view.expect(word))]], dtype=complex), 1
         )
 
-    def add_symbol(self, sym: GeneratorSymbol, table: dict) -> GeneratorSymbol:
-        """Register a lifted generator.
-
-        ``table`` maps 1-based ``(i, j)`` to a list of ``(coeff, base_word)``
-        with ``base_word`` a tuple of base generators.  The adjoint symbol is
-        registered alongside with the conjugate-transposed table.
-        Registering a symbol again with the same table changes nothing; with
-        another table it raises ``ValueError``, since the functional keeps
-        the moments already read and the tables decide which letters commute.
-        """
-        clean: dict = {}
-        for (i, j), terms in table.items():
-            if not (1 <= i <= self.d and 1 <= j <= self.d):
-                raise ValueError(f"entry ({i},{j}) outside 1..{self.d}")
-            clean[(i, j)] = tuple((complex(c), tuple(w)) for c, w in terms)
-        adj: dict = {}
-        for (i, j), terms in clean.items():
-            adj[(j, i)] = tuple(
-                (c.conjugate(), tuple(g.star() for g in reversed(w))) for c, w in terms
-            )
-        for key, tab in ((sym, clean), (sym.star(), adj)):
-            if self.tables.get(key, tab) != tab:
-                raise ValueError(f"symbol {key!r} is already registered with another table")
-        self.tables[sym] = clean
-        self.tables[sym.star()] = adj
-        return sym
-
-    def pure_side(self, f, model: FockModel) -> str | None:
+    def pure_side(self, f) -> str | None:
         """The side whose operators alone make up the lifted letter ``f``, or
         None.
 
-        ``model`` is the Fock model behind the base functional.  A lifted
-        generator is pure on its own side when every base letter of its table
-        is pure on that side (``FockModel.pure_side``); two generators pure
-        on opposite sides then commute (see ``_relation_walk``).  Any other
-        letter is pure on no side.
+        A carrier is pure on its own side when both its base letters are
+        (``FockModel.pure_side``); two carriers pure on opposite sides then
+        commute (see ``_relation_walk``).  Any other letter is pure on no
+        side.
         """
-        if model.functional is not self.base:
-            raise ValueError("model does not back this lift's base functional")
-        table = self.tables.get(f)
-        if table is None:
+        letters = self._letters.get(f)
+        if letters is None:
             return None
-        letters = (g for terms in table.values() for _, w in terms for g in w)
-        return f.side if all(model.pure_side(g) == f.side for g in letters) else None
-
-    def _entry_options(self, factor, i: int, j: int):
-        if isinstance(factor, BCoeff):
-            if factor.matrix.shape[0] == 1:
-                # Scalar coefficient: acts as a multiple of the identity.
-                v = complex(factor.matrix[0, 0])
-                return ((v, ()),) if (i == j and v != 0) else ()
-            v = complex(factor.matrix[i - 1, j - 1])
-            return ((v, ()),) if v != 0 else ()
-        table = self.tables.get(factor)
-        if table is None:
-            raise KeyError(f"symbol {factor!r} not registered with this lift")
-        return table.get((i, j), ())
+        return f.side if all(self.model.pure_side(g) == f.side for g in letters) else None
 
     def expect(self, word) -> np.ndarray:
-        """Expectation matrix: index chains grow in chi-order, keeping each
-        factor's entry options, which a finished chain expands in position
-        order."""
-        word = as_monomial(word)
-        for f in word.factors:
-            # A coefficient is d x d, or 1 x 1 for a multiple of the identity.
-            if isinstance(f, BCoeff) and f.matrix.shape[0] not in (1, self.d):
+        """Expectation matrix: entry (start, end) of the chain from each
+        starting index."""
+        factors = as_monomial(word).factors
+        coeffs = []
+        for f in factors:
+            if isinstance(f, BCoeff):
                 size = f.matrix.shape[0]
-                raise ValueError(f"{size}x{size} coefficient in a lift with d={self.d}")
-        n = len(word)
-        if n == 0:
-            return np.eye(self.d, dtype=complex)
-        out = np.zeros((self.d, self.d), dtype=complex)
-        order = s_chi(ChiWord([f.side for f in word.factors]))
-        ranked = [word.factors[k - 1] for k in order]
-        rank_of = sorted(range(n), key=order.__getitem__)  # chi-rank of each position
-
-        def descend(first: int, i: int, found: list):
-            # i is the index shared by chi-ranks len(found) and len(found) + 1
-            t = len(found)
-            if t == n:
-                terms = [(1.0 + 0.0j, ())]
-                for r in rank_of:
-                    terms = [(c * ci, w + wi) for c, w in terms for ci, wi in found[r]]
-                total = 0.0 + 0.0j
-                for c, w in terms:
-                    total += c * self.base.tau(Monomial(w))
-                out[first - 1, i - 1] += total
-                return
-            for a in range(1, self.d + 1):
-                opts = self._entry_options(ranked[t], i, a)
-                if opts:
-                    descend(first, a, found + [opts])
-
-        for a0 in range(1, self.d + 1):
-            descend(a0, a0, [])
+                if size != 1:
+                    raise ValueError(f"{size}x{size} coefficient in the 2x2 lift; it must be 1x1")
+                coeffs.append(complex(f.matrix[0, 0]))
+            elif f not in self._letters:
+                raise KeyError(f"symbol {f!r} not registered with this lift")
+        if not factors:
+            return np.eye(2, dtype=complex)
+        out = np.zeros((2, 2), dtype=complex)
+        if 0 in coeffs:
+            return out  # a zero coefficient ends both chains; a NaN one is not zero
+        c = 1.0 + 0.0j
+        for ci in coeffs:
+            c *= ci
+        # Per position: whether the chain's index there is its start flipped.
+        flipped = [False] * len(factors)
+        parity = False
+        for k in s_chi(ChiWord([f.side for f in factors])):
+            flipped[k - 1] = parity
+            parity ^= not isinstance(factors[k - 1], BCoeff)
+        # The two chains end at distinct entries, each added once onto +0.
+        for start in (0, 1):
+            w = Monomial([
+                self._letters[f][start ^ flip]
+                for f, flip in zip(factors, flipped)
+                if not isinstance(f, BCoeff)
+            ])
+            out[start, start ^ parity] += c * self.model.functional.tau(w)
         return out
-
-
-@dataclass
-class LiftedPair:
-    """The self-adjoint matrix carriers of a non-self-adjoint pair and their
-    lift, whose ``functional`` reads their moments."""
-
-    lift: MatrixLift
-    X: GeneratorSymbol
-    Y: GeneratorSymbol
-
-
-def matrix_lift(base: MomentFunctional, x: GeneratorSymbol, y: GeneratorSymbol) -> LiftedPair:
-    """Standard off-diagonal 2x2 lift of a left/right pair and its adjoints."""
-    if x.side != LEFT or y.side != RIGHT:
-        raise ValueError("expected a left generator and a right generator")
-    lift = MatrixLift(base, d=2)
-    X = lift.add_symbol(
-        GeneratorSymbol("X", LEFT, family="X"),
-        {(1, 2): [(1.0, (x,))], (2, 1): [(1.0, (x.star(),))]},
-    )
-    Y = lift.add_symbol(
-        GeneratorSymbol("Y", RIGHT, family="Y"),
-        {(1, 2): [(1.0, (y,))], (2, 1): [(1.0, (y.star(),))]},
-    )
-    return LiftedPair(lift, X, Y)
 
 
 def eta_flip() -> CPMap:
@@ -480,9 +412,15 @@ def aaf_check(
 ) -> dict:
     """Compare moments under the global 1 <-> * swap along the alternating
     pattern, on the even lengths 2..max_n; ``max_n`` must lie in 2..8, so
-    that at least one word pair is tested."""
+    that at least one word pair is tested.  The pattern reads each letter's
+    side from its chi label, so ``x`` must be a left and ``y`` a right
+    generator; ``tol`` must be positive and finite."""
     if not 2 <= max_n <= 8:
         raise ValueError("max_n must be in 2..8")
+    if x.side != LEFT or y.side != RIGHT:
+        raise ValueError("expected a left generator and a right generator")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     cases = [
         (n, chi, abs(F.tau(wp) - F.tau(wq)))
         for n in range(2, max_n + 1, 2)
@@ -630,15 +568,10 @@ def lifted_candidates(model: FockModel, z, w, scale: float = 1.0):
     The pair ``z``, ``w`` are symbols of ``model``, whose functional the lift
     reads.  Each self-adjoint carrier is its own conjugate variable up to
     ``scale``.  Returns the candidates for X and Y, which carry the lift's
-    trace functional and the lift's pure sides over ``model``.
+    trace functional and pure sides.
     """
-    pair = matrix_lift(model.functional, z, w)
-    tau2 = pair.lift.functional
-    side = functools.partial(pair.lift.pure_side, model=model)
-    return [
-        WordCandidate(pair.X, Monomial([pair.X]), tau2, side, scale),
-        WordCandidate(pair.Y, Monomial([pair.Y]), tau2, side, scale),
-    ]
+    lift = MatrixLift(model, z, w)
+    return [WordCandidate(Z, Monomial([Z]), lift, scale) for Z in (lift.X, lift.Y)]
 
 
 def _worst_residual(cands: Sequence, max_n: int) -> float:

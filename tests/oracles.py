@@ -13,9 +13,10 @@ generators present beside each target of a system, rebuild each right-hand
 side from its word alone, walk every test word with no two merged as one
 operator, find a word's commutation class by closing it under swaps, and fit
 the least-squares candidate over breadth-first test words applied from the
-vacuum.  The matrix-lift oracle finds the index chains first and resolves
-every entry again for each chain.  The CP-map oracles read Kraus operators
-only: the action sums V b V* over them, a d > 1 contraction sums the map
+vacuum.  The matrix-lift oracle is the general d x d index-chain
+expansion over explicit tables: it finds the index chains first and
+resolves every entry again for each chain.  The CP-map oracles read Kraus
+operators only: the action sums V b V* over them, a d > 1 contraction sums the map
 over each Kraus operator and then traces the merged slot, the Choi matrix
 sums Kronecker products of matrix units and their Kraus-sum images, and
 trace symmetry compares the map with its Kraus-built trace adjoint.  The d > 1 pairing oracle contracts both states
@@ -649,7 +650,7 @@ def inner_B_by_einsum(model, u, v):
 
 # --- matrix lift in two phases -------------------------------------------------
 
-def _lift_entry_options(lift, factor, i, j):
+def _lift_entry_options(tables, factor, i, j):
     """The ``(coeff, base_word)`` terms of a factor's ``(i, j)`` entry."""
     if isinstance(factor, BCoeff):
         m = factor.matrix
@@ -658,20 +659,23 @@ def _lift_entry_options(lift, factor, i, j):
             return ((v, ()),) if (i == j and v != 0) else ()
         v = complex(m[i - 1, j - 1])
         return ((v, ()),) if v != 0 else ()
-    return lift.tables[factor].get((i, j), ())
+    return tables[factor].get((i, j), ())
 
 
-def lift_expect_two_phase(lift, word):
-    """Expectation matrix of a word in a ``MatrixLift``, in two phases.
+def lift_expect_two_phase(tables, d, base, word):
+    """Expectation matrix of a word in a d x d lift over the scalar moment
+    functional ``base``, in two phases.
 
-    First every index chain with non-empty entries is found in chi-order;
-    then, for each chain, every factor's entry options are resolved again in
-    position order and expanded into base words.  The base words,
-    coefficient products and sums are those of ``MatrixLift.expect``, in the
-    same order.
+    ``tables`` maps each lifted generator to its entries: 1-based ``(i, j)``
+    to a tuple of ``(coeff, base_word)`` terms.  A coefficient factor is
+    d x d, or 1 x 1 for a multiple of the identity.  First every index chain
+    with non-empty entries is found in chi-order; then, for each chain, every
+    factor's entry options are resolved again in position order and expanded
+    into base words: the coefficient product starts from ``1+0j``, and each
+    chain adds ``0j`` plus its terms to the entry (start, end).
     """
     factors = as_monomial(word).factors
-    n, d = len(factors), lift.d
+    n = len(factors)
     if n == 0:
         return np.eye(d, dtype=complex)
     out = np.zeros((d, d), dtype=complex)
@@ -680,7 +684,7 @@ def lift_expect_two_phase(lift, word):
 
     def accumulate(chain):
         options = [
-            _lift_entry_options(lift, factors[k - 1], chain[rank_of[k] - 1], chain[rank_of[k]])
+            _lift_entry_options(tables, factors[k - 1], chain[rank_of[k] - 1], chain[rank_of[k]])
             for k in range(1, n + 1)
         ]
         total = 0.0 + 0.0j
@@ -688,7 +692,7 @@ def lift_expect_two_phase(lift, word):
         def expand(k, coeff, word_acc):
             nonlocal total
             if k == n:
-                total += coeff * lift.base.tau(Monomial(word_acc))
+                total += coeff * base.tau(Monomial(word_acc))
                 return
             for c, w in options[k]:
                 expand(k + 1, coeff * c, word_acc + w)
@@ -701,12 +705,32 @@ def lift_expect_two_phase(lift, word):
             accumulate(chain)
             return
         for a in range(1, d + 1):
-            if _lift_entry_options(lift, factors[order[t] - 1], chain[t], a):
+            if _lift_entry_options(tables, factors[order[t] - 1], chain[t], a):
                 descend(t + 1, chain + [a])
 
     for a0 in range(1, d + 1):
         descend(0, [a0])
     return out
+
+
+def adjoint_table(table):
+    """The entries of a lifted generator's adjoint: the table transposed, each
+    coefficient conjugated and each base word reversed and starred."""
+    return {
+        (j, i): tuple((c.conjugate(), tuple(g.star() for g in reversed(w))) for c, w in terms)
+        for (i, j), terms in table.items()
+    }
+
+
+def off_diagonal_tables(lift, x, y):
+    """The tables of a ``MatrixLift`` of the pair ``x``, ``y``, written out
+    for ``lift_expect_two_phase``: X = [[0, x], [x*, 0]] and
+    Y = [[0, y], [y*, 0]], and their adjoints."""
+    tables = {}
+    for Z, z in ((lift.X, x), (lift.Y, y)):
+        tables[Z] = {(1, 2): ((1.0 + 0.0j, (z,)),), (2, 1): ((1.0 + 0.0j, (z.star(),)),)}
+        tables[Z.star()] = adjoint_table(tables[Z])
+    return tables
 
 
 # --- the circular-pair symbols, written out ------------------------------------

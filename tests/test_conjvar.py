@@ -7,10 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import circular_presence, lift_expect_two_phase, lifted_presence
+from oracles import (
+    circular_presence,
+    lift_expect_two_phase,
+    lifted_presence,
+    off_diagonal_tables,
+)
 
 import bifree.conjvar
-from bifree.balgebra import CPMap, matrix_unit, maxabs, random_belement, trace_d
+from bifree.balgebra import CPMap, matrix_unit, maxabs, trace_d
 from bifree.bnc import RIGHT, ChiWord, s_chi
 from bifree.conjvar import (
     MatrixLift,
@@ -29,7 +34,6 @@ from bifree.conjvar import (
     fisher_minimization_experiment,
     h_closed_form,
     lifted_candidates,
-    matrix_lift,
     scaled_semicircular,
     semicircular_entropy_experiment,
     semicircular_perturbation,
@@ -202,11 +206,11 @@ class TensorOracle:
 def test_lifted_pair_keeps_one_scalar_functional():
     cp = make_circular_pair()
     cl, cr = cp.symbol("cl"), cp.symbol("cr")
-    pair = matrix_lift(cp.functional, cl, cr)
-    tau2 = pair.lift.functional
-    assert pair.lift.functional is tau2
-    tau2.tau(Monomial([pair.X, pair.X]))
-    assert pair.lift.functional._cache
+    lift = MatrixLift(cp, cl, cr)
+    tau2 = lift.functional
+    assert lift.functional is tau2
+    tau2.tau(Monomial([lift.X, lift.X]))
+    assert lift.functional._cache
 
 
 def test_models_and_candidates_share_one_functional():
@@ -244,9 +248,12 @@ def test_candidates_derive_adjoints():
     assert cl.star() == cls and hash(cl.star()) == hash(cls)
     cands = circular_candidates(cp, cl, cr)
     assert [c.target for c in cands] == [cl, cl.star(), cr, cr.star()]
-    pair = matrix_lift(cp.functional, cl, cr)
-    assert pair.lift.tables[pair.X][(2, 1)] == ((1.0, (cl.star(),)),)
-    assert pair.lift.tables[pair.Y][(2, 1)] == ((1.0, (cr.star(),)),)
+    # A carrier reads z* when it leaves index 2: Z Z reads tau(z z*) and
+    # tau(z* z) on the diagonal, where z z would read tau(z z) = 0.
+    lift = MatrixLift(cp, cl, cr)
+    assert abs(cp.functional.tau(Monomial([cl, cl]))) < 1e-12
+    for Z in (lift.X, lift.Y):
+        assert maxabs(lift.expect(Monomial([Z, Z])) - np.eye(2)) < 1e-12
 
 
 def test_presence_sets_are_the_other_targets(monkeypatch):
@@ -285,36 +292,17 @@ def test_circular_pair_cramer_rao_reads_k_squared():
     assert abs(rep["cramer_rao_product"] - 16.0) <= 1e-12
 
 
-def test_lift_symbol_registered_again():
-    # The functional keeps the moments it has read, and the tables decide
-    # which letters commute: the same table again changes nothing, another
-    # one is an error, for the symbol and for its adjoint.
-    cp = make_circular_pair()
-    cl = cp.symbol("cl")
-    lift = MatrixLift(cp.functional)
-    table = {(1, 2): [(1.0, (cl,))], (2, 1): [(1.0, (cl.star(),))]}
-    X = lift.add_symbol(GeneratorSymbol("X", "l"), table)
-    assert abs(lift.functional.tau(Monomial([X, X])) - 1.0) < 1e-12
-    assert lift.add_symbol(GeneratorSymbol("X", "l"), table) == X
-    assert lift.add_symbol(X.star(), lift.tables[X.star()]) == X.star()
-    doubled = {k: [(2.0, w) for _, w in terms] for k, terms in table.items()}
-    for sym in (X, X.star()):
-        with pytest.raises(ValueError):
-            lift.add_symbol(sym, doubled)
-    assert abs(lift.functional.tau(Monomial([X] * 4)) - 2.0) < 1e-12
-
-
 def test_lift_parity_and_half_sum_formula():
     cp = make_circular_pair()
     cl, cr = cp.symbol("cl"), cp.symbol("cr")
-    pair = matrix_lift(cp.functional, cl, cr)
-    tau2 = pair.lift.functional
+    lift = MatrixLift(cp, cl, cr)
+    tau2 = lift.functional
     phi = cp.functional.tau
     rng = np.random.default_rng(11)
     for n in range(1, 7):
         for _ in range(6):
             labels = ["l" if rng.integers(2) else "r" for _ in range(n)]
-            word = [pair.X if lab == "l" else pair.Y for lab in labels]
+            word = [lift.X if lab == "l" else lift.Y for lab in labels]
             got = tau2.tau(Monomial(word))
             if n % 2:
                 assert abs(got) < 1e-12
@@ -336,106 +324,118 @@ def test_lift_parity_and_half_sum_formula():
 def test_lift_matches_tensor_oracle_d2():
     cp = make_circular_pair()
     cl, cr = cp.symbol("cl"), cp.symbol("cr")
-    pair = matrix_lift(cp.functional, cl, cr)
-    tables = {
-        pair.X: (pair.lift.tables[pair.X], "l"),
-        pair.Y: (pair.lift.tables[pair.Y], "r"),
-    }
+    lift = MatrixLift(cp, cl, cr)
+    written = off_diagonal_tables(lift, cl, cr)
+    tables = {lift.X: (written[lift.X], "l"), lift.Y: (written[lift.Y], "r")}
     oracle = TensorOracle(cp, 2)
     rng = np.random.default_rng(12)
     for n in range(1, 7):
         for _ in range(4):
-            word = [pair.X if rng.integers(2) else pair.Y for _ in range(n)]
-            got = pair.lift.functional.tau(Monomial(word))
+            word = [lift.X if rng.integers(2) else lift.Y for _ in range(n)]
+            got = lift.functional.tau(Monomial(word))
             want = oracle.tau(word, tables)
             assert abs(got - want) < 1e-10
 
 
 def test_lift_general_d_matches_tensor_oracle():
+    # The two-phase expansion, the reference for the lift's closed form, is
+    # itself checked at d = 3 against matrices of Fock states.
     cp = make_circular_pair()
     cl, cr = cp.symbol("cl"), cp.symbol("cr")
     rng = np.random.default_rng(13)
     d = 3
-    lift = MatrixLift(cp.functional, d=d)
-    base_left = (cl, cl.star())
-    base_right = (cr, cr.star())
     tables = {}
-    for name, side, pool in (("A", "l", base_left), ("B", "r", base_right)):
+    for name, side, pool in (("A", "l", (cl, cl.star())), ("B", "r", (cr, cr.star()))):
         table = {}
         for i in range(1, d + 1):
             for j in range(1, d + 1):
                 if rng.integers(2):
                     c = complex(rng.standard_normal(), rng.standard_normal())
-                    table[(i, j)] = [(c, (pool[int(rng.integers(2))],))]
-        sym = lift.add_symbol(GeneratorSymbol(name, side, family=name), table)
-        tables[sym] = (lift.tables[sym], side)
-    A = next(s for s in tables if s.name == "A")
-    B = next(s for s in tables if s.name == "B")
+                    table[(i, j)] = ((c, (pool[int(rng.integers(2))],)),)
+        tables[GeneratorSymbol(name, side, family=name)] = (table, side)
+    A, B = tables
+    entries = {sym: table for sym, (table, _) in tables.items()}
     oracle = TensorOracle(cp, d)
-    # The lift's trace through a moment cache of its own.
-    trace = MomentFunctional(lambda w: np.array([[trace_d(lift.expect(w))]]), 1)
     for n in range(1, 5):
         for _ in range(4):
             word = [A if rng.integers(2) else B for _ in range(n)]
-            got = trace.tau(Monomial(word))
+            got = trace_d(lift_expect_two_phase(entries, d, cp.functional, Monomial(word)))
             want = oracle.tau(word, tables)
             assert abs(got - want) < 1e-9
 
 
+# Scalars for lifted words: signed zeros (a zero ends an index chain), NaN,
+# and values whose real or imaginary part is a signed zero.
+_LIFT_SCALARS = (0.0, -0.0, math.nan, complex(math.nan, 0.0), complex(-0.0, 2.0),
+                 complex(3.0, -0.0), complex(0.0, -1.5), -1.25)
+
+
+def _same_bits(a, b):
+    # Equal under np.array_equal, NaNs, zero signs and NaN payloads included.
+    return np.array_equal(a, b, equal_nan=True) and a.tobytes() == b.tobytes()
+
+
+def _lift_base(name):
+    """A scalar model and the left/right pair that the lift tests read."""
+    if name == "creation":
+        # Creation operators: tau(a a*) = 0 and tau(a* a) = 1, so no global
+        # swap of x and x* keeps the moments, as it does on circular pairs.
+        m = make_bisemicircular([ONE], [ONE])
+        a = m.register_symbol(GeneratorSymbol("a", "l"), [(1.0, ("l", "S1"))])
+        b = m.register_symbol(GeneratorSymbol("b", "r"), [(1.0, ("r", "D1"))])
+        return m, a, b
+    cp = make_circular_pair(n_pairs=2)
+    cl, cr, c2l, c2r = map(cp.symbol, ("cl", "cr", "cl2", "cr2"))
+    if name == "circular":
+        return cp, cl, cr
+    # The entropy experiment's perturbed pair at t = 1.
+    z = cp.combination_symbol("z[1.0]", [(1.0, cl), (1.0, c2l)], family="z")
+    w = cp.combination_symbol("w[1.0]", [(1.0, cr), (1.0, c2r)], family="z")
+    return cp, z, w
+
+
 def test_lift_expect_matches_two_phase_oracle():
-    # Exact: the same base words, coefficient products and sums in the same
-    # order as the two-phase expansion.
-    cp = make_circular_pair()
-    cl, cr = cp.symbol("cl"), cp.symbol("cr")
-    rng = np.random.default_rng(14)
-    nonzero = 0
-    for d in (2, 3):
-        lift = MatrixLift(cp.functional, d=d)
-        symbols = []
-        for name, side, pool in (("A", "l", (cl, cl.star())),
-                                 ("B", "r", (cr, cr.star()))):
-            table = {}
-            for i in range(1, d + 1):
-                for j in range(1, d + 1):
-                    if rng.integers(3):
-                        table[(i, j)] = [
-                            (complex(*rng.standard_normal(2)),
-                             tuple(pool[int(k)] for k in rng.integers(2, size=rng.integers(1, 3))))
-                            for _ in range(rng.integers(1, 3))
-                        ]
-            sym = lift.add_symbol(GeneratorSymbol(name, side, family=name), table)
-            symbols += [sym, sym.star()]
-        for n in range(6):
-            for _ in range(8):
-                word = []
-                for _ in range(n):
-                    if rng.integers(3):
-                        word.append(symbols[rng.integers(len(symbols))])
-                        continue
-                    size = (1, d)[rng.integers(2)]
-                    b = random_belement(size, rng) * (rng.integers(3, size=(size, size)) > 0)
-                    word.append((Lb, Rb)[rng.integers(2)](b))
-                got = lift.expect(Monomial(word))
-                assert np.array_equal(got, lift_expect_two_phase(lift, Monomial(word))), word
-                nonzero += bool(got.any())
-    assert nonzero >= 40
+    # The closed form against the general expansion over the written-out
+    # tables, bit for bit: the same base words, the same coefficient product
+    # in position order and the same sums.
+    for base in ("circular", "perturbed", "creation"):
+        model, x, y = _lift_base(base)
+        lift = MatrixLift(model, x, y)
+        tables = off_diagonal_tables(lift, x, y)
+        letters = list(tables)
+        rng = np.random.default_rng(14)
+        nonzero = nan = 0
+        for _ in range(1200):
+            word = []
+            for _ in range(rng.integers(8)):
+                if rng.integers(3):
+                    word.append(letters[rng.integers(len(letters))])
+                    continue
+                if rng.integers(2):
+                    v = _LIFT_SCALARS[rng.integers(len(_LIFT_SCALARS))]
+                else:
+                    v = complex(*rng.standard_normal(2))
+                word.append((Lb, Rb)[rng.integers(2)](np.array([[v]], dtype=complex)))
+            got = lift.expect(Monomial(word))
+            want = lift_expect_two_phase(tables, 2, model.functional, Monomial(word))
+            assert _same_bits(got, want), (base, word)
+            nonzero += bool(np.nan_to_num(got).any())
+            nan += bool(np.isnan(got).any())
+        assert nonzero >= 300 and nan >= 20, base
 
 
 def test_lift_coefficient_size():
-    # A coefficient is d x d, or 1 x 1 for a multiple of the identity;
-    # any other size is an error, not a cut to its top-left block.
+    # A 1 x 1 coefficient acts as a multiple of the identity; any other size
+    # is an error, not a cut to its top-left block.
     cp = make_circular_pair()
     cl, cr = cp.symbol("cl"), cp.symbol("cr")
-    pair = matrix_lift(cp.functional, cl, cr)
-    X, Y = pair.X, pair.Y
-    for word, want in (
-        ([X, Lb(np.array([[2.0]])), X], 2.0 * np.eye(2)),
-        ([X, Lb(np.arange(4.0).reshape(2, 2)), X], [[3.0, 0.0], [0.0, 0.0]]),
-        ([Y, Rb(np.arange(4.0).reshape(2, 2) + 1j), X, Y, X], [[3.0 + 1j, 0.0], [0.0, 1j]]),
-    ):
-        assert maxabs(pair.lift.expect(Monomial(word)) - np.array(want)) < 1e-12
-    with pytest.raises(ValueError):
-        pair.lift.expect(Monomial([X, Lb(np.arange(9.0).reshape(3, 3)), X]))
+    lift = MatrixLift(cp, cl, cr)
+    X = lift.X
+    got = lift.expect(Monomial([X, Lb(np.array([[2.0]])), X]))
+    assert maxabs(got - 2.0 * np.eye(2)) < 1e-12
+    for size in (2, 3):
+        with pytest.raises(ValueError):
+            lift.expect(Monomial([X, Lb(np.arange(size * size).reshape(size, size)), X]))
 
 
 def test_eta_flip_properties():

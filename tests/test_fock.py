@@ -434,14 +434,19 @@ def test_model_and_lift_freed_without_the_cycle_collector():
         assert model() is None
         # The functional keeps what its oracle reads.
         assert F.expect(Monomial([s] * 4))[0, 0] == 2.0
-        lift = MatrixLift(F, d=2)
-        x = lift.add_symbol(GeneratorSymbol("X", "l"), {(1, 2): [(1.0, (s,))]})
+        pair = make_bisemicircular([CPMap.identity(1)], [CPMap.identity(1)])
+        lift = MatrixLift(pair, pair.symbol("S1"), pair.symbol("D1"))
+        x = lift.X
         G = lift.functional
         G.expect(Monomial([x, x.star()]))
-        ref = weakref.ref(lift)
-        del lift
+        ref, base = weakref.ref(lift), weakref.ref(pair)
+        del lift, pair
         assert ref() is None
-        assert G.tau(Monomial([x, x.star()])) == 0.5
+        # The lift's functional still answers, a word it has not read too.
+        assert G.tau(Monomial([x, x.star()])) == 1.0
+        assert G.tau(Monomial([x] * 4)) == 2.0
+        del G
+        assert base() is None
     finally:
         gc.enable()
 

@@ -4,15 +4,17 @@ Each case builds one bad input and names the exception type and the exact
 message (its first argument) that the check raises for it.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from bifree.balgebra import CPMap, as_belement, belement_from_json
 from bifree.bnc import BncPartition, ChiWord
-from bifree.conjvar import MatrixLift, VectorCandidate, h_closed_form, matrix_lift
+from bifree.conjvar import MatrixLift, VectorCandidate, aaf_check, h_closed_form
 from bifree.fock import FockModel, FockVector, bisemicircular_from_json, make_bisemicircular
 from bifree.moments import chi_of_groups, group_offsets
-from bifree.words import BCoeff, GeneratorSymbol, Monomial, MomentFunctional, as_monomial
+from bifree.words import BCoeff, GeneratorSymbol, Lb, Monomial, as_monomial
 
 ONE = CPMap.identity(1)
 
@@ -23,16 +25,37 @@ def _pair():
 
 
 def _lift():
-    return MatrixLift(_pair().functional, d=2)
+    m = _pair()
+    return MatrixLift(m, m.symbol("S1"), m.symbol("D1"))
 
 
 def _unregistered_lift_symbol():
-    _lift().expect(GeneratorSymbol("X", "l"))
+    _lift().expect(GeneratorSymbol("Z", "l"))
+
+
+def _lifted_2x2_coefficient():
+    lift = _lift()
+    lift.expect(Monomial([lift.X, Lb(np.eye(2)), lift.X]))
+
+
+def _non_scalar_lift():
+    m = make_bisemicircular([CPMap.identity(2)], [CPMap.identity(2)])
+    MatrixLift(m, m.symbol("S1"), m.symbol("D1"))
 
 
 def _wrong_sides():
     m = _pair()
-    matrix_lift(m.functional, m.symbol("D1"), m.symbol("S1"))
+    MatrixLift(m, m.symbol("D1"), m.symbol("S1"))
+
+
+def _unregistered_base_symbol():
+    m = _pair()
+    MatrixLift(m, GeneratorSymbol("S2", "l"), m.symbol("D1"))
+
+
+def _aaf(x, y, **kw):
+    m = _pair()
+    aaf_check(m.functional, m.symbol(x), m.symbol(y), 2, **kw)
 
 
 def _mixed_combination():
@@ -111,18 +134,26 @@ CASES = {
         ValueError, "vector dimension does not match the model",
     ),
     "MatrixLift non-scalar base": (
-        lambda: MatrixLift(MomentFunctional(lambda w: np.eye(2), 2)),
-        ValueError, "base functional must be scalar",
-    ),
-    "MatrixLift entry out of range": (
-        lambda: _lift().add_symbol(GeneratorSymbol("X", "l"), {(3, 1): []}),
-        ValueError, "entry (3,1) outside 1..2",
+        _non_scalar_lift, ValueError, "base model must be scalar",
     ),
     "MatrixLift unregistered symbol": (
-        _unregistered_lift_symbol, KeyError, "symbol <X:l> not registered with this lift",
+        _unregistered_lift_symbol, KeyError, "symbol <Z:l> not registered with this lift",
     ),
-    "matrix_lift wrong sides": (
+    "MatrixLift 2x2 coefficient": (
+        _lifted_2x2_coefficient, ValueError, "2x2 coefficient in the 2x2 lift; it must be 1x1",
+    ),
+    "MatrixLift wrong sides": (
         _wrong_sides, ValueError, "expected a left generator and a right generator",
+    ),
+    "MatrixLift unregistered base symbol": (
+        _unregistered_base_symbol, ValueError,
+        "base symbol <S2:l> is not registered with the model",
+    ),
+    "aaf_check wrong sides": (
+        lambda: _aaf("D1", "S1"), ValueError, "expected a left generator and a right generator",
+    ),
+    "aaf_check infinite tol": (
+        lambda: _aaf("S1", "D1", tol=math.inf), ValueError, "tol must be positive and finite",
     ),
     "h_closed_form bad K": (
         lambda: h_closed_form(0.0, 1.0, 0.0), ValueError, "need K1 >= 0 and K2 > 0",

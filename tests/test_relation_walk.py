@@ -13,7 +13,6 @@ solver, which reads the same walk, against the breadth-first solver that
 applies every test word from the vacuum.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -31,7 +30,6 @@ from bifree.conjvar import (
     conj_residual,
     eta_flip,
     lifted_candidates,
-    matrix_lift,
     scaled_semicircular,
     solve_conjugate,
 )
@@ -173,7 +171,7 @@ def test_lifted_rhs_and_residual_match_oracle(scale):
     cl, cr = cp.symbol("cl"), cp.symbol("cr")
     cands = lifted_candidates(cp, cl, cr, scale=scale)
     # A second lift of the same pair, read through a moment cache of its own.
-    fresh = _lift_trace(matrix_lift(cp.functional, cl, cr).lift)
+    fresh = _lift_trace(MatrixLift(cp, cl, cr))
     for xi, ctx in zip(cands, lifted_presence(cands)):
         # X is made of left letters of the base and Y of right ones, so the
         # lift's rule lets them commute, as opposite sides do.
@@ -184,43 +182,25 @@ def test_lifted_rhs_and_residual_match_oracle(scale):
 
 
 def test_lifted_generators_over_impure_base_letters_commute_with_nothing():
-    # Left lifted generators that are not pure on the left, because of a
-    # base symbol acting on both sides, a right base letter, or a right base
-    # letter in a later word of an entry.  A swap with Y would swap base
-    # letters that do not commute (D1 and D2 are free), so the walk must
-    # keep them apart, while X and Y commute.
+    # A left carrier over a base symbol that also acts on a right index is
+    # not pure on the left.  A swap with Y would swap base letters that do
+    # not commute (D1 and D2 are free), so the walk must keep them apart,
+    # while the carriers of pure letters commute.
     m = make_bisemicircular([ONE], [ONE, ONE])
-    s, d1, d2 = m.symbol("S1"), m.symbol("D1"), m.symbol("D2")
+    s, d2 = m.symbol("S1"), m.symbol("D2")
     mixed = m.register_symbol(
         GeneratorSymbol("M", "l"), [(1.0, ("l", "S1")), (0.5, ("r", "D1"))]
     )
-    lift = MatrixLift(m.functional, d=2)
-
-    def lifted(name, side, word, *more):
-        # Entry (1, 2) holds every base word, entry (2, 1) the first.
-        terms = [(1.0, word)] + [(0.5, w) for w in more]
-        return lift.add_symbol(GeneratorSymbol(name, side), {(1, 2): terms, (2, 1): terms[:1]})
-
-    X, Y = lifted("X", "l", (s,)), lifted("Y", "r", (d2,))
-    side = functools.partial(lift.pure_side, model=m)
-    assert (side(X), side(Y)) == ("l", "r")
-    with pytest.raises(ValueError):
-        lift.pure_side(X, make_bisemicircular([ONE], []))
-    fresh = _lift_trace(lift)
-    impure = (
-        lifted("A", "l", (mixed,)),
-        lifted("B", "l", (d1,)),
-        lifted("C", "l", (s,), (s, s), (s, d1)),
+    pure = MatrixLift(m, s, d2)
+    assert (pure.pure_side(pure.X), pure.pure_side(pure.Y)) == ("l", "r")
+    lift = MatrixLift(m, mixed, d2)
+    X, Y = lift.X, lift.Y
+    assert (lift.pure_side(X), lift.pure_side(Y)) == (None, "r")
+    xi = WordCandidate(X, Monomial([X]), lift, 1.5)
+    assert (xi.pure_side(X), xi.pure_side(Y)) == (None, "r")
+    _check_lifted(
+        xi, (Y,), _lift_trace(lift), 4, lambda a, b: X not in (a, b) and a.side != b.side
     )
-    for A in impure:
-        assert side(A) is None
-        xi = WordCandidate(A, Monomial([A]), lift.functional, side, 1.5)
-        assert xi.pure_side(A) is None
-        assert (xi.pure_side(X), xi.pure_side(Y)) == ("l", "r")
-        ctx = (X, Y)
-        _check_lifted(
-            xi, ctx, fresh, 4, lambda a, b, A=A: A not in (a, b) and a.side != b.side
-        )
 
 
 @pytest.mark.parametrize("scale", [0.5, 1.5])
@@ -234,7 +214,7 @@ def test_perturbed_lifted_carriers_match_full_walk(scale):
     z = mk("z[1.0]", [(1.0, cl), (1.0, c2l)], family="z")
     w = mk("w[1.0]", [(1.0, cr), (1.0, c2r)], family="z")
     cands = lifted_candidates(cp, z, w, scale=scale)
-    fresh = _lift_trace(matrix_lift(cp.functional, z, w).lift)
+    fresh = _lift_trace(MatrixLift(cp, z, w))
     for xi, ctx in zip(cands, lifted_presence(cands)):
         want = _check_lifted(xi, ctx, fresh, 4)
         assert (want > 0.1) == (scale != 0.5)
