@@ -56,6 +56,7 @@ from .moments import (
     eval_moment_pi,
     moments_from_cumulants,
     product_cumulant_expand,
+    transform_table,
 )
 from .words import GeneratorSymbol, Lb, Monomial, MomentFunctional, Rb
 

@@ -110,8 +110,13 @@ def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
     return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
 
 
-def _check_partition(blocks: Blocks, n: int) -> None:
+def _check_partition(blocks: Blocks, chi: ChiWord) -> int:
+    """Raise ``ValueError`` unless ``blocks`` partition ``1..chi.n``; in the
+    same walk over the blocks, compute the ``_code`` of their relabelling by
+    ``s_chi_inverse(chi)``, the NC picture's code (for n < 16)."""
+    n, inv = chi.n, chi._s_inv
     seen: set[int] = set()
+    code = 0
     for b in blocks:
         if not b:
             raise ValueError("empty block")
@@ -123,8 +128,13 @@ def _check_partition(blocks: Blocks, n: int) -> None:
             if x in seen:
                 raise ValueError(f"element {x} is listed twice")
             seen.add(x)
+        ranks = [inv[x - 1] for x in b]
+        m = min(ranks)
+        for r in ranks:
+            code += m << 4 * (r - 1)
     if len(seen) != n:
         raise ValueError(f"blocks cover {len(seen)} of {n} elements")
+    return code
 
 
 def _nc_closure(blocks: Iterable[Block], n: int) -> Blocks:
@@ -175,10 +185,14 @@ def _nc_picture(blocks: Iterable[Iterable[int]], chi: ChiWord) -> tuple[Blocks, 
     """Canonical blocks of a partition of ``1..n`` and their relabelling by
     ``s_chi`` (also canonical); raises ``ValueError`` for a non-partition."""
     blocks = [tuple(b) for b in blocks]
-    _check_partition(blocks, chi.n)
+    _check_partition(blocks, chi)
     canon = _canonical_blocks(blocks)
     inv = s_chi_inverse(chi)
     return canon, _canonical_blocks(tuple(inv[x - 1] for x in b) for b in canon)
+
+
+def _not_bnc(canon: Blocks, chi: ChiWord) -> ValueError:
+    return ValueError(f"partition {canon} is not bi-non-crossing for chi={chi}")
 
 
 def is_bnc(blocks: Iterable[Iterable[int]], chi: ChiWord) -> bool:
@@ -200,7 +214,7 @@ class BncPartition:
     def __init__(self, blocks: Iterable[Iterable[int]], chi: ChiWord):
         canon, nc = _nc_picture(blocks, chi)
         if not _is_noncrossing(nc, chi.n):
-            raise ValueError(f"partition {canon} is not bi-non-crossing for chi={chi}")
+            raise _not_bnc(canon, chi)
         self._set(nc, chi, canon)
 
     @classmethod
@@ -508,53 +522,152 @@ def _nc_index(n: int) -> dict[int, int]:
     return {_code(sigma): i for i, sigma in enumerate(_nc_all(n))}
 
 
-def find_bnc(blocks: Iterable[Iterable[int]], chi: ChiWord) -> BncPartition:
-    """The partition of ``enumerate_bnc(chi)`` with the given blocks, equal to
-    ``BncPartition(blocks, chi)``.
+def bnc_index(blocks: Iterable[Iterable[int]], chi: ChiWord) -> int:
+    """The index in ``enumerate_bnc(chi)`` of the partition with the given
+    blocks, for n <= ``MAX_ENUM_N``.
 
-    The partition check raises the ``ValueError`` that names a fault; a
-    partition is then looked up by its NC picture, and a miss goes through
-    ``BncPartition(blocks, chi)``, which raises unless it is bi-non-crossing.
+    One walk over the blocks runs the partition check, which raises the
+    ``ValueError`` that names a fault, and computes the code of the NC
+    picture, which is then looked up; a partition that passes the check and
+    is not found raises the constructor's not-bi-non-crossing error.
     """
     blocks = [tuple(b) for b in blocks]
-    n = chi.n
-    _check_partition(blocks, n)
-    if n <= MAX_ENUM_N:
-        inv = s_chi_inverse(chi)
-        i = _nc_index(n).get(_code([inv[x - 1] for x in b] for b in blocks))
-        if i is not None:
-            return _bnc_all(chi)[i]
-    return BncPartition(blocks, chi)
+    if chi.n > MAX_ENUM_N:
+        raise ValueError(f"n={chi.n} exceeds enumeration bound {MAX_ENUM_N}")
+    i = _nc_index(chi.n).get(_check_partition(blocks, chi))
+    if i is None:
+        raise _not_bnc(_canonical_blocks(blocks), chi)
+    return i
 
 
-# Every block of a partition of 1..n for n <= 8: the non-empty subsets of 1..8.
-@lru_cache(maxsize=255)
-def _block_factors(V: Block) -> tuple[tuple[int, int], ...]:
-    """``(code, mu)`` for each entry of ``mobius_top_table(len(V))``, its
-    partition relabelled onto the block ``V`` and kept as its ``_code``."""
-    return tuple(
-        (_code(tuple(V[x - 1] for x in b) for b in s), mu) for s, mu in mobius_top_table(len(V))
-    )
+def find_bnc(blocks: Iterable[Iterable[int]], chi: ChiWord) -> BncPartition:
+    """The partition of ``enumerate_bnc(chi)`` with the given blocks, equal to
+    ``BncPartition(blocks, chi)``, found by ``bnc_index``; past
+    ``MAX_ENUM_N`` it is ``BncPartition(blocks, chi)``, with its checks."""
+    if chi.n > MAX_ENUM_N:
+        return BncPartition(blocks, chi)
+    return _bnc_all(chi)[bnc_index(blocks, chi)]
+
+
+# --- lower intervals ----------------------------------------------------------
+
+def _min_map(blocks: Blocks, n: int) -> list[int]:
+    """Entry x-1 is the smallest element of x's block, less one: the
+    partition of ``1..n`` 0-based, one value per element."""
+    row = [0] * n
+    for b in blocks:
+        for x in b:
+            row[x - 1] = b[0] - 1
+    return row
+
+
+class _NcArrays(NamedTuple):
+    """NC(k) as arrays, in ``enumerate_nc(k)`` order: row i of ``mins`` is the
+    ``_min_map`` of partition i and ``mu[i]`` its mu(sigma, 1_k); ``codes``
+    are the partitions' ``_code``s, sorted, and ``rank[j]`` is the index of
+    the partition with code ``codes[j]``."""
+
+    mins: "np.ndarray"
+    mu: "np.ndarray"
+    codes: "np.ndarray"
+    rank: "np.ndarray"
+
+
+@lru_cache(maxsize=MAX_ENUM_N)
+def _nc_arrays(k: int) -> _NcArrays:
+    import numpy as np
+
+    table = mobius_top_table(k)
+    mins = np.array([_min_map(sigma, k) for sigma, _ in table], dtype=np.int64).reshape(-1, k)
+    codes = (mins + 1) @ (np.int64(16) ** np.arange(k))
+    rank = np.argsort(codes)
+    arrays = _NcArrays(mins, np.array([mu for _, mu in table], dtype=np.int64), codes[rank], rank)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _block_sizes(mins: "np.ndarray") -> "np.ndarray":
+    """``sizes[i, v]``: the size of the block of partition i (a row of
+    ``mins``) whose smallest element is v, 0-based; 0 where v is not one."""
+    import numpy as np
+
+    m, n = mins.shape
+    flat = (np.arange(m)[:, None] * n + mins).ravel()
+    return np.bincount(flat, minlength=m * n).reshape(m, n)
+
+
+def _intervals(n: int, mins: "np.ndarray"):
+    """The lower intervals in NC(n) of the partitions whose min maps are the
+    rows of ``mins``, as flat arrays ``(owner, index, mu)``: entry t is the
+    partition ``index[t]`` of ``enumerate_nc(n)``, below row ``owner[t]``
+    with mu(sigma, pi) ``mu[t]``; the entries run by owner, then by index.
+
+    The interval below pi is the product, over the blocks V of pi, of
+    NC(|V|) relabelled onto V, and mu is the product of the factors' mu(sigma
+    |V, 1_V) (Nica-Speicher, Lectures 9-10).  A product entry's ``_code`` is
+    the sum of its factors' codes, and a factor's code reads the min maps of
+    NC(|V|) through V.  Singletons add one fixed code; the larger blocks are
+    crossed in by slot, the s-th larger block of every row in one step.
+    """
+    import numpy as np
+
+    m = len(mins)
+    sizes = _block_sizes(mins)
+    weight = np.int64(16) ** np.arange(n)
+    code = ((sizes == 1) * (np.arange(n) + 1) * weight).sum(axis=1)
+    larger = sizes >= 2
+    slot = np.cumsum(larger, axis=1) - 1
+    row, v = np.nonzero(larger)  # one pair per larger block, by row then by smallest element
+    k = sizes[row, v]
+    # Every larger block's factor entries, flat, after the identity factor
+    # (code 0, mu 1) at entry 0; pair j's run starts at first[j].
+    first = np.zeros(len(row), dtype=np.int64)
+    count = np.zeros(len(row), dtype=np.int64)
+    fcode, fmu, at = [np.zeros(1, np.int64)], [np.ones(1, np.int64)], 1
+    for size in sorted(set(k.tolist())):
+        arrays = _nc_arrays(size)
+        pick = np.flatnonzero(k == size)
+        # the elements of each block, increasing
+        V = np.nonzero(mins[row[pick]] == v[pick, None])[1].reshape(-1, size)
+        fcode.append(((V[:, arrays.mins] + 1) * weight[V][:, None, :]).sum(axis=2).ravel())
+        fmu.append(np.tile(arrays.mu, len(pick)))
+        count[pick] = len(arrays.mu)
+        first[pick] = at + len(arrays.mu) * np.arange(len(pick))
+        at += len(pick) * len(arrays.mu)
+    fcode, fmu = np.concatenate(fcode), np.concatenate(fmu)
+
+    owner = np.arange(m)
+    mu = np.ones(m, dtype=np.int64)
+    s = slot[row, v]
+    for j in range(int(s.max()) + 1 if len(s) else 0):
+        at_slot = s == j
+        slot_first = np.zeros(m, dtype=np.int64)
+        slot_count = np.ones(m, dtype=np.int64)
+        slot_first[row[at_slot]] = first[at_slot]
+        slot_count[row[at_slot]] = count[at_slot]
+        c = slot_count[owner]
+        rep = np.repeat(np.arange(len(owner)), c)
+        step = np.arange(len(rep)) - np.repeat(np.cumsum(c) - c, c)
+        owner = owner[rep]
+        f = slot_first[owner] + step
+        code = code[rep] + fcode[f]
+        mu = mu[rep] * fmu[f]
+    arrays = _nc_arrays(n)
+    index = arrays.rank[np.searchsorted(arrays.codes, code)]
+    order = np.argsort(owner * len(arrays.rank) + index)
+    return owner[order], index[order], mu[order]
 
 
 # Catalan(8) entries: every interval of every partition up to n = 8.
 @lru_cache(maxsize=1430)
 def _interval_table(n: int, nc: Blocks) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Indices into ``enumerate_nc(n)`` of the sigma <= nc, increasing, and
-    their mu(sigma, nc).
+    their mu(sigma, nc), as Python ints."""
+    import numpy as np
 
-    The interval is the product, over the blocks V of nc, of NC(|V|)
-    relabelled onto V, and mu is the product of the factors' mu(sigma|V,
-    1_V) (Nica-Speicher, Lectures 9-10).  Each block's factor entries are
-    read as ``_code``s from the per-block cache ``_block_factors``, so a
-    product entry's code is the sum of its factors' codes.
-    """
-    found = [(0, 1)]
-    for V in nc:
-        found = [(c + code, m * mu) for c, m in found for code, mu in _block_factors(V)]
-    index = _nc_index(n)
-    indices, mus = zip(*sorted((index[c], m) for c, m in found))
-    return indices, mus
+    _, index, mu = _intervals(n, np.array([_min_map(nc, n)]))
+    return tuple(index.tolist()), tuple(mu.tolist())
 
 
 def lower_interval(pi: BncPartition) -> tuple[tuple[BncPartition, int], ...]:
@@ -562,12 +675,35 @@ def lower_interval(pi: BncPartition) -> tuple[tuple[BncPartition, int], ...]:
     ``enumerate_bnc(pi.chi)`` order.
 
     The interval depends only on ``pi.nc``: it is read from a bounded cache
-    of intervals of NC(n), each built once from the per-length tables
-    ``mobius_top_table`` of pi's block sizes, not found by scanning BNC(chi).
+    of intervals of NC(n), each built once as the product of the per-length
+    tables of pi's block sizes (see ``lower_interval_arrays``), not found
+    by scanning BNC(chi).
     """
     parts = enumerate_bnc(pi.chi)
     indices, mus = _interval_table(pi.n, pi.nc)
     return tuple(zip(map(parts.__getitem__, indices), mus))
+
+
+def lower_interval_arrays(n: int, max_entries: int):
+    """Every lower interval of NC(n), in runs of consecutive partitions of
+    ``enumerate_nc(n)``: yields ``(lo, owner, index, mu)``, numpy arrays
+    that list the interval of partition ``lo + owner[t]`` entry by entry,
+    ``index[t]`` below it with mu ``mu[t]``, by owner and then in
+    enumeration order, as ``lower_interval`` does.  A run holds at most
+    ``max_entries`` entries, or one partition when its interval alone holds
+    more; nothing is cached but the per-length tables.
+    """
+    import numpy as np
+
+    mins = _nc_arrays(n).mins
+    cat = np.array([catalan(k) for k in range(n + 1)])
+    ends = np.cumsum(cat[_block_sizes(mins)].prod(axis=1))
+    lo = 0
+    while lo < len(mins):
+        budget = (ends[lo - 1] if lo else 0) + max_entries
+        hi = max(lo + 1, int(np.searchsorted(ends, budget, side="right")))
+        yield (lo, *_intervals(n, mins[lo:hi]))
+        lo = hi
 
 
 def catalan(n: int) -> int:

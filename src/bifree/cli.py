@@ -27,7 +27,8 @@ import numpy as np
 from . import acceptance
 from .balgebra import CPMap, as_belement, belement_from_json, belement_to_json, json_fields
 from .bnc import (
-    MAX_SCAN_ORDER, MAX_WALK_N, BncPartition, ChiWord, enumerate_bnc, find_bnc, mobius_bnc,
+    MAX_ENUM_N, MAX_SCAN_ORDER, MAX_WALK_N, BncPartition, ChiWord, bnc_index, enumerate_bnc,
+    find_bnc, mobius_bnc,
 )
 from .conjvar import (
     check_candidates,
@@ -39,7 +40,7 @@ from .conjvar import (
     solve_conjugate,
 )
 from .fock import FockModel, bisemicircular_from_json, make_bisemicircular
-from .moments import bifree_test, cumulants_from_moments, moments_from_cumulants
+from .moments import bifree_test, transform_table
 from .words import Monomial
 
 SCHEMA = 1
@@ -65,8 +66,13 @@ _max_order = _checked(int, lambda n: 2 <= n <= MAX_SCAN_ORDER, f"must be in 2..{
 _non_negative = _checked(int, lambda n: n >= 0, "must be >= 0")
 
 
+class _Encoded(list):
+    """A list of JSON values only, no NaN or infinity among them: ``_jsonable``
+    returns it unwalked."""
+
+
 def _jsonable(obj):
-    if isinstance(obj, (int, str)):  # a bool is an int
+    if isinstance(obj, (int, str, _Encoded)):  # a bool is an int
         return obj
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -110,12 +116,46 @@ def _load_model(args) -> FockModel:
     return make_bisemicircular([eye], [eye], max_depth=args.truncation)
 
 
+_VALUE_FIELDS = {"d", "re", "im"}
+
+
+def _plain_value(obj, d: int | None) -> bool:
+    """True for a serialized value that ``belement_from_json`` reads as an
+    n x n matrix with no question, n being ``d`` unless it is None: a dict
+    of ``"re"`` and ``"im"``, each n lists of n floats, nulls or ints within
+    float range, and optionally ``"d"``, the ``int`` n."""
+    if type(obj) is not dict or not obj.keys() <= _VALUE_FIELDS:
+        return False
+    re, im = obj.get("re"), obj.get("im")
+    if type(re) is not list or type(im) is not list:
+        return False
+    n = len(re) if d is None else d
+    if not n or len(re) != n or len(im) != n:
+        return False
+    if "d" in obj and (type(obj["d"]) is not int or obj["d"] != n):
+        return False
+    for part in (re, im):
+        for row in part:
+            if type(row) is not list or len(row) != n:
+                return False
+            for x in row:
+                if not (type(x) is float or x is None or (type(x) is int and -1e308 < x < 1e308)):
+                    return False
+    return True
+
+
 def _read_table(path: str):
-    """The chi word and the ``{partition: value}`` table of a JSON file, or
-    of stdin for ``-``.  Each partition is found among ``enumerate_bnc(chi)``
-    by ``find_bnc``, so a bad one raises the partition check's
-    ``ValueError``; a partition listed twice, or a value of another size than
-    the first, is rejected too.  The table and each entry may hold only
+    """The chi word of a JSON table file (stdin for ``-``), its values as one
+    ``(k, d, d)`` complex array in ``enumerate_bnc(chi)`` order, and the mask
+    of the entries it lists.
+
+    Each entry is checked in one pass, in order, and the values are
+    converted once, at the end.  A partition is located by ``bnc_index``,
+    so a bad one raises the partition check's ``ValueError``; a partition
+    listed twice, or a value of another size than the first, is rejected
+    too.  A value that is not plainly a number matrix of the first value's
+    size (``_plain_value``) goes through ``belement_from_json``, which
+    raises what is wrong with it.  The table and each entry may hold only
     their own fields (``schema``, which the ``mc`` reports print, included),
     and an entry's optional ``"chi"`` must be the table's."""
     if path == "-":
@@ -125,31 +165,58 @@ def _read_table(path: str):
             data = json.load(fh)
     json_fields(data, "table", ("chi", "entries", "schema"))
     chi = ChiWord(data["chi"])
-    table = {}
+    word = str(chi)
+    # Past the enumeration bound entries are checked as partitions, and
+    # enumerate_bnc raises once they all are.
+    locate = bnc_index if chi.n <= MAX_ENUM_N else find_bnc
+    slots, seen, re, im = [], set(), [], []
     d = None  # every value must have the first value's size
     for entry in data["entries"]:
         json_fields(entry, "table entry", ("chi", "partition", "value"))
-        if "chi" in entry and ChiWord(entry["chi"]) != chi:
-            raise ValueError(f"entry chi {entry['chi']!r} differs from the table's {str(chi)!r}")
-        p = find_bnc(entry["partition"], chi)
-        if p in table:
-            raise ValueError(f"partition {list(map(list, p.blocks))} is listed twice")
-        v = table[p] = as_belement(belement_from_json(entry["value"]), d)
-        d = v.shape[0]
-    return chi, table
+        if "chi" in entry and entry["chi"] != word and ChiWord(entry["chi"]) != chi:
+            raise ValueError(f"entry chi {entry['chi']!r} differs from the table's {word!r}")
+        i = locate(entry["partition"], chi)
+        if i in seen:
+            blocks = find_bnc(entry["partition"], chi).blocks
+            raise ValueError(f"partition {list(map(list, blocks))} is listed twice")
+        seen.add(i)
+        value = entry["value"]
+        if not _plain_value(value, d):
+            as_belement(belement_from_json(value), d)
+        d = len(value["re"])
+        slots.append(i)
+        re.append(value["re"])
+        im.append(value["im"])
+    parts = enumerate_bnc(chi)
+    values = np.zeros((len(parts), d or 0, d or 0), dtype=complex)
+    present = np.zeros(len(parts), dtype=bool)
+    if slots:
+        values[slots] = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+        present[slots] = True
+    return chi, values, present
 
 
-def _table_report(chi: ChiWord, table: dict) -> dict:
+def _table_report(chi: ChiWord, values: np.ndarray) -> dict:
+    """The report of a whole table, entries sorted by their position blocks.
+    The values are converted by one ``tolist`` each part; an entry with a
+    NaN or infinite part is walked to print it as null."""
+    parts = enumerate_bnc(chi)
+    order = sorted(range(len(parts)), key=lambda i: parts[i].blocks)
+    values = values[order]
+    rows = zip(values.real.tolist(), values.imag.tolist())
+    finite = np.isfinite(values).all(axis=(1, 2)).tolist()
+    word, d = str(chi), values.shape[1]
     return {
-        "chi": str(chi),
-        "entries": [
+        "chi": word,
+        "entries": _Encoded(
             {
-                "chi": str(chi),
-                "partition": [list(b) for b in p.blocks],
-                "value": v,
+                "chi": word,
+                "partition": [list(b) for b in parts[i].blocks],
+                "value": {"d": d, "re": re, "im": im} if ok else
+                _jsonable({"d": d, "re": re, "im": im}),
             }
-            for p, v in sorted(table.items(), key=lambda kv: kv[0].blocks)
-        ],
+            for i, (re, im), ok in zip(order, rows, finite)
+        ),
     }
 
 
@@ -174,9 +241,9 @@ def _cmd_bnc_mobius(args) -> dict:
 
 
 def _cmd_mc(args) -> dict:
-    chi, table = _read_table(args.table)
-    convert = cumulants_from_moments if args.cmd == "to-cumulants" else moments_from_cumulants
-    return _table_report(chi, {p: convert(table, p) for p in enumerate_bnc(chi)})
+    chi, values, present = _read_table(args.table)
+    to = "cumulants" if args.cmd == "to-cumulants" else "moments"
+    return _table_report(chi, transform_table(chi, values, to, present))
 
 
 def _cmd_bifree_test(args) -> dict:

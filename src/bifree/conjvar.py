@@ -261,6 +261,16 @@ def solve_conjugate(
     residual check reuses the moments that the fit cached.  Returns the
     candidate together with its verified residual; the residual is
     reported, never trusted silently.
+
+    Relations that leave the candidate undetermined raise ``ValueError``:
+    when the rows' rank is below that of the rows stacked on the basis
+    vectors' coordinates, some coefficients that no relation sees still
+    move the candidate, and ``lstsq``'s minimum-norm pick among them would
+    pass a wrong candidate with residual 0.  Coefficients of basis vectors
+    that are linearly dependent (a left and a right letter applied to the
+    vacuum in either order give one vector) may stay undetermined: they do
+    not move the candidate.  Below ``max_n`` 3 the four words of one letter
+    are undetermined.
     """
     alphabet = list(dict.fromkeys([target, *others]))
     basis_words = [()]
@@ -278,7 +288,19 @@ def solve_conjugate(
     rows, rhs_vec = np.array(rows), np.array(rhs_vec)
     if not (np.isfinite(rows).all() and np.isfinite(rhs_vec).all()):
         raise ValueError("the fit's rows or right-hand sides are not finite")
-    sol, *_ = np.linalg.lstsq(rows, rhs_vec, rcond=None)
+    sol, _, rank, _ = np.linalg.lstsq(rows, rhs_vec, rcond=None)
+    # Each basis vector's coordinates as a column: its component tensors.
+    shapes = {ks: (model.dim,) * (2 * len(ks) + 2) for v in basis for ks in v.terms}
+    coords = np.array([
+        np.concatenate([np.broadcast_to(v.terms.get(ks, 0), shape).ravel()
+                        for ks, shape in shapes.items()])
+        for v in basis
+    ]).T
+    if rank < (full := np.linalg.matrix_rank(np.vstack([rows, coords]))):
+        raise ValueError(
+            f"the relations up to max_n={max_n} leave the fit undetermined: "
+            f"rank {rank} of {full}"
+        )
     vec = FockVector(model.dim)
     for c, v in zip(sol, basis):
         vec = vec + v.scaled(c)

@@ -35,6 +35,7 @@ from .bnc import (
     lattice_join,
     lattice_leq,
     lower_interval,
+    lower_interval_arrays,
     mobius_bnc,
     one_partition,
     s_chi,
@@ -218,7 +219,8 @@ def moments_from_cumulants(
     values are gathered into one array and summed by ``np.add.accumulate``,
     which adds them one after another: every bit equals that of a loop of
     ``total + value``, except which NaN a sum of two NaNs keeps.  ``np.sum``
-    would sum pairwise and move digits.
+    would sum pairwise and move digits.  ``transform_table`` sums a whole
+    table by the same rule.
     """
     values, _ = _interval_values(kappa_table, pi, "cumulant")
     # A copy, so that the partial sums are not kept alive by a view.
@@ -238,6 +240,61 @@ def cumulants_from_moments(
     values, mus = _interval_values(moment_table, pi, "moment")
     terms = np.array(mus, dtype=complex)[:, None, None] * values
     return np.add.accumulate(terms, axis=0)[-1].copy()
+
+
+def transform_table(
+    chi: ChiWord, values: np.ndarray, to: str, present: np.ndarray | None = None
+) -> np.ndarray:
+    """A whole table at once: the cumulants of a moment table (``to=
+    "cumulants"``) or the moments of a cumulant table (``to="moments"``).
+
+    ``values[i]`` is the table's ``(d, d)`` value at partition i of
+    ``enumerate_bnc(chi)``, and row i of the result is what
+    ``cumulants_from_moments`` or ``moments_from_cumulants`` returns there,
+    bit for bit up to the same NaN choice: each interval is summed in
+    enumeration order, one ``total + term`` after another from its first
+    term.  Where ``present[i]`` is false the table lacks entry i; the first
+    partition in enumeration order whose interval meets one raises their
+    ``ValueError``, naming the first missing entry of that interval.
+
+    The intervals come from ``lower_interval_arrays`` in runs of
+    consecutive partitions.  A run's terms are gathered in one array,
+    grouped by their position j in their interval, and the partitions
+    sorted by interval length, longest first, so that the partitions with
+    a j-th term are a prefix: one in-place add per position sums every
+    interval of the run.  ``np.add.reduceat`` would sum pairwise.
+    """
+    if to not in ("cumulants", "moments"):
+        raise ValueError(f'to must be "cumulants" or "moments", got {to!r}')
+    parts = enumerate_bnc(chi)
+    values = np.asarray(values, dtype=complex)
+    if values.ndim != 3 or len(values) != len(parts):
+        raise ValueError(f"expected {len(parts)} table values, got shape {values.shape}")
+    kind = "moment" if to == "cumulants" else "cumulant"
+    out = np.empty_like(values)
+    # At most 2^18 / d^2 terms per run: a term takes 16 d^2 bytes, and
+    # building its interval entry about 90 bytes more.
+    runs = lower_interval_arrays(chi.n, (1 << 18) // max(1, values[0].size))
+    for lo, owner, index, mu in runs:
+        if present is not None and not present[index].all():
+            sigma = parts[index[np.argmin(present[index])]]
+            raise ValueError(f"{kind} table missing entry for {sigma!r}")
+        lengths = np.bincount(owner)
+        pos = np.arange(len(owner)) - (np.cumsum(lengths) - lengths)[owner]
+        longest = np.argsort(-lengths, kind="stable")
+        rank = np.empty_like(longest)
+        rank[longest] = np.arange(len(longest))
+        order = np.argsort(pos * len(lengths) + rank[owner])
+        terms = values[index[order]]
+        if to == "cumulants":
+            terms = mu[order].astype(complex)[:, None, None] * terms
+        acc = terms[: len(lengths)]  # adds below read only the terms after it
+        at = len(lengths)
+        for c in np.bincount(pos)[1:].tolist():
+            acc[:c] += terms[at:at + c]
+            at += c
+        out[lo:lo + len(lengths)] = acc[rank]
+    return out
 
 
 # --- product-entry expansion -------------------------------------------------

@@ -32,10 +32,13 @@ block values in position order; another visits every entry of the table in
 NC coordinates, as the scan did before it indexed the table by block.  The
 interval oracle rebuilds a lower interval from relabelled factor tables on
 every call, and the table-transform oracles add one term at a time over it.
+The ``mc`` oracle reads a table file entry by entry, each value through
+``belement_from_json``, and transforms it one partition at a time.
 The circular-pair symbol table is written out by hand, entry by entry.
 """
 
 import itertools
+import json
 import math
 from functools import lru_cache
 
@@ -54,14 +57,16 @@ from bifree.bnc import (
     one_partition,
     s_chi,
 )
-from bifree.balgebra import matrix_units
+from bifree.balgebra import as_belement, belement_from_json, json_fields, matrix_units
 from bifree.conjvar import VectorCandidate
 from bifree.fock import FockVector
 from bifree.moments import (
     chi_of_groups,
     cumulant_pi,
+    cumulants_from_moments,
     eval_moment_pi,
     group_offsets,
+    moments_from_cumulants,
 )
 from bifree.words import BCoeff, Lb, Monomial, MomentFunctional, Rb, as_monomial
 
@@ -301,6 +306,33 @@ def moments_from_cumulants_loop(kappa_table, interval):
         v = kappa_table[sigma]
         total = np.asarray(v, dtype=complex) if total is None else total + v
     return total
+
+
+def mc_by_entry(path, to):
+    """``mc to-cumulants`` (``to="cumulants"``) or ``mc to-moments`` on a
+    table file, one entry and one partition at a time: each entry's fields
+    and chi are checked, its partition built by the constructor and rejected
+    if listed before, and its value read by ``belement_from_json`` and held
+    to the first value's size; then each partition of ``enumerate_bnc(chi)``
+    is transformed in turn from the dict table.  Returns ``(chi, {partition:
+    value})``, or raises what the reading or a transform raises."""
+    with open(path) as fh:
+        data = json.load(fh)
+    json_fields(data, "table", ("chi", "entries", "schema"))
+    chi = ChiWord(data["chi"])
+    table = {}
+    d = None
+    for entry in data["entries"]:
+        json_fields(entry, "table entry", ("chi", "partition", "value"))
+        if "chi" in entry and ChiWord(entry["chi"]) != chi:
+            raise ValueError(f"entry chi {entry['chi']!r} differs from the table's {str(chi)!r}")
+        p = BncPartition(entry["partition"], chi)
+        if p in table:
+            raise ValueError(f"partition {list(map(list, p.blocks))} is listed twice")
+        v = table[p] = as_belement(belement_from_json(entry["value"]), d)
+        d = v.shape[0]
+    convert = cumulants_from_moments if to == "cumulants" else moments_from_cumulants
+    return chi, {p: convert(table, p) for p in enumerate_bnc(chi)}
 
 
 def cumulants_from_moments_loop(moment_table, interval):

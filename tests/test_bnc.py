@@ -17,10 +17,11 @@ from oracles import (
 from bifree.bnc import (
     MAX_ENUM_N,
     BncPartition,
-    _block_factors,
     _interval_table,
     _nc_all,
+    _nc_arrays,
     ChiWord,
+    bnc_index,
     catalan,
     enumerate_bnc,
     enumerate_bnc_avoiding,
@@ -31,6 +32,7 @@ from bifree.bnc import (
     lattice_leq,
     lattice_meet,
     lower_interval,
+    lower_interval_arrays,
     mobius_bnc,
     mobius_top_table,
     one_partition,
@@ -203,6 +205,7 @@ def test_enumeration_is_trusted_relabelling():
             assert p.nc is nc[i]
             # the lookup finds the enumerated partition from any block order
             assert find_bnc([b[::-1] for b in p.blocks[::-1]], chi) is p
+            assert bnc_index([b[::-1] for b in p.blocks[::-1]], chi) == i
 
 
 def test_find_bnc_rejects_like_the_constructor():
@@ -220,9 +223,17 @@ def test_find_bnc_rejects_like_the_constructor():
     for raw, chi in cases:
         with pytest.raises(Exception) as want:
             BncPartition(raw, chi)
-        with pytest.raises(type(want.value)) as got:
-            find_bnc(raw, chi)
-        assert str(got.value) == str(want.value)
+        for lookup in (find_bnc, bnc_index):
+            with pytest.raises(type(want.value)) as got:
+                lookup(raw, chi)
+            assert str(got.value) == str(want.value)
+
+
+def test_bnc_index_stops_at_the_enumeration_bound():
+    chi = ChiWord("l" * (MAX_ENUM_N + 1))
+    with pytest.raises(ValueError, match="exceeds enumeration bound"):
+        bnc_index([[k] for k in range(1, chi.n + 1)], chi)
+    assert find_bnc([[k] for k in range(1, chi.n + 1)], chi) == zero_partition(chi)
 
 
 # --- lattice operations ----------------------------------------------------------
@@ -407,10 +418,39 @@ def test_interval_cache_is_bounded():
     assert info.maxsize is not None and info.maxsize >= catalan(8)
 
 
-def test_block_factor_cache_is_bounded():
-    # room for every block of a partition of 1..n up to n = 8
-    info = _block_factors.cache_info()
-    assert info.maxsize is not None and info.maxsize >= 2**8 - 1
+def test_nc_arrays_cache_is_bounded():
+    # one entry per length, for every block size of a partition up to n = 12
+    info = _nc_arrays.cache_info()
+    assert info.maxsize is not None and MAX_ENUM_N <= info.maxsize < 2 * MAX_ENUM_N
+
+
+def test_lower_interval_lists_enumerated_partitions_and_int_mus():
+    # json.dumps rejects numpy integers; the partitions are the enumerated ones
+    rng = np.random.default_rng(12)
+    for n in (3, 6, 8):
+        chi = ChiWord(rng.choice(["l", "r"], size=n))
+        parts = enumerate_bnc(chi)
+        ids = {id(p) for p in parts}
+        for pi in (parts[0], parts[len(parts) // 2], parts[-1]):
+            interval = lower_interval(pi)
+            assert all(id(sigma) in ids and type(mu) is int for sigma, mu in interval)
+            json.dumps([mu for _, mu in interval])
+
+
+@pytest.mark.parametrize("max_entries", [1, 40, 1 << 20])
+def test_lower_interval_arrays_match_lower_interval(max_entries):
+    for n in range(1, 9):
+        parts = enumerate_bnc(ChiWord("l" * n))
+        want = 0
+        for lo, owner, index, mu in lower_interval_arrays(n, max_entries):
+            assert lo == want and len(owner) > 0
+            count = owner[-1] + 1
+            assert count == 1 or len(owner) <= max_entries
+            for i in range(count):
+                got = zip(index[owner == i].tolist(), mu[owner == i].tolist())
+                assert [(parts[k], m) for k, m in got] == list(lower_interval(parts[lo + i]))
+            want = lo + count
+        assert want == len(parts)
 
 
 def test_lower_interval_sizes():

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import mc_by_entry
 
 import bifree.cli
 from bifree.balgebra import belement_from_json, belement_to_json
@@ -334,6 +335,129 @@ def test_mc_reads_tables_against_their_schema(fault, tmp_path, capsys):
     assert json.loads(out)["error"] == f"ValueError: {MISREAD_TABLES[fault]}"
 
 
+def _llll_table(d: int = 1) -> dict:
+    rng = np.random.default_rng(41)
+    return {"chi": "llll", "entries": [
+        {"partition": [list(b) for b in p.blocks],
+         "value": belement_to_json(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))}
+        for p in enumerate_bnc(ChiWord("llll"))
+    ]}
+
+
+def _faulty(change, d: int = 1):
+    """A table on llll (14 entries, in enumeration order) with one change."""
+
+    def build():
+        table = _llll_table(d)
+        change(table["entries"])
+        return table
+
+    return build
+
+
+def _set(i, key, value):
+    return lambda entries: entries[i]["value"].__setitem__(key, value)
+
+
+def _past_bound(value):
+    # chi of length 13: entries are still read, then the bound is reported
+    entry = {"partition": [list(range(1, 14))], "value": value}
+    return lambda: {"chi": "l" * 13, "entries": [entry, dict(entry)]}
+
+
+MALFORMED_TABLES = {
+    **{f"partition-{name}": _faulty(lambda e, raw=raw: e[5].__setitem__("partition", raw))
+       for name, raw in BAD_PARTITIONS.items()},
+    "partition-int": _faulty(lambda e: e[2].__setitem__("partition", 5)),
+    "partition-absent": _faulty(lambda e: e[2].pop("partition")),
+    "entry-not-a-dict": _faulty(lambda e: e.__setitem__(2, [1, 2])),
+    "entry-chi-other": _faulty(lambda e: e[2].__setitem__("chi", "lrll")),
+    "entry-chi-bad-tag": _faulty(lambda e: e[2].__setitem__("chi", "lx")),
+    "entry-chi-int": _faulty(lambda e: e[2].__setitem__("chi", 5)),
+    "value-string": _faulty(_set(2, "re", [["2"]])),
+    "value-true": _faulty(_set(2, "im", [[True]])),
+    "value-false-first": _faulty(_set(0, "re", [[False]])),
+    "value-list": _faulty(lambda e: e[2].__setitem__("value", [[1.0]])),
+    "value-im-absent": _faulty(lambda e: e[2]["value"].pop("im")),
+    "value-extra-field": _faulty(_set(2, "x", 1)),
+    "value-empty": _faulty(lambda e: e[2]["value"].update(d=0, re=[], im=[])),
+    "value-empty-row": _faulty(lambda e: e[2]["value"].update(re=[[]], im=[[]])),
+    "value-scalar": _faulty(lambda e: e[2]["value"].update(re=1.0, im=0.0)),
+    "value-3d": _faulty(lambda e: e[2]["value"].update(re=[[[1.0]]], im=[[[0.0]]])),
+    "value-int-overflow": _faulty(_set(2, "re", [[10**400]])),
+    "ragged-rows": _faulty(_set(2, "re", [[1.0, 2.0], [3.0]]), d=2),
+    "ragged-first-value": _faulty(_set(0, "im", [[1.0], [2.0, 3.0]]), d=2),
+    "parts-differ": _faulty(_set(1, "im", [[0.5]]), d=2),
+    "d-wrong": _faulty(_set(3, "d", 2)),
+    "d-true": _faulty(_set(3, "d", True)),
+    "d-float": _faulty(_set(3, "d", 1.0)),
+    "d-string": _faulty(_set(3, "d", "1")),
+    "sizes-differ": _faulty(lambda e: e[3].__setitem__("value", belement_to_json(np.eye(2)))),
+    "first-size-differs": _faulty(lambda e: e[0].__setitem__("value", belement_to_json(np.eye(2)))),
+    "listed-twice": _faulty(lambda e: e.append(
+        {"partition": [b[::-1] for b in e[9]["partition"][::-1]], "value": e[0]["value"]})),
+    "listed-twice-after-a-bad-value": _faulty(lambda e: (
+        e.append(dict(e[4])), e[6]["value"].__setitem__("re", [["x"]]))),
+    "missing-first": _faulty(lambda e: e.pop(0)),
+    "missing-middle": _faulty(lambda e: e.pop(7)),
+    "missing-several-shuffled": _faulty(lambda e: e.__setitem__(
+        slice(None), [e[i] for i in (13, 2, 8, 0, 5, 1, 12, 6, 4, 11)])),
+    "missing-all": _faulty(lambda e: e.clear()),
+    "past-bound": _past_bound(belement_to_json(np.eye(1))),
+    "past-bound-bad-value": _past_bound({"re": [["x"]], "im": [[0.0]]}),
+}
+
+
+@pytest.mark.parametrize("fault", MALFORMED_TABLES)
+def test_mc_rejects_malformed_tables_as_the_entry_reader_does(fault, tmp_path, capsys):
+    # Same exception type and message, and the same fault reported first.
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(MALFORMED_TABLES[fault]()))
+    for to in ("cumulants", "moments"):
+        with pytest.raises(Exception) as want:
+            mc_by_entry(path, to)
+        code, out = run_cli(capsys, "mc", f"to-{to}", "--table", str(path))
+        assert code == 1
+        assert json.loads(out) == {
+            "schema": 1, "error": f"{type(want.value).__name__}: {want.value}"
+        }
+
+
+def _nulled(rows):
+    return [[x if math.isfinite(x) else None for x in row] for row in rows]
+
+
+READABLE_TABLES = {
+    "ints": _faulty(_set(2, "re", [[3]])),
+    "large-int": _faulty(_set(2, "im", [[2**70]])),
+    "null": _faulty(_set(4, "re", [[None]])),
+    "infinity": _faulty(_set(9, "im", [[-math.inf]])),
+    "negative-zero": _faulty(lambda e: e[1]["value"].update(re=[[-0.0]], im=[[-0.0]])),
+    "no-d": _faulty(lambda e: e[3]["value"].pop("d")),
+    "entry-chi-upper-case": _faulty(lambda e: e[2].__setitem__("chi", "LLLL")),
+    "shuffled-d2": _faulty(lambda e: e.reverse(), d=2),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("variant", READABLE_TABLES)
+def test_mc_reads_tables_as_the_entry_reader_does(variant, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(READABLE_TABLES[variant]()))
+    for to in ("cumulants", "moments"):
+        chi, want = mc_by_entry(path, to)
+        code, out = run_cli(capsys, "mc", f"to-{to}", "--table", str(path))
+        assert code == 0
+        entries = _strict_json(out)["entries"]
+        assert [e["partition"] for e in entries] == sorted(
+            [list(map(list, p.blocks)) for p in want]
+        )
+        for e in entries:
+            v = want[BncPartition(e["partition"], chi)]
+            expected = {"d": len(v), "re": _nulled(v.real.tolist()), "im": _nulled(v.imag.tolist())}
+            assert json.dumps(e["value"], sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
 def test_model_file_d_true_fails(tmp_path, capsys):
     # JSON true equals 1 in Python; the model, its map and its coefficient
     # must each still be rejected.
@@ -519,10 +643,26 @@ def test_cli_verdict_numbers_are_check_candidates(capsys):
 
 
 def test_conj_check_solver(capsys):
-    code, out = run_cli(capsys, "conj", "check", "--solve", "--max-n", "3")
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["solver_residual"] <= 1e-8
+    for max_n in ("3", "8"):
+        code, out = run_cli(capsys, "conj", "check", "--solve", "--max-n", max_n)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["solver_residual"] <= 1e-8
+        assert abs(rep["solver_fisher"] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("max_n", [0, 1, 2])
+def test_conj_check_solver_rejects_an_undetermined_fit(max_n, capsys):
+    # Four basis words and max_n + 1 relations: lstsq's minimum-norm pick
+    # printed solver_fisher 1.16 (the law's is 1.0) at max_n 1 and 2, 0.0 at
+    # max_n 0, each with residual 0 and exit 0.
+    code, out = run_cli(capsys, "conj", "check", "--solve", "--max-n", str(max_n))
+    assert code == 1
+    assert json.loads(out) == {
+        "schema": 1,
+        "error": f"ValueError: the relations up to max_n={max_n} leave the fit "
+        f"undetermined: rank {max_n + 1} of 4",
+    }
 
 
 def test_conj_check_evaluates_each_moment_once(capsys, monkeypatch):
@@ -691,6 +831,65 @@ def test_pinned_mc_stdout_sha256(direction, d, tmp_path, capsys):
     code, out = run_cli(capsys, "mc", direction, "--table", str(path))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MC_SHA256[direction, d]
+
+
+def _special_table(n: int, d: int, seed: int) -> dict:
+    """A seeded table on a random side word of length n, its entries in a
+    shuffled order.  Values are normal draws; about a fifth of their real and
+    imaginary parts are +0.0 and a fifth -0.0, and three partitions of at
+    most two blocks each get one null (NaN), inf or -inf, so that the
+    entries above them print null and the rest stay finite."""
+    rng = np.random.default_rng(seed)
+    chi = ChiWord(rng.choice(["l", "r"], size=n))
+    parts = enumerate_bnc(chi)
+    values = rng.standard_normal((len(parts), 2, d, d))
+    u = rng.random(values.shape)
+    values[u < 0.2] = 0.0
+    values[(0.2 <= u) & (u < 0.4)] = -0.0
+    values = values.tolist()
+    coarse = [i for i, p in enumerate(parts) if len(p.blocks) <= 2]
+    for i, x in zip(rng.choice(coarse, size=3, replace=False), (None, math.inf, -math.inf)):
+        values[i][rng.integers(2)][rng.integers(d)][rng.integers(d)] = x
+    entries = [
+        {"partition": [list(b) for b in parts[i].blocks],
+         "value": {"d": d, "re": values[i][0], "im": values[i][1]}}
+        for i in rng.permutation(len(parts))
+    ]
+    return {"chi": str(chi), "entries": entries}
+
+
+# sha256 of the exact mc stdout on seeded n = 7 and n = 8 tables holding
+# null, +-0.0 and +-inf parts, recorded before the table transforms ran on
+# whole arrays.
+PINNED_MC_SPECIAL_SHA256 = {
+    ("to-cumulants", 7, 1):
+        "36a1135d1f35611cb3223a449d4cd8eab4822967eb7f87669fe879a4a766f454",
+    ("to-moments", 7, 1):
+        "185b1346001d989bff2cf9e5cbb7dc3d063396a1095a3709a7dd47273de546b0",
+    ("to-cumulants", 7, 2):
+        "3aaa96aa1b11c7033756493b881ef7b43774eeccef2adf047a0b4a54a1a770f5",
+    ("to-moments", 7, 2):
+        "26a9c086e1a31e80a51484b7beb3e90599c0654a44424a5f9b4738abd994d00d",
+    ("to-cumulants", 8, 1):
+        "77b1568a777aa8fedafe7f7e735152c272cfc5ba07a6ec051eb2805ffbc78aa2",
+    ("to-moments", 8, 1):
+        "ca424683bf316541753233d1df4750d8d255de6d19e29e7418f4dd5a6a648d47",
+    ("to-cumulants", 8, 2):
+        "b5757e84c9b2b48e307f588b639b059a3863bced372d6011741343bf40076c80",
+    ("to-moments", 8, 2):
+        "bbf86104454908974aef6599979341c3f929b5160a1d41fceb9159fc66bb84a6",
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("direction, n, d", PINNED_MC_SPECIAL_SHA256, ids=lambda x: str(x))
+def test_pinned_mc_special_values_sha256(direction, n, d, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_special_table(n, d, 700 + 10 * n + d)))
+    code, out = run_cli(capsys, "mc", direction, "--table", str(path))
+    assert code == 0
+    assert "null" in out and "-0.0" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MC_SPECIAL_SHA256[direction, n, d]
 
 
 def _strict_json(text: str):

@@ -29,6 +29,7 @@ from bifree.balgebra import CPMap, matrix_unit, maxabs, random_belement, random_
 from bifree.bnc import (
     BncPartition,
     ChiWord,
+    catalan,
     enumerate_bnc,
     lattice_leq,
     mobius_bnc,
@@ -45,6 +46,7 @@ from bifree.moments import (
     eval_moment_pi,
     moments_from_cumulants,
     product_cumulant_expand,
+    transform_table,
 )
 from bifree.moments import _scalar_top_cumulant
 from bifree.words import GeneratorSymbol, Lb, Monomial, MomentFunctional, Rb
@@ -856,20 +858,70 @@ def _bit_test_chis():
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_transforms_bit_exact_against_term_loops():
-    # Every pi of every chi up to n = 6 and of seeded chi of length 7 and 8.
+    # Every pi of every chi up to n = 6 and of seeded chi of length 7 and 8,
+    # through the per-partition transforms and the whole-table one.
     rng = np.random.default_rng(17)
     for chi in _bit_test_chis():
         parts = enumerate_bnc(chi)
-        tables = [dict(zip(parts, _table_values(len(parts), d, rng))) for d in (1, 2)]
-        for pi in parts:
-            interval = lower_interval_by_product(pi)
-            for table in tables:
-                assert _bits(moments_from_cumulants(table, pi)) == _bits(
-                    moments_from_cumulants_loop(table, interval)
-                ), (chi, pi)
-                assert _bits(cumulants_from_moments(table, pi)) == _bits(
-                    cumulants_from_moments_loop(table, interval)
-                ), (chi, pi)
+        arrays = [_table_values(len(parts), d, rng) for d in (1, 2)]
+        for values in arrays:
+            table = dict(zip(parts, values))
+            moments = transform_table(chi, values, "moments")
+            cumulants = transform_table(chi, values, "cumulants")
+            for i, pi in enumerate(parts):
+                interval = lower_interval_by_product(pi)
+                moment = _bits(moments_from_cumulants_loop(table, interval))
+                cumulant = _bits(cumulants_from_moments_loop(table, interval))
+                assert _bits(moments_from_cumulants(table, pi)) == moment, (chi, pi)
+                assert _bits(moments[i]) == moment, (chi, pi)
+                assert _bits(cumulants_from_moments(table, pi)) == cumulant, (chi, pi)
+                assert _bits(cumulants[i]) == cumulant, (chi, pi)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_transform_table_in_runs_matches_one_run(d, monkeypatch):
+    # Runs of a few entries each (the cap is 2^18 / d^2 entries) sum the
+    # same intervals, in the same order, as one run of the whole table.
+    rng = np.random.default_rng(18 + d)
+    chi = ChiWord(rng.choice(["l", "r"], size=7))
+    values = _table_values(catalan(7), d, rng)
+    whole = {to: transform_table(chi, values, to) for to in ("moments", "cumulants")}
+    runs = bifree.moments.lower_interval_arrays
+    monkeypatch.setattr(
+        bifree.moments, "lower_interval_arrays", lambda n, cap: runs(n, cap >> 14)
+    )
+    for to, want in whole.items():
+        assert _bits(transform_table(chi, values, to)) == _bits(want)
+
+
+def test_transform_table_names_the_first_missing_entry():
+    # The first pi in enumeration order whose interval lacks an entry, and the
+    # first lacking one in its interval, as the per-partition transform finds.
+    chi = ChiWord("lrrlr")
+    parts = enumerate_bnc(chi)
+    values = np.ones((len(parts), 1, 1), dtype=complex)
+    for gone in ([0], [17, 30], [41], [20, 5]):
+        present = np.ones(len(parts), dtype=bool)
+        present[gone] = False
+        table = {p: v for p, v, ok in zip(parts, values, present) if ok}
+        for to, per_pi, kind in (("moments", moments_from_cumulants, "cumulant"),
+                                 ("cumulants", cumulants_from_moments, "moment")):
+            with pytest.raises(ValueError) as want:
+                for pi in parts:
+                    per_pi(table, pi)
+            with pytest.raises(ValueError) as got:
+                transform_table(chi, values, to, present)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).startswith(f"{kind} table missing entry for BncPartition(")
+
+
+def test_transform_table_rejects_a_bad_request():
+    chi = ChiWord("lr")
+    with pytest.raises(ValueError, match="to must be"):
+        transform_table(chi, np.ones((2, 1, 1)), "cumulant")
+    with pytest.raises(ValueError, match="expected 2 table values"):
+        transform_table(chi, np.ones((3, 1, 1)), "moments")
 
 
 # --- product expansion ----------------------------------------------------------------
