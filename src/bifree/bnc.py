@@ -112,8 +112,8 @@ def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
 
 def _check_partition(blocks: Blocks, chi: ChiWord) -> int:
     """Raise ``ValueError`` unless ``blocks`` partition ``1..chi.n``; in the
-    same walk over the blocks, compute the ``_code`` of their relabelling by
-    ``s_chi_inverse(chi)``, the NC picture's code (for n < 16)."""
+    same walk over the blocks, compute the code (see ``_NcArrays``) of their
+    relabelling by ``s_chi_inverse(chi)``, the NC picture's code."""
     n, inv = chi.n, chi._s_inv
     seen: set[int] = set()
     code = 0
@@ -506,20 +506,11 @@ def enumerate_bnc_avoiding(
     ]
 
 
-def _code(blocks: Iterable[Iterable[int]]) -> int:
-    """A partition of ``1..n`` (n < 16) as an integer: hex digit x-1 is the
-    smallest element of x's block.  Blocks on disjoint points add."""
-    code = 0
-    for b in blocks:
-        m = min(b)
-        for x in b:
-            code += m << 4 * (x - 1)
-    return code
-
-
 @lru_cache(maxsize=MAX_ENUM_N)
 def _nc_index(n: int) -> dict[int, int]:
-    return {_code(sigma): i for i, sigma in enumerate(_nc_all(n))}
+    """``_nc_arrays(n)``'s sorted codes as a dict, code -> index."""
+    arrays = _nc_arrays(n)
+    return dict(zip(arrays.codes.tolist(), arrays.rank.tolist()))
 
 
 def bnc_index(blocks: Iterable[Iterable[int]], chi: ChiWord) -> int:
@@ -527,26 +518,20 @@ def bnc_index(blocks: Iterable[Iterable[int]], chi: ChiWord) -> int:
     blocks, for n <= ``MAX_ENUM_N``.
 
     One walk over the blocks runs the partition check, which raises the
-    ``ValueError`` that names a fault, and computes the code of the NC
-    picture, which is then looked up; a partition that passes the check and
-    is not found raises the constructor's not-bi-non-crossing error.
+    ``ValueError`` that names a fault before any per-length table is read,
+    and computes the code of the NC picture.  The code is looked up in a
+    dict built from the sorted codes of ``_nc_arrays(n)``; a partition that
+    passes the check and is not found raises the constructor's
+    not-bi-non-crossing error.
     """
     blocks = [tuple(b) for b in blocks]
     if chi.n > MAX_ENUM_N:
         raise ValueError(f"n={chi.n} exceeds enumeration bound {MAX_ENUM_N}")
-    i = _nc_index(chi.n).get(_check_partition(blocks, chi))
+    code = _check_partition(blocks, chi)
+    i = _nc_index(chi.n).get(code)
     if i is None:
         raise _not_bnc(_canonical_blocks(blocks), chi)
     return i
-
-
-def find_bnc(blocks: Iterable[Iterable[int]], chi: ChiWord) -> BncPartition:
-    """The partition of ``enumerate_bnc(chi)`` with the given blocks, equal to
-    ``BncPartition(blocks, chi)``, found by ``bnc_index``; past
-    ``MAX_ENUM_N`` it is ``BncPartition(blocks, chi)``, with its checks."""
-    if chi.n > MAX_ENUM_N:
-        return BncPartition(blocks, chi)
-    return _bnc_all(chi)[bnc_index(blocks, chi)]
 
 
 # --- lower intervals ----------------------------------------------------------
@@ -564,8 +549,12 @@ def _min_map(blocks: Blocks, n: int) -> list[int]:
 class _NcArrays(NamedTuple):
     """NC(k) as arrays, in ``enumerate_nc(k)`` order: row i of ``mins`` is the
     ``_min_map`` of partition i and ``mu[i]`` its mu(sigma, 1_k); ``codes``
-    are the partitions' ``_code``s, sorted, and ``rank[j]`` is the index of
-    the partition with code ``codes[j]``."""
+    are the partitions' codes, sorted, and ``rank[j]`` is the index of the
+    partition with code ``codes[j]``.  A partition of ``1..k`` (k < 16) has
+    the code whose hex digit x-1 is the smallest element of x's block;
+    partitions of disjoint sets of points add.  This is NC(k)'s one code
+    table: ``bnc_index`` looks codes up in it, ``_intervals`` finds its
+    product entries in it."""
 
     mins: "np.ndarray"
     mu: "np.ndarray"
@@ -605,7 +594,7 @@ def _intervals(n: int, mins: "np.ndarray"):
 
     The interval below pi is the product, over the blocks V of pi, of
     NC(|V|) relabelled onto V, and mu is the product of the factors' mu(sigma
-    |V, 1_V) (Nica-Speicher, Lectures 9-10).  A product entry's ``_code`` is
+    |V, 1_V) (Nica-Speicher, Lectures 9-10).  A product entry's code is
     the sum of its factors' codes, and a factor's code reads the min maps of
     NC(|V|) through V.  Singletons add one fixed code; the larger blocks are
     crossed in by slot, the s-th larger block of every row in one step.

@@ -28,7 +28,7 @@ from . import acceptance
 from .balgebra import CPMap, as_belement, belement_from_json, belement_to_json, json_fields
 from .bnc import (
     MAX_ENUM_N, MAX_SCAN_ORDER, MAX_WALK_N, BncPartition, ChiWord, bnc_index, enumerate_bnc,
-    find_bnc, mobius_bnc,
+    mobius_bnc,
 )
 from .conjvar import (
     check_candidates,
@@ -168,7 +168,7 @@ def _read_table(path: str):
     word = str(chi)
     # Past the enumeration bound entries are checked as partitions, and
     # enumerate_bnc raises once they all are.
-    locate = bnc_index if chi.n <= MAX_ENUM_N else find_bnc
+    locate = bnc_index if chi.n <= MAX_ENUM_N else BncPartition
     slots, seen, re, im = [], set(), [], []
     d = None  # every value must have the first value's size
     for entry in data["entries"]:
@@ -177,7 +177,7 @@ def _read_table(path: str):
             raise ValueError(f"entry chi {entry['chi']!r} differs from the table's {word!r}")
         i = locate(entry["partition"], chi)
         if i in seen:
-            blocks = find_bnc(entry["partition"], chi).blocks
+            blocks = BncPartition(entry["partition"], chi).blocks
             raise ValueError(f"partition {list(map(list, blocks))} is listed twice")
         seen.add(i)
         value = entry["value"]
@@ -265,7 +265,8 @@ def _cmd_conj_check(args) -> dict:
     rep = check_candidates(cands, args.max_n)
     rep["target"] = f"{args.lam:g}*semicircular"
     finite = math.isfinite(rep["fisher"]) and math.isfinite(rep["cramer_rao_product"])
-    rep["pass"] = bool(rep["max_residual"] <= args.tolerance and finite)
+    # At max_n 0 only the empty word is walked, whose relation any candidate meets.
+    rep["pass"] = bool(args.max_n > 0 and rep["max_residual"] <= args.tolerance and finite)
     if args.solve:
         solved, solved_resid = solve_conjugate(
             cand.model, cand.target, CPMap.identity(1), (), max_n=args.max_n

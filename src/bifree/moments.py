@@ -197,9 +197,16 @@ def cumulant_chi(F: MomentFunctional, chi: ChiWord, operands: Sequence) -> np.nd
     return cumulant_pi(F, one_partition(chi), operands)
 
 
-def _interval_values(table: Mapping, pi: BncPartition, kind: str):
-    """The table's values on ``lower_interval(pi)`` as one ``(k, d, d)``
-    complex array in the interval's order, and the interval's mu values."""
+def _interval_sum(table: Mapping, pi: BncPartition, kind: str) -> np.ndarray:
+    """Sum a ``kind`` table over ``lower_interval(pi)`` in enumeration order,
+    each value times its mu for a moment table.
+
+    The values are gathered into one array, the mu values multiply it in
+    one array product, and ``np.add.accumulate`` adds the terms one after
+    another: every bit equals that of a loop of ``total + term``, except
+    which NaN a sum of two NaNs keeps.  ``np.sum`` would sum pairwise and
+    move digits.  ``transform_table`` sums a whole table by the same rule.
+    """
     sigmas, mus = zip(*lower_interval(pi))
     values = []
     for sigma in sigmas:
@@ -207,39 +214,27 @@ def _interval_values(table: Mapping, pi: BncPartition, kind: str):
             values.append(table[sigma])
         except KeyError:
             raise ValueError(f"{kind} table missing entry for {sigma!r}")
-    return np.array(values, dtype=complex), mus
+    terms = np.array(values, dtype=complex)
+    if kind == "moment":
+        terms = np.array(mus, dtype=complex)[:, None, None] * terms
+    # A copy, so that the partial sums are not kept alive by a view.
+    return np.add.accumulate(terms, axis=0)[-1].copy()
 
 
 def moments_from_cumulants(
     kappa_table: Mapping[BncPartition, np.ndarray], pi: BncPartition
 ) -> np.ndarray:
-    """Moment value from a complete cumulant table on the interval below pi.
-
-    Sums the table over ``lower_interval(pi)`` in enumeration order.  The
-    values are gathered into one array and summed by ``np.add.accumulate``,
-    which adds them one after another: every bit equals that of a loop of
-    ``total + value``, except which NaN a sum of two NaNs keeps.  ``np.sum``
-    would sum pairwise and move digits.  ``transform_table`` sums a whole
-    table by the same rule.
-    """
-    values, _ = _interval_values(kappa_table, pi, "cumulant")
-    # A copy, so that the partial sums are not kept alive by a view.
-    return np.add.accumulate(values, axis=0)[-1].copy()
+    """Moment value from a complete cumulant table: its sum over the
+    interval below pi (see ``_interval_sum``)."""
+    return _interval_sum(kappa_table, pi, "cumulant")
 
 
 def cumulants_from_moments(
     moment_table: Mapping[BncPartition, np.ndarray], pi: BncPartition
 ) -> np.ndarray:
-    """Cumulant value from a complete moment table on the interval below pi.
-
-    Moebius convolution over ``lower_interval(pi)`` in enumeration order: the
-    gathered values times their mu values in one array product, then the
-    sequential ``np.add.accumulate`` of ``moments_from_cumulants``, bit for
-    bit a loop of ``total + mu * value`` up to the same NaN choice.
-    """
-    values, mus = _interval_values(moment_table, pi, "moment")
-    terms = np.array(mus, dtype=complex)[:, None, None] * values
-    return np.add.accumulate(terms, axis=0)[-1].copy()
+    """Cumulant value from a complete moment table: its Moebius convolution
+    over the interval below pi (see ``_interval_sum``)."""
+    return _interval_sum(moment_table, pi, "moment")
 
 
 def transform_table(
@@ -336,9 +331,10 @@ def product_cumulant_expand(
     The grouped top cumulant must equal the sum of ungrouped cumulants over
     partitions whose join with the embedded minimum is the maximum.  The
     right-hand side evaluates every partition moment of the ungrouped word
-    once, by ``eval_moment_pi``'s reduction and its zero-slice rule, and
-    reads each of those cumulants from that one table through
-    ``cumulants_from_moments``; the left-hand side is ``cumulant_pi``.
+    once, by ``eval_moment_pi``'s reduction and its zero-slice rule, into
+    one ``(k, d, d)`` array in ``enumerate_bnc(chi_hat)`` order, and reads
+    each of those cumulants from one ``transform_table`` call on it (bit for
+    bit ``cumulants_from_moments``); the left-hand side is ``cumulant_pi``.
     """
     word = _chi_ordered(chi_hat, operands)
     ops = word.ops
@@ -350,11 +346,11 @@ def product_cumulant_expand(
     zero_hat = BncPartition([range(a, b) for a, b in ranges], chi_hat)
     top = one_partition(chi_hat)
     parts = enumerate_bnc(chi_hat)
-    moments = {tau: _moment_pi(F, tau, word) for tau in parts}
+    moments = np.array([_moment_pi(F, tau, word) for tau in parts])
     rhs = np.zeros_like(lhs)
-    for sigma in parts:
+    for sigma, kappa in zip(parts, transform_table(chi_hat, moments, "cumulants")):
         if lattice_join(sigma, zero_hat) == top:
-            rhs += cumulants_from_moments(moments, sigma)
+            rhs += kappa
     return {"lhs": lhs, "rhs": rhs, "residual": maxabs(lhs - rhs)}
 
 

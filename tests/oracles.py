@@ -25,13 +25,15 @@ cumulant oracle takes a Moebius value and a fresh numeric-label reduction
 for every partition below its argument;
 a second one reduces every partition through the package's reduction, as the
 scan did before it left out partitions with a zero chi-interval block.  The
-product-expansion oracle runs a full cumulant scan for each partition on its
-right-hand side.  One scalar top-cumulant oracle relabels every partition of
+product-expansion oracles run a full cumulant scan for each partition on its
+right-hand side, or read each of those cumulants from a moment table keyed by
+partition, one partition at a time.  One scalar top-cumulant oracle relabels every partition of
 the per-length Moebius table to positions for its side word and multiplies
 block values in position order; another visits every entry of the table in
 NC coordinates, as the scan did before it indexed the table by block.  The
 interval oracle rebuilds a lower interval from relabelled factor tables on
 every call, and the table-transform oracles add one term at a time over it.
+The NC-code oracle walks a partition's blocks for its lookup code.
 The ``mc`` oracle reads a table file entry by entry, each value through
 ``belement_from_json``, and transforms it one partition at a time.
 The circular-pair symbol table is written out by hand, entry by entry.
@@ -276,6 +278,17 @@ def _nc_position(n):
     return {sigma: i for i, sigma in enumerate(enumerate_nc(n))}
 
 
+def _code(blocks):
+    """A partition of ``1..n`` (n < 16) as an integer, walked block by
+    block: hex digit x-1 is the smallest element of x's block."""
+    code = 0
+    for b in blocks:
+        m = min(b)
+        for x in b:
+            code += m << 4 * (x - 1)
+    return code
+
+
 def lower_interval_by_product(pi):
     """``(sigma, mu(sigma, pi))`` for every sigma <= pi in enumeration order,
     rebuilt on every call: the per-length Moebius table of each block V of
@@ -447,6 +460,21 @@ def product_cumulant_expand_nested(F, chi_hat, group_sizes, operands):
         if lattice_join(sigma, zero_hat) == top:
             rhs += cumulant_pi(F, sigma, ops)
     return lhs, rhs
+
+
+def product_rhs_by_partition(F, chi_hat, group_sizes, operands):
+    """The right-hand side of the product-entry expansion from one moment
+    table keyed by partition, each cumulant read from it by its own
+    ``cumulants_from_moments`` call."""
+    zero_hat = BncPartition([range(a, b) for a, b in group_offsets(group_sizes)], chi_hat)
+    top = one_partition(chi_hat)
+    parts = enumerate_bnc(chi_hat)
+    moments = {tau: eval_moment_pi(F, tau, operands) for tau in parts}
+    rhs = np.zeros((F.dim, F.dim), dtype=complex)
+    for sigma in parts:
+        if lattice_join(sigma, zero_hat) == top:
+            rhs += cumulants_from_moments(moments, sigma)
+    return rhs
 
 
 # --- moment reduction in random order ---------------------------------------

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 from oracles import (
+    _code,
     all_set_partitions,
     has_crossing,
     mobius_nc,
@@ -20,13 +21,13 @@ from bifree.bnc import (
     _interval_table,
     _nc_all,
     _nc_arrays,
+    _nc_index,
     ChiWord,
     bnc_index,
     catalan,
     enumerate_bnc,
     enumerate_bnc_avoiding,
     enumerate_nc,
-    find_bnc,
     is_bnc,
     lattice_join,
     lattice_leq,
@@ -204,11 +205,10 @@ def test_enumeration_is_trusted_relabelling():
             assert q == p and q.nc == p.nc
             assert p.nc is nc[i]
             # the lookup finds the enumerated partition from any block order
-            assert find_bnc([b[::-1] for b in p.blocks[::-1]], chi) is p
             assert bnc_index([b[::-1] for b in p.blocks[::-1]], chi) == i
 
 
-def test_find_bnc_rejects_like_the_constructor():
+def test_bnc_index_rejects_like_the_constructor():
     # Every set partition that is not BNC, and malformed inputs, fail the
     # lookup with the exception the full check raises.
     rng = np.random.default_rng(9)
@@ -223,17 +223,30 @@ def test_find_bnc_rejects_like_the_constructor():
     for raw, chi in cases:
         with pytest.raises(Exception) as want:
             BncPartition(raw, chi)
-        for lookup in (find_bnc, bnc_index):
-            with pytest.raises(type(want.value)) as got:
-                lookup(raw, chi)
-            assert str(got.value) == str(want.value)
+        with pytest.raises(type(want.value)) as got:
+            bnc_index(raw, chi)
+        assert str(got.value) == str(want.value)
 
 
 def test_bnc_index_stops_at_the_enumeration_bound():
     chi = ChiWord("l" * (MAX_ENUM_N + 1))
     with pytest.raises(ValueError, match="exceeds enumeration bound"):
         bnc_index([[k] for k in range(1, chi.n + 1)], chi)
-    assert find_bnc([[k] for k in range(1, chi.n + 1)], chi) == zero_partition(chi)
+
+
+def test_bnc_index_checks_the_partition_before_reading_a_table():
+    # A malformed entry is reported before the per-length tables of NC(12)
+    # are built or read: no call reaches either cache.
+    chi = ChiWord("lr" * 6)
+    before = _nc_index.cache_info(), _nc_arrays.cache_info()
+    with pytest.raises(ValueError, match=r"^element 13 outside 1\.\.12$"):
+        bnc_index([[k] for k in range(1, 14)], chi)
+    assert (_nc_index.cache_info(), _nc_arrays.cache_info()) == before
+
+
+def test_nc_index_is_the_code_dict_of_enumerate_nc():
+    for n in range(1, 10):
+        assert _nc_index(n) == {_code(sigma): i for i, sigma in enumerate(enumerate_nc(n))}
 
 
 # --- lattice operations ----------------------------------------------------------

@@ -19,7 +19,9 @@ from bifree.balgebra import belement_from_json, belement_to_json
 from bifree.bnc import BncPartition, ChiWord, enumerate_bnc
 from bifree.acceptance import CriterionResult
 from bifree.cli import main
-from bifree.conjvar import check_candidates, lifted_candidates, scaled_semicircular
+from bifree.conjvar import (
+    VectorCandidate, check_candidates, lifted_candidates, scaled_semicircular,
+)
 from bifree.fock import FockModel, make_circular_pair, make_standard_semicircular
 from bifree.moments import cumulants_from_moments, eval_moment_pi
 from bifree.words import Monomial
@@ -624,6 +626,28 @@ def test_conj_check(capsys):
     assert rep["pass"]
     assert abs(rep["fisher"] - 0.25) < 1e-9
     assert abs(rep["cramer_rao_product"] - 1.0) < 1e-9
+
+
+def _tripled(cands):
+    return [VectorCandidate(c.target, c.vector.scaled(3.0), c.model) for c in cands]
+
+
+def test_conj_check_fails_at_max_n_0(capsys):
+    # Only the empty word is walked, and its relation holds for any
+    # candidate: a candidate scaled by 3 reads residual 0.0 as well.
+    assert check_candidates(_tripled(scaled_semicircular(2.0)), 0)["max_residual"] == 0.0
+    code, out = run_cli(capsys, "conj", "check", "--lam", "2.0", "--max-n", "0")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["pass"] is False and rep["max_residual"] == 0.0
+
+
+def test_conj_check_at_max_n_1_tells_the_candidates_apart(capsys):
+    assert check_candidates(scaled_semicircular(2.0), 1)["max_residual"] == 0.0
+    assert check_candidates(_tripled(scaled_semicircular(2.0)), 1)["max_residual"] == 2.0
+    code, out = run_cli(capsys, "conj", "check", "--lam", "2.0", "--max-n", "1")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
 
 
 def test_cli_verdict_numbers_are_check_candidates(capsys):

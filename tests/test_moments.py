@@ -19,6 +19,7 @@ from oracles import (
     moments_from_cumulants_loop,
     nc_pair_partition_count,
     product_cumulant_expand_nested,
+    product_rhs_by_partition,
     scalar_top_cumulant_by_positions,
     scalar_top_cumulant_table_loop,
     vacuum_expectation,
@@ -966,34 +967,58 @@ def test_product_expansion_operator_valued_random():
 
 
 def test_product_expansion_matches_nested_scan(scalar_model, flip_model):
-    # Instances drawn as in the acceptance criterion: a random side word with
-    # constant non-final groups, one generator per letter and a coefficient
-    # on about one letter in three.  Exact: every cumulant sums the same
-    # terms in the same order as a full scan.
+    # Exact: every cumulant sums the same terms in the same order as a full
+    # scan.
     rng = np.random.default_rng(11)
     for trial in range(100):
         model = flip_model if trial % 2 else scalar_model
-        n = int(rng.integers(2, 6))
-        cuts = sorted({int(c) for c in rng.integers(1, n, size=n // 2)} | {n})
-        sizes = [b - a for a, b in zip([0] + cuts, cuts)]
-        labels = []
-        for g, size in enumerate(sizes):
-            if g < len(sizes) - 1:
-                labels += ["lr"[rng.integers(2)]] * size
-            else:
-                labels += ["lr"[rng.integers(2)] for _ in range(size)]
-        chi_hat = ChiWord(labels)
-        ops = []
-        for side in labels:
-            pool = [s for s in model.symbols if s.side == side]
-            w = Monomial([pool[rng.integers(len(pool))]])
-            if rng.integers(3) == 0:
-                b = random_belement(model.dim, rng)
-                w = w * (Lb(b) if side == "l" else Rb(b))
-            ops.append(w)
+        chi_hat, sizes, ops = _grouped_instance(model, int(rng.integers(2, 6)), rng)
         rep = product_cumulant_expand(model.functional, chi_hat, sizes, ops)
         lhs, rhs = product_cumulant_expand_nested(model.functional, chi_hat, sizes, ops)
         assert np.array_equal(rep["lhs"], lhs) and np.array_equal(rep["rhs"], rhs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_product_expansion_rhs_matches_per_partition_transforms(d):
+    # The rhs reads every cumulant from one whole-table transform; the
+    # oracle reads each from a partition-keyed table by its own call.  Every
+    # chi-interval of odd length has value zero (the generators are centred);
+    # the words are even and the two generators correlated, so that most
+    # right-hand sides are not zero.
+    rng = np.random.default_rng(40 + d)
+    model, _, _ = _planted_model(d, rng)
+    nonzero = 0
+    for trial in range(20):
+        chi_hat, sizes, ops = _grouped_instance(model, 2 * int(rng.integers(2, 4)), rng)
+        rep = product_cumulant_expand(model.functional, chi_hat, sizes, ops)
+        want = product_rhs_by_partition(model.functional, chi_hat, sizes, ops)
+        assert _bits(rep["rhs"]) == _bits(want), (d, trial)
+        nonzero += bool(np.count_nonzero(want))
+    assert nonzero >= 10
+
+
+def _grouped_instance(model, n, rng):
+    """A random grouped word of n letters as the acceptance criterion draws
+    them: a random side word with constant non-final groups, one generator
+    per letter and a coefficient on about one letter in three.  Returns the
+    side word, the group sizes and the operands."""
+    cuts = sorted({int(c) for c in rng.integers(1, n, size=n // 2)} | {n})
+    sizes = [b - a for a, b in zip([0] + cuts, cuts)]
+    labels = []
+    for g, size in enumerate(sizes):
+        if g < len(sizes) - 1:
+            labels += ["lr"[rng.integers(2)]] * size
+        else:
+            labels += ["lr"[rng.integers(2)] for _ in range(size)]
+    ops = []
+    for side in labels:
+        pool = [s for s in model.symbols if s.side == side]
+        w = Monomial([pool[rng.integers(len(pool))]])
+        if rng.integers(3) == 0:
+            b = random_belement(model.dim, rng)
+            w = w * (Lb(b) if side == "l" else Rb(b))
+        ops.append(w)
+    return ChiWord(labels), sizes, ops
 
 
 # --- bi-freeness scan ---------------------------------------------------------------
